@@ -23,10 +23,8 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .algebra import AlgebraError
-from .scalars import GaussianRational, Scalar, _coerce, format_coefficient, i_power
+from .scalars import GR_ONE, GaussianRational, Scalar, _coerce, format_coefficient, gr_ratio, i_power
 from .starprod import _cliff_pair
-
-_ONE = GaussianRational(Fraction(1), Fraction(0))
 
 
 class OreMonomial(NamedTuple):
@@ -251,19 +249,19 @@ def ore_scalar(n, c):
 def ore_fermi(n, i):
     if not 1 <= i <= 2 * n + 1:
         raise AlgebraError("w%d outside rank-%d algebra" % (i, n))
-    return OreElement(n, {OreMonomial(1 << (i - 1), 0, 0, 0): _ONE})
+    return OreElement(n, {OreMonomial(1 << (i - 1), 0, 0, 0): GR_ONE})
 
 
 def ore_e_plus(n):
-    return OreElement(n, {OreMonomial(0, 1, 0, 0): _ONE})
+    return OreElement(n, {OreMonomial(0, 1, 0, 0): GR_ONE})
 
 
 def ore_e_minus(n):
-    return OreElement(n, {OreMonomial(0, 0, 1, 0): _ONE})
+    return OreElement(n, {OreMonomial(0, 0, 1, 0): GR_ONE})
 
 
 def ore_lambda(n, power=1):
-    return OreElement(n, {OreMonomial(0, 0, 0, power): _ONE})
+    return OreElement(n, {OreMonomial(0, 0, 0, power): GR_ONE})
 
 
 def ghost_theta(n):
@@ -288,11 +286,11 @@ def _lower_past_powers(beta, gamma):
     """Normal form of E-^beta E+^gamma.
 
     Terms are (q, a, eps, b, extra) meaning q * E+^a ghost^eps E-^b L^extra
-    with eps in {0,1}; the ghost is kept abstract here so the kernel is
-    independent of the rank.
+    with eps in {0,1} and q a real GaussianRational; the ghost is kept
+    abstract here so the kernel is independent of the rank.
     """
     if beta == 0:
-        return ((Fraction(1), gamma, 0, 0, 0),)
+        return ((GR_ONE, gamma, 0, 0, 0),)
     acc = {}
 
     def add(key, q):
@@ -308,7 +306,7 @@ def _lower_past_powers(beta, gamma):
         # then E- ghost = -ghost E- and ghost^2 = L^2
         add((a, eps, b + 1, extra), -q if eps else q)
         if a:
-            add((a - 1, eps, b, extra), q * Fraction(a, 4))
+            add((a - 1, eps, b, extra), q * gr_ratio(a, 4))
             if a & 1:
                 if eps:
                     add((a - 1, 0, b, extra + 2), -q)
@@ -334,25 +332,25 @@ def ore_product(x, y):
             if (csign < 0) ^ (tcount & 1):
                 base = -base
             lam = m1.lam + m2.lam
+            ghost = None
             for q, a, eps, b, extra in _lower_past_powers(m1.e_minus, m2.e_plus):
-                coeff = base * q
                 e_plus = m1.e_plus + a
-                e_minus = b + m2.e_minus
-                r = lam + extra
-                cliff = mask
                 if eps:
                     # ghost = i^n w_full L sits after E+^{e_plus}: it
                     # anticommutes with each E+ on its way to the front,
-                    # commutes with every w, then pairs into the Fermi word
-                    coeff = coeff * ghost_coeff
-                    if e_plus & 1:
-                        coeff = -coeff
-                    gsign, gtc, gmask = _cliff_pair(mask, full)
-                    if (gsign < 0) ^ (gtc & 1):
-                        coeff = -coeff
-                    cliff = gmask
-                    r += 1
-                key = OreMonomial(cliff, e_plus, e_minus, r)
+                    # commutes with every w, then pairs into the Fermi word.
+                    # All of that but the sign (-1)^a is fixed per pair.
+                    if ghost is None:
+                        gsign, gtc, gmask = _cliff_pair(mask, full)
+                        g = base * ghost_coeff
+                        if (gsign < 0) ^ (gtc & 1) ^ (m1.e_plus & 1):
+                            g = -g
+                        ghost = (g, -g)
+                    coeff = ghost[a & 1] * q
+                    key = OreMonomial(gmask, e_plus, b + m2.e_minus, lam + extra + 1)
+                else:
+                    coeff = base * q
+                    key = OreMonomial(mask, e_plus, b + m2.e_minus, lam + extra)
                 s = out.get(key)
                 s = coeff if s is None else s + coeff
                 if s:

@@ -4,32 +4,78 @@ Every coefficient in this package is either a Gaussian rational (a + b*i with
 a, b rational) or a polynomial in a single central formal parameter L with
 Gaussian-rational coefficients.  Nothing is ever floated; equality everywhere
 in the library and the test suite means exact equality of these objects.
+
+A Gaussian rational is stored as three ints, (re_num + im_num*i) / den, kept
+reduced: den > 0 and gcd(re_num, im_num, den) = 1.  The form is unique, so
+equality compares the ints and zero is (0, 0, 1).  The `re` and `im`
+properties give the parts as `Fraction`s; arithmetic and printing work on the
+ints directly.
 """
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
+from math import gcd
+
+_HASH_MODULUS = sys.hash_info.modulus
 
 
 class GaussianRational:
-    """a + b*i with exact rational a, b.  Immutable, hashable, a field."""
+    """a + b*i with exact rational a, b.  Immutable, hashable, a field.
 
-    __slots__ = ("re", "im")
+    The parts may be given as ints or Fractions; anything else is a TypeError.
+    """
+
+    __slots__ = ("_re", "_im", "_den")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        if not isinstance(re, (int, Fraction)) or not isinstance(im, (int, Fraction)):
+            raise TypeError(
+                "GaussianRational parts must be int or Fraction, got %s and %s"
+                % (type(re).__name__, type(im).__name__)
+            )
+        rd, idn = re.denominator, im.denominator
+        if rd == idn:
+            self._re, self._im, self._den = re.numerator, im.numerator, rd
+        else:
+            # both parts are reduced, so over the lcm the triple is reduced too
+            den = rd // gcd(rd, idn) * idn
+            self._re = re.numerator * (den // rd)
+            self._im = im.numerator * (den // idn)
+            self._den = den
 
-    def __setattr__(self, name, value):
-        raise AttributeError("GaussianRational is immutable")
+    @property
+    def re(self):
+        return Fraction(self._re, self._den)
+
+    @property
+    def im(self):
+        return Fraction(self._im, self._den)
 
     # -- ring structure ----------------------------------------------------
 
     def __add__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        if other.__class__ is not GaussianRational:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        d, f = self._den, other._den
+        if d == f:
+            re, im = self._re + other._re, self._im + other._im
+            if d == 1:
+                return _make(re, im, 1)
+            return _reduce(re, im, d)
+        g = gcd(d, f)
+        if g == 1:
+            # coprime denominators leave nothing to cancel
+            return _make(self._re * f + other._re * d, self._im * f + other._im * d, d * f)
+        s, t = d // g, f // g
+        re, im = self._re * t + other._re * s, self._im * t + other._im * s
+        g2 = gcd(re, im, g)
+        if g2 == 1:
+            return _make(re, im, s * f)
+        return _make(re // g2, im // g2, s * (f // g2))
 
     __radd__ = __add__
 
@@ -37,33 +83,40 @@ class GaussianRational:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        return self + (-other)
 
     def __rsub__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return other - self
+        return other + (-self)
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _make(-self._re, -self._im, self._den)
 
     def __mul__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if other.__class__ is not GaussianRational:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        a, b = self._re, self._im
+        c, e = other._re, other._im
+        if b or e:
+            return _reduce(a * c - b * e, a * e + b * c, self._den * other._den)
+        re, den = a * c, self._den * other._den
+        g = gcd(re, den)
+        if g == 1:
+            return _make(re, 0, den)
+        return _make(re // g, 0, den // g)
 
     __rmul__ = __mul__
 
     def inverse(self):
-        n = self.re * self.re + self.im * self.im
+        a, b, d = self._re, self._im, self._den
+        n = a * a + b * b
         if n == 0:
             raise ZeroDivisionError("inverse of zero Gaussian rational")
-        return GaussianRational(self.re / n, -self.im / n)
+        return _reduce(d * a, -d * b, n)
 
     def __truediv__(self, other):
         other = _coerce(other)
@@ -80,7 +133,7 @@ class GaussianRational:
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             raise ValueError("only non-negative integer powers")
-        out = GaussianRational(1)
+        out = GR_ONE
         base = self
         while n:
             if n & 1:
@@ -92,16 +145,24 @@ class GaussianRational:
     # -- comparisons / hashing ---------------------------------------------
 
     def __eq__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+        if other.__class__ is not GaussianRational:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return self._re == other._re and self._im == other._im and self._den == other._den
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # a real value hashes like the equal Fraction or int, and a complex
+        # one like the pair of its parts as Fractions
+        re, im, den = self._re, self._im, self._den
+        if im:
+            return hash((_fraction_hash(re, den), _fraction_hash(im, den)))
+        if den == 1:
+            return hash(re)
+        return _fraction_hash(re, den)
 
     def __bool__(self):
-        return self.re != 0 or self.im != 0
+        return self._re != 0 or self._im != 0
 
     def is_zero(self):
         return not self
@@ -109,26 +170,85 @@ class GaussianRational:
     # -- presentation --------------------------------------------------------
 
     def __repr__(self):
-        return "GaussianRational(%r, %r)" % (str(self.re), str(self.im))
+        return "GaussianRational(%r, %r)" % (
+            _ratio_str(self._re, self._den),
+            _ratio_str(self._im, self._den),
+        )
 
     def __str__(self):
-        if self.im == 0:
-            return str(self.re)
-        if self.re == 0:
-            return "%s*i" % self.im
-        return "(%s + %s*i)" % (self.re, self.im) if self.im > 0 else "(%s - %s*i)" % (self.re, -self.im)
+        re, im, den = self._re, self._im, self._den
+        if im == 0:
+            return _ratio_str(re, den)
+        if re == 0:
+            return "%s*i" % _ratio_str(im, den)
+        if im > 0:
+            return "(%s + %s*i)" % (_ratio_str(re, den), _ratio_str(im, den))
+        return "(%s - %s*i)" % (_ratio_str(re, den), _ratio_str(-im, den))
 
     def to_json(self):
         """[[re_num, re_den], [im_num, im_den]] with ints."""
-        return [
-            [self.re.numerator, self.re.denominator],
-            [self.im.numerator, self.im.denominator],
-        ]
+        return [_ratio_pair(self._re, self._den), _ratio_pair(self._im, self._den)]
 
     @staticmethod
     def from_json(data):
         (rn, rd), (im_n, im_d) = data
         return GaussianRational(Fraction(rn, rd), Fraction(im_n, im_d))
+
+
+_new = object.__new__
+
+
+def _make(re, im, den):
+    # internal: a GaussianRational from an already-reduced triple
+    g = _new(GaussianRational)
+    g._re = re
+    g._im = im
+    g._den = den
+    return g
+
+
+def _reduce(re, im, den):
+    # internal: a GaussianRational from any triple with den > 0
+    g = gcd(re, im, den)
+    if g == 1:
+        return _make(re, im, den)
+    return _make(re // g, im // g, den // g)
+
+
+def gr_ratio(num, den):
+    """The real Gaussian rational num/den from ints, den > 0."""
+    return _reduce(num, 0, den)
+
+
+def _fraction_hash(num, den):
+    """hash(Fraction(num, den)) without building it, den > 0.
+
+    Python hashes a rational as its value modulo a prime, so num/den need
+    not be in lowest terms.
+    """
+    try:
+        dinv = pow(den, -1, _HASH_MODULUS)
+    except ValueError:
+        return hash(Fraction(num, den))
+    h = hash(hash(abs(num)) * dinv)
+    h = h if num >= 0 else -h
+    return -2 if h == -1 else h
+
+
+def _ratio_pair(num, den):
+    g = gcd(num, den)
+    return [num // g, den // g]
+
+
+def _ratio_str(num, den):
+    """Text of num/den as `str(Fraction(num, den))` gives it."""
+    if den != 1:
+        g = gcd(num, den)
+        if g != 1:
+            num, den = num // g, den // g
+        if den != 1:
+            return "%d/%d" % (num, den)
+    return str(num)
 
 
 def _coerce(x):
@@ -197,7 +317,8 @@ class Scalar:
             return NotImplemented
         out = dict(self.coeffs)
         for k, v in other.coeffs.items():
-            s = out.get(k, GR_ZERO) + v
+            s = out.get(k)
+            s = v if s is None else s + v
             if s:
                 out[k] = s
             else:
@@ -229,7 +350,9 @@ class Scalar:
         for k1, v1 in self.coeffs.items():
             for k2, v2 in other.coeffs.items():
                 k = k1 + k2
-                s = out.get(k, GR_ZERO) + v1 * v2
+                p = v1 * v2
+                s = out.get(k)
+                s = p if s is None else s + p
                 if s:
                     out[k] = s
                 else:
@@ -296,7 +419,13 @@ class Scalar:
         return self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
+        # an L-free scalar hashes like the Gaussian rational (or number) it equals
+        c = self.coeffs
+        if not c:
+            return 0
+        if len(c) == 1 and 0 in c:
+            return hash(c[0])
+        return hash(frozenset(c.items()))
 
     # -- presentation -----------------------------------------------------------
 
@@ -344,20 +473,21 @@ def format_coefficient(g, lam_power=0):
     imaginary part vanishes, and the L factor is omitted when r = 0.  This is
     exactly the coefficient grammar the expression parser accepts.
     """
-    if g.im == 0:
-        body = str(g.re)
-    elif g.re == 0:
-        if g.im == 1:
+    re, im, den = g._re, g._im, g._den
+    if im == 0:
+        body = _ratio_str(re, den)
+    elif re == 0:
+        if im == den:
             body = "i"
-        elif g.im == -1:
+        elif im == -den:
             body = "-i"
         else:
-            body = "%s*i" % g.im
+            body = "%s*i" % _ratio_str(im, den)
     else:
-        sign = "+" if g.im > 0 else "-"
-        mag = abs(g.im)
-        istr = "i" if mag == 1 else "%s*i" % mag
-        body = "(%s %s %s)" % (g.re, sign, istr)
+        sign = "+" if im > 0 else "-"
+        mag = abs(im)
+        istr = "i" if mag == den else "%s*i" % _ratio_str(mag, den)
+        body = "(%s %s %s)" % (_ratio_str(re, den), sign, istr)
     if lam_power == 0:
         return body
     lpart = "L" if lam_power == 1 else "L^%d" % lam_power

@@ -25,13 +25,16 @@ The Bose-factor kernel, with t the signature's deformation parameter:
 and the Fermi-factor kernel contracts exactly the common index set T = I & J
 (any smaller contraction leaves a repeated generator, killed by the exterior
 product), giving a single term sign * (-t)^{|T|} * w^{I xor J}.
+
+When t is free of L, the Bose kernel carries each term's full coefficient
+rational * (t/2)^{|r|+|s|} as one Gaussian rational, and `star` applies the
+Fermi factor sign * (-t)^{|T|} once per monomial pair.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iproduct
 
@@ -43,7 +46,7 @@ from .algebra import (
     bidegree,
     check_same_signature,
 )
-from .scalars import Scalar, S_ONE, S_HALF, _coerce_scalar
+from .scalars import GR_HALF, GR_ONE, GaussianRational, Scalar, S_ONE, S_HALF, _raw_scalar, gr_ratio
 
 
 class ProductKind(enum.Enum):
@@ -93,38 +96,49 @@ def _cliff_pair(I, J):
 
 
 @lru_cache(maxsize=None)
-def _weyl_pair(A, B, C, D):
-    """Bose kernel as a tuple of (order, rational, P, Q) quadruples.
+def _weyl_pair(A, B, C, D, t):
+    """Bose kernel at an L-free t as a tuple of (order, coeff, P, Q) quadruples.
 
-    order is |r|+|s|; the full coefficient of p^P q^Q is
-    rational * (t/2)^order.
+    order is |r|+|s| and coeff is the full Gaussian-rational coefficient
+    rational * (t/2)^order of p^P q^Q.  At t = 2 the factor (t/2)^order is 1,
+    so coeff is the bare rational.  Terms with a zero coefficient (t = 0,
+    order > 0) are left out.
     """
+    half_t = _Powers(t * GR_HALF, GR_ONE)
     out = []
     k = len(A)
     r_ranges = [range(min(A[i], D[i]) + 1) for i in range(k)]
     s_ranges = [range(min(B[i], C[i]) + 1) for i in range(k)]
     for r in iproduct(*r_ranges):
-        fr = Fraction(1)
+        num_r, den_r = 1, 1
         for i in range(k):
-            fr *= Fraction(math.perm(A[i], r[i]) * math.perm(D[i], r[i]), math.factorial(r[i]))
+            num_r *= math.perm(A[i], r[i]) * math.perm(D[i], r[i])
+            den_r *= math.factorial(r[i])
         for s in iproduct(*s_ranges):
-            fs = fr if sum(s) % 2 == 0 else -fr
+            num = num_r if sum(s) % 2 == 0 else -num_r
+            den = den_r
             for i in range(k):
-                fs *= Fraction(math.perm(B[i], s[i]) * math.perm(C[i], s[i]), math.factorial(s[i]))
-            if not fs:
+                num *= math.perm(B[i], s[i]) * math.perm(C[i], s[i])
+                den *= math.factorial(s[i])
+            order = sum(r) + sum(s)
+            coeff = half_t[order] * gr_ratio(num, den)
+            if not coeff:
                 continue
             P = tuple(A[i] - r[i] + C[i] - s[i] for i in range(k))
             Q = tuple(B[i] - s[i] + D[i] - r[i] for i in range(k))
-            out.append((sum(r) + sum(s), fs, P, Q))
+            out.append((order, coeff, P, Q))
     return tuple(out)
 
 
-class _Powers:
-    """Lazily extended power table for a Scalar base."""
+_GR_TWO = GaussianRational(2)
 
-    def __init__(self, base):
+
+class _Powers:
+    """Lazily extended power table for a Scalar or GaussianRational base."""
+
+    def __init__(self, base, one=S_ONE):
         self.base = base
-        self.table = [S_ONE]
+        self.table = [one]
 
     def __getitem__(self, n):
         while len(self.table) <= n:
@@ -136,6 +150,48 @@ def star(a, b):
     """Associative star product at the signature's deformation parameter."""
     check_same_signature(a, b)
     t = a.signature.t_param
+    if t.lam_degree() > 0:
+        return _star_lambda(a, b, t)
+    tg = t.lam_coefficient(0)
+    neg_t = _Powers(-tg, GR_ONE)
+    out = {}
+    for m1, c1 in a.terms.items():
+        bose1 = m1.bose_degree() & 1
+        for m2, c2 in b.terms.items():
+            csign, tcount, cmask = _cliff_pair(m1.cliff, m2.cliff)
+            if bose1 and m2.cliff.bit_count() & 1:
+                csign = -csign
+            fermi = neg_t[tcount]
+            if not fermi:
+                continue
+            if csign < 0:
+                fermi = -fermi
+            base = [(k, v * fermi) for k, v in (c1 * c2).coeffs.items()]
+            # out maps a monomial to the {L power: coefficient} map of its Scalar
+            for _, coeff, P, Q in _weyl_pair(m1.wp, m1.wq, m2.wp, m2.wq, tg):
+                key = CwMonomial(cmask, P, Q)
+                acc = out.get(key)
+                if acc is None:
+                    out[key] = {k: v * coeff for k, v in base}
+                    continue
+                for k, v in base:
+                    c = v * coeff
+                    s = acc.get(k)
+                    if s is None:
+                        acc[k] = c
+                    else:
+                        s = s + c
+                        if s:
+                            acc[k] = s
+                        else:
+                            del acc[k]
+                if not acc:
+                    del out[key]
+    return _raw_element(a.signature, {m: _raw_scalar(c) for m, c in out.items()})
+
+
+def _star_lambda(a, b, t):
+    """star at a t that involves L: the Bose kernel's rationals times Scalar powers."""
     half_t = _Powers(t * S_HALF)
     neg_t = _Powers(-t)
     out = {}
@@ -148,7 +204,7 @@ def star(a, b):
             base = c1 * c2 * neg_t[tcount]
             if csign < 0:
                 base = -base
-            for order, frac, P, Q in _weyl_pair(m1.wp, m1.wq, m2.wp, m2.wq):
+            for order, frac, P, Q in _weyl_pair(m1.wp, m1.wq, m2.wp, m2.wq, _GR_TWO):
                 coeff = base * half_t[order] * frac
                 if not coeff:
                     continue

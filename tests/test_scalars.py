@@ -2,7 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, seed, settings, strategies as st
+from reference_gaussian import RefGaussian, ref_format_coefficient
 
 from cliffordweyl.scalars import (
     GR_I,
@@ -152,3 +153,97 @@ def test_format_coefficient_fixtures():
 def test_scalar_i_power_matches_gaussian():
     for n in range(-4, 9):
         assert scalar_i_power(n) == Scalar.from_gaussian(i_power(n))
+
+
+# -- hash/eq contract and accepted part types ----------------------------------
+
+
+def test_hash_matches_equal_numbers():
+    rng = random.Random(20261018)
+    values = [0, 1, -1, 2, -2, 10**30, -(10**30), Fraction(1, 2), Fraction(-7, 3)]
+    values += [Fraction(rng.randint(-10**12, 10**12), rng.randint(1, 10**12)) for _ in range(200)]
+    values += [rng.randint(-10**25, 10**25) for _ in range(50)]
+    for x in values:
+        assert GaussianRational(x) == x
+        assert hash(GaussianRational(x)) == hash(x)
+        assert Scalar.of(x) == x
+        assert hash(Scalar.of(x)) == hash(x)
+    assert hash(Scalar.from_gaussian(GaussianRational(1, 2))) == hash(GaussianRational(1, 2))
+    assert len({GaussianRational(1), 1, Fraction(1), Scalar.of(1)}) == 1
+
+
+def test_parts_must_be_int_or_fraction():
+    for bad in (0.1, 1.0, "1/2", complex(1, 1), None):
+        with pytest.raises(TypeError):
+            GaussianRational(bad)
+        with pytest.raises(TypeError):
+            GaussianRational(1, bad)
+        with pytest.raises(TypeError):
+            Scalar.of(bad)
+    assert GaussianRational(True) == GaussianRational(1)
+
+
+def test_reduced_int_triple():
+    g = GaussianRational(Fraction(2, 6), Fraction(-4, 9))
+    assert (g._re, g._im, g._den) == (3, -4, 9)
+    z = GaussianRational(Fraction(3, 4)) - GaussianRational(Fraction(3, 4))
+    assert (z._re, z._im, z._den) == (0, 0, 1)
+    assert g.re == Fraction(1, 3) and g.im == Fraction(-4, 9)
+    with pytest.raises(AttributeError):
+        g.re = Fraction(1)
+
+
+# -- the int-triple class against the Fraction-based reference ------------------
+
+_parts = st.one_of(
+    st.integers(-50, 50),
+    st.fractions(min_value=-50, max_value=50, max_denominator=60),
+    st.fractions(max_denominator=10**15),
+)
+_pairs = st.tuples(_parts, _parts)
+
+
+def _same(new, ref):
+    assert new == GaussianRational(ref.re, ref.im)
+    assert (new.re, new.im) == (ref.re, ref.im)
+    assert str(new) == str(ref)
+    assert new.to_json() == ref.to_json()
+    assert hash(new) == hash(ref)
+    assert bool(new) == bool(ref)
+
+
+@seed(20261018)
+@settings(max_examples=400, deadline=None)
+@given(_pairs, _pairs, st.integers(0, 6), st.integers(0, 5))
+def test_matches_fraction_reference(x, y, power, lam_power):
+    a, b = GaussianRational(*x), GaussianRational(*y)
+    ra, rb = RefGaussian(*x), RefGaussian(*y)
+    _same(a, ra)
+    _same(a + b, ra + rb)
+    _same(a - b, ra - rb)
+    _same(a * b, ra * rb)
+    _same(-a, -ra)
+    _same(a**power, ra**power)
+    if rb:
+        _same(a / b, ra / rb)
+        _same(b.inverse(), rb.inverse())
+    else:
+        with pytest.raises(ZeroDivisionError):
+            b.inverse()
+    assert (a == b) == (ra == rb)
+    assert GaussianRational.from_json(ra.to_json()) == a
+    assert format_coefficient(a, lam_power) == ref_format_coefficient(ra, lam_power)
+    s = Scalar.lam(lam_power, a) + Scalar.lam(lam_power + 1, b)
+    assert Scalar.from_json(s.to_json()) == s
+
+
+@seed(20261018)
+@settings(max_examples=200, deadline=None)
+@given(_parts, st.integers(-50, 50))
+def test_mixed_operands_match_reference(x, n):
+    a, ra = GaussianRational(x, n), RefGaussian(x, n)
+    for other in (n, Fraction(n, 7), x):
+        _same(a + other, ra + other)
+        _same(a * other, ra * other)
+        _same(other - a, RefGaussian(other) - ra)
+        assert (a == other) == (ra == other)

@@ -153,6 +153,46 @@ def test_associativity_pure_signatures():
             assert star(star(a, b), c) == star(a, star(b, c))
 
 
+# L-free t other than 0 and 1: the kernel folds (t/2)^order into each Bose
+# coefficient and star applies (-t)^|T| once per monomial pair
+OTHER_T = (Scalar.of(2), Scalar.of(Fraction(1, 3), -1))
+OTHER_T_IDS = ["t=2", "t=1/3-i"]
+
+
+@pytest.mark.parametrize("t", OTHER_T, ids=OTHER_T_IDS)
+def test_relations_at_other_t(t):
+    sig = AlgebraSignature(3, 2, t)
+    one = unit(sig)
+    for i in (1, 2, 3):
+        w = fermi_gen(sig, i)
+        assert star(w, w) == one.scale(t)
+    for j in (1, 2):
+        p, q = bose_p(sig, j), bose_q(sig, j)
+        assert star(p, q) - star(q, p) == one.scale(t)
+
+
+@pytest.mark.parametrize("t", OTHER_T, ids=OTHER_T_IDS)
+def test_associativity_at_other_t(t):
+    sig = AlgebraSignature(3, 2, t)
+    rng = random.Random(4321)
+    for _ in range(60):
+        a, b, c = (rand_element(rng, sig) for _ in range(3))
+        assert star(star(a, b), c) == star(a, star(b, c))
+
+
+@pytest.mark.parametrize("t", OTHER_T, ids=OTHER_T_IDS)
+def test_star_at_other_t_is_formal_star_specialized(t):
+    # star at t = L, with L then replaced by t, is star at t itself
+    sig, sigL = AlgebraSignature(3, 2, t), AlgebraSignature(3, 2, S_LAMBDA)
+    value = t.constant()
+    rng = random.Random(8765)
+    for _ in range(60):
+        a, b = rand_element(rng, sig, maxdeg=5), rand_element(rng, sig, maxdeg=5)
+        formal = star(CwElement(sigL, a.terms), CwElement(sigL, b.terms))
+        specialized = formal.map_coefficients(lambda c: Scalar.from_gaussian(c.specialize(value)))
+        assert CwElement(sig, specialized.terms) == star(a, b)
+
+
 def test_star_at_zero_is_wedge():
     sig0 = AlgebraSignature(3, 2, Scalar())
     rng = random.Random(5)
