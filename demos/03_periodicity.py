@@ -82,7 +82,7 @@ print("== C(2,2) as 2x2 matrices over the Weyl algebra ==")
 sig = AlgebraSignature(2, 1)
 for name, g in (("w1", fermi_gen(sig, 1)), ("w2", fermi_gen(sig, 2)), ("p1", bose_p(sig, 1))):
     M = cw_to_matrix(1, 1, g)
-    print("%s -> %s" % (name, [[str(e) for e in row] for row in M.entries]))
+    print("%s -> %s" % (name, [[str(e) for e in row] for row in M.rows]))
 
 a, b = rand_element(rng, sig), rand_element(rng, sig)
 print(

@@ -14,7 +14,7 @@ from fractions import Fraction
 from cliffordweyl import (
     CochainEvaluator,
     GaussianRational,
-    ScalarMatrix,
+    Matrix,
     center_probe,
     coboundary,
     compare_cocycle,
@@ -99,6 +99,6 @@ for name, M in mats.items():
     print("%-3s -> %s" % (name, M))
 E, F = mats["E+"], mats["E-"]
 comm = E * F - F * E
-quarter = ScalarMatrix.identity(3).scale(Fraction(1, 4))
+quarter = Matrix.identity(3).scale(Fraction(1, 4))
 print("[pi(E+), pi(E-)] =", comm)
 print("... + 1/4 equals pi(L) pi(w1):", comm + quarter == mats["L"] * mats["w1"])

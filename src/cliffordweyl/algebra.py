@@ -213,7 +213,15 @@ class CwElement:
         return self.signature == other.signature and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.signature, frozenset(self.terms.items())))
+        # zero and the constants hash like the Scalar (so the number) they equal
+        t = self.terms
+        if not t:
+            return 0
+        if len(t) == 1:
+            ((m, c),) = t.items()
+            if not m.z_degree():
+                return hash(c)
+        return hash((self.signature, frozenset(t.items())))
 
     def _coerce(self, other):
         if isinstance(other, CwElement):

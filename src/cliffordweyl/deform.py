@@ -24,7 +24,7 @@ from .algebra import (
     monomial_element,
     zero,
 )
-from .linalg import sparse_nullspace
+from .linalg import Matrix, sparse_nullspace
 from .ore import (
     OreElement,
     OreMonomial,
@@ -44,8 +44,7 @@ from .ore import (
     specialize,
     specialized_product,
 )
-from .periodicity import AlgebraMatrix
-from .reps import ScalarMatrix, rep_matrix, spin
+from .reps import rep_matrix, spin
 from .scalars import (
     GR_ONE,
     GR_ZERO,
@@ -330,7 +329,7 @@ def ore_to_matrix(n, x):
                 g = _gr_entry(M[i, j])
                 if g:
                     entries[i][j] = entries[i][j] + body.scale(g)
-    return AlgebraMatrix(entries)
+    return Matrix(entries)
 
 
 # -- first-order deformation cochain ------------------------------------------------
@@ -590,9 +589,9 @@ def _rank0_quotient_matrices(h, twist):
         if twist < 0:
             pp[m][m] = -pp[m][m]
     return {
-        "P": ScalarMatrix(pp),
-        "E+": ScalarMatrix(ep),
-        "E-": ScalarMatrix(em),
+        "P": Matrix(pp),
+        "E+": Matrix(ep),
+        "E-": Matrix(em),
     }
 
 
@@ -634,7 +633,7 @@ def pi_h_matrix(n, h, sign, x):
         key = (m.cliff, m.e_plus, m.e_minus, m.lam)
         R = right_cache.get(key)
         if R is None:
-            R = ScalarMatrix.identity(d0)
+            R = Matrix.identity(d0)
             if m.cliff:
                 R = R * rank0["P"]
             for _ in range(m.e_plus):
@@ -646,11 +645,7 @@ def pi_h_matrix(n, h, sign, x):
             right_cache[key] = R
         piece = L.kron(R).scale(Scalar.from_gaussian(c))
         total = piece if total is None else total + piece
-    if total is None:
-        z = Scalar()
-        dim = dim_left * d0
-        total = ScalarMatrix([[z] * dim for _ in range(dim)])
-    return total
+    return Matrix.identity(dim_left * d0).scale(0) if total is None else total
 
 
 def finite_irrep_pi_h(n, h, sign):
@@ -663,7 +658,7 @@ def finite_irrep_pi_h(n, h, sign):
         out["w%d" % i] = pi_h_matrix(n, h, sign, ore_fermi(n, i))
     out["E+"] = pi_h_matrix(n, h, sign, ore_e_plus(n))
     out["E-"] = pi_h_matrix(n, h, sign, ore_e_minus(n))
-    out["L"] = ScalarMatrix.identity(dim).scale(Scalar.from_gaussian(pi_h_lambda(h, sign)))
+    out["L"] = Matrix.identity(dim).scale(Scalar.from_gaussian(pi_h_lambda(h, sign)))
     return out
 
 
@@ -676,7 +671,7 @@ def matrix_direct_sum(a, b):
         rows.append(list(a.rows[i]) + [z] * cb)
     for i in range(rb):
         rows.append([z] * ca + list(b.rows[i]))
-    return ScalarMatrix(rows)
+    return Matrix(rows)
 
 
 def rep_direct_sum(rep_a, rep_b):

@@ -1,41 +1,63 @@
 """Exact linear algebra over Gaussian rationals.
 
-Small dense matrices (representation images, tensor/Kronecker assembly) and
-a sparse reduced-row-echelon solver used by the centralizer probes and the
-linear-independence checks.  Everything is exact; there is no floating point
-anywhere in this package.
+One immutable matrix type, whose entries are Scalars or elements of one
+algebra (representation images, matrix realizations, Kronecker assembly),
+and a sparse reduced-row-echelon solver used by the centralizer probes and
+the linear-independence checks.  Everything is exact; there is no floating
+point anywhere in this package.
 """
 
 from __future__ import annotations
 
-from .scalars import GR_ONE, GR_ZERO, GaussianRational
+from .algebra import AlgebraError
+from .hochschild import element_tag
+from .scalars import GR_ONE, GR_ZERO, S_ONE, Scalar, _coerce_scalar
 
 
-class GrMatrix:
-    """Immutable dense matrix with GaussianRational entries."""
+class MatrixError(AlgebraError, ValueError):
+    """A matrix of the wrong shape, or entries from more than one ring."""
+
+
+def _entry(x):
+    s = _coerce_scalar(x)
+    return x if s is NotImplemented else s
+
+
+def _ring(x):
+    """The ring of a matrix entry: Scalar, or the tag of its algebra."""
+    if isinstance(x, Scalar):
+        return Scalar
+    try:
+        return element_tag(x)
+    except AlgebraError:
+        raise MatrixError("matrix entries must be scalars or algebra elements, got %r" % (x,)) from None
+
+
+class Matrix:
+    """Immutable rectangular matrix over Scalars or over one algebra.
+
+    Plain numbers become Scalars.  Products use the entries' own `*`, so a
+    matrix over an algebra multiplies with that algebra's product.
+    """
 
     __slots__ = ("rows",)
 
     def __init__(self, rows):
-        self_rows = tuple(tuple(_as_gr(x) for x in r) for r in rows)
-        if self_rows:
-            w = len(self_rows[0])
-            if any(len(r) != w for r in self_rows):
-                raise ValueError("ragged matrix")
-        object.__setattr__(self, "rows", self_rows)
+        rr = tuple(tuple(_entry(x) for x in r) for r in rows)
+        if rr and any(len(r) != len(rr[0]) for r in rr):
+            raise MatrixError("ragged matrix")
+        rings = {_ring(x) for r in rr for x in r}
+        if len(rings) > 1:
+            raise MatrixError("mixed entry rings: %r" % (rings,))
+        object.__setattr__(self, "rows", rr)
 
     def __setattr__(self, name, value):
-        raise AttributeError("GrMatrix is immutable")
+        raise AttributeError("Matrix is immutable")
 
     @staticmethod
-    def identity(n):
-        return GrMatrix(
-            [[GR_ONE if i == j else GR_ZERO for j in range(n)] for i in range(n)]
-        )
-
-    @staticmethod
-    def zeros(r, c):
-        return GrMatrix([[GR_ZERO] * c for _ in range(r)])
+    def identity(n, one=S_ONE):
+        z = one * 0
+        return Matrix([[one if i == j else z for j in range(n)] for i in range(n)])
 
     @property
     def shape(self):
@@ -44,73 +66,131 @@ class GrMatrix:
     def __getitem__(self, rc):
         return self.rows[rc[0]][rc[1]]
 
+    def _check_ring(self, other):
+        if self.rows and self.rows[0] and other.rows and other.rows[0]:
+            if _ring(self.rows[0][0]) != _ring(other.rows[0][0]):
+                raise MatrixError("entry rings differ")
+
     def __add__(self, other):
-        return GrMatrix(
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.rows, other.rows)
-            ]
+        if not isinstance(other, Matrix):
+            return NotImplemented
+        if self.shape != other.shape:
+            raise MatrixError("shape mismatch %s + %s" % (self.shape, other.shape))
+        self._check_ring(other)
+        return _raw_matrix(
+            tuple(tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(self.rows, other.rows))
         )
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return GrMatrix([[-a for a in r] for r in self.rows])
+        return _raw_matrix(tuple(tuple(-a for a in r) for r in self.rows))
 
-    def scale(self, g):
-        g = _as_gr(g)
-        return GrMatrix([[a * g for a in r] for r in self.rows])
+    def scale(self, s):
+        return _raw_matrix(tuple(tuple(a * s for a in r) for r in self.rows))
 
     def __mul__(self, other):
-        if isinstance(other, GrMatrix):
-            n, m = self.shape
-            m2, p = other.shape
-            if m != m2:
-                raise ValueError("shape mismatch %s x %s" % (self.shape, other.shape))
-            cols = list(zip(*other.rows)) if other.rows else []
-            return GrMatrix(
-                [
-                    [sum((a * b for a, b in zip(row, col)), GR_ZERO) for col in cols]
-                    for row in self.rows
-                ]
-            )
-        return self.scale(other)
+        if not isinstance(other, Matrix):
+            return self.scale(other)
+        m, p = self.shape[1], other.shape[1]
+        if m != other.shape[0]:
+            raise MatrixError("shape mismatch %s x %s" % (self.shape, other.shape))
+        self._check_ring(other)
+        zero = self.rows[0][0] * 0 if m else Scalar()
+        out = []
+        for row in self.rows:
+            acc = [zero] * p
+            for a, brow in zip(row, other.rows):
+                if a:
+                    for j, b in enumerate(brow):
+                        if b:
+                            acc[j] = acc[j] + a * b
+            out.append(tuple(acc))
+        return _raw_matrix(tuple(out))
 
     def __rmul__(self, other):
         return self.scale(other)
 
     def kron(self, other):
         """Kronecker product, self's index varying slowest."""
-        out = []
-        for ra in self.rows:
-            for rb in other.rows:
-                out.append([a * b for a in ra for b in rb])
-        return GrMatrix(out)
-
-    def apply(self, vec):
-        """Matrix times column vector (a list), exact."""
-        return [sum((a * b for a, b in zip(row, vec)), GR_ZERO) for row in self.rows]
+        self._check_ring(other)
+        return _raw_matrix(
+            tuple(tuple(a * b for a in ra for b in rb) for ra in self.rows for rb in other.rows)
+        )
 
     def __eq__(self, other):
-        return isinstance(other, GrMatrix) and self.rows == other.rows
+        return isinstance(other, Matrix) and self.rows == other.rows
 
     def __hash__(self):
         return hash(self.rows)
 
     def __repr__(self):
-        return "GrMatrix([%s])" % ", ".join(
+        return "Matrix([%s])" % ", ".join(
             "[%s]" % ", ".join(str(x) for x in r) for r in self.rows
         )
 
+    def to_json(self):
+        return [[x.to_json() for x in r] for r in self.rows]
 
-def _as_gr(x):
-    if isinstance(x, GaussianRational):
-        return x
-    return GaussianRational(x)
+    @staticmethod
+    def from_json(data):
+        """Inverse of to_json for a matrix of Scalars."""
+        return Matrix([[Scalar.from_json(x) for x in r] for r in data])
+
+
+def _raw_matrix(rows):
+    # internal: rows is a tuple of equal-length tuples of entries from one ring
+    m = object.__new__(Matrix)
+    object.__setattr__(m, "rows", rows)
+    return m
 
 
 # -- sparse exact elimination --------------------------------------------------
+
+
+def reduce_row(pivots, row):
+    """The residue of row {column: GaussianRational} after eliminating the
+    pivot columns of pivots (as built by add_row); a new dict without zeros."""
+    r = {c: v for c, v in row.items() if v}
+    # Pivot rows hold only non-pivot columns, so one pass over a snapshot of
+    # r's keys is complete.
+    for c in list(r):
+        if c in pivots:
+            f = r.pop(c)
+            for cc, v in pivots[c].items():
+                nv = r.get(cc, GR_ZERO) - f * v
+                if nv:
+                    r[cc] = nv
+                else:
+                    r.pop(cc, None)
+    return r
+
+
+def add_row(pivots, row):
+    """Add one equation to the reduced echelon form pivots, in place.
+
+    Returns False, and leaves pivots alone, when row is dependent on it.
+    Otherwise the residue's smallest column becomes a new pivot and the
+    existing pivot rows are reduced against it.
+    """
+    r = reduce_row(pivots, row)
+    if not r:
+        return False
+    c = min(r)
+    inv = r.pop(c).inverse()
+    r = {cc: v * inv for cc, v in r.items()}
+    for pr in pivots.values():
+        if c in pr:
+            f = pr.pop(c)
+            for cc, v in r.items():
+                nv = pr.get(cc, GR_ZERO) - f * v
+                if nv:
+                    pr[cc] = nv
+                else:
+                    pr.pop(cc, None)
+    pivots[c] = r
+    return True
 
 
 def sparse_rref(rows):
@@ -123,33 +203,7 @@ def sparse_rref(rows):
     """
     pivots = {}
     for raw in rows:
-        r = {c: v for c, v in raw.items() if v}
-        # Reduce by existing pivots.  Pivot rows hold only non-pivot columns,
-        # so one pass over a snapshot of r's keys is complete.
-        for c in list(r):
-            if c in pivots and c in r:
-                f = r.pop(c)
-                for cc, v in pivots[c].items():
-                    nv = r.get(cc, GR_ZERO) - f * v
-                    if nv:
-                        r[cc] = nv
-                    else:
-                        r.pop(cc, None)
-        if not r:
-            continue  # dependent equation
-        c = min(r)
-        inv = r.pop(c).inverse()
-        r = {cc: v * inv for cc, v in r.items()}
-        for pr in pivots.values():
-            if c in pr:
-                f = pr.pop(c)
-                for cc, v in r.items():
-                    nv = pr.get(cc, GR_ZERO) - f * v
-                    if nv:
-                        pr[cc] = nv
-                    else:
-                        pr.pop(cc, None)
-        pivots[c] = r
+        add_row(pivots, raw)
     return pivots
 
 

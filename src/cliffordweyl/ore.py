@@ -129,14 +129,22 @@ class OreElement:
         return bool(self.terms)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, OreElement)
-            and self.n == other.n
-            and self.terms == other.terms
-        )
+        if not isinstance(other, OreElement):
+            if _coerce(other) is NotImplemented:
+                return NotImplemented
+            other = _coerce_ore(self.n, other)
+        return self.n == other.n and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.n, frozenset(self.terms.items())))
+        # zero and the constants hash like the number they equal
+        t = self.terms
+        if not t:
+            return 0
+        if len(t) == 1:
+            ((m, c),) = t.items()
+            if not m.degree():
+                return hash(c)
+        return hash((self.n, frozenset(t.items())))
 
     def coefficient(self, m):
         return self.terms.get(m, GaussianRational(Fraction(0), Fraction(0)))

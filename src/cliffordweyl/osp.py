@@ -25,6 +25,7 @@ from .algebra import (
     z_degree,
     zero,
 )
+from .linalg import add_row, reduce_row, sparse_rref
 from .scalars import Scalar
 from .starprod import poisson, star, super_bracket
 
@@ -115,49 +116,18 @@ def element_row(x):
     return row
 
 
-def _reduce_against(pivots, row):
-    """Eliminate known pivot columns from row; returns the residue."""
-    row = dict(row)
-    while row:
-        col = min(row)
-        if col not in pivots:
-            return row
-        coef = row.pop(col)
-        for c2, g2 in pivots[col].items():
-            s = row.get(c2, None)
-            s = -coef * g2 if s is None else s - coef * g2
-            if s:
-                row[c2] = s
-            else:
-                row.pop(c2, None)
-    return row
-
-
-def _insert_pivot(pivots, residue):
-    col = min(residue)
-    inv = residue[col].inverse()
-    pivots[col] = {c: g * inv for c, g in residue.items() if c != col}
-
-
 def independent_subset(elements):
     """Indices of a maximal independent prefix-greedy subset, smallest-monomial pivots."""
     pivots = {}
     keep = []
     for idx, x in enumerate(elements):
-        residue = _reduce_against(pivots, element_row(x))
-        if residue:
-            _insert_pivot(pivots, residue)
+        if add_row(pivots, element_row(x)):
             keep.append(idx)
     return keep
 
 
 def span_contains(elements, x):
-    pivots = {}
-    for e in elements:
-        residue = _reduce_against(pivots, element_row(e))
-        if residue:
-            _insert_pivot(pivots, residue)
-    return not _reduce_against(pivots, element_row(x))
+    return not reduce_row(sparse_rref(map(element_row, elements)), element_row(x))
 
 
 def build_g(ctx):
@@ -188,9 +158,7 @@ def build_g(ctx):
     for name, cands in blocks:
         count = 0
         for x in cands:
-            residue = _reduce_against(pivots, element_row(x))
-            if residue:
-                _insert_pivot(pivots, residue)
+            if add_row(pivots, element_row(x)):
                 basis.append(x)
                 count += 1
         dims[name] = count

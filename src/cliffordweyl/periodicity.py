@@ -36,6 +36,7 @@ from .algebra import (
     unit,
     zero,
 )
+from .linalg import Matrix
 from .reps import rep_matrix, spin
 from .scalars import S_HALF, S_ONE, Scalar, _coerce_scalar, scalar_i_power
 from .starprod import element_star_words, star
@@ -355,117 +356,21 @@ def include_element(x, bigger_signature):
 # -- matrices over an entry algebra ----------------------------------------------
 
 
-def _entry_tag(e):
-    tag = getattr(e, "signature", None)
-    if tag is None:
-        tag = getattr(e, "n", None)
-    if tag is None:
-        raise AlgebraError("matrix entries must be algebra elements, got %r" % (e,))
-    return (type(e).__name__, tag)
-
-
-class AlgebraMatrix:
-    """Square matrix with entries in one algebra (entrywise exact arithmetic)."""
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries):
-        rows = tuple(tuple(r) for r in entries)
-        r = len(rows)
-        if any(len(row) != r for row in rows):
-            raise AlgebraError("matrix must be square")
-        tags = {_entry_tag(e) for row in rows for e in row}
-        if len(tags) > 1:
-            raise AlgebraError("mixed entry algebras: %r" % (tags,))
-        object.__setattr__(self, "entries", rows)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("AlgebraMatrix is immutable")
-
-    @staticmethod
-    def identity(r, one):
-        z = one - one
-        return AlgebraMatrix(
-            [[one if i == j else z for j in range(r)] for i in range(r)]
-        )
-
-    @property
-    def size(self):
-        return len(self.entries)
-
-    def __getitem__(self, rc):
-        return self.entries[rc[0]][rc[1]]
-
-    def __add__(self, other):
-        self._check_like(other)
-        return AlgebraMatrix(
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.entries, other.entries)
-            ]
-        )
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return AlgebraMatrix([[-e for e in row] for row in self.entries])
-
-    def scale(self, s):
-        return AlgebraMatrix([[e.scale(s) for e in row] for row in self.entries])
-
-    def _check_like(self, other):
-        if not isinstance(other, AlgebraMatrix):
-            raise AlgebraError("expected AlgebraMatrix, got %r" % (other,))
-        if self.size != other.size:
-            raise AlgebraError("size mismatch: %d vs %d" % (self.size, other.size))
-        if self.size and _entry_tag(self.entries[0][0]) != _entry_tag(other.entries[0][0]):
-            raise AlgebraError("entry algebras differ")
-
-    def __mul__(self, other):
-        return matrix_star(self, other)
-
-    def __eq__(self, other):
-        return isinstance(other, AlgebraMatrix) and self.entries == other.entries
-
-    def __hash__(self):
-        return hash(self.entries)
-
-    def __repr__(self):
-        return "<AlgebraMatrix %dx%d>" % (self.size, self.size)
-
-    def to_json(self):
-        return {
-            "size": self.size,
-            "entries": [[e.to_json() for e in row] for row in self.entries],
-        }
-
-
 def matrix_star(A, B):
     """Matrix product with entrywise algebra product."""
-    A._check_like(B)
-    r = A.size
-    out = []
-    for i in range(r):
-        row = []
-        for j in range(r):
-            acc = A[i, 0] * B[0, j]
-            for l in range(1, r):
-                acc = acc + A[i, l] * B[l, j]
-            row.append(acc)
-        out.append(row)
-    return AlgebraMatrix(out)
+    return A * B
 
 
 def module_transport(action, r):
     """Lift a module action of the entry algebra to r-vectors over the matrix algebra.
 
     action(a, v) must apply an entry-algebra element to a carrier vector; the
-    returned callable applies an AlgebraMatrix to a list of r carrier vectors.
+    returned callable applies an r x r Matrix over that algebra to a list of r
+    carrier vectors.
     """
 
     def act_matrix(M, vectors):
-        if M.size != r or len(vectors) != r:
+        if M.shape != (r, r) or len(vectors) != r:
             raise AlgebraError("transport expects size %d" % r)
         out = []
         for i in range(r):
@@ -508,4 +413,4 @@ def cw_to_matrix(n, k, x):
             for j in range(dim):
                 if M[i, j]:
                     entries[i][j] = entries[i][j] + body.scale(M[i, j])
-    return AlgebraMatrix(entries)
+    return Matrix(entries)

@@ -23,8 +23,9 @@ import enum
 from typing import NamedTuple
 
 from .algebra import AlgebraError, AlgebraSignature, fermi_gen, unit, zero
+from .linalg import Matrix
 from .scalars import S_HALF, S_ONE, Scalar, _coerce_scalar, scalar_i_power
-from .starprod import _shuffle_parity, element_star_words, star
+from .starprod import _parity_below, _shuffle_parity, element_star_words, star
 
 
 class RepKind(enum.Enum):
@@ -179,10 +180,6 @@ def _raw_vector(ell, k, clean):
     return v
 
 
-def _parity_below(mask, i):
-    return (mask & ((1 << i) - 1)).bit_count() & 1
-
-
 def _gen_action(desc, token, v):
     """Action of one generator token on a vector."""
     kind, idx = token
@@ -262,95 +259,6 @@ def act(desc, a, v):
 # -- matrices ------------------------------------------------------------------
 
 
-class ScalarMatrix:
-    """Rectangular matrix with exact Scalar entries (column action)."""
-
-    __slots__ = ("rows",)
-
-    def __init__(self, rows):
-        rr = tuple(
-            tuple(x if isinstance(x, Scalar) else _coerce_scalar(x) for x in r)
-            for r in rows
-        )
-        if rr and any(len(r) != len(rr[0]) for r in rr):
-            raise ValueError("ragged matrix")
-        object.__setattr__(self, "rows", rr)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ScalarMatrix is immutable")
-
-    @staticmethod
-    def identity(n):
-        z, o = Scalar(), S_ONE
-        return ScalarMatrix([[o if i == j else z for j in range(n)] for i in range(n)])
-
-    @property
-    def shape(self):
-        return (len(self.rows), len(self.rows[0]) if self.rows else 0)
-
-    def __getitem__(self, rc):
-        return self.rows[rc[0]][rc[1]]
-
-    def __add__(self, other):
-        return ScalarMatrix(
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)]
-        )
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return ScalarMatrix([[-a for a in r] for r in self.rows])
-
-    def scale(self, s):
-        s = s if isinstance(s, Scalar) else _coerce_scalar(s)
-        return ScalarMatrix([[a * s for a in r] for r in self.rows])
-
-    def __mul__(self, other):
-        if isinstance(other, ScalarMatrix):
-            n, m = self.shape
-            m2, p = other.shape
-            if m != m2:
-                raise ValueError("shape mismatch %s x %s" % (self.shape, other.shape))
-            cols = list(zip(*other.rows)) if other.rows else []
-            zero_s = Scalar()
-            return ScalarMatrix(
-                [
-                    [sum((a * b for a, b in zip(row, col)), zero_s) for col in cols]
-                    for row in self.rows
-                ]
-            )
-        return self.scale(other)
-
-    def __rmul__(self, other):
-        return self.scale(other)
-
-    def kron(self, other):
-        out = []
-        for ra in self.rows:
-            for rb in other.rows:
-                out.append([a * b for a in ra for b in rb])
-        return ScalarMatrix(out)
-
-    def __eq__(self, other):
-        return isinstance(other, ScalarMatrix) and self.rows == other.rows
-
-    def __hash__(self):
-        return hash(self.rows)
-
-    def __repr__(self):
-        return "ScalarMatrix([%s])" % ", ".join(
-            "[%s]" % ", ".join(str(x) for x in r) for r in self.rows
-        )
-
-    def to_json(self):
-        return [[x.to_json() for x in r] for r in self.rows]
-
-    @staticmethod
-    def from_json(data):
-        return ScalarMatrix([[Scalar.from_json(x) for x in r] for r in data])
-
-
 def rep_matrix(desc, a):
     """Matrix of act(a, .) in the binary-ordered Grassmann monomial basis.
 
@@ -365,7 +273,7 @@ def rep_matrix(desc, a):
         for (gm, _e), c in img.terms.items():
             col[gm] = c
         cols.append(col)
-    return ScalarMatrix([[cols[j][i] for j in range(dim)] for i in range(dim)])
+    return Matrix([[cols[j][i] for j in range(dim)] for i in range(dim)])
 
 
 # -- operator -> symbol on the Fermi side ---------------------------------------
@@ -455,7 +363,7 @@ def spin_rep_odd_sign_check(n):
         vol = star(vol, fermi_gen(sig, i))
     want = scalar_i_power(n)
     dim = 1 << n
-    ident = ScalarMatrix.identity(dim)
+    ident = Matrix.identity(dim)
     plus = rep_matrix(spin_plus(n), vol)
     minus = rep_matrix(spin_minus(n), vol)
     return {

@@ -43,7 +43,6 @@ from .algebra import (
     CwElement,
     CwMonomial,
     _raw_element,
-    bidegree,
     check_same_signature,
 )
 from .scalars import GR_HALF, GR_ONE, GaussianRational, Scalar, S_ONE, S_HALF, _raw_scalar, gr_ratio
@@ -471,8 +470,3 @@ def eval_star_word(signature, word):
     for tok in word:
         out = star(out, generator_element(signature, tok))
     return out
-
-
-def bidegree_of_product(ma, mb):
-    """Expected bidegree of a product of two monomials (additivity check)."""
-    return bidegree(ma) + bidegree(mb)

@@ -47,7 +47,7 @@ from .hochschild import (
     element_tag,
     relative_normalized_check,
 )
-from .linalg import sparse_rank
+from .linalg import Matrix, sparse_rank
 from .ore import (
     OreElement,
     OreMonomial,
@@ -75,7 +75,7 @@ from .periodicity import (
     periodicity1_inverse,
     tensor_star,
 )
-from .reps import ScalarMatrix, rep_matrix, spin
+from .reps import rep_matrix, spin
 from .scalars import GaussianRational, Scalar, scalar_i_power
 from .starprod import anti_bracket, lie_bracket, star
 
@@ -322,7 +322,7 @@ def _suite_spin_lemma(run, rng, algebra, maxdeg, cases, params):
         for i in range(1, 2 * n + 1):
             vol = star(vol, fermi_gen(sig, i))
         dim = 1 << n
-        want = ScalarMatrix(
+        want = Matrix(
             [
                 [
                     (scalar_i_power(n) if g.bit_count() % 2 == 0 else -scalar_i_power(n))
@@ -348,9 +348,9 @@ def _suite_spin_lemma(run, rng, algebra, maxdeg, cases, params):
 
 def _matrix_rows(M):
     row = {}
-    for i in range(M.size):
-        for j in range(M.size):
-            for mono, c in M[i, j].terms.items():
+    for i, entries in enumerate(M.rows):
+        for j, e in enumerate(entries):
+            for mono, c in e.terms.items():
                 for power, g in c.coeffs.items():
                     row[(i, j, mono, power)] = g
     return row
@@ -375,7 +375,7 @@ def _suite_matrix_iso(run, rng, algebra, maxdeg, cases, params):
         run.check(
             ["unit to identity, " + label],
             one,
-            type(one).identity(dim, unit(bose_sig)),
+            Matrix.identity(dim, unit(bose_sig)),
         )
         for _ in range(pairs):
             x = _rand_cw(rng, sig, maxdeg=maxdeg or 3)
@@ -536,7 +536,7 @@ def _check_pi_relations(run, n, rep, label):
     ws = [rep["w%d" % i] for i in range(1, 2 * n + 2)]
     ep, em, lam = rep["E+"], rep["E-"], rep["L"]
     d = ep.shape[0]
-    ident = ScalarMatrix.identity(d)
+    ident = Matrix.identity(d)
     nul = ident.scale(Scalar())
     two = ident.scale(Scalar.from_gaussian(GaussianRational(2)))
     for i, wi in enumerate(ws):

@@ -129,6 +129,16 @@ def test_equality_is_canonical_form_independent():
     assert hash(a) == hash(b)
 
 
+def test_constant_elements_hash_like_the_number_they_equal():
+    s = SIG
+    assert zero(s) == 0 and unit(s) == 1
+    assert len({unit(s), 1}) == 1
+    assert len({zero(s), 0}) == 1
+    assert hash(unit(s).scale(Scalar.of(0, 1))) == hash(GaussianRational(0, 1))
+    lam = scalar_element(s, Scalar.lam())
+    assert lam == Scalar.lam() and hash(lam) == hash(Scalar.lam())
+
+
 def test_constant_term():
     e = unit(SIG).scale(5) + fermi_gen(SIG, 2)
     assert e.constant_term() == Scalar.of(5)

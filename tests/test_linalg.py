@@ -3,14 +3,18 @@ from fractions import Fraction
 
 import pytest
 
+from cliffordweyl.algebra import AlgebraError, AlgebraSignature, unit
 from cliffordweyl.linalg import (
-    GrMatrix,
+    Matrix,
+    MatrixError,
+    add_row,
+    reduce_row,
     sparse_nullspace,
     sparse_rank,
     sparse_rref,
     vectors_independent,
 )
-from cliffordweyl.scalars import GR_ONE, GR_ZERO, GaussianRational
+from cliffordweyl.scalars import GR_ONE, GR_ZERO, GaussianRational, Scalar
 
 
 def rand_gr(rng):
@@ -20,45 +24,55 @@ def rand_gr(rng):
 
 
 def test_matrix_identity_and_mul():
-    I2 = GrMatrix.identity(2)
-    a = GrMatrix([[1, 2], [3, 4]])
+    I2 = Matrix.identity(2)
+    a = Matrix([[1, 2], [3, 4]])
     assert I2 * a == a
     assert a * I2 == a
-    b = GrMatrix([[0, 1], [1, 0]])
-    assert a * b == GrMatrix([[2, 1], [4, 3]])
+    b = Matrix([[0, 1], [1, 0]])
+    assert a * b == Matrix([[2, 1], [4, 3]])
     assert (a * b) * b == a
 
 
 def test_matrix_mul_associative_random():
     rng = random.Random(6)
     for _ in range(25):
-        a = GrMatrix([[rand_gr(rng) for _ in range(3)] for _ in range(2)])
-        b = GrMatrix([[rand_gr(rng) for _ in range(2)] for _ in range(3)])
-        c = GrMatrix([[rand_gr(rng) for _ in range(4)] for _ in range(2)])
+        a = Matrix([[rand_gr(rng) for _ in range(3)] for _ in range(2)])
+        b = Matrix([[rand_gr(rng) for _ in range(2)] for _ in range(3)])
+        c = Matrix([[rand_gr(rng) for _ in range(4)] for _ in range(2)])
         assert (a * b) * c == a * (b * c)
 
 
 def test_matrix_shape_errors():
     with pytest.raises(ValueError):
-        GrMatrix([[1, 2], [3]])
+        Matrix([[1, 2], [3]])
     with pytest.raises(ValueError):
-        GrMatrix([[1, 2]]) * GrMatrix([[1, 2]])
+        Matrix([[1, 2]]) * Matrix([[1, 2]])
 
 
 def test_kron_mixed_product_rule():
     rng = random.Random(8)
-    a = GrMatrix([[rand_gr(rng) for _ in range(2)] for _ in range(2)])
-    b = GrMatrix([[rand_gr(rng) for _ in range(2)] for _ in range(2)])
-    c = GrMatrix([[rand_gr(rng) for _ in range(2)] for _ in range(2)])
-    d = GrMatrix([[rand_gr(rng) for _ in range(2)] for _ in range(2)])
+    a = Matrix([[rand_gr(rng) for _ in range(2)] for _ in range(2)])
+    b = Matrix([[rand_gr(rng) for _ in range(2)] for _ in range(2)])
+    c = Matrix([[rand_gr(rng) for _ in range(2)] for _ in range(2)])
+    d = Matrix([[rand_gr(rng) for _ in range(2)] for _ in range(2)])
     assert a.kron(b) * c.kron(d) == (a * c).kron(b * d)
 
 
-def test_apply_matches_mul():
-    a = GrMatrix([[1, 2], [3, 4]])
-    v = [GaussianRational(5), GaussianRational(-1)]
-    col = GrMatrix([[5], [-1]])
-    assert a.apply(v) == [r[0] for r in (a * col).rows]
+def test_matrix_coerces_numbers_and_rejects_mixed_rings():
+    assert Matrix([[1, GaussianRational(0, 1)]]).rows == ((Scalar.of(1), Scalar.of(0, 1)),)
+    sig = AlgebraSignature(0, 1)
+    with pytest.raises(MatrixError):
+        Matrix([[1, unit(sig)]])
+    with pytest.raises(MatrixError):
+        Matrix([["x"]])
+    with pytest.raises(MatrixError):
+        Matrix([[1]]) * Matrix([[unit(sig)]])
+    assert issubclass(MatrixError, AlgebraError) and issubclass(MatrixError, ValueError)
+
+
+def test_matrix_json_round_trip():
+    m = Matrix([[1, GaussianRational(Fraction(1, 3), -2)], [Scalar.lam(2), 0]])
+    assert Matrix.from_json(m.to_json()) == m
 
 
 def test_rref_simple():
@@ -121,6 +135,24 @@ def test_nullspace_random_systems():
                 for c, coef in eq.items():
                     s = s + coef * v.get(c, GR_ZERO)
                 assert s == GR_ZERO
+
+
+def test_add_row_builds_sparse_rref():
+    rng = random.Random(11)
+    for _ in range(30):
+        rows = [
+            {v: rand_gr(rng) for v in rng.sample(range(6), rng.randint(1, 6))}
+            for _ in range(rng.randint(1, 8))
+        ]
+        pivots = {}
+        for r in rows:
+            dependent = not reduce_row(pivots, r)
+            before = dict(pivots)
+            assert add_row(pivots, r) is not dependent
+            if dependent:
+                assert pivots == before
+        assert pivots == sparse_rref(rows)
+        assert all(not reduce_row(pivots, r) for r in rows)
 
 
 def test_vectors_independent():

@@ -145,6 +145,17 @@ def test_unit_and_zero():
     assert x - x == ore_zero(n)
 
 
+def test_numbers_compare_and_hash_like_constants():
+    assert ore_zero(0) == 0
+    assert ore_unit(1) == 1 and ore_unit(1) != 2
+    assert hash(ore_unit(0)) == hash(1)
+    assert hash(ore_scalar(1, GR(Fraction(1, 2), 3))) == hash(GR(Fraction(1, 2), 3))
+    assert len({ore_unit(0), 1}) == 1
+    # L lives in the monomial, so it is not a number
+    assert ore_lambda(0) != 1
+    assert ore_unit(0) != "1"
+
+
 def test_power_matches_repeated_product():
     n = 0
     a = ore_e_plus(n) + ore_e_minus(n)

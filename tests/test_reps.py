@@ -22,10 +22,10 @@ from cliffordweyl.algebra import (
     fermi_gen,
     unit,
 )
+from cliffordweyl.linalg import Matrix
 from cliffordweyl.reps import (
     GrassPolyVector,
     RepKind,
-    ScalarMatrix,
     act,
     clifford_op_to_symbol,
     ladder_lower,
@@ -201,9 +201,9 @@ def test_defining_relations_as_operators(ell, minus):
 def test_rep_matrix_pauli_fixtures():
     desc = spin(1)
     sig = desc.signature()
-    assert rep_matrix(desc, fermi_gen(sig, 1)) == ScalarMatrix([[Z, S_ONE], [S_ONE, Z]])
-    assert rep_matrix(desc, fermi_gen(sig, 2)) == ScalarMatrix([[Z, -S_I], [S_I, Z]])
-    assert rep_matrix(desc, unit(sig)) == ScalarMatrix.identity(2)
+    assert rep_matrix(desc, fermi_gen(sig, 1)) == Matrix([[Z, S_ONE], [S_ONE, Z]])
+    assert rep_matrix(desc, fermi_gen(sig, 2)) == Matrix([[Z, -S_I], [S_I, Z]])
+    assert rep_matrix(desc, unit(sig)) == Matrix.identity(2)
 
 
 def test_rep_matrix_is_homomorphism():
@@ -233,7 +233,7 @@ def test_volume_word_is_scaled_parity():
         for i in range(1, 2 * n + 1):
             vol = star(vol, fermi_gen(sig, i))
         dim = 1 << n
-        expected = ScalarMatrix(
+        expected = Matrix(
             [
                 [
                     (scalar_i_power(n) if g.bit_count() % 2 == 0 else -scalar_i_power(n))
@@ -258,13 +258,13 @@ def test_odd_sign_reports():
 
 def test_op_to_symbol_fixtures():
     sig = AlgebraSignature(2, 0)
-    assert clifford_op_to_symbol(1, ScalarMatrix.identity(2)) == unit(sig)
-    parity = ScalarMatrix([[S_ONE, Z], [Z, -S_ONE]])
+    assert clifford_op_to_symbol(1, Matrix.identity(2)) == unit(sig)
+    parity = Matrix([[S_ONE, Z], [Z, -S_ONE]])
     w12 = CwElement(sig, {CwMonomial(0b11, (), ()): -S_I})
     assert clifford_op_to_symbol(1, parity) == w12
-    lower = ScalarMatrix([[Z, S_ONE], [Z, Z]])
+    lower = Matrix([[Z, S_ONE], [Z, Z]])
     assert clifford_op_to_symbol(1, lower) == ladder_lower(sig, 1)
-    raise_ = ScalarMatrix([[Z, Z], [S_ONE, Z]])
+    raise_ = Matrix([[Z, Z], [S_ONE, Z]])
     assert clifford_op_to_symbol(1, raise_) == ladder_raise(sig, 1)
 
 
@@ -274,7 +274,7 @@ def test_op_to_symbol_round_trip_elementary():
         dim = 1 << n
         for r in range(dim):
             for c in range(dim):
-                E = ScalarMatrix(
+                E = Matrix(
                     [[S_ONE if (i, j) == (r, c) else Z for j in range(dim)] for i in range(dim)]
                 )
                 assert rep_matrix(desc, clifford_op_to_symbol(n, E)) == E
@@ -294,10 +294,10 @@ def test_op_to_symbol_multiplicative():
     rng = random.Random(29)
     n, dim = 2, 4
     for _ in range(15):
-        A = ScalarMatrix(
+        A = Matrix(
             [[Scalar.of(rng.randint(-2, 2), rng.randint(-1, 1)) for _ in range(dim)] for _ in range(dim)]
         )
-        B = ScalarMatrix(
+        B = Matrix(
             [[Scalar.of(rng.randint(-2, 2), rng.randint(-1, 1)) for _ in range(dim)] for _ in range(dim)]
         )
         assert clifford_op_to_symbol(n, A * B) == star(
@@ -307,7 +307,7 @@ def test_op_to_symbol_multiplicative():
 
 def test_op_to_symbol_size_mismatch():
     with pytest.raises(AlgebraError):
-        clifford_op_to_symbol(2, ScalarMatrix.identity(3))
+        clifford_op_to_symbol(2, Matrix.identity(3))
 
 
 # -- error and serialization paths ---------------------------------------------
@@ -336,7 +336,7 @@ def test_matrix_json_round_trip():
     sig = desc.signature()
     rng = random.Random(31)
     m = rep_matrix(desc, rand_element(rng, sig))
-    assert ScalarMatrix.from_json(m.to_json()) == m
+    assert Matrix.from_json(m.to_json()) == m
 
 
 def test_descriptor_kinds():
