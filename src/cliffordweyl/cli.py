@@ -7,7 +7,7 @@ emits a deterministic JSON report (stdout, or the --json path).  Timing
 goes to stderr so repeated runs stay byte-identical on stdout.
 
 Exit codes: 0 all checks passed, 1 a suite reported failures, 2 usage or
-input error.
+input error (an expression nested too deeply for the parser included).
 """
 
 import argparse
@@ -86,6 +86,9 @@ def main(argv=None):
             element = evaluate(parse(args.expression), algebra)
         except (ParseError, AlgebraError, ValueError) as exc:
             print("error: %s" % exc, file=sys.stderr)
+            return 2
+        except RecursionError:
+            print("error: expression nested too deeply", file=sys.stderr)
             return 2
         print(element)
         return 0

@@ -10,14 +10,16 @@ central.  The defining relations are
 
 so the ghost anticommutes with E+ and E-, commutes with every w_j, and
 squares to L^2.  The product is computed by rewriting: the only nontrivial
-kernel is moving a block of E-'s past a block of E+'s, which terminates
-because each step lowers the E+ exponent; everything else is sign
-bookkeeping and one Clifford pairing.
+kernel is the normal form of E-^beta E+^gamma.  It is a loop that
+multiplies in the shorter block one generator at a time, so it runs
+min(beta, gamma) steps, with int numerators over the common denominator
+4^steps; everything else is sign bookkeeping and one Clifford pairing.
 
 Coefficients are plain Gaussian rationals -- the central parameter is part
 of the monomial, not the coefficient.
 """
 
+from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
@@ -59,6 +61,8 @@ class OreElement:
             width = 2 * n + 1
             for m, c in terms.items():
                 c = c if isinstance(c, GaussianRational) else _coerce(c)
+                if c is NotImplemented:
+                    raise TypeError("bad coefficient %r" % (terms[m],))
                 if not c:
                     continue
                 if m.cliff < 0 or m.cliff >> width:
@@ -79,6 +83,8 @@ class OreElement:
     def __add__(self, other):
         if not isinstance(other, OreElement):
             other = _coerce_ore(self.n, other)
+            if other is NotImplemented:
+                return NotImplemented
         self._check_rank(other)
         out = dict(self.terms)
         for m, c in other.terms.items():
@@ -95,16 +101,23 @@ class OreElement:
     def __sub__(self, other):
         if not isinstance(other, OreElement):
             other = _coerce_ore(self.n, other)
+            if other is NotImplemented:
+                return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
-        return _coerce_ore(self.n, other) - self
+        other = _coerce_ore(self.n, other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other - self
 
     def __neg__(self):
         return _raw_ore(self.n, {m: -c for m, c in self.terms.items()})
 
     def scale(self, s):
         s = s if isinstance(s, GaussianRational) else _coerce(s)
+        if s is NotImplemented:
+            raise TypeError("cannot scale by a non-number")
         if not s:
             return _raw_ore(self.n, {})
         return _raw_ore(self.n, {m: c * s for m, c in self.terms.items()})
@@ -112,10 +125,12 @@ class OreElement:
     def __mul__(self, other):
         if isinstance(other, OreElement):
             return ore_product(self, other)
-        return self.scale(other)
+        s = _coerce(other)
+        return NotImplemented if s is NotImplemented else self.scale(s)
 
     def __rmul__(self, other):
-        return self.scale(other)
+        s = _coerce(other)
+        return NotImplemented if s is NotImplemented else self.scale(s)
 
     def __pow__(self, k):
         if k < 0:
@@ -130,9 +145,9 @@ class OreElement:
 
     def __eq__(self, other):
         if not isinstance(other, OreElement):
-            if _coerce(other) is NotImplemented:
-                return NotImplemented
             other = _coerce_ore(self.n, other)
+            if other is NotImplemented:
+                return NotImplemented
         return self.n == other.n and self.terms == other.terms
 
     def __hash__(self):
@@ -235,8 +250,11 @@ def _raw_ore(n, clean):
 
 
 def _coerce_ore(n, x):
+    """x as a constant element, or NotImplemented if x is not a number."""
     c = _coerce(x)
-    return OreElement(n, {OreMonomial(0, 0, 0, 0): c})
+    if c is NotImplemented:
+        return NotImplemented
+    return ore_scalar(n, c)
 
 
 # -- constructors -----------------------------------------------------------------
@@ -247,11 +265,11 @@ def ore_zero(n):
 
 
 def ore_unit(n):
-    return _coerce_ore(n, 1)
+    return ore_scalar(n, 1)
 
 
 def ore_scalar(n, c):
-    return _coerce_ore(n, c)
+    return OreElement(n, {OreMonomial(0, 0, 0, 0): c})
 
 
 def ore_fermi(n, i):
@@ -294,33 +312,50 @@ def _lower_past_powers(beta, gamma):
     """Normal form of E-^beta E+^gamma.
 
     Terms are (q, a, eps, b, extra) meaning q * E+^a ghost^eps E-^b L^extra
-    with eps in {0,1} and q a real GaussianRational; the ghost is kept
-    abstract here so the kernel is independent of the rank.
+    with eps in {0,1} and q a real GaussianRational, sorted by (a, eps, b,
+    extra); the ghost is kept abstract here so the kernel is independent of
+    the rank.
+
+    The shorter block is multiplied in one generator at a time.  For
+    beta <= gamma each step puts one E- in front of E+^gamma,
+
+        E- E+^a = E+^a E- + (a/4) E+^{a-1} - [a odd] E+^{a-1} ghost,
+
+    and otherwise each step puts one E+ after E-^beta,
+
+        E-^b E+ = E+ E-^b + (b/4) E-^{b-1} - [b odd] ghost E-^{b-1};
+
+    the new generator passes the ghost with a sign, and ghost^2 = L^2.  The
+    two rules are mirror images: with k the exponent being lowered and j the
+    other one, both send (k, j) to (k, j + 1) and (k - 1, j), so one loop
+    serves both.  k - j drops by one per step, so j is left out of the state
+    and recovered at the end.  Coefficients stay int numerators over the
+    common denominator 4^steps (each step divides by 4 at most once) and
+    become GaussianRationals only in the returned tuple.
     """
-    if beta == 0:
-        return ((GR_ONE, gamma, 0, 0, 0),)
-    acc = {}
-
-    def add(key, q):
-        s = acc.get(key)
-        s = q if s is None else s + q
-        if s:
-            acc[key] = s
+    steps, top = min(beta, gamma), max(beta, gamma)
+    state = {(top, 0, 0): 1}  # (k, eps, extra) -> numerator over 4^step
+    for _ in range(steps):
+        nxt = defaultdict(int)
+        for key, num in state.items():
+            k, eps, extra = key
+            four = num << 2
+            nxt[key] += -four if eps else four
+            if k:
+                nxt[k - 1, eps, extra] += k * num
+                if k & 1:
+                    nxt[(k - 1, 0, extra + 2) if eps else (k - 1, 1, extra)] -= four
+        state = {key: num for key, num in nxt.items() if num}
+    den = 4**steps
+    shift = top - steps
+    out = []
+    for (k, eps, extra), num in sorted(state.items()):
+        q = gr_ratio(num, den)
+        if beta <= gamma:
+            out.append((q, k, eps, k - shift, extra))
         else:
-            acc.pop(key, None)
-
-    for q, a, eps, b, extra in _lower_past_powers(beta - 1, gamma):
-        # E- E+^a = E+^a E- + (a/4) E+^{a-1} - [a odd] E+^{a-1} ghost,
-        # then E- ghost = -ghost E- and ghost^2 = L^2
-        add((a, eps, b + 1, extra), -q if eps else q)
-        if a:
-            add((a - 1, eps, b, extra), q * gr_ratio(a, 4))
-            if a & 1:
-                if eps:
-                    add((a - 1, 0, b, extra + 2), -q)
-                else:
-                    add((a - 1, 1, b, extra), -q)
-    return tuple((q, a, e, b, x) for (a, e, b, x), q in sorted(acc.items()))
+            out.append((q, k - shift, eps, k, extra))
+    return tuple(out)
 
 
 def ore_product(x, y):

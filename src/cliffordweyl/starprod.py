@@ -390,36 +390,51 @@ def _weyl_words(A, B, t):
     """p^A q^B as [(Scalar, word)] with word a tuple of ('p'/'q', j) tokens.
 
     Strips q factors from the left: q_j F = q_j * F + (t/2) dF/dp_j, and a
-    pure p monomial is already the star word of its factors.
+    pure p monomial is already the star word of its factors.  The stripping
+    runs on an explicit stack rather than by recursion, so q_j^1500 needs no
+    deep call chain; a monomial is finished only once the monomials it
+    needs are cached, so the cache fills in depth-first order.
     """
-    key = (A, B, t)
-    hit = _weyl_word_cache.get(key)
-    if hit is not None:
-        return hit
-    if not any(B):
-        word = []
-        for j, e in enumerate(A):
-            word.extend([("p", j + 1)] * e)
-        res = [(S_ONE, tuple(word))]
-    else:
+    root = (A, B, t)
+    stack = [root]
+    while stack:
+        key = stack[-1]
+        if key in _weyl_word_cache:
+            stack.pop()
+            continue
+        A, B, _ = key
+        if not any(B):
+            word = []
+            for j, e in enumerate(A):
+                word.extend([("p", j + 1)] * e)
+            _weyl_word_cache[key] = [(S_ONE, tuple(word))]
+            stack.pop()
+            continue
         j = next(i for i, e in enumerate(B) if e)
         B1 = tuple(e - (1 if x == j else 0) for x, e in enumerate(B))
-        res_map = {}
-        for c, w in _weyl_words(A, B1, t):
-            res_map[(("q", j + 1),) + w] = c
+        needs = [(A, B1, t)]
         if A[j]:
             A1 = tuple(e - (1 if x == j else 0) for x, e in enumerate(A))
+            needs.append((A1, B1, t))
+        missing = next((k for k in needs if k not in _weyl_word_cache), None)
+        if missing is not None:
+            stack.append(missing)
+            continue
+        res_map = {}
+        for c, w in _weyl_word_cache[needs[0]]:
+            res_map[(("q", j + 1),) + w] = c
+        if A[j]:
             corr = t * S_HALF * Scalar.of(A[j])
-            for c, w in _weyl_words(A1, B1, t):
+            for c, w in _weyl_word_cache[needs[1]]:
                 c2 = res_map.get(w, Scalar()) + c * corr
                 if c2:
                     res_map[w] = c2
                 else:
                     res_map.pop(w, None)
         res = sorted(res_map.items(), key=lambda kv: kv[0])
-        res = [(c, w) for w, c in res]
-    _weyl_word_cache[key] = res
-    return res
+        _weyl_word_cache[key] = [(c, w) for w, c in res]
+        stack.pop()
+    return _weyl_word_cache[root]
 
 
 def to_star_words(signature, m):

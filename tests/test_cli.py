@@ -64,6 +64,19 @@ def test_expression_mode_error_codes(capsys):
     assert "unknown generator" in capsys.readouterr().err
 
 
+def test_deep_ore_power_product(capsys):
+    assert cli.main(["--algebra", "ore:0", "E-^1500*E+"]) == 0
+    assert capsys.readouterr().out.strip() == "375 * E-^1499 + E+ E-^1500"
+
+
+def test_deep_nesting_is_an_input_error(capsys):
+    text = "(" * 3000 + "w1" + ")" * 3000
+    assert cli.main(["--algebra", "cw:2,2", text]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip() == "error: expression nested too deeply"
+
+
 def test_mode_flags_are_exclusive():
     with pytest.raises(SystemExit) as err:
         cli.main(["--suite", "relations", "--algebra", "cw:1,2", "w1"])

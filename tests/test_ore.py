@@ -10,9 +10,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from reference_ore_kernel import ref_lower_past_powers
 
 from cliffordweyl.algebra import AlgebraError
+from cliffordweyl.deform import verma_apply
 from cliffordweyl.ore import (
+    _lower_past_powers,
     OreElement,
     OreMonomial,
     ghost_theta,
@@ -32,7 +35,7 @@ from cliffordweyl.ore import (
     specialize,
     specialized_product,
 )
-from cliffordweyl.scalars import GaussianRational
+from cliffordweyl.scalars import GaussianRational, Scalar
 
 GR = GaussianRational
 
@@ -156,11 +159,50 @@ def test_numbers_compare_and_hash_like_constants():
     assert ore_unit(0) != "1"
 
 
+def test_non_numbers_are_not_coerced():
+    x = ore_unit(0)
+    for other in ("x", Scalar.of(1)):
+        for op in (
+            lambda: x + other,
+            lambda: other + x,
+            lambda: x - other,
+            lambda: other - x,
+            lambda: x * other,
+            lambda: other * x,
+        ):
+            with pytest.raises(TypeError):
+                op()
+    with pytest.raises(TypeError):
+        ore_scalar(0, "x")
+
+
 def test_power_matches_repeated_product():
     n = 0
     a = ore_e_plus(n) + ore_e_minus(n)
     assert a**0 == ore_unit(n)
     assert a**3 == ore_product(a, ore_product(a, a))
+
+
+# -- the E-^beta E+^gamma kernel ----------------------------------------------------
+
+
+def test_kernel_matches_recursive_reference():
+    pairs = [(b, g) for b in range(21) for g in range(21)] + [(60, 60), (12, 30), (30, 12)]
+    for beta, gamma in pairs:
+        assert _lower_past_powers(beta, gamma) == ref_lower_past_powers(beta, gamma), (beta, gamma)
+
+
+def test_deep_lowering_power():
+    # far beyond the old one-call-per-E- recursion; walks the single E+
+    x = OreElement(0, {OreMonomial(0, 0, 1500, 0): GR(1)})
+    y = ore_e_plus(0)
+    p = ore_product(x, y)
+    want = OreElement(0, {OreMonomial(0, 0, 1499, 0): GR(375), OreMonomial(0, 1, 1500, 0): GR(1)})
+    assert p == want
+    assert str(p) == "375 * E-^1499 + E+ E-^1500"
+    # the weight module sees the product act as the two factors in turn
+    lam, f = GR(Fraction(3, 7), Fraction(1, 5)), {2: GR(1)}
+    assert verma_apply(lam, p, f) == verma_apply(lam, x, verma_apply(lam, y, f))
 
 
 # -- the ghost ----------------------------------------------------------------------

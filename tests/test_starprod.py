@@ -338,3 +338,15 @@ def test_star_words_respect_t():
     c, word = words[0]
     assert c == S_ONE
     assert word == (("w", 1), ("q", 1), ("p", 1), ("p", 1))
+
+
+def test_star_words_of_a_deep_q_power():
+    # cw:0,2: q1^1500 strips 1500 q factors, one cache entry each
+    sig = AlgebraSignature(0, 1)
+    assert to_star_words(sig, CwMonomial(0, (0,), (1500,))) == [(S_ONE, (("q", 1),) * 1500)]
+    # p1 q1^N = q1^N p1 + N (t/2) q1^(N-1)
+    words = to_star_words(sig, CwMonomial(0, (1,), (1500,)))
+    assert words == [
+        (Scalar.of(1500) * sig.t_param * S_HALF, (("q", 1),) * 1499),
+        (S_ONE, (("q", 1),) * 1500 + (("p", 1),)),
+    ]
