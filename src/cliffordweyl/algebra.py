@@ -3,9 +3,10 @@
 The underlying vector space is the super-exterior algebra on n anticommuting
 generators w1..wn tensored with the polynomial algebra on k commuting pairs
 (p1,q1)..(pk,qk).  A monomial is (bitset over w's, p-exponents, q-exponents);
-an element is a sparse map monomial -> Scalar kept in canonical form (no zero
-coefficients).  The associative star product lives in `starprod`; `a * b` on
-elements delegates to it.
+an element is a `sparse.SparseElement` over the signature, a canonical map
+monomial -> Scalar (no zero coefficients) whose unit monomial is the empty
+word.  The associative star product lives in `starprod`; `a * b` on elements
+delegates to it.
 
 Sign bookkeeping convention (single source of truth): Clifford generators are
 globally ordered w1 < w2 < ... and every Koszul sign in the package is a
@@ -14,18 +15,11 @@ transposition count against this order.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from functools import lru_cache
 from typing import NamedTuple
 
-from .scalars import GaussianRational, Scalar, S_ONE, _coerce_scalar
-
-
-class AlgebraError(Exception):
-    """Base class for algebra usage errors."""
-
-
-class SignatureMismatch(AlgebraError):
-    """Raised when elements of different algebras are combined."""
+from .scalars import S_ONE, S_ZERO, Scalar, _coerce_scalar
+from .sparse import AlgebraError, SignatureMismatch, SparseElement, accumulate
 
 
 class AlgebraSignature(NamedTuple):
@@ -105,141 +99,45 @@ def element_bidegree(e):
 
 
 def check_same_signature(a, b):
-    if a.signature != b.signature:
-        raise SignatureMismatch("%r vs %r" % (a.signature, b.signature))
+    a._check_space(b)
 
 
-class CwElement:
+class CwElement(SparseElement):
     """Element of the algebra: canonical sparse sum of CwMonomial terms.
 
-    Immutable in use: all operations return new elements.  `a * b` is the
-    star product of the signature (with its t_param); use starprod.wedge for
-    the t=0 exterior product.
+    The space is the AlgebraSignature and the coefficients are Scalars.
+    `a * b` is the star product of the signature (with its t_param); use
+    starprod.wedge for the t=0 exterior product.
     """
 
-    __slots__ = ("signature", "terms")
+    __slots__ = ()
+    signature = SparseElement.space  # the space slot under its family name
 
-    def __init__(self, signature, terms=None):
-        clean = {}
-        if terms:
-            for m, c in terms.items():
-                c = c if isinstance(c, Scalar) else _coerce_scalar(c)
-                if c is NotImplemented:
-                    raise TypeError("bad coefficient %r" % (c,))
-                if not c:
-                    continue
-                _check_monomial(signature, m)
-                clean[m] = clean.get(m, Scalar()) + c if m in clean else c
-        object.__setattr__(self, "signature", signature)
-        object.__setattr__(self, "terms", {m: c for m, c in clean.items() if c})
+    _ring = staticmethod(_coerce_scalar)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("CwElement is immutable")
+    @staticmethod
+    def _check_key(sig, m):
+        if not isinstance(m, CwMonomial):
+            raise TypeError("expected CwMonomial, got %r" % (m,))
+        if m.cliff < 0 or m.cliff >> sig.n_fermi:
+            raise AlgebraError("Clifford bits outside signature %r: %r" % (sig, m))
+        if len(m.wp) != sig.n_bose or len(m.wq) != sig.n_bose:
+            raise AlgebraError("Weyl exponent length != %d in %r" % (sig.n_bose, m))
+        if any(e < 0 for e in m.wp) or any(e < 0 for e in m.wq):
+            raise AlgebraError("negative exponent in %r" % (m,))
+        return m
 
-    # -- vector space -----------------------------------------------------
+    def unit_key(self):
+        return _unit_monomial(self.space.n_bose)
 
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        check_same_signature(self, other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m)
-            s = c if s is None else s + c
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-        return _raw_element(self.signature, out)
+    def _product(self, other):
+        from .starprod import star
 
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
-
-    def __neg__(self):
-        return _raw_element(self.signature, {m: -c for m, c in self.terms.items()})
-
-    def scale(self, s):
-        s = s if isinstance(s, Scalar) else _coerce_scalar(s)
-        if not s:
-            return _raw_element(self.signature, {})
-        return _raw_element(self.signature, {m: c * s for m, c in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Scalar, GaussianRational)):
-            return self.scale(other)
-        if isinstance(other, CwElement):
-            from .starprod import star
-
-            return star(self, other)
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, Scalar, GaussianRational)):
-            return self.scale(other)
-        return NotImplemented
-
-    def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("only non-negative integer powers")
-        out = unit(self.signature)
-        for _ in range(n):
-            out = out * self
-        return out
-
-    # -- structure ----------------------------------------------------------
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.signature == other.signature and self.terms == other.terms
-
-    def __hash__(self):
-        # zero and the constants hash like the Scalar (so the number) they equal
-        t = self.terms
-        if not t:
-            return 0
-        if len(t) == 1:
-            ((m, c),) = t.items()
-            if not m.z_degree():
-                return hash(c)
-        return hash((self.signature, frozenset(t.items())))
-
-    def _coerce(self, other):
-        if isinstance(other, CwElement):
-            return other
-        if isinstance(other, (int, Fraction, Scalar, GaussianRational)):
-            s = other if isinstance(other, Scalar) else _coerce_scalar(other)
-            return scalar_element(self.signature, s)
-        return NotImplemented
-
-    def coefficient(self, m):
-        return self.terms.get(m, Scalar())
+        return star(self, other)
 
     def constant_term(self):
         """Coefficient of the unit monomial (the raw "value at 0")."""
-        return self.terms.get(CwMonomial(0, (0,) * self.signature.n_bose, (0,) * self.signature.n_bose), Scalar())
-
-    def max_z_degree(self):
-        return max((m.z_degree() for m in self.terms), default=0)
+        return self.terms.get(self.unit_key(), S_ZERO)
 
     def monomials(self):
         """Deterministically ordered list of (monomial, coefficient)."""
@@ -254,7 +152,7 @@ class CwElement:
         parts = {}
         for m, c in self.terms.items():
             parts.setdefault(key(m), {})[m] = c
-        return {k: _raw_element(self.signature, v) for k, v in parts.items()}
+        return {k: CwElement.raw(self.space, v) for k, v in parts.items()}
 
     def map_coefficients(self, fn):
         out = {}
@@ -262,7 +160,7 @@ class CwElement:
             c2 = fn(c)
             if c2:
                 out[m] = c2
-        return _raw_element(self.signature, out)
+        return CwElement.raw(self.space, out)
 
     # -- presentation ----------------------------------------------------------
 
@@ -274,51 +172,40 @@ class CwElement:
     def __repr__(self):
         return "<CwElement %s | %s>" % (self.signature, str(self))
 
+    @staticmethod
+    def key_json(m):
+        return {"cliff": m.cliff_indices(), "p": list(m.wp), "q": list(m.wq)}
+
+    @staticmethod
+    def key_from_json(rec):
+        return CwMonomial(index_mask(rec["cliff"]), tuple(rec["p"]), tuple(rec["q"]))
+
     def to_json(self):
-        out = []
-        for m, c in self.monomials():
-            out.append(
-                {
-                    "coeff": c.to_json(),
-                    "cliff": m.cliff_indices(),
-                    "p": list(m.wp),
-                    "q": list(m.wq),
-                }
-            )
-        return out
+        return [{"coeff": c.to_json(), **self.key_json(m)} for m, c in self.monomials()]
 
     @staticmethod
     def from_json(signature, data):
         terms = {}
         for t in data:
-            mask = 0
-            for i in t["cliff"]:
-                mask |= 1 << (i - 1)
-            m = CwMonomial(mask, tuple(t["p"]), tuple(t["q"]))
-            terms[m] = terms.get(m, Scalar()) + Scalar.from_json(t["coeff"])
+            accumulate(terms, CwElement.key_from_json(t), Scalar.from_json(t["coeff"]))
         return CwElement(signature, terms)
+
+
+@lru_cache(maxsize=None)
+def _unit_monomial(n_bose):
+    return CwMonomial(0, (0,) * n_bose, (0,) * n_bose)
+
+
+def index_mask(indices):
+    """Bitset of 1-based generator indices (bit i-1 for index i)."""
+    mask = 0
+    for i in indices:
+        mask |= 1 << (i - 1)
+    return mask
 
 
 def _monomial_sort_key(m):
     return (m.z_degree(), m.cliff, m.wp, m.wq)
-
-
-def _check_monomial(sig, m):
-    if not isinstance(m, CwMonomial):
-        raise TypeError("expected CwMonomial, got %r" % (m,))
-    if m.cliff < 0 or m.cliff >> sig.n_fermi:
-        raise AlgebraError("Clifford bits outside signature %r: %r" % (sig, m))
-    if len(m.wp) != sig.n_bose or len(m.wq) != sig.n_bose:
-        raise AlgebraError("Weyl exponent length != %d in %r" % (sig.n_bose, m))
-    if any(e < 0 for e in m.wp) or any(e < 0 for e in m.wq):
-        raise AlgebraError("negative exponent in %r" % (m,))
-
-
-def _raw_element(signature, clean_terms):
-    e = object.__new__(CwElement)
-    object.__setattr__(e, "signature", signature)
-    object.__setattr__(e, "terms", clean_terms)
-    return e
 
 
 def canonicalize(e):
@@ -335,7 +222,7 @@ def canonicalize(e):
 
 
 def zero(signature):
-    return _raw_element(signature, {})
+    return CwElement.raw(signature, {})
 
 
 def unit(signature):
@@ -343,10 +230,7 @@ def unit(signature):
 
 
 def scalar_element(signature, s):
-    s = s if isinstance(s, Scalar) else _coerce_scalar(s)
-    k = signature.n_bose
-    m = CwMonomial(0, (0,) * k, (0,) * k)
-    return CwElement(signature, {m: s})
+    return CwElement(signature, {_unit_monomial(signature.n_bose): s})
 
 
 def monomial_element(signature, m, coeff=S_ONE):

@@ -44,6 +44,7 @@ from .ore import (
     specialize,
     specialized_product,
 )
+from .periodicity import TensorElement
 from .reps import rep_matrix, spin
 from .scalars import (
     GR_ONE,
@@ -51,11 +52,12 @@ from .scalars import (
     GaussianRational,
     S_ONE,
     Scalar,
-    _coerce,
+    gaussian,
     i_power,
     scalar_i_power,
 )
-from .starprod import _cliff_pair, element_star_words, star
+from .sparse import accumulate
+from .starprod import element_star_words, star
 
 _P0 = OreMonomial(1, 0, 0, 0)
 
@@ -118,133 +120,18 @@ def iso_cw_to_a0(n, x):
 # -- rank reduction over the even Clifford algebra ---------------------------------
 
 
-class OreTensorElement:
-    """Element of C(2n) tensor A_L: Fermi word on the left, rank-0 normal
-    form on the right, plain slotwise product."""
-
-    __slots__ = ("n", "terms")
-
-    def __init__(self, n, terms=None):
-        clean = {}
-        if terms:
-            for (mask, m), c in terms.items():
-                c = c if isinstance(c, GaussianRational) else _coerce(c)
-                if not c:
-                    continue
-                if mask < 0 or mask >> (2 * n):
-                    raise AlgebraError("left Fermi bits outside C(%d)" % (2 * n,))
-                if m.cliff >> 1:
-                    raise AlgebraError("right factor must have rank 0")
-                clean[(mask, m)] = c
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("OreTensorElement is immutable")
-
-    def _check(self, other):
-        if not isinstance(other, OreTensorElement) or self.n != other.n:
-            raise AlgebraError("tensor rank mismatch")
-
-    def __add__(self, other):
-        self._check(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k)
-            s = c if s is None else s + c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return _raw_tensor(self.n, out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return _raw_tensor(self.n, {k: -c for k, c in self.terms.items()})
-
-    def scale(self, s):
-        s = s if isinstance(s, GaussianRational) else _coerce(s)
-        if not s:
-            return _raw_tensor(self.n, {})
-        return _raw_tensor(self.n, {k: c * s for k, c in self.terms.items()})
-
-    def __mul__(self, other):
-        self._check(other)
-        out = {}
-        for (m1, r1), c1 in self.terms.items():
-            for (m2, r2), c2 in other.terms.items():
-                csign, tcount, mask = _cliff_pair(m1, m2)
-                base = c1 * c2
-                if (csign < 0) ^ (tcount & 1):
-                    base = -base
-                rprod = ore_product(
-                    OreElement(0, {r1: GR_ONE}), OreElement(0, {r2: GR_ONE})
-                )
-                for rm, rc in rprod.terms.items():
-                    key = (mask, rm)
-                    s = out.get(key)
-                    v = base * rc
-                    s = v if s is None else s + v
-                    if s:
-                        out[key] = s
-                    else:
-                        out.pop(key, None)
-        return _raw_tensor(self.n, out)
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, OreTensorElement)
-            and self.n == other.n
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.n, frozenset(self.terms.items())))
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for mask, m in sorted(self.terms, key=lambda k: (k[0], k[1])):
-            c = self.terms[(mask, m)]
-            left = " ".join(
-                "w%d" % (i + 1) for i in range(mask.bit_length()) if mask >> i & 1
-            )
-            right = str(OreElement(0, {m: GR_ONE}))
-            body = "%s (x) %s" % (left or "1", right)
-            cs = str(Scalar.from_gaussian(c))
-            bits.append(body if cs == "1" else "-%s" % body if cs == "-1" else "%s * %s" % (cs, body))
-        out = bits[0]
-        for b in bits[1:]:
-            out += " - " + b[1:] if b.startswith("-") else " + " + b
-        return out
-
-    def __repr__(self):
-        return "<OreTensorElement n=%d | %s>" % (self.n, self)
-
-
-def _raw_tensor(n, clean):
-    e = object.__new__(OreTensorElement)
-    object.__setattr__(e, "n", n)
-    object.__setattr__(e, "terms", clean)
-    return e
-
-
-def ore_tensor_zero(n):
-    return OreTensorElement(n)
-
-
-def ore_tensor_unit(n):
-    return OreTensorElement(n, {(0, OreMonomial(0, 0, 0, 0)): GR_ONE})
+def _ore_tensor_space(n):
+    """C(2n) (x) A_L at rank 0: the space of the rank-n factorization."""
+    return (AlgebraSignature(2 * n, 0), 0)
 
 
 def ore_tensor_of(n, mask, m, coeff=GR_ONE):
-    return OreTensorElement(n, {(mask, m): coeff})
+    """The pure tensor coeff * w^mask (x) m in C(2n) (x) A_L."""
+    return TensorElement(*_ore_tensor_space(n), {(CwMonomial(mask, (), ()), m): coeff})
+
+
+def ore_tensor_unit(n):
+    return ore_tensor_of(n, 0, OreMonomial(0, 0, 0, 0))
 
 
 def _forward_images(n):
@@ -265,7 +152,7 @@ def periodicity2_forward(n, x):
     if x.n != n:
         raise AlgebraError("rank mismatch: %d vs %d" % (x.n, n))
     imgs = _forward_images(n)
-    out = ore_tensor_zero(n)
+    out = TensorElement(*_ore_tensor_space(n))
     for m, c in x.terms.items():
         acc = ore_tensor_of(n, 0, OreMonomial(0, 0, 0, m.lam))
         for i in m.cliff_indices():
@@ -281,14 +168,14 @@ def periodicity2_forward(n, x):
 def periodicity2_inverse(n, x):
     """Rebuild the rank-n element: the rank-0 involution returns as the
     full volume word i^n w_1...w_{2n+1}."""
-    if not isinstance(x, OreTensorElement) or x.n != n:
+    if not isinstance(x, TensorElement) or x.space != _ore_tensor_space(n):
         raise AlgebraError("expected a rank-%d tensor element" % n)
     full = (1 << (2 * n + 1)) - 1
     vol = OreElement(n, {OreMonomial(full, 0, 0, 0): i_power(n)})
     out = ore_zero(n)
-    for (mask, m), c in x.terms.items():
-        body = OreElement(n, {OreMonomial(mask, 0, 0, 0): c})
-        if (mask.bit_count() + m.cliff) & 1:
+    for (ml, m), c in x.terms.items():
+        body = OreElement(n, {OreMonomial(ml.cliff, 0, 0, 0): c.constant()})
+        if (ml.cliff.bit_count() + m.cliff) & 1:
             body = ore_product(body, vol)
         body = ore_product(body, OreElement(n, {OreMonomial(0, m.e_plus, m.e_minus, m.lam): GR_ONE}))
         out = out + body
@@ -318,12 +205,12 @@ def ore_to_matrix(n, x):
     dim = 1 << n
     mat_cache = {}
     entries = [[ore_zero(0) for _ in range(dim)] for _ in range(dim)]
-    for (mask, m), c in forward.terms.items():
-        M = mat_cache.get(mask)
+    for (ml, m), c in forward.terms.items():
+        M = mat_cache.get(ml)
         if M is None:
-            M = rep_matrix(desc, monomial_element(sig, CwMonomial(mask, (), ())))
-            mat_cache[mask] = M
-        body = OreElement(0, {m: c})
+            M = rep_matrix(desc, monomial_element(sig, ml))
+            mat_cache[ml] = M
+        body = OreElement(0, {m: c.constant()})
         for i in range(dim):
             for j in range(dim):
                 g = _gr_entry(M[i, j])
@@ -473,17 +360,9 @@ class PolyOperator:
     def apply(self, poly):
         out = {}
         for m, c in poly.items():
-            c = c if isinstance(c, GaussianRational) else _coerce(c)
-            if not c:
-                continue
+            c = gaussian(c)
             for mm, cc in self.rule(m).items():
-                s = out.get(mm)
-                v = c * cc
-                s = v if s is None else s + v
-                if s:
-                    out[mm] = s
-                else:
-                    out.pop(mm, None)
+                accumulate(out, mm, c * cc)
         return out
 
 
@@ -491,11 +370,7 @@ def poly_clean(poly):
     """Canonical sparse form of {exponent: coefficient}."""
     out = {}
     for m, c in poly.items():
-        c = c if isinstance(c, GaussianRational) else _coerce(c)
-        if c:
-            out[m] = out.get(m, GR_ZERO) + c
-            if not out[m]:
-                del out[m]
+        accumulate(out, m, gaussian(c))
     return out
 
 
@@ -503,7 +378,7 @@ def verma_operator(lam, token):
     """Generator action on polynomials: E+ is half-derivative minus lam
     times the odd-part difference quotient, E- multiplies by -z/2, P is
     the parity flip."""
-    lam = lam if isinstance(lam, GaussianRational) else _coerce(lam)
+    lam = gaussian(lam)
     if token == "E+":
 
         def rule(m):
@@ -533,7 +408,7 @@ def verma_apply(lam, a, f):
     """Apply a rank-0 element to a polynomial through the lam-action."""
     if a.n != 0:
         raise AlgebraError("rank-%d element: use the matrix transport instead" % a.n)
-    lam = lam if isinstance(lam, GaussianRational) else _coerce(lam)
+    lam = gaussian(lam)
     ops = {t: verma_operator(lam, t) for t in ("E+", "E-", "P")}
     out = {}
     for m, c in a.terms.items():
@@ -548,13 +423,7 @@ def verma_apply(lam, a, f):
         for _ in range(m.lam):
             coeff = coeff * lam
         for mm, cc in g.items():
-            s = out.get(mm)
-            v = cc * coeff
-            s = v if s is None else s + v
-            if s:
-                out[mm] = s
-            else:
-                out.pop(mm, None)
+            accumulate(out, mm, cc * coeff)
     return out
 
 
@@ -625,11 +494,11 @@ def pi_h_matrix(n, h, sign, x):
     left_cache = {}
     right_cache = {}
     total = None
-    for (mask, m), c in forward.terms.items():
-        L = left_cache.get(mask)
+    for (ml, m), c in forward.terms.items():
+        L = left_cache.get(ml)
         if L is None:
-            L = rep_matrix(desc, monomial_element(sig, CwMonomial(mask, (), ())))
-            left_cache[mask] = L
+            L = rep_matrix(desc, monomial_element(sig, ml))
+            left_cache[ml] = L
         key = (m.cliff, m.e_plus, m.e_minus, m.lam)
         R = right_cache.get(key)
         if R is None:
@@ -643,7 +512,7 @@ def pi_h_matrix(n, h, sign, x):
             for _ in range(m.lam):
                 R = R.scale(lam_val)
             right_cache[key] = R
-        piece = L.kron(R).scale(Scalar.from_gaussian(c))
+        piece = L.kron(R).scale(c)
         total = piece if total is None else total + piece
     return Matrix.identity(dim_left * d0).scale(0) if total is None else total
 
@@ -732,11 +601,10 @@ def commutant_probe(rep):
                 for k in range(d):
                     a = _gr_entry(M[k, j])
                     if a:
-                        row[(i, k)] = row.get((i, k), GR_ZERO) + a
+                        accumulate(row, (i, k), a)
                     b = _gr_entry(M[i, k])
                     if b:
-                        row[(k, j)] = row.get((k, j), GR_ZERO) - b
-                row = {key: v for key, v in row.items() if v}
+                        accumulate(row, (k, j), -b)
                 if row:
                     rows.append(row)
     return len(sparse_nullspace(rows, variables))

@@ -386,15 +386,10 @@ def parse_algebra(text):
 
 
 def _constant_inverse(x):
-    if hasattr(x, "signature"):
-        extra = [m for m in x.terms if m.cliff or any(m.wp) or any(m.wq)]
-        g = x.constant_term().constant()
-    else:
-        extra = [m for m in x.terms if m != OreMonomial(0, 0, 0, 0)]
-        g = x.terms.get(OreMonomial(0, 0, 0, 0), GaussianRational())
-    if extra or not g:
+    c = x.terms.get(x.unit_key())
+    if c is None or len(x.terms) > 1:
         raise AlgebraError("division only by invertible constants")
-    return g.inverse()
+    return c.inverse()
 
 
 def evaluate(node, ctx):

@@ -10,17 +10,14 @@ and the deformed normal-form algebras provide.
 
 import itertools
 
-from .algebra import AlgebraError
+from .sparse import AlgebraError, SparseElement
 
 
 def element_tag(x):
-    """Identify the algebra an element belongs to."""
-    tag = getattr(x, "signature", None)
-    if tag is None:
-        tag = getattr(x, "n", None)
-    if tag is None:
+    """Identify the algebra an element belongs to: its family and its space."""
+    if not isinstance(x, SparseElement) or x.unit_key() is None:
         raise AlgebraError("not an algebra element: %r" % (x,))
-    return (type(x).__name__, tag)
+    return (type(x).__name__, x.space)
 
 
 class CochainEvaluator:

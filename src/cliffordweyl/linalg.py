@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from .algebra import AlgebraError
 from .hochschild import element_tag
-from .scalars import GR_ONE, GR_ZERO, S_ONE, Scalar, _coerce_scalar
+from .scalars import GR_ONE, S_ONE, Scalar, _coerce_scalar
+from .sparse import accumulate
 
 
 class MatrixError(AlgebraError, ValueError):
@@ -157,13 +158,9 @@ def reduce_row(pivots, row):
     # r's keys is complete.
     for c in list(r):
         if c in pivots:
-            f = r.pop(c)
+            f = -r.pop(c)
             for cc, v in pivots[c].items():
-                nv = r.get(cc, GR_ZERO) - f * v
-                if nv:
-                    r[cc] = nv
-                else:
-                    r.pop(cc, None)
+                accumulate(r, cc, f * v)
     return r
 
 
@@ -182,13 +179,9 @@ def add_row(pivots, row):
     r = {cc: v * inv for cc, v in r.items()}
     for pr in pivots.values():
         if c in pr:
-            f = pr.pop(c)
+            f = -pr.pop(c)
             for cc, v in r.items():
-                nv = pr.get(cc, GR_ZERO) - f * v
-                if nv:
-                    pr[cc] = nv
-                else:
-                    pr.pop(cc, None)
+                accumulate(pr, cc, f * v)
     pivots[c] = r
     return True
 

@@ -15,8 +15,10 @@ multiplies in the shorter block one generator at a time, so it runs
 min(beta, gamma) steps, with int numerators over the common denominator
 4^steps; everything else is sign bookkeeping and one Clifford pairing.
 
-Coefficients are plain Gaussian rationals -- the central parameter is part
-of the monomial, not the coefficient.
+An element is a `sparse.SparseElement` over the rank n: a canonical map
+OreMonomial -> Gaussian rational whose unit monomial is OreMonomial(0, 0, 0,
+0).  Coefficients are plain Gaussian rationals -- the central parameter is
+part of the monomial, not the coefficient.
 """
 
 from collections import defaultdict
@@ -24,9 +26,11 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from .algebra import AlgebraError
-from .scalars import GR_ONE, GaussianRational, Scalar, _coerce, format_coefficient, gr_ratio, i_power
+from .algebra import AlgebraError, index_mask
+from .scalars import GR_ONE, GaussianRational, _coerce, format_coefficient, gaussian, gr_ratio, i_power
+from .sparse import SparseElement, accumulate
 from .starprod import _cliff_pair
+from .textform import join_signed, signed_term
 
 
 class OreMonomial(NamedTuple):
@@ -50,125 +54,30 @@ def _monomial_sort_key(m):
     return (m.degree(), m.lam, m.cliff, m.e_plus, m.e_minus)
 
 
-class OreElement:
-    """Finite Gaussian-rational combination of normal-form monomials."""
+class OreElement(SparseElement):
+    """Finite Gaussian-rational combination of normal-form monomials.
 
-    __slots__ = ("n", "terms")
+    The space is the rank n; the unit monomial is OreMonomial(0, 0, 0, 0).
+    """
 
-    def __init__(self, n, terms=None):
-        clean = {}
-        if terms:
-            width = 2 * n + 1
-            for m, c in terms.items():
-                c = c if isinstance(c, GaussianRational) else _coerce(c)
-                if c is NotImplemented:
-                    raise TypeError("bad coefficient %r" % (terms[m],))
-                if not c:
-                    continue
-                if m.cliff < 0 or m.cliff >> width:
-                    raise AlgebraError("Fermi bits outside rank-%d algebra" % n)
-                if m.e_plus < 0 or m.e_minus < 0 or m.lam < 0:
-                    raise AlgebraError("negative exponent in %r" % (m,))
-                clean[m] = c
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "terms", clean)
+    __slots__ = ()
+    n = SparseElement.space  # the space slot under its family name
 
-    def __setattr__(self, name, value):
-        raise AttributeError("OreElement is immutable")
+    _ring = staticmethod(_coerce)
 
-    def _check_rank(self, other):
-        if self.n != other.n:
-            raise AlgebraError("rank mismatch: %d vs %d" % (self.n, other.n))
+    @staticmethod
+    def _check_key(n, m):
+        if m.cliff < 0 or m.cliff >> (2 * n + 1):
+            raise AlgebraError("Fermi bits outside rank-%d algebra" % n)
+        if m.e_plus < 0 or m.e_minus < 0 or m.lam < 0:
+            raise AlgebraError("negative exponent in %r" % (m,))
+        return m
 
-    def __add__(self, other):
-        if not isinstance(other, OreElement):
-            other = _coerce_ore(self.n, other)
-            if other is NotImplemented:
-                return NotImplemented
-        self._check_rank(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m)
-            s = c if s is None else s + c
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-        return _raw_ore(self.n, out)
+    def unit_key(self):
+        return _ORE_ONE
 
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if not isinstance(other, OreElement):
-            other = _coerce_ore(self.n, other)
-            if other is NotImplemented:
-                return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = _coerce_ore(self.n, other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
-
-    def __neg__(self):
-        return _raw_ore(self.n, {m: -c for m, c in self.terms.items()})
-
-    def scale(self, s):
-        s = s if isinstance(s, GaussianRational) else _coerce(s)
-        if s is NotImplemented:
-            raise TypeError("cannot scale by a non-number")
-        if not s:
-            return _raw_ore(self.n, {})
-        return _raw_ore(self.n, {m: c * s for m, c in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, OreElement):
-            return ore_product(self, other)
-        s = _coerce(other)
-        return NotImplemented if s is NotImplemented else self.scale(s)
-
-    def __rmul__(self, other):
-        s = _coerce(other)
-        return NotImplemented if s is NotImplemented else self.scale(s)
-
-    def __pow__(self, k):
-        if k < 0:
-            raise AlgebraError("negative power")
-        out = ore_unit(self.n)
-        for _ in range(k):
-            out = ore_product(out, self)
-        return out
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if not isinstance(other, OreElement):
-            other = _coerce_ore(self.n, other)
-            if other is NotImplemented:
-                return NotImplemented
-        return self.n == other.n and self.terms == other.terms
-
-    def __hash__(self):
-        # zero and the constants hash like the number they equal
-        t = self.terms
-        if not t:
-            return 0
-        if len(t) == 1:
-            ((m, c),) = t.items()
-            if not m.degree():
-                return hash(c)
-        return hash((self.n, frozenset(t.items())))
-
-    def coefficient(self, m):
-        return self.terms.get(m, GaussianRational(Fraction(0), Fraction(0)))
-
-    def max_degree(self):
-        return max((m.degree() for m in self.terms), default=0)
-
-    def lam_degree(self):
-        return max((m.lam for m in self.terms), default=0)
+    def _product(self, other):
+        return ore_product(self, other)
 
     def lam_coefficient(self, r):
         """The element multiplying L^r (returned with the L factor removed)."""
@@ -176,92 +85,56 @@ class OreElement:
         for m, c in self.terms.items():
             if m.lam == r:
                 out[OreMonomial(m.cliff, m.e_plus, m.e_minus, 0)] = c
-        return _raw_ore(self.n, out)
+        return OreElement.raw(self.n, out)
 
     def bose_parity_parts(self):
         even, odd = {}, {}
         for m, c in self.terms.items():
             (odd if m.bose_parity() else even)[m] = c
-        return _raw_ore(self.n, even), _raw_ore(self.n, odd)
+        return OreElement.raw(self.n, even), OreElement.raw(self.n, odd)
 
     def monomials(self):
         return sorted(self.terms, key=_monomial_sort_key)
 
     def __str__(self):
-        if not self.terms:
-            return "0"
         bits = []
         for m in self.monomials():
-            c = self.terms[m]
             factors = ["w%d" % i for i in m.cliff_indices()]
             if m.e_plus:
                 factors.append("E+" if m.e_plus == 1 else "E+^%d" % m.e_plus)
             if m.e_minus:
                 factors.append("E-" if m.e_minus == 1 else "E-^%d" % m.e_minus)
-            body = " ".join(factors)
-            coeff = format_coefficient(c, m.lam)
-            if not body:
-                bits.append(coeff)
-            elif coeff == "1":
-                bits.append(body)
-            elif coeff == "-1":
-                bits.append("-%s" % body)
-            else:
-                bits.append("%s * %s" % (coeff, body))
-        out = bits[0]
-        for b in bits[1:]:
-            out += " - " + b[1:] if b.startswith("-") else " + " + b
-        return out
+            bits.append(signed_term(format_coefficient(self.terms[m], m.lam), " ".join(factors)))
+        return join_signed(bits)
 
     def __repr__(self):
         return "<OreElement n=%d | %s>" % (self.n, self)
 
+    @staticmethod
+    def key_json(m):
+        return {"cliff": m.cliff_indices(), "e+": m.e_plus, "e-": m.e_minus, "L": m.lam}
+
+    @staticmethod
+    def key_from_json(rec):
+        return OreMonomial(index_mask(rec["cliff"]), rec["e+"], rec["e-"], rec["L"])
+
     def to_json(self):
-        out = []
-        for m in self.monomials():
-            out.append(
-                {
-                    "coeff": self.terms[m].to_json(),
-                    "cliff": m.cliff_indices(),
-                    "e+": m.e_plus,
-                    "e-": m.e_minus,
-                    "L": m.lam,
-                }
-            )
-        return out
+        return [{"coeff": self.terms[m].to_json(), **self.key_json(m)} for m in self.monomials()]
 
     @staticmethod
     def from_json(n, data):
-        terms = {}
-        for rec in data:
-            mask = 0
-            for i in rec["cliff"]:
-                mask |= 1 << (i - 1)
-            m = OreMonomial(mask, rec["e+"], rec["e-"], rec["L"])
-            terms[m] = GaussianRational.from_json(rec["coeff"])
+        terms = {OreElement.key_from_json(rec): GaussianRational.from_json(rec["coeff"]) for rec in data}
         return OreElement(n, terms)
 
 
-def _raw_ore(n, clean):
-    e = object.__new__(OreElement)
-    object.__setattr__(e, "n", n)
-    object.__setattr__(e, "terms", clean)
-    return e
-
-
-def _coerce_ore(n, x):
-    """x as a constant element, or NotImplemented if x is not a number."""
-    c = _coerce(x)
-    if c is NotImplemented:
-        return NotImplemented
-    return ore_scalar(n, c)
+_ORE_ONE = OreMonomial(0, 0, 0, 0)
 
 
 # -- constructors -----------------------------------------------------------------
 
 
 def ore_zero(n):
-    return OreElement(n)
+    return OreElement.raw(n, {})
 
 
 def ore_unit(n):
@@ -269,7 +142,7 @@ def ore_unit(n):
 
 
 def ore_scalar(n, c):
-    return OreElement(n, {OreMonomial(0, 0, 0, 0): c})
+    return OreElement(n, {_ORE_ONE: c})
 
 
 def ore_fermi(n, i):
@@ -359,7 +232,7 @@ def _lower_past_powers(beta, gamma):
 
 
 def ore_product(x, y):
-    x._check_rank(y)
+    x._check_space(y)
     n = x.n
     full = (1 << (2 * n + 1)) - 1
     ghost_coeff = i_power(n)
@@ -394,13 +267,14 @@ def ore_product(x, y):
                 else:
                     coeff = base * q
                     key = OreMonomial(mask, e_plus, b + m2.e_minus, lam + extra)
+                # sparse.accumulate, inlined: this loop is the product's hot path
                 s = out.get(key)
                 s = coeff if s is None else s + coeff
                 if s:
                     out[key] = s
                 else:
                     out.pop(key, None)
-    return _raw_ore(n, out)
+    return OreElement.raw(n, out)
 
 
 # -- brackets and specialization ---------------------------------------------------
@@ -426,22 +300,14 @@ def ore_super_bracket(x, y):
 
 def specialize(x, lam_value):
     """Substitute the central parameter by a Gaussian rational."""
-    lam_value = lam_value if isinstance(lam_value, GaussianRational) else _coerce(lam_value)
+    lam_value = gaussian(lam_value)
     out = {}
     for m, c in x.terms.items():
         v = c
         for _ in range(m.lam):
             v = v * lam_value
-        if not v:
-            continue
-        key = OreMonomial(m.cliff, m.e_plus, m.e_minus, 0)
-        s = out.get(key)
-        s = v if s is None else s + v
-        if s:
-            out[key] = s
-        else:
-            out.pop(key, None)
-    return _raw_ore(x.n, out)
+        accumulate(out, OreMonomial(m.cliff, m.e_plus, m.e_minus, 0), v)
+    return OreElement.raw(x.n, out)
 
 
 def specialized_product(x, y, lam_value):

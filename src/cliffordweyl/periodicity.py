@@ -1,5 +1,8 @@
 """Tensor products, periodicity isomorphisms, and matrix realizations.
 
+`TensorElement` is one sparse element type over any two factor algebras: the
+cw (x) cw tensors of the dimension shift below, and the C(2n) (x) A_L tensors
+through which `deform.periodicity2_forward` factors the deformed algebras.
 The tensor product implemented here is the plain one,
 
     (a (x) b) (a' (x) b') = (a * a') (x) (b * b'),
@@ -37,97 +40,63 @@ from .algebra import (
     zero,
 )
 from .linalg import Matrix
+from .ore import OreElement
 from .reps import rep_matrix, spin
-from .scalars import S_HALF, S_ONE, Scalar, _coerce_scalar, scalar_i_power
+from .scalars import GR_ONE, S_HALF, S_ONE, Scalar, _coerce_scalar, scalar_i_power
+from .sparse import SparseElement, accumulate
 from .starprod import element_star_words, star
+from .textform import coefficient_text, join_signed, signed_term
 
 
-# -- graded-free tensor elements -------------------------------------------------
+# -- tensor elements over two factor algebras --------------------------------------
+
+# the element class, and its coefficient 1, of the algebra a factor space names
+_FACTORS = {AlgebraSignature: (CwElement, S_ONE), int: (OreElement, GR_ONE)}
 
 
-class TensorElement:
-    """Sparse sum of pure tensors m_left (x) m_right with Scalar coefficients."""
+def _factor(space):
+    try:
+        return _FACTORS[type(space)]
+    except KeyError:
+        raise AlgebraError("not the space of a factor algebra: %r" % (space,)) from None
 
-    __slots__ = ("left_signature", "right_signature", "terms")
+
+class TensorElement(SparseElement):
+    """Sparse sum of pure tensors m_left (x) m_right with Scalar coefficients.
+
+    The space is the pair of factor spaces, and each names its algebra: an
+    AlgebraSignature a Clifford-Weyl algebra, an int n the rank-n deformed
+    algebra.  Each slot multiplies in its own algebra; a Gaussian-rational
+    factor coefficient enters as a constant Scalar.
+    """
+
+    __slots__ = ()
+    left_signature = property(lambda self: self.space[0])
+    right_signature = property(lambda self: self.space[1])
+
+    _ring = staticmethod(_coerce_scalar)
 
     def __init__(self, left_signature, right_signature, terms=None):
-        clean = {}
-        if terms:
-            for (ml, mr), c in terms.items():
-                c = c if isinstance(c, Scalar) else _coerce_scalar(c)
-                if c:
-                    clean[(ml, mr)] = c
-        object.__setattr__(self, "left_signature", left_signature)
-        object.__setattr__(self, "right_signature", right_signature)
-        object.__setattr__(self, "terms", clean)
+        super().__init__((left_signature, right_signature), terms)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("TensorElement is immutable")
+    @staticmethod
+    def _check_key(space, key):
+        (ls, rs), (ml, mr) = space, key
+        _factor(ls)[0]._check_key(ls, ml)
+        _factor(rs)[0]._check_key(rs, mr)
+        return key
 
-    def _same_shape(self, other):
-        if (
-            self.left_signature != other.left_signature
-            or self.right_signature != other.right_signature
-        ):
-            raise SignatureMismatch(
-                "tensor shapes differ: %r vs %r"
-                % (
-                    (self.left_signature, self.right_signature),
-                    (other.left_signature, other.right_signature),
-                )
-            )
+    def _product(self, other):
+        return tensor_star(self, other)
 
-    def __add__(self, other):
-        self._same_shape(other)
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            s = out.get(key)
-            s = c if s is None else s + c
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        return _raw_tensor(self.left_signature, self.right_signature, out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return _raw_tensor(
-            self.left_signature,
-            self.right_signature,
-            {m: -c for m, c in self.terms.items()},
-        )
-
-    def scale(self, s):
-        s = s if isinstance(s, Scalar) else _coerce_scalar(s)
-        if not s:
-            return _raw_tensor(self.left_signature, self.right_signature, {})
-        return _raw_tensor(
-            self.left_signature,
-            self.right_signature,
-            {m: c * s for m, c in self.terms.items()},
-        )
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TensorElement)
-            and self.left_signature == other.left_signature
-            and self.right_signature == other.right_signature
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash(
-            (
-                self.left_signature,
-                self.right_signature,
-                frozenset(self.terms.items()),
-            )
-        )
+    def __str__(self):
+        ls, rs = self.space
+        (lf, lone), (rf, rone) = _factor(ls), _factor(rs)
+        bits = []
+        for ml, mr in sorted(self.terms):
+            body = "%s (x) %s" % (lf.raw(ls, {ml: lone}), rf.raw(rs, {mr: rone}))
+            bits.append(signed_term(coefficient_text(self.terms[ml, mr]), body))
+        return join_signed(bits)
 
     def __repr__(self):
         return "<TensorElement %r (x) %r | %d terms>" % (
@@ -137,50 +106,21 @@ class TensorElement:
         )
 
     def to_json(self):
-        out = []
-        for (ml, mr), c in sorted(self.terms.items()):
-            out.append(
-                {
-                    "coeff": c.to_json(),
-                    "left": _monomial_json(ml),
-                    "right": _monomial_json(mr),
-                }
-            )
-        return out
+        ls, rs = self.space
+        lf, rf = _factor(ls)[0], _factor(rs)[0]
+        return [
+            {"coeff": c.to_json(), "left": lf.key_json(ml), "right": rf.key_json(mr)}
+            for (ml, mr), c in sorted(self.terms.items())
+        ]
 
     @staticmethod
     def from_json(left_signature, right_signature, data):
-        terms = {}
-        for rec in data:
-            key = (
-                _monomial_from_json(left_signature, rec["left"]),
-                _monomial_from_json(right_signature, rec["right"]),
-            )
-            terms[key] = Scalar.from_json(rec["coeff"])
+        lf, rf = _factor(left_signature)[0], _factor(right_signature)[0]
+        terms = {
+            (lf.key_from_json(rec["left"]), rf.key_from_json(rec["right"])): Scalar.from_json(rec["coeff"])
+            for rec in data
+        }
         return TensorElement(left_signature, right_signature, terms)
-
-
-def _raw_tensor(ls, rs, clean):
-    t = object.__new__(TensorElement)
-    object.__setattr__(t, "left_signature", ls)
-    object.__setattr__(t, "right_signature", rs)
-    object.__setattr__(t, "terms", clean)
-    return t
-
-
-def _monomial_json(m):
-    return {
-        "cliff": m.cliff_indices(),
-        "p": list(m.wp),
-        "q": list(m.wq),
-    }
-
-
-def _monomial_from_json(sig, rec):
-    mask = 0
-    for i in rec["cliff"]:
-        mask |= 1 << (i - 1)
-    return CwMonomial(mask, tuple(rec["p"]), tuple(rec["q"]))
 
 
 def tensor_zero(left_signature, right_signature):
@@ -188,9 +128,7 @@ def tensor_zero(left_signature, right_signature):
 
 
 def tensor_unit(left_signature, right_signature):
-    one = CwMonomial(0, (0,) * left_signature.n_bose, (0,) * left_signature.n_bose)
-    one_r = CwMonomial(0, (0,) * right_signature.n_bose, (0,) * right_signature.n_bose)
-    return TensorElement(left_signature, right_signature, {(one, one_r): S_ONE})
+    return tensor_of(unit(left_signature), unit(right_signature))
 
 
 def tensor_of(a, b):
@@ -199,30 +137,29 @@ def tensor_of(a, b):
     for ml, cl in a.terms.items():
         for mr, cr in b.terms.items():
             terms[(ml, mr)] = cl * cr
-    return TensorElement(a.signature, b.signature, terms)
+    return TensorElement(a.space, b.space, terms)
 
 
 def tensor_star(x, y):
-    """Slotwise product of tensor elements (no crossing sign; see module doc)."""
-    x._same_shape(y)
-    ls, rs = x.left_signature, x.right_signature
+    """Slotwise product of tensor elements (no crossing sign; see module doc).
+
+    Each pair of slot monomials multiplies through its factor algebra's `*`,
+    so a cw slot goes through `star` and a deformed slot through
+    `ore_product`.
+    """
+    x._check_space(y)
+    ls, rs = x.space
+    (lf, lone), (rf, rone) = _factor(ls), _factor(rs)
     out = {}
     for (al, ar), c1 in x.terms.items():
         for (bl, br), c2 in y.terms.items():
-            left = star(monomial_element(ls, al), monomial_element(ls, bl))
-            right = star(monomial_element(rs, ar), monomial_element(rs, br))
+            left = lf.raw(ls, {al: lone}) * lf.raw(ls, {bl: lone})
+            right = rf.raw(rs, {ar: rone}) * rf.raw(rs, {br: rone})
             base = c1 * c2
             for ml, cl in left.terms.items():
                 for mr, cr in right.terms.items():
-                    key = (ml, mr)
-                    add = base * cl * cr
-                    s = out.get(key)
-                    s = add if s is None else s + add
-                    if s:
-                        out[key] = s
-                    else:
-                        out.pop(key, None)
-    return _raw_tensor(ls, rs, out)
+                    accumulate(out, (ml, mr), base * cl * cr)
+    return TensorElement.raw(x.space, out)
 
 
 # -- the even-factor volume involution -------------------------------------------

@@ -25,6 +25,7 @@ from typing import NamedTuple
 from .algebra import AlgebraError, AlgebraSignature, fermi_gen, unit, zero
 from .linalg import Matrix
 from .scalars import S_HALF, S_ONE, Scalar, _coerce_scalar, scalar_i_power
+from .sparse import SparseElement, accumulate
 from .starprod import _parity_below, _shuffle_parity, element_star_words, star
 
 
@@ -87,79 +88,35 @@ def spin_metaplectic_minus(ell, k):
     return RepDescriptor(RepKind.SPIN_METAPLECTIC_MINUS, ell, k)
 
 
-class GrassPolyVector:
-    """Sparse exact vector: finite map (grass bitset, poly exps) -> Scalar."""
+class GrassPolyVector(SparseElement):
+    """Sparse exact vector: finite map (grass bitset, poly exps) -> Scalar.
 
-    __slots__ = ("ell", "k", "terms")
+    The space is the carrier shape (ell, k).
+    """
+
+    __slots__ = ()
+    ell = property(lambda self: self.space[0])
+    k = property(lambda self: self.space[1])
+
+    _ring = staticmethod(_coerce_scalar)
 
     def __init__(self, ell, k, terms=None):
-        clean = {}
-        if terms:
-            for (g, e), c in terms.items():
-                c = c if isinstance(c, Scalar) else _coerce_scalar(c)
-                if not c:
-                    continue
-                if g < 0 or g >> ell:
-                    raise AlgebraError("Grassmann bits outside carrier")
-                if len(e) != k or any(x < 0 for x in e):
-                    raise AlgebraError("bad polynomial exponents %r" % (e,))
-                clean[(g, tuple(e))] = c
-        object.__setattr__(self, "ell", ell)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "terms", clean)
+        super().__init__((ell, k), terms)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("GrassPolyVector is immutable")
+    @staticmethod
+    def _check_key(space, key):
+        ell, k = space
+        g, e = key
+        if g < 0 or g >> ell:
+            raise AlgebraError("Grassmann bits outside carrier")
+        if len(e) != k or any(x < 0 for x in e):
+            raise AlgebraError("bad polynomial exponents %r" % (e,))
+        return (g, tuple(e))
 
     @staticmethod
     def basis(ell, k, g=0, e=None):
         e = (0,) * k if e is None else tuple(e)
         return GrassPolyVector(ell, k, {(g, e): S_ONE})
-
-    def _same_carrier(self, other):
-        if (self.ell, self.k) != (other.ell, other.k):
-            raise AlgebraError("carrier mismatch")
-
-    def __add__(self, other):
-        self._same_carrier(other)
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            s = out.get(key)
-            s = c if s is None else s + c
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        return _raw_vector(self.ell, self.k, out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return _raw_vector(self.ell, self.k, {m: -c for m, c in self.terms.items()})
-
-    def scale(self, s):
-        s = s if isinstance(s, Scalar) else _coerce_scalar(s)
-        if not s:
-            return _raw_vector(self.ell, self.k, {})
-        return _raw_vector(self.ell, self.k, {m: c * s for m, c in self.terms.items()})
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, GrassPolyVector)
-            and (self.ell, self.k) == (other.ell, other.k)
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.ell, self.k, frozenset(self.terms.items())))
-
-    def total_degree_parity(self, key):
-        g, e = key
-        return (g.bit_count() + sum(e)) & 1
 
     def __repr__(self):
         if not self.terms:
@@ -172,45 +129,28 @@ class GrassPolyVector:
         return "<vec %s>" % " + ".join(bits)
 
 
-def _raw_vector(ell, k, clean):
-    v = object.__new__(GrassPolyVector)
-    object.__setattr__(v, "ell", ell)
-    object.__setattr__(v, "k", k)
-    object.__setattr__(v, "terms", clean)
-    return v
-
-
 def _gen_action(desc, token, v):
     """Action of one generator token on a vector."""
     kind, idx = token
     out = {}
-
-    def add(key, c):
-        s = out.get(key)
-        s = c if s is None else s + c
-        if s:
-            out[key] = s
-        else:
-            out.pop(key, None)
-
     if kind == "w":
         odd_index = 2 * desc.ell + 1
         if desc.kind in _ODD_KINDS and idx == odd_index:
             flip = desc.kind in _MINUS_KINDS
             for (g, e), c in v.terms.items():
                 neg = ((g.bit_count() + sum(e)) & 1) ^ flip
-                add((g, e), -c if neg else c)
-            return _raw_vector(v.ell, v.k, out)
+                accumulate(out, (g, e), -c if neg else c)
+            return GrassPolyVector.raw(v.space, out)
         j = (idx + 1) // 2  # ladder pair index, 1-based
         bit = 1 << (j - 1)
         even = idx % 2 == 0
         for (g, e), c in v.terms.items():
             cc = -c if _parity_below(g, j - 1) else c
             if g & bit:  # P_j contributes
-                add((g ^ bit, e), cc * Scalar.of(0, -1) if even else cc)
+                accumulate(out, (g ^ bit, e), cc * Scalar.of(0, -1) if even else cc)
             else:  # Q_j contributes
-                add((g | bit, e), cc * Scalar.of(0, 1) if even else cc)
-        return _raw_vector(v.ell, v.k, out)
+                accumulate(out, (g | bit, e), cc * Scalar.of(0, 1) if even else cc)
+        return GrassPolyVector.raw(v.space, out)
 
     j = idx - 1
     if kind == "p":
@@ -221,14 +161,14 @@ def _gen_action(desc, token, v):
             if g.bit_count() & 1:
                 cc = -cc
             e2 = tuple(x - 1 if t == j else x for t, x in enumerate(e))
-            add((g, e2), cc)
-        return _raw_vector(v.ell, v.k, out)
+            accumulate(out, (g, e2), cc)
+        return GrassPolyVector.raw(v.space, out)
     if kind == "q":
         for (g, e), c in v.terms.items():
             cc = -c if g.bit_count() & 1 else c
             e2 = tuple(x + 1 if t == j else x for t, x in enumerate(e))
-            add((g, e2), cc)
-        return _raw_vector(v.ell, v.k, out)
+            accumulate(out, (g, e2), cc)
+        return GrassPolyVector.raw(v.space, out)
     raise ValueError("unknown token %r" % (token,))
 
 
@@ -243,9 +183,9 @@ def act(desc, a, v):
             "element signature %r does not match representation %r"
             % (a.signature, desc)
         )
-    if (v.ell, v.k) != (desc.ell, desc.k):
+    if v.space != (desc.ell, desc.k):
         raise AlgebraError("vector carrier mismatch for %r" % (desc,))
-    total = _raw_vector(v.ell, v.k, {})
+    total = GrassPolyVector.raw(v.space, {})
     for c, word in element_star_words(a):
         cur = v
         for tok in reversed(word):

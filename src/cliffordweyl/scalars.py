@@ -259,6 +259,14 @@ def _coerce(x):
     return NotImplemented
 
 
+def gaussian(x):
+    """x as a GaussianRational; TypeError if x is not a number."""
+    g = _coerce(x)
+    if g is NotImplemented:
+        raise TypeError("expected a number, got %r" % (x,))
+    return g
+
+
 GR_ZERO = GaussianRational(0)
 GR_ONE = GaussianRational(1)
 GR_I = GaussianRational(0, 1)
@@ -317,6 +325,7 @@ class Scalar:
             return NotImplemented
         out = dict(self.coeffs)
         for k, v in other.coeffs.items():
+            # sparse.accumulate, inlined: every coefficient sum passes here
             s = out.get(k)
             s = v if s is None else s + v
             if s:
@@ -351,6 +360,7 @@ class Scalar:
             for k2, v2 in other.coeffs.items():
                 k = k1 + k2
                 p = v1 * v2
+                # sparse.accumulate, inlined: every coefficient product passes here
                 s = out.get(k)
                 s = p if s is None else s + p
                 if s:
@@ -372,6 +382,10 @@ class Scalar:
             base = base * base
             n >>= 1
         return out
+
+    def inverse(self):
+        """Inverse of a nonzero constant; ValueError if L appears."""
+        return Scalar.from_gaussian(self.constant().inverse())
 
     def divide_by(self, g):
         """Exact division by a nonzero Gaussian rational (not by L-polynomials)."""
@@ -460,7 +474,7 @@ def _coerce_scalar(x):
     if isinstance(x, Scalar):
         return x
     if isinstance(x, GaussianRational):
-        return Scalar.from_gaussian(x)
+        return _raw_scalar({0: x} if x else {})
     if isinstance(x, (int, Fraction)):
         return Scalar.of(x)
     return NotImplemented

@@ -1,0 +1,180 @@
+"""The sparse term map shared by every element type in the package.
+
+An element is a canonical finite map key -> nonzero coefficient over a
+space: a CwElement maps CwMonomials over an AlgebraSignature, an OreElement
+maps OreMonomials over a rank, a GrassPolyVector maps carrier monomials over
+(ell, k), and a TensorElement maps monomial pairs over a pair of factor
+spaces.  `SparseElement` holds the map and gives the vector-space operations,
+equality, hashing and immutability once.  A subclass supplies only what
+differs:
+
+    _ring(x)             x in the coefficient ring, or NotImplemented
+    _check_key(space, k) validate a key and return it in canonical form
+    unit_key()           the unit monomial of an algebra, None for vectors
+                         and tensors; only a class with a unit takes numbers
+                         as constants (in +, -, == and hash)
+    _product(other)      the product, for the classes that have one
+
+`accumulate` is the one "add, drop the zero" step for building term maps.
+The innermost loops of `star`, `ore_product` and the Scalar ring inline it.
+"""
+
+from __future__ import annotations
+
+
+class AlgebraError(Exception):
+    """Base class for algebra usage errors."""
+
+
+class SignatureMismatch(AlgebraError):
+    """Raised when elements of different algebras are combined."""
+
+
+def accumulate(out, key, c):
+    """out[key] += c, removing the key when the sum is zero (c may be zero)."""
+    s = out.get(key)
+    s = c if s is None else s + c
+    if s:
+        out[key] = s
+    else:
+        out.pop(key, None)
+
+
+_new = object.__new__
+_set = object.__setattr__
+
+
+class SparseElement:
+    """Immutable canonical map `terms` (key -> nonzero coefficient) over `space`.
+
+    `terms` is a plain dict that callers read but never mutate; every
+    operation returns a new element.
+    """
+
+    __slots__ = ("space", "terms")
+
+    def __init__(self, space, terms=None):
+        clean = {}
+        if terms:
+            ring, check = self._ring, self._check_key
+            for key, c in terms.items():
+                coeff = ring(c)
+                if coeff is NotImplemented:
+                    raise TypeError("bad coefficient %r" % (c,))
+                if coeff:
+                    clean[check(space, key)] = coeff
+        _set(self, "space", space)
+        _set(self, "terms", clean)
+
+    @classmethod
+    def raw(cls, space, terms):
+        """An element from an already canonical term dict, taken as is."""
+        e = _new(cls)
+        _set(e, "space", space)
+        _set(e, "terms", terms)
+        return e
+
+    def __setattr__(self, name, value):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    def unit_key(self):
+        return None
+
+    def _product(self, other):
+        return NotImplemented
+
+    def _check_space(self, other):
+        if self.space != other.space:
+            raise SignatureMismatch("%r vs %r" % (self.space, other.space))
+
+    def _constant(self, other):
+        """A number as a constant of this space, or NotImplemented."""
+        unit = self.unit_key()
+        if unit is None:
+            return NotImplemented
+        c = self._ring(other)
+        if c is NotImplemented:
+            return NotImplemented
+        return self.raw(self.space, {unit: c} if c else {})
+
+    # -- vector space ------------------------------------------------------
+
+    def __add__(self, other):
+        if other.__class__ is not self.__class__:
+            other = self._constant(other)
+            if other is NotImplemented:
+                return NotImplemented
+        self._check_space(other)
+        out = dict(self.terms)
+        for key, c in other.terms.items():
+            accumulate(out, key, c)
+        return self.raw(self.space, out)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        if other.__class__ is not self.__class__:
+            other = self._constant(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        other = self._constant(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other + (-self)
+
+    def __neg__(self):
+        return self.raw(self.space, {k: -c for k, c in self.terms.items()})
+
+    def scale(self, s):
+        s = self._ring(s)
+        if s is NotImplemented:
+            raise TypeError("cannot scale by a non-number")
+        if not s:
+            return self.raw(self.space, {})
+        return self.raw(self.space, {k: c * s for k, c in self.terms.items()})
+
+    def __mul__(self, other):
+        if other.__class__ is self.__class__:
+            return self._product(other)
+        s = self._ring(other)
+        return NotImplemented if s is NotImplemented else self.scale(s)
+
+    def __rmul__(self, other):
+        s = self._ring(other)
+        return NotImplemented if s is NotImplemented else self.scale(s)
+
+    def __pow__(self, n):
+        if not isinstance(n, int) or n < 0:
+            raise ValueError("only non-negative integer powers")
+        out = self._constant(1)
+        if out is NotImplemented:
+            return NotImplemented
+        for _ in range(n):
+            out = out * self
+        return out
+
+    # -- structure -----------------------------------------------------------
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            other = self._constant(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return self.space == other.space and self.terms == other.terms
+
+    def __hash__(self):
+        # zero and the constants hash like the number they equal
+        t = self.terms
+        if not t:
+            return 0
+        if len(t) == 1:
+            ((key, c),) = t.items()
+            if key == self.unit_key():
+                return hash(c)
+        return hash((self.space, frozenset(t.items())))

@@ -38,14 +38,9 @@ import math
 from functools import lru_cache
 from itertools import product as iproduct
 
-from .algebra import (
-    AlgebraError,
-    CwElement,
-    CwMonomial,
-    _raw_element,
-    check_same_signature,
-)
+from .algebra import AlgebraError, CwElement, CwMonomial, check_same_signature
 from .scalars import GR_HALF, GR_ONE, GaussianRational, Scalar, S_ONE, S_HALF, _raw_scalar, gr_ratio
+from .sparse import accumulate
 
 
 class ProductKind(enum.Enum):
@@ -173,6 +168,7 @@ def star(a, b):
                 if acc is None:
                     out[key] = {k: v * coeff for k, v in base}
                     continue
+                # sparse.accumulate, inlined: this loop is the product's hot path
                 for k, v in base:
                     c = v * coeff
                     s = acc.get(k)
@@ -186,7 +182,7 @@ def star(a, b):
                             del acc[k]
                 if not acc:
                     del out[key]
-    return _raw_element(a.signature, {m: _raw_scalar(c) for m, c in out.items()})
+    return CwElement.raw(a.signature, {m: _raw_scalar(c) for m, c in out.items()})
 
 
 def _star_lambda(a, b, t):
@@ -204,17 +200,8 @@ def _star_lambda(a, b, t):
             if csign < 0:
                 base = -base
             for order, frac, P, Q in _weyl_pair(m1.wp, m1.wq, m2.wp, m2.wq, _GR_TWO):
-                coeff = base * half_t[order] * frac
-                if not coeff:
-                    continue
-                key = CwMonomial(cmask, P, Q)
-                acc = out.get(key)
-                acc = coeff if acc is None else acc + coeff
-                if acc:
-                    out[key] = acc
-                else:
-                    out.pop(key, None)
-    return _raw_element(a.signature, out)
+                accumulate(out, CwMonomial(cmask, P, Q), base * half_t[order] * frac)
+    return CwElement.raw(a.signature, out)
 
 
 def wedge(a, b):
@@ -237,13 +224,8 @@ def wedge(a, b):
                 tuple(x + y for x, y in zip(m1.wp, m2.wp)),
                 tuple(x + y for x, y in zip(m1.wq, m2.wq)),
             )
-            acc = out.get(key)
-            acc = coeff if acc is None else acc + coeff
-            if acc:
-                out[key] = acc
-            else:
-                out.pop(key, None)
-    return _raw_element(a.signature, out)
+            accumulate(out, key, coeff)
+    return CwElement.raw(a.signature, out)
 
 
 def product(kind, a, b):
@@ -270,17 +252,6 @@ def poisson(a, b):
     k = a.signature.n_bose
     out = {}
 
-    def add(mask, P, Q, coeff):
-        if not coeff:
-            return
-        key = CwMonomial(mask, P, Q)
-        acc = out.get(key)
-        acc = coeff if acc is None else acc + coeff
-        if acc:
-            out[key] = acc
-        else:
-            out.pop(key, None)
-
     for m1, c1 in a.terms.items():
         I = m1.cliff
         degI = I.bit_count()
@@ -304,12 +275,9 @@ def poisson(a, b):
                     par = _parity_below(I, i) ^ _parity_below(J, i)
                     par ^= _shuffle_parity(Ii, Ji)
                     c = coeff * (fsign if not par else -fsign)
-                    add(
-                        Ii | Ji,
-                        tuple(x + y for x, y in zip(m1.wp, m2.wp)),
-                        tuple(x + y for x, y in zip(m1.wq, m2.wq)),
-                        c,
-                    )
+                    P = tuple(x + y for x, y in zip(m1.wp, m2.wp))
+                    Q = tuple(x + y for x, y in zip(m1.wq, m2.wq))
+                    accumulate(out, CwMonomial(Ii | Ji, P, Q), c)
             # Bose bracket term: needs the Fermi parts to wedge.
             if not (I & J):
                 par = _shuffle_parity(I, J)
@@ -324,8 +292,8 @@ def poisson(a, b):
                     Q = tuple(
                         m1.wq[x] + m2.wq[x] - (1 if x == j else 0) for x in range(k)
                     )
-                    add(I | J, P, Q, base * f)
-    return _raw_element(a.signature, out)
+                    accumulate(out, CwMonomial(I | J, P, Q), base * f)
+    return CwElement.raw(a.signature, out)
 
 
 def lie_bracket(a, b):
@@ -426,11 +394,7 @@ def _weyl_words(A, B, t):
         if A[j]:
             corr = t * S_HALF * Scalar.of(A[j])
             for c, w in _weyl_word_cache[needs[1]]:
-                c2 = res_map.get(w, Scalar()) + c * corr
-                if c2:
-                    res_map[w] = c2
-                else:
-                    res_map.pop(w, None)
+                accumulate(res_map, w, c * corr)
         res = sorted(res_map.items(), key=lambda kv: kv[0])
         _weyl_word_cache[key] = [(c, w) for w, c in res]
         stack.pop()
@@ -455,11 +419,7 @@ def element_star_words(e):
     acc = {}
     for m, c in e.terms.items():
         for c2, w in to_star_words(e.signature, m):
-            c3 = acc.get(w, Scalar()) + c * c2
-            if c3:
-                acc[w] = c3
-            else:
-                acc.pop(w, None)
+            accumulate(acc, w, c * c2)
     return [(c, w) for w, c in sorted(acc.items())]
 
 

@@ -4,7 +4,8 @@ One term renders as `coeff * w1 w2 p1^2 q1` with the Clifford factors in
 ascending order followed by p then q powers; the coefficient grammar is the
 one produced by scalars.format_coefficient, with multi-power coefficients
 parenthesized.  Terms are emitted in the deterministic monomial order used by
-CwElement.monomials(), joined by " + " / " - ".
+CwElement.monomials(), joined by " + " / " - " (`join_signed`, which the
+deformed-algebra and tensor elements share).
 
 This is a display and fixture format.  The CLI expression grammar (module
 exprs) is a different language: there, juxtaposition means the associative
@@ -43,29 +44,30 @@ def coefficient_text(s):
     return "(%s)" % " + ".join(format_coefficient(g, k) for k, g in items)
 
 
-def term_text(m, c):
-    coeff = coefficient_text(c)
-    factors = monomial_factors_text(m)
-    if not factors:
+def signed_term(coeff, body):
+    """One term from its coefficient text and its factor text (possibly empty)."""
+    if not body:
         return coeff
     if coeff == "1":
-        return factors
+        return body
     if coeff == "-1":
-        return "-%s" % factors
-    return "%s * %s" % (coeff, factors)
+        return "-%s" % body
+    return "%s * %s" % (coeff, body)
+
+
+def join_signed(terms):
+    """Join term texts with " + ", writing a leading minus as " - "; "0" if none."""
+    if not terms:
+        return "0"
+    out = [terms[0]]
+    for t in terms[1:]:
+        out.append("- " + t[1:] if t.startswith("-") else "+ " + t)
+    return " ".join(out)
+
+
+def term_text(m, c):
+    return signed_term(coefficient_text(c), monomial_factors_text(m))
 
 
 def element_to_text(e):
-    terms = e.monomials()
-    if not terms:
-        return "0"
-    out = []
-    for m, c in terms:
-        t = term_text(m, c)
-        if not out:
-            out.append(t)
-        elif t.startswith("-"):
-            out.append("- " + t[1:])
-        else:
-            out.append("+ " + t)
-    return " ".join(out)
+    return join_signed([term_text(m, c) for m, c in e.monomials()])

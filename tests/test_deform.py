@@ -22,7 +22,6 @@ from cliffordweyl.algebra import (
     zero,
 )
 from cliffordweyl.deform import (
-    OreTensorElement,
     bounded_monomials,
     center_probe,
     commutant_probe,
@@ -267,6 +266,11 @@ def test_forward_generator_images():
     )
 
 
+def test_forward_text_form():
+    x = ore_e_plus(1) - ore_fermi(1, 3).scale(GR(1, 2)) + ore_lambda(1) - ore_fermi(1, 1)
+    assert str(periodicity2_forward(1, x)) == "1 (x) L + 1 (x) E+ - w1 (x) w1 + (2 - i) * w1 w2 (x) w1"
+
+
 @pytest.mark.parametrize("n", [1, 2])
 def test_forward_bracket_image(n):
     epf = periodicity2_forward(n, ore_e_plus(n))
@@ -310,10 +314,11 @@ def test_periodicity2_dispatch_and_guards():
         periodicity2(n, "sideways", x)
     with pytest.raises(AlgebraError):
         periodicity2_forward(2, x)
+    # left Fermi bits outside C(2), and a right factor above rank 0
     with pytest.raises(AlgebraError):
-        OreTensorElement(1, {(0b100, OreMonomial(0, 0, 0, 0)): GR_ONE})
+        ore_tensor_of(1, 0b100, OreMonomial(0, 0, 0, 0))
     with pytest.raises(AlgebraError):
-        OreTensorElement(1, {(0, OreMonomial(2, 0, 0, 0)): GR_ONE})
+        ore_tensor_of(1, 0, OreMonomial(2, 0, 0, 0))
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -384,6 +389,19 @@ def test_verma_rejects_higher_rank():
         verma_apply(GR(1), ore_e_plus(1), {0: GR_ONE})
     with pytest.raises(AlgebraError):
         verma_operator(GR(1), "Q")
+
+
+def test_verma_apply_rejects_a_non_number_weight():
+    # E- never reads the weight, so only an upfront check catches it
+    with pytest.raises(TypeError):
+        verma_apply("x", ore_e_minus(0), {0: 1})
+    with pytest.raises(TypeError):
+        verma_apply("x", ore_e_plus(0), {1: 1})
+
+
+def test_verma_operator_rejects_a_non_number_weight():
+    with pytest.raises(TypeError):
+        verma_operator("x", "E+")
 
 
 # -- finite quotients ----------------------------------------------------------------

@@ -258,6 +258,13 @@ def test_specialize_is_multiplicative(n):
         assert lhs == rhs
 
 
+def test_specialize_rejects_a_non_number():
+    with pytest.raises(TypeError):
+        specialize(ore_lambda(0), "x")
+    with pytest.raises(TypeError):
+        specialize(ore_e_plus(0), None)
+
+
 def test_specialize_additive_and_idempotent():
     rng = random.Random("specialize-add")
     lam = GR(Fraction(5, 7))
