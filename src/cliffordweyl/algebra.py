@@ -131,9 +131,8 @@ class CwElement(SparseElement):
         return _unit_monomial(self.space.n_bose)
 
     def _product(self, other):
-        from .starprod import star
-
-        return star(self, other)
+        # looked up at call time, so a replaced starprod.star takes effect
+        return starprod.star(self, other)
 
     def constant_term(self):
         """Coefficient of the unit monomial (the raw "value at 0")."""
@@ -269,3 +268,7 @@ def generators(signature):
     gens += [bose_p(signature, i) for i in range(1, signature.n_bose + 1)]
     gens += [bose_q(signature, i) for i in range(1, signature.n_bose + 1)]
     return gens
+
+
+# starprod imports this module's names, so it is bound last, once
+from . import starprod  # noqa: E402

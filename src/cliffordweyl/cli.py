@@ -7,7 +7,8 @@ emits a deterministic JSON report (stdout, or the --json path).  Timing
 goes to stderr so repeated runs stay byte-identical on stdout.
 
 Exit codes: 0 all checks passed, 1 a suite reported failures, 2 usage or
-input error (an expression nested too deeply for the parser included).
+input error (an expression nested too deeply for the parser, a --cases above
+`suites.MAX_CASES` and a --json path that cannot be written included).
 """
 
 import argparse
@@ -15,7 +16,7 @@ import sys
 
 from .algebra import AlgebraError
 from .exprs import ParseError, evaluate, parse, parse_algebra
-from .suites import SuiteUsageError, report_bytes, run_suite, suite_names
+from .suites import MAX_CASES, SuiteUsageError, report_bytes, run_suite, suite_names
 
 
 def _build_parser():
@@ -52,7 +53,10 @@ def _build_parser():
         "--maxdeg", metavar="D", type=int, help="degree bound for sampled elements"
     )
     ap.add_argument(
-        "--cases", metavar="N", type=int, help="randomized case count per block"
+        "--cases",
+        metavar="N",
+        type=int,
+        help="randomized case count per block (1 to %d)" % MAX_CASES,
     )
     return ap
 
@@ -110,8 +114,12 @@ def main(argv=None):
 
     payload = report_bytes(result)
     if args.json_path:
-        with open(args.json_path, "wb") as fh:
-            fh.write(payload)
+        try:
+            with open(args.json_path, "wb") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            print("error: cannot write the report: %s" % exc, file=sys.stderr)
+            return 2
         print(
             "%s: %d cases, %d failures -> %s"
             % (result.suite, result.cases, len(result.failures), args.json_path)

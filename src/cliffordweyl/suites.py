@@ -80,6 +80,11 @@ from .scalars import GaussianRational, Scalar, scalar_i_power
 from .starprod import anti_bracket, lie_bracket, star
 
 
+# The largest --cases a suite accepts: 50 times the largest default (200, in
+# associativity), so a typo cannot start a run that never ends.
+MAX_CASES = 10_000
+
+
 class SuiteUsageError(AlgebraError):
     """Bad suite name or parameters; the CLI maps this to exit code 2."""
 
@@ -673,6 +678,8 @@ def run_suite(name, seed=0, algebra=None, maxdeg=None, cases=None):
         )
     if cases is not None and cases < 1:
         raise SuiteUsageError("cases must be positive")
+    if cases is not None and cases > MAX_CASES:
+        raise SuiteUsageError("cases must be at most %d" % MAX_CASES)
     if maxdeg is not None and maxdeg < 0:
         raise SuiteUsageError("maxdeg must be non-negative")
     run = _Run()

@@ -7,6 +7,7 @@ import pytest
 from cliffordweyl import cli
 from cliffordweyl.exprs import parse_algebra
 from cliffordweyl.suites import (
+    MAX_CASES,
     SuiteResult,
     SuiteUsageError,
     report_bytes,
@@ -137,6 +138,24 @@ def test_json_file_is_byte_identical_across_runs(tmp_path):
     data = json.loads(first.read_bytes())
     assert data["seed"] == 42
     assert data["details"]["constants"] == {"ore:0": "-2", "ore:1": "-2"}
+
+
+def test_unwritable_json_path_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "missing" / "x.json"
+    assert cli.main(["--suite", "relations", "--algebra", "cw:1,2", "--json", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not path.exists()
+
+
+def test_case_count_above_the_cap_is_a_usage_error(capsys):
+    # the cap is checked before any case runs, so this returns at once
+    argv = ["--suite", "associativity", "--algebra", "cw:1,2", "--cases"]
+    assert cli.main(argv + ["99999999999"]) == 2
+    assert "cases must be at most %d" % MAX_CASES in capsys.readouterr().err
+    assert cli.main(argv + [str(MAX_CASES + 1)]) == 2
+    with pytest.raises(SuiteUsageError):
+        run_suite("relations", cases=MAX_CASES + 1)
 
 
 def test_different_seeds_differ():

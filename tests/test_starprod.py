@@ -341,7 +341,7 @@ def test_star_words_respect_t():
 
 
 def test_star_words_of_a_deep_q_power():
-    # cw:0,2: q1^1500 strips 1500 q factors, one cache entry each
+    # cw:0,2: q1^1500 is one closed-form word; no recursion over the power
     sig = AlgebraSignature(0, 1)
     assert to_star_words(sig, CwMonomial(0, (0,), (1500,))) == [(S_ONE, (("q", 1),) * 1500)]
     # p1 q1^N = q1^N p1 + N (t/2) q1^(N-1)
