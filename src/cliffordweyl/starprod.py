@@ -126,7 +126,8 @@ def _mode_pair(a, b, c, d):
         num = 0
         for r in range(max(0, m - min(b, c)), min(m, a, d) + 1):
             s = m - r
-            term = math.comb(m, r) * math.perm(a, r) * math.perm(d, r) * math.perm(b, s) * math.perm(c, s)
+            term = math.comb(m, r) * math.perm(a, r) * math.perm(d, r)
+            term *= math.perm(b, s) * math.perm(c, s)
             num += -term if s & 1 else term
         if num:
             den = math.factorial(m)

@@ -17,7 +17,14 @@ import reference_weyl_kernel as ref
 from cliffordweyl import starprod
 from cliffordweyl.algebra import AlgebraSignature, CwElement, CwMonomial
 from cliffordweyl.scalars import GR_ONE, GR_ZERO, GaussianRational, S_LAMBDA, S_ONE, Scalar
-from cliffordweyl.starprod import _GR_TWO, _cliff_pair, _weyl_pair, _weyl_words, element_star_words, star
+from cliffordweyl.starprod import (
+    _GR_TWO,
+    _cliff_pair,
+    _weyl_pair,
+    _weyl_words,
+    element_star_words,
+    star,
+)
 from cliffordweyl.suites import _rand_cw
 
 # the reference kernel enumerates every (r, s) pair, prod over modes of
