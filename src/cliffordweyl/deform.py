@@ -50,13 +50,12 @@ from .scalars import (
     GR_ONE,
     GR_ZERO,
     GaussianRational,
-    S_ONE,
     Scalar,
     gaussian,
     i_power,
     scalar_i_power,
 )
-from .sparse import accumulate
+from .sparse import Checks, accumulate
 from .starprod import element_star_words, star
 
 _P0 = OreMonomial(1, 0, 0, 0)
@@ -256,8 +255,7 @@ def compare_cocycle(n):
         for nb, b in gens:
             lhs = deformation_cochain_c1(n, a, b) - deformation_cochain_c1(n, b, a)
             table[(na, nb)] = lhs.scale(Scalar.from_gaussian(GaussianRational(Fraction(1, 2))))
-    failures = []
-    cases = 0
+    checks = Checks()
     vol = volume_word_element(n)
     # the (p1, q1) slot fixes the constant
     probe = table[("p1", "q1")]
@@ -272,20 +270,14 @@ def compare_cocycle(n):
     sympl = {("p1", "q1"): 1, ("q1", "p1"): -1}
     for na, _ in gens:
         for nb, _ in gens:
-            cases += 1
             s = sympl.get((na, nb), 0)
             want = vol.scale(Scalar.from_gaussian(constant * GaussianRational(s))) if s else zero(sig)
             got = table[(na, nb)]
-            if got != want:
-                if na.startswith(("p", "q")) and nb.startswith(("p", "q")):
-                    raise AlgebraError("no-proportionality at (%s, %s)" % (na, nb))
-                failures.append({"inputs": [na, nb], "lhs": str(got), "rhs": str(want)})
-    return {
-        "suite": "cocycle",
-        "cases": cases,
-        "failures": failures,
-        "constant": constant,
-    }
+            ok = got == want
+            if not ok and na.startswith(("p", "q")) and nb.startswith(("p", "q")):
+                raise AlgebraError("no-proportionality at (%s, %s)" % (na, nb))
+            checks.record(ok, [na, nb], got, want)
+    return dict(checks.report("cocycle"), constant=constant)
 
 
 # -- ghost and Casimir identities ---------------------------------------------------
@@ -303,40 +295,34 @@ def ghost_identities(n, lam_samples=_GHOST_SAMPLE_VALUES):
     """Exact checks of the distinguished involution-like element."""
     th = ghost_theta(n)
     ep, em = ore_e_plus(n), ore_e_minus(n)
-    failures = []
-    cases = 0
-
-    def check(name, lhs, rhs):
-        nonlocal cases
-        cases += 1
-        if lhs != rhs:
-            failures.append({"inputs": [name], "lhs": str(lhs), "rhs": str(rhs)})
-
-    check(
-        "theta = 1/4 + [E+, E-]",
+    checks = Checks()
+    checks.check(
+        ["theta = 1/4 + [E+, E-]"],
         th,
         ore_scalar(n, Fraction(1, 4)) + ore_lie_bracket(ep, em),
     )
-    check("theta E+ = -E+ theta", ore_anti_bracket(th, ep), ore_zero(n))
-    check("theta E- = -E- theta", ore_anti_bracket(th, em), ore_zero(n))
-    check("theta^2 = L^2", ore_product(th, th), ore_lambda(n, 2))
+    checks.check(["theta E+ = -E+ theta"], ore_anti_bracket(th, ep), ore_zero(n))
+    checks.check(["theta E- = -E- theta"], ore_anti_bracket(th, em), ore_zero(n))
+    checks.check(["theta^2 = L^2"], ore_product(th, th), ore_lambda(n, 2))
     for i in range(1, 2 * n + 2):
         w = ore_fermi(n, i)
-        check("[theta, w%d] = 0" % i, ore_lie_bracket(th, w), ore_zero(n))
-    check("[theta, L] = 0", ore_lie_bracket(th, ore_lambda(n)), ore_zero(n))
+        checks.check(["[theta, w%d] = 0" % i], ore_lie_bracket(th, w), ore_zero(n))
+    checks.check(["[theta, L] = 0"], ore_lie_bracket(th, ore_lambda(n)), ore_zero(n))
     casimir = ore_product(th, th) - ore_scalar(n, Fraction(1, 16))
     for name, g in [("w1", ore_fermi(n, 1)), ("E+", ep), ("E-", em), ("L", ore_lambda(n))]:
-        check("[theta^2 - 1/16, %s] = 0" % name, ore_lie_bracket(casimir, g), ore_zero(n))
+        checks.check(
+            ["[theta^2 - 1/16, %s] = 0" % name], ore_lie_bracket(casimir, g), ore_zero(n)
+        )
     for lam in lam_samples:
         if not lam:
             continue
         pbar = specialize(th.scale(lam.inverse()), lam)
-        check(
-            "(theta/lam)^2 = 1 at lam = %s" % Scalar.from_gaussian(lam),
+        checks.check(
+            ["(theta/lam)^2 = 1 at lam = %s" % Scalar.from_gaussian(lam)],
             specialized_product(pbar, pbar, lam),
             ore_unit(n),
         )
-    return {"suite": "ghost", "cases": cases, "failures": failures}
+    return checks.report("ghost")
 
 
 # -- the one-variable polynomial representation ------------------------------------
@@ -438,30 +424,18 @@ def _check_half_integer(h):
 
 
 def _rank0_quotient_matrices(h, twist):
-    """Generator matrices on the span of z^0..z^{4h} (highest power killed
-    by the weight choice lam = h + 1/4)."""
+    """Generator matrices of the polynomial action at lam = h + 1/4 on the
+    span of z^0..z^{4h} (E+ kills z^{4h+1} at that weight), P negated for
+    the minus sign."""
     d = int(4 * h) + 1
-    lam_use = h + Fraction(1, 4)
-    zero_s, one_s = Scalar(), S_ONE
-
-    ep = [[zero_s] * d for _ in range(d)]
-    em = [[zero_s] * d for _ in range(d)]
-    pp = [[zero_s] * d for _ in range(d)]
-    for m in range(d):
-        if m:
-            c = Fraction(m, 2) - (lam_use * 2 if m & 1 else 0)
-            if c:
-                ep[m - 1][m] = Scalar.from_gaussian(GaussianRational(c))
-        if m + 1 < d:
-            em[m + 1][m] = Scalar.from_gaussian(GaussianRational(Fraction(-1, 2)))
-        pp[m][m] = one_s if (m & 1) == 0 else -one_s
-        if twist < 0:
-            pp[m][m] = -pp[m][m]
-    return {
-        "P": Matrix(pp),
-        "E+": Matrix(ep),
-        "E-": Matrix(em),
-    }
+    out = {}
+    for token in ("P", "E+", "E-"):
+        rule = verma_operator(h + Fraction(1, 4), token).rule
+        images = [rule(m) for m in range(d)]
+        out[token] = Matrix([[images[m].get(r, 0) for m in range(d)] for r in range(d)])
+    if twist < 0:
+        out["P"] = -out["P"]
+    return out
 
 
 def _parse_sign(sign):
@@ -630,20 +604,15 @@ def osp22_check(n):
         ("E+", "E-"): GaussianRational(Fraction(-1, 4)),
         ("E-", "E+"): GaussianRational(Fraction(1, 4)),
     }
-    failures = []
-    cases = 0
+    checks = Checks()
     for nx, x, px in basis:
         for ny, y, py in basis:
             for nz, z, pz in basis:
-                cases += 1
                 lhs = ore_super_bracket(ore_super_bracket(x, y), z)
                 cyz = form.get((ny, nz), GR_ZERO)
                 cxz = form.get((nx, nz), GR_ZERO)
                 rhs = x.scale(cyz + cyz) - y.scale(cxz + cxz).scale(
                     GaussianRational(-1 if px and py else 1)
                 )
-                if lhs != rhs:
-                    failures.append(
-                        {"inputs": [nx, ny, nz], "lhs": str(lhs), "rhs": str(rhs)}
-                    )
-    return {"suite": "osp22", "cases": cases, "failures": failures}
+                checks.check([nx, ny, nz], lhs, rhs)
+    return checks.report("osp22")

@@ -415,11 +415,7 @@ def evaluate(node, ctx):
         left = evaluate(node[1], ctx)
         return left.scale(_constant_inverse(evaluate(node[2], ctx)))
     if head == "pow":
-        base = evaluate(node[1], ctx)
-        out = ctx.scalar(GaussianRational(1))
-        for _ in range(node[2]):
-            out = out * base
-        return out
+        return evaluate(node[1], ctx) ** node[2]
     if head in ("lie", "anti", "super"):
         return ctx.brackets[head](evaluate(node[1], ctx), evaluate(node[2], ctx))
     raise AlgebraError("unknown expression node %r" % (head,))

@@ -10,7 +10,7 @@ and the deformed normal-form algebras provide.
 
 import itertools
 
-from .sparse import AlgebraError, SparseElement
+from .sparse import AlgebraError, Checks, SparseElement
 
 
 def element_tag(x):
@@ -83,38 +83,21 @@ def coboundary(omega):
     return CochainEvaluator(k + 1, rule, omega.tag)
 
 
-def _tuple_labels(args):
-    return [str(a) for a in args]
+def _vanishing_report(suite, cochain, sample_tuples):
+    checks = Checks()
+    for t in sample_tuples:
+        checks.check(t, cochain(*t), 0)
+    return checks.report(suite)
 
 
 def is_cocycle(omega, sample_tuples):
     """Pointwise vanishing of the coboundary on the supplied tuples."""
-    d = coboundary(omega)
-    failures = []
-    cases = 0
-    for t in sample_tuples:
-        cases += 1
-        value = d(*t)
-        if value:
-            failures.append(
-                {"inputs": _tuple_labels(t), "lhs": str(value), "rhs": "0"}
-            )
-    return {"suite": "is-cocycle", "cases": cases, "failures": failures}
+    return _vanishing_report("is-cocycle", coboundary(omega), sample_tuples)
 
 
 def d_squared_check(omega, sample_tuples):
     """Pointwise vanishing of the squared differential (tuples of arity+2)."""
-    dd = coboundary(coboundary(omega))
-    failures = []
-    cases = 0
-    for t in sample_tuples:
-        cases += 1
-        value = dd(*t)
-        if value:
-            failures.append(
-                {"inputs": _tuple_labels(t), "lhs": str(value), "rhs": "0"}
-            )
-    return {"suite": "d-squared", "cases": cases, "failures": failures}
+    return _vanishing_report("d-squared", coboundary(coboundary(omega)), sample_tuples)
 
 
 def relative_normalized_check(omega, subalgebra_basis, samples):
@@ -128,39 +111,22 @@ def relative_normalized_check(omega, subalgebra_basis, samples):
     k = omega.arity
     if k < 1:
         raise AlgebraError("relative conditions need arity >= 1")
-    failures = []
-    cases = 0
-
-    def record(name, parts, lhs, rhs):
-        nonlocal cases
-        cases += 1
-        if lhs != rhs:
-            failures.append(
-                {
-                    "inputs": [name] + _tuple_labels(parts),
-                    "lhs": str(lhs),
-                    "rhs": str(rhs),
-                }
-            )
-
+    checks = Checks()
     for c in subalgebra_basis:
         for t in itertools.product(samples, repeat=k):
-            record(
-                "pull-out-left",
-                (c,) + t,
+            checks.check(
+                ("pull-out-left", c) + t,
                 omega(*((c * t[0],) + t[1:])),
                 c * omega(*t),
             )
-            record(
-                "pull-out-right",
-                t + (c,),
+            checks.check(
+                ("pull-out-right",) + t + (c,),
                 omega(*(t[:-1] + (t[-1] * c,))),
                 omega(*t) * c,
             )
             for i in range(k - 1):
-                record(
-                    "move-across-%d" % (i + 1),
-                    t[: i + 1] + (c,) + t[i + 1 :],
+                checks.check(
+                    ("move-across-%d" % (i + 1),) + t[: i + 1] + (c,) + t[i + 1 :],
                     omega(*(t[:i] + (t[i] * c, t[i + 1]) + t[i + 2 :])),
                     omega(*(t[: i + 1] + (c * t[i + 1],) + t[i + 2 :])),
                 )
@@ -168,15 +134,5 @@ def relative_normalized_check(omega, subalgebra_basis, samples):
         for i in range(k):
             for t in itertools.product(samples, repeat=k - 1):
                 args = t[:i] + (c,) + t[i:]
-                cases += 1
-                value = omega(*args)
-                if value:
-                    failures.append(
-                        {
-                            "inputs": ["vanish-slot-%d" % (i + 1)]
-                            + _tuple_labels(args),
-                            "lhs": str(value),
-                            "rhs": "0",
-                        }
-                    )
-    return {"suite": "relative-normalized", "cases": cases, "failures": failures}
+                checks.check(("vanish-slot-%d" % (i + 1),) + args, omega(*args), 0)
+    return checks.report("relative-normalized")

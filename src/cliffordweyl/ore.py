@@ -28,8 +28,8 @@ from typing import NamedTuple
 
 from .algebra import AlgebraError, index_mask
 from .scalars import GR_ONE, GaussianRational, _coerce, format_coefficient, gaussian, gr_ratio, i_power
-from .sparse import SparseElement, accumulate
-from .starprod import _cliff_pair
+from .sparse import Checks, SparseElement, accumulate
+from .starprod import _LOWER_PAST_POWERS_CACHE, _cliff_pair
 from .textform import join_signed, signed_term
 
 
@@ -180,7 +180,7 @@ def ore_generators(n):
 # -- the product ------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_LOWER_PAST_POWERS_CACHE)
 def _lower_past_powers(beta, gamma):
     """Normal form of E-^beta E+^gamma.
 
@@ -325,31 +325,23 @@ def ore_relations_report(n):
     ws = [ore_fermi(n, i) for i in range(1, 2 * n + 2)]
     ep, em = ore_e_plus(n), ore_e_minus(n)
     lam = ore_lambda(n)
-    failures = []
-    cases = 0
-
-    def check(name, lhs, rhs):
-        nonlocal cases
-        cases += 1
-        if lhs != rhs:
-            failures.append({"inputs": [name], "lhs": str(lhs), "rhs": str(rhs)})
-
+    checks = Checks()
     two = ore_scalar(n, 2)
     for i, wi in enumerate(ws):
         for j, wj in enumerate(ws):
-            check(
-                "w%d w%d + w%d w%d" % (i + 1, j + 1, j + 1, i + 1),
+            checks.check(
+                ["w%d w%d + w%d w%d" % (i + 1, j + 1, j + 1, i + 1)],
                 ore_anti_bracket(wi, wj),
                 two if i == j else ore_zero(n),
             )
-        check("E+ w%d + w%d E+" % (i + 1, i + 1), ore_anti_bracket(ep, wi), ore_zero(n))
-        check("E- w%d + w%d E-" % (i + 1, i + 1), ore_anti_bracket(em, wi), ore_zero(n))
-        check("[L, w%d]" % (i + 1), ore_lie_bracket(lam, wi), ore_zero(n))
-    check(
-        "[E+, E-]",
+        checks.check(["E+ w%d + w%d E+" % (i + 1, i + 1)], ore_anti_bracket(ep, wi), ore_zero(n))
+        checks.check(["E- w%d + w%d E-" % (i + 1, i + 1)], ore_anti_bracket(em, wi), ore_zero(n))
+        checks.check(["[L, w%d]" % (i + 1)], ore_lie_bracket(lam, wi), ore_zero(n))
+    checks.check(
+        ["[E+, E-]"],
         ore_lie_bracket(ep, em),
         ghost_theta(n) - ore_scalar(n, Fraction(1, 4)),
     )
-    check("[L, E+]", ore_lie_bracket(lam, ep), ore_zero(n))
-    check("[L, E-]", ore_lie_bracket(lam, em), ore_zero(n))
-    return {"suite": "ore-relations", "cases": cases, "failures": failures}
+    checks.check(["[L, E+]"], ore_lie_bracket(lam, ep), ore_zero(n))
+    checks.check(["[L, E-]"], ore_lie_bracket(lam, em), ore_zero(n))
+    return checks.report("ore-relations")

@@ -17,6 +17,10 @@ differs:
 
 `accumulate` is the one "add, drop the zero" step for building term maps.
 The innermost loops of `star`, `ore_product` and the Scalar ring inline it.
+
+`Checks` is the one recorder of verification cases: every report in the
+package, from the suites down to `ore`, `deform`, `osp` and `hochschild`,
+counts its cases and writes its failure records through it.
 """
 
 from __future__ import annotations
@@ -28,6 +32,39 @@ class AlgebraError(Exception):
 
 class SignatureMismatch(AlgebraError):
     """Raised when elements of different algebras are combined."""
+
+
+class Checks:
+    """Counts verification cases and records each failure as text.
+
+    A failure record is {"inputs": [str(x), ...], "lhs": str(lhs), "rhs":
+    str(rhs)}; `report(suite)` gives {"suite", "cases", "failures"}.
+    """
+
+    __slots__ = ("cases", "failures")
+
+    def __init__(self):
+        self.cases = 0
+        self.failures = []
+
+    def record(self, ok, inputs, lhs, rhs):
+        """One case, failed unless ok."""
+        self.cases += 1
+        if not ok:
+            self.failures.append(
+                {"inputs": [str(x) for x in inputs], "lhs": str(lhs), "rhs": str(rhs)}
+            )
+
+    def check(self, inputs, lhs, rhs):
+        """One case, failed unless lhs == rhs."""
+        self.record(lhs == rhs, inputs, lhs, rhs)
+
+    def merge(self, report):
+        self.cases += report["cases"]
+        self.failures.extend(report["failures"])
+
+    def report(self, suite):
+        return {"suite": suite, "cases": self.cases, "failures": self.failures}
 
 
 def accumulate(out, key, c):

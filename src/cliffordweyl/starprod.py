@@ -85,10 +85,13 @@ def _shuffle_parity(left, right):
 # of its distinct monomial pairs: the benchmark's warm cw suites reuse 2,106
 # Bose and 173 Fermi pairs, and six cold products on cw:4,4, cw:2,6 and
 # cw:0,8 need 3,666 Bose pairs.  A combined Bose entry takes about 3 KB;
-# past a bound it is rebuilt from the one-mode kernel.
+# past a bound it is rebuilt from the one-mode kernel.  An entry of
+# `ore._lower_past_powers` holds the whole normal form of E-^beta E+^gamma;
+# the benchmark's deform workload needs about 21 of them.
 _WEYL_PAIR_CACHE = 4096
 _MODE_PAIR_CACHE = 4096
 _CLIFF_PAIR_CACHE = 4096
+_LOWER_PAST_POWERS_CACHE = 256
 
 
 @lru_cache(maxsize=_CLIFF_PAIR_CACHE)

@@ -64,7 +64,7 @@ from .ore import (
     ore_unit,
     ore_zero,
 )
-from .osp import OspContext, build_g, expected_dimension, verify_invariance, verify_ps
+from .osp import OspContext, build_g, element_row, expected_dimension, verify_invariance, verify_ps
 from .periodicity import (
     cw_to_matrix,
     matrix_star,
@@ -77,6 +77,7 @@ from .periodicity import (
 )
 from .reps import rep_matrix, spin
 from .scalars import GaussianRational, Scalar, scalar_i_power
+from .sparse import Checks
 from .starprod import anti_bracket, lie_bracket, star
 
 
@@ -123,23 +124,6 @@ def report_bytes(result):
 
 
 # -- shared plumbing ----------------------------------------------------------------
-
-
-class _Run:
-    def __init__(self):
-        self.cases = 0
-        self.failures = []
-
-    def check(self, inputs, lhs, rhs):
-        self.cases += 1
-        if lhs != rhs:
-            self.failures.append(
-                {"inputs": [str(x) for x in inputs], "lhs": str(lhs), "rhs": str(rhs)}
-            )
-
-    def merge(self, report):
-        self.cases += report["cases"]
-        self.failures.extend(report["failures"])
 
 
 def _rand_cw(rng, sig, nterms=3, maxdeg=4):
@@ -352,13 +336,13 @@ def _suite_spin_lemma(run, rng, algebra, maxdeg, cases, params):
 
 
 def _matrix_rows(M):
-    row = {}
-    for i, entries in enumerate(M.rows):
-        for j, e in enumerate(entries):
-            for mono, c in e.terms.items():
-                for power, g in c.coeffs.items():
-                    row[(i, j, mono, power)] = g
-    return row
+    """Flatten a matrix of cw elements to one sparse row, entry by entry."""
+    return {
+        (i, j, key): g
+        for i, entries in enumerate(M.rows)
+        for j, e in enumerate(entries)
+        for key, g in element_row(e).items()
+    }
 
 
 def _suite_matrix_iso(run, rng, algebra, maxdeg, cases, params):
@@ -682,7 +666,7 @@ def run_suite(name, seed=0, algebra=None, maxdeg=None, cases=None):
         raise SuiteUsageError("cases must be at most %d" % MAX_CASES)
     if maxdeg is not None and maxdeg < 0:
         raise SuiteUsageError("maxdeg must be non-negative")
-    run = _Run()
+    run = Checks()
     rng = random.Random(seed)
     params = {}
     start = time.perf_counter()

@@ -1,14 +1,23 @@
-"""The 19 suite reports at seed 0 and default parameters, byte for byte.
+"""The 19 suite reports at seed 0, byte for byte, passing and failing.
 
-Each digest is the sha256 of `report_bytes(run_suite(name))`.  A change that
-alters any report, even by reordering keys or reformatting a coefficient,
-fails here; refactors of the arithmetic and the matrix code must keep them.
+Each digest in `REPORT_SHA256` is the sha256 of `report_bytes(run_suite(name))`
+at default parameters.  A change that alters any report, even by reordering
+keys or reformatting a coefficient, fails here; refactors of the arithmetic
+and the matrix code must keep them.
+
+Those reports all pass, so they never show a failure record.
+`FAULTY_REPORT_SHA256` pins the reports under a deterministic fault instead:
+every binding of `star` and `ore_product` in the package adds the unit to
+the true product (the fault `bench/selftest.py` injects), with `cases=3`.
 """
 
 import hashlib
+import sys
 
 import pytest
 
+from cliffordweyl import ore, starprod
+from cliffordweyl.algebra import unit
 from cliffordweyl.suites import report_bytes, run_suite, suite_names
 
 REPORT_SHA256 = {
@@ -42,3 +51,61 @@ def test_digest_table_covers_every_suite():
 def test_report_bytes_unchanged(name):
     digest = hashlib.sha256(report_bytes(run_suite(name))).hexdigest()
     assert digest == REPORT_SHA256[name]
+
+
+FAULTY_REPORT_SHA256 = {
+    "a0-iso": "37517c4429f18a929d97b15afcd9d2959b5adfec015f0baa209a6447f990d9a0",
+    "associativity": "6a9b6cb4b9f299c0e74cb62a2dfa838eb07b69edb15d683aee12b8388422c9fc",
+    "center": "1bd27ffe43ca3fcf822ee2ff855bee02c50067d46228ae52ee6bff58c048d56a",
+    "cocycle": "48637fe047c1e3c6e1d9d564044d526763ef75beab0f09f820d69af9fe2c1997",
+    "commutant": "f8f9d882d4249ef23a8d2bee9210c420fb044e80b727da7d25ae1939c32919dc",
+    "ghost": "b212a26a95c6dc59701459c0aadc54efac2e0a4eca9a289b83f6c85b96591442",
+    "hochschild": "ce19d61dc975c978adccc2a794af9e9ae536de960502f222716ab6052614a96a",
+    "matrix-iso": "514bedcb4498fc47fa207d67bb2596b80888dc1aedfca718af71b6bd1d224e20",
+    "odd-split": "607f645b0ec9be2499b9d320322fd671de8a983a48b074548c7403884a7138e5",
+    "ore-relations": "08d9b6293eb0c4363a64242c2aa6e1fcf87919c5fba99acaa375130199c94a29",
+    "osp22": "661e2a82a074726a7e316a691bb69ea62ff5af87147f565e473d045910c4c0c9",
+    "parastat": "6a4d8227f0bc9f0a3542f8a5ff73ead774707c0ff95f96a300cdb1ed100fd623",
+    "periodicity1": "06eec58678efbca425e3749de7c7f440270eb84552ef548c5b9fa7b738aed32a",
+    "periodicity2": "581557765cf99ef780c9bd9508ab028f7d6f3200060c0360adcbd1ba3fd6eef8",
+    "pi-h": "f400da720255e403632c51d890a7f7ba7e993cca6482a012289233aa8234c45d",
+    "relations": "3ef611a2eb14f2a7ad590b8e52dd4afd25de86b5891007e0b1943f7a25170b9f",
+    "spin-lemma": "872843e823d8d7ee668a14f59a5655a737464b2ade025919e172e6e524a48cb9",
+    "twisted-adjoint": "de6bbccdf53c9603abd2238cda2d6affa84175874f3f4995aec04403877bf833",
+    "verma": "0d486177e1d3693b84580a9f8d0d6b2464dda3d2da5b49d1b24bca4bf78baeeb",
+}
+
+
+@pytest.fixture
+def faulty_products(monkeypatch):
+    """Every package binding of `star` and `ore_product` adds the unit."""
+    star, ore_product = starprod.star, ore.ore_product
+
+    def wrong_star(a, b):
+        return star(a, b) + unit(a.signature)
+
+    def wrong_ore_product(x, y):
+        return ore_product(x, y) + ore.ore_unit(x.n)
+
+    for name, mod in list(sys.modules.items()):
+        if mod is None or name.partition(".")[0] != "cliffordweyl":
+            continue
+        for key, value in list(vars(mod).items()):
+            if value is star:
+                monkeypatch.setattr(mod, key, wrong_star)
+            elif value is ore_product:
+                monkeypatch.setattr(mod, key, wrong_ore_product)
+
+
+def test_faulty_digest_table_covers_every_suite():
+    assert sorted(FAULTY_REPORT_SHA256) == suite_names()
+
+
+@pytest.mark.parametrize("name", sorted(FAULTY_REPORT_SHA256))
+def test_faulty_report_bytes_unchanged(name, faulty_products):
+    # suites without a case count ignore `cases`
+    result = run_suite(name, cases=3)
+    # the commutators of `center` cancel the added unit
+    assert result.passed == (name == "center")
+    digest = hashlib.sha256(report_bytes(result)).hexdigest()
+    assert digest == FAULTY_REPORT_SHA256[name]

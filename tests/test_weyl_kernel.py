@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 
 import reference_weyl_kernel as ref
-from cliffordweyl import starprod
+from cliffordweyl import ore, starprod
 from cliffordweyl.algebra import AlgebraSignature, CwElement, CwMonomial
 from cliffordweyl.scalars import GR_ONE, GR_ZERO, GaussianRational, S_LAMBDA, S_ONE, Scalar
 from cliffordweyl.starprod import (
@@ -120,7 +120,8 @@ def test_star_words_match_whole_tuple_reference(t):
 
 
 def test_kernel_caches_stay_bounded():
-    for kernel in (_weyl_pair, _cliff_pair):
+    kernels = (_weyl_pair, _cliff_pair, ore._lower_past_powers)
+    for kernel in kernels:
         assert kernel.cache_info().maxsize is not None
     _weyl_pair.cache_clear()
     starprod._weyl_word_cache.clear()
@@ -130,8 +131,9 @@ def test_kernel_caches_stay_bounded():
         a, b = (_rand_cw(rng, sig, nterms=20, maxdeg=10) for _ in range(2))
         star(a, b)
         element_star_words(a + b)
+    ore.ore_product(ore.ore_e_minus(0) ** 6, ore.ore_e_plus(0) ** 9)
     assert _weyl_pair.cache_info().misses > 0
-    for kernel in (_weyl_pair, _cliff_pair):
+    for kernel in kernels:
         info = kernel.cache_info()
         assert info.currsize <= info.maxsize
     assert starprod._weyl_word_cache
