@@ -7,8 +7,12 @@ emits a deterministic JSON report (stdout, or the --json path).  Timing
 goes to stderr so repeated runs stay byte-identical on stdout.
 
 Exit codes: 0 all checks passed, 1 a suite reported failures, 2 usage or
-input error (an expression nested too deeply for the parser, a --cases above
-`suites.MAX_CASES` and a --json path that cannot be written included).
+input error (an expression nested too deeply for the parser, a coefficient
+too long to print, a --cases above `suites.MAX_CASES` and a --json path
+that cannot be written included).
+
+Only suite mode and the help text import `suites`, and with it the modules
+that only the suites use; evaluating an expression does not.
 """
 
 import argparse
@@ -16,15 +20,31 @@ import sys
 
 from .algebra import AlgebraError
 from .exprs import ParseError, evaluate, parse, parse_algebra
-from .suites import MAX_CASES, SuiteUsageError, report_bytes, run_suite, suite_names
+
+
+def run_suite(*args, **kwargs):
+    """`suites.run_suite`, imported on the first call."""
+    from .suites import run_suite
+
+    return run_suite(*args, **kwargs)
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reads the suite list and the --cases range from `suites` when help is printed."""
+
+    def format_help(self):
+        from .suites import MAX_CASES, suite_names
+
+        self.epilog = "Suites: " + ", ".join(suite_names())
+        self.cases.help = "randomized case count per block (1 to %d)" % MAX_CASES
+        return super().format_help()
 
 
 def _build_parser():
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="cliffordweyl",
         description="Exact computation in Clifford-Weyl algebras and their "
         "polynomial deformations.",
-        epilog="Suites: " + ", ".join(suite_names()),
     )
     ap.add_argument(
         "expression",
@@ -52,12 +72,7 @@ def _build_parser():
     ap.add_argument(
         "--maxdeg", metavar="D", type=int, help="degree bound for sampled elements"
     )
-    ap.add_argument(
-        "--cases",
-        metavar="N",
-        type=int,
-        help="randomized case count per block (1 to %d)" % MAX_CASES,
-    )
+    ap.cases = ap.add_argument("--cases", metavar="N", type=int)
     return ap
 
 
@@ -87,15 +102,18 @@ def main(argv=None):
         if algebra is None:
             ap.error("expression evaluation needs --algebra")
         try:
-            element = evaluate(parse(args.expression), algebra)
+            # str() raises ValueError past Python's 4,300-digit int-to-text limit
+            text = str(evaluate(parse(args.expression), algebra))
         except (ParseError, AlgebraError, ValueError) as exc:
             print("error: %s" % exc, file=sys.stderr)
             return 2
         except RecursionError:
             print("error: expression nested too deeply", file=sys.stderr)
             return 2
-        print(element)
+        print(text)
         return 0
+
+    from .suites import SuiteUsageError, report_bytes
 
     try:
         result = run_suite(

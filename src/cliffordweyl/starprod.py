@@ -87,9 +87,12 @@ def _shuffle_parity(left, right):
 # cw:0,8 need 3,666 Bose pairs.  A combined Bose entry takes about 3 KB;
 # past a bound it is rebuilt from the one-mode kernel.  An entry of
 # `ore._lower_past_powers` holds the whole normal form of E-^beta E+^gamma;
-# the benchmark's deform workload needs about 21 of them.
+# the benchmark's deform workload needs about 21 of them.  `_mode_pair` and
+# the one-mode star words are keyed by one mode's exponents, so they grow
+# with the largest exponent in use.
 _WEYL_PAIR_CACHE = 4096
 _MODE_PAIR_CACHE = 4096
+_WEYL_WORD_CACHE = 4096
 _CLIFF_PAIR_CACHE = 4096
 _LOWER_PAST_POWERS_CACHE = 256
 
@@ -414,7 +417,8 @@ def _mode_words(a, b):
 
     p^a q^b = sum over r of (t/2)^r C(b, r) perm(a, r) (q^(b-r) * p^(a-r)),
     returned as a tuple of (r, C(b, r) perm(a, r), b - r, a - r) and cached
-    in `_weyl_word_cache` under (a, b).
+    in `_weyl_word_cache` under (a, b); past `_WEYL_WORD_CACHE` entries the
+    oldest is dropped.
     """
     key = (a, b)
     words = _weyl_word_cache.get(key)
@@ -422,6 +426,8 @@ def _mode_words(a, b):
         words = tuple(
             (r, math.comb(b, r) * math.perm(a, r), b - r, a - r) for r in range(min(a, b) + 1)
         )
+        if len(_weyl_word_cache) >= _WEYL_WORD_CACHE:
+            del _weyl_word_cache[next(iter(_weyl_word_cache))]
         _weyl_word_cache[key] = words
     return words
 

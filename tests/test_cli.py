@@ -78,6 +78,18 @@ def test_deep_nesting_is_an_input_error(capsys):
     assert captured.err.strip() == "error: expression nested too deeply"
 
 
+def test_coefficient_too_long_to_print_is_an_input_error(capsys):
+    # 2^15000 has 4,516 decimal digits, past Python's int-to-text limit
+    assert cli.main(["--algebra", "cw:0,2", "2^15000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "digits" in captured.err
+    assert "Traceback" not in captured.err
+    # (1+i)^20000 = 2^10000 has 3,011
+    assert cli.main(["--algebra", "cw:0,2", "(1+i)^20000"]) == 0
+    assert capsys.readouterr().out.strip() == str(2**10000)
+
+
 def test_mode_flags_are_exclusive():
     with pytest.raises(SystemExit) as err:
         cli.main(["--suite", "relations", "--algebra", "cw:1,2", "w1"])

@@ -20,6 +20,7 @@ from cliffordweyl.scalars import GR_ONE, GR_ZERO, GaussianRational, S_LAMBDA, S_
 from cliffordweyl.starprod import (
     _GR_TWO,
     _cliff_pair,
+    _mode_pair,
     _weyl_pair,
     _weyl_words,
     element_star_words,
@@ -120,7 +121,7 @@ def test_star_words_match_whole_tuple_reference(t):
 
 
 def test_kernel_caches_stay_bounded():
-    kernels = (_weyl_pair, _cliff_pair, ore._lower_past_powers)
+    kernels = (_weyl_pair, _mode_pair, _cliff_pair, ore._lower_past_powers)
     for kernel in kernels:
         assert kernel.cache_info().maxsize is not None
     _weyl_pair.cache_clear()
@@ -139,3 +140,10 @@ def test_kernel_caches_stay_bounded():
     assert starprod._weyl_word_cache
     for key in starprod._weyl_word_cache:
         assert len(key) == 2 and all(isinstance(e, int) for e in key)
+    # more one-mode words than the bound: the oldest entries are dropped
+    starprod._weyl_word_cache.clear()
+    keys = [(a, b) for a in range(70) for b in range(70)]
+    words = [starprod._mode_words(a, b) for a, b in keys]
+    assert list(starprod._weyl_word_cache) == keys[-starprod._WEYL_WORD_CACHE :]
+    assert starprod._mode_words(*keys[0]) == words[0]
+    starprod._weyl_word_cache.clear()
