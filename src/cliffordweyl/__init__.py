@@ -3,10 +3,13 @@ mixed Clifford/Weyl symbol algebras.
 
 The package attributes load on first use (PEP 562): reading a name imports
 the submodule that provides it, so a CLI child that evaluates one expression
-never imports the verification suites.
+never imports the verification suites.  A name is read from its submodule
+on every access and never cached here, so a value patched into the
+submodule and later restored reads back restored.
 """
 
 import importlib
+import sys
 
 __version__ = "0.1.0"
 
@@ -38,7 +41,7 @@ _EXPORTS = {
     " print_expr tokenize",
     "suites": "SuiteResult SuiteUsageError report_bytes run_suite suite_names",
 }
-_SOURCE = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+_SOURCE = {name: __name__ + "." + module for module, names in _EXPORTS.items() for name in names.split()}
 
 # the submodules, readable as attributes as when the package imported them all
 _SUBMODULES = set(_EXPORTS) | {"sparse", "textform"}
@@ -49,11 +52,10 @@ __all__ = sorted(_SOURCE)
 def __getattr__(name):
     if name in _SUBMODULES:
         return importlib.import_module("." + name, __name__)
-    if name not in _SOURCE:
+    source = _SOURCE.get(name)
+    if source is None:
         raise AttributeError("module %r has no attribute %r" % (__name__, name))
-    value = getattr(importlib.import_module("." + _SOURCE[name], __name__), name)
-    globals()[name] = value
-    return value
+    return getattr(sys.modules.get(source) or importlib.import_module(source), name)
 
 
 def __dir__():

@@ -18,6 +18,10 @@ closer) means the "+" directly follows "]" — "[a,b] + c" with a space is a
 sum.  Rational literals are just division: "1/2" parses as 1 divided by 2,
 and division is only defined by invertible constants.
 
+Work is bounded before any arithmetic: an exponent above `MAX_EXPONENT` is
+a ParseError at its column, and a descriptor whose n or 2k is above
+`MAX_ALGEBRA_SIZE` is an AlgebraError.
+
 Syntax trees are plain tuples, so `parse(print_expr(t)) == t` is a cheap
 structural identity; `print_expr` re-inserts parentheses exactly where the
 precedence rules demand them.
@@ -51,6 +55,14 @@ from .ore import (
 )
 from .scalars import GaussianRational, Scalar, i_power
 from .starprod import anti_bracket, lie_bracket, super_bracket
+
+
+# the largest exponent `^` takes; a power of a non-constant costs one
+# product per unit of it
+MAX_EXPONENT = 100_000
+
+# the largest n and 2k of cw:<n>,<2k> and n of ore:<n>
+MAX_ALGEBRA_SIZE = 1000
 
 
 class ParseError(ValueError):
@@ -196,6 +208,8 @@ class _Parser:
             etok = self._take()
             if etok[0] != "num":
                 raise ParseError("exponent must be a plain integer", etok[2])
+            if etok[1] > MAX_EXPONENT:
+                raise ParseError("exponent above the budget of %d" % MAX_EXPONENT, etok[2])
             return ("pow", node, etok[1])
         return node
 
@@ -374,15 +388,22 @@ def parse_algebra(text):
             n, two_k = int(a), int(b)
             if n < 0 or two_k < 0 or two_k % 2:
                 raise ValueError
+            _check_size(text, n, two_k)
             return CwContext(AlgebraSignature(n, two_k // 2))
         if head == "ore":
             n = int(rest)
             if n < 0:
                 raise ValueError
+            _check_size(text, n)
             return OreContext(n)
     except ValueError:
         pass
     raise AlgebraError("bad algebra descriptor %r (want cw:<n>,<2k> or ore:<n>)" % text)
+
+
+def _check_size(text, *sizes):
+    if max(sizes) > MAX_ALGEBRA_SIZE:
+        raise AlgebraError("algebra descriptor %r above the size bound of %d" % (text, MAX_ALGEBRA_SIZE))
 
 
 def _constant_inverse(x):

@@ -25,9 +25,7 @@ def _entry(x):
 
 
 def _ring(x):
-    """The ring of a matrix entry: Scalar, or the tag of its algebra."""
-    if isinstance(x, Scalar):
-        return Scalar
+    """The ring of a matrix entry: the tag of its algebra, Scalar's included."""
     try:
         return element_tag(x)
     except AlgebraError:

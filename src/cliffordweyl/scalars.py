@@ -10,6 +10,11 @@ reduced: den > 0 and gcd(re_num, im_num, den) = 1.  The form is unique, so
 equality compares the ints and zero is (0, 0, 1).  The `re` and `im`
 properties give the parts as `Fraction`s; arithmetic and printing work on the
 ints directly.
+
+A polynomial in L is a `Scalar`, a `sparse.SparseElement` whose keys are L
+exponents: the sparse core gives it the ring operations, equality, hashing
+and immutability, and this module adds only what is about L (constructors,
+the L degree and coefficients, specialization, and the text and JSON forms).
 """
 
 from __future__ import annotations
@@ -17,6 +22,8 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 from math import gcd
+
+from .sparse import SparseElement
 
 _HASH_MODULUS = sys.hash_info.modulus
 
@@ -278,29 +285,34 @@ def i_power(n):
     return (GR_I ** (n % 4)) if n >= 0 else (GaussianRational(0, -1) ** ((-n) % 4))
 
 
-class Scalar:
+class Scalar(SparseElement):
     """Sparse polynomial in the central parameter L over Gaussian rationals.
 
-    Stored as a map {exponent: GaussianRational} with no zero values.  L is
-    written `L` in all text forms.  Scalars are immutable after construction.
+    The terms map each L exponent to its nonzero GaussianRational, over the
+    one space None; `coeffs` is that map.  The sparse core gives the ring
+    operations, equality, hashing and immutability, and a constant equals
+    and hashes like the number it is.  L is written `L` in all text forms.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
+    coeffs = SparseElement.terms  # the terms slot under its ring's name
+
+    _ring = staticmethod(_coerce)
 
     def __init__(self, coeffs=None):
-        clean = {}
-        if coeffs:
-            for k, v in coeffs.items():
-                if not isinstance(v, GaussianRational):
-                    v = GaussianRational(v)
-                if v:
-                    if not isinstance(k, int) or k < 0:
-                        raise ValueError("L exponent must be a non-negative int, got %r" % (k,))
-                    clean[k] = v
-        object.__setattr__(self, "coeffs", clean)
+        SparseElement.__init__(self, None, coeffs)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Scalar is immutable")
+    @staticmethod
+    def _check_key(space, k):
+        if not isinstance(k, int) or k < 0:
+            raise ValueError("L exponent must be a non-negative int, got %r" % (k,))
+        return k
+
+    def unit_key(self):
+        return 0
+
+    def _product(self, other):
+        return self.raw(None, convolve(self.terms, other.terms))
 
     # -- constructors --------------------------------------------------------
 
@@ -317,71 +329,7 @@ class Scalar:
         """coeff * L**power."""
         return Scalar({power: coeff})
 
-    # -- ring structure -------------------------------------------------------
-
-    def __add__(self, other):
-        other = _coerce_scalar(other)
-        if other is NotImplemented:
-            return NotImplemented
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            # sparse.accumulate, inlined: every coefficient sum passes here
-            s = out.get(k)
-            s = v if s is None else s + v
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return _raw_scalar(out)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = _coerce_scalar(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = _coerce_scalar(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
-
-    def __neg__(self):
-        return _raw_scalar({k: -v for k, v in self.coeffs.items()})
-
-    def __mul__(self, other):
-        other = _coerce_scalar(other)
-        if other is NotImplemented:
-            return NotImplemented
-        out = {}
-        for k1, v1 in self.coeffs.items():
-            for k2, v2 in other.coeffs.items():
-                k = k1 + k2
-                p = v1 * v2
-                # sparse.accumulate, inlined: every coefficient product passes here
-                s = out.get(k)
-                s = p if s is None else s + p
-                if s:
-                    out[k] = s
-                else:
-                    out.pop(k, None)
-        return _raw_scalar(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("only non-negative integer powers")
-        out = S_ONE
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+    # -- the L structure -------------------------------------------------------
 
     def inverse(self):
         """Inverse of a nonzero constant; ValueError if L appears."""
@@ -389,95 +337,73 @@ class Scalar:
 
     def divide_by(self, g):
         """Exact division by a nonzero Gaussian rational (not by L-polynomials)."""
-        if not isinstance(g, GaussianRational):
-            g = GaussianRational(g)
-        inv = g.inverse()
-        return _raw_scalar({k: v * inv for k, v in self.coeffs.items()})
-
-    # -- structure access ------------------------------------------------------
-
-    def __bool__(self):
-        return bool(self.coeffs)
+        return self.scale(gaussian(g).inverse())
 
     def is_zero(self):
-        return not self.coeffs
+        return not self.terms
 
     def lam_coefficient(self, power):
         """The GaussianRational coefficient of L**power."""
-        return self.coeffs.get(power, GR_ZERO)
+        return self.terms.get(power, GR_ZERO)
 
     def lam_degree(self):
         """Largest L exponent present, or -1 for the zero scalar."""
-        return max(self.coeffs) if self.coeffs else -1
+        return max(self.terms) if self.terms else -1
 
     def constant(self):
         """The Gaussian rational this scalar equals, or raise if L appears."""
-        for k in self.coeffs:
+        for k in self.terms:
             if k != 0:
                 raise ValueError("scalar involves L: %s" % self)
-        return self.coeffs.get(0, GR_ZERO)
+        return self.terms.get(0, GR_ZERO)
 
     def specialize(self, value):
         """Substitute a GaussianRational for L, returning a GaussianRational."""
-        if not isinstance(value, GaussianRational):
-            value = GaussianRational(value)
-        total = GR_ZERO
-        for k, v in self.coeffs.items():
-            total = total + v * value**k
-        return total
-
-    def __eq__(self, other):
-        other = _coerce_scalar(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        # an L-free scalar hashes like the Gaussian rational (or number) it equals
-        c = self.coeffs
-        if not c:
-            return 0
-        if len(c) == 1 and 0 in c:
-            return hash(c[0])
-        return hash(frozenset(c.items()))
+        value = gaussian(value)
+        return sum((v * value**k for k, v in self.terms.items()), GR_ZERO)
 
     # -- presentation -----------------------------------------------------------
 
     def __repr__(self):
-        return "Scalar(%r)" % ({k: str(v) for k, v in sorted(self.coeffs.items())},)
+        return "Scalar(%r)" % ({k: str(v) for k, v in sorted(self.terms.items())},)
 
     def __str__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for k in sorted(self.coeffs):
-            parts.append(format_coefficient(self.coeffs[k], k))
-        return " + ".join(parts)
+        return " + ".join(format_coefficient(g, k) for k, g in sorted(self.terms.items())) or "0"
 
     def to_json(self):
         """{"<L power>": [[re_num, re_den], [im_num, im_den]]}, keys sorted."""
-        return {str(k): self.coeffs[k].to_json() for k in sorted(self.coeffs)}
+        return {str(k): self.terms[k].to_json() for k in sorted(self.terms)}
 
     @staticmethod
     def from_json(data):
         return Scalar({int(k): GaussianRational.from_json(v) for k, v in data.items()})
 
 
-def _raw_scalar(clean_dict):
-    # internal: build a Scalar from an already-normalized dict without re-checking
-    s = object.__new__(Scalar)
-    object.__setattr__(s, "coeffs", clean_dict)
-    return s
+def convolve(t1, t2):
+    """The product of two L-polynomial term maps, as a term map."""
+    out = {}
+    for k1, v1 in t1.items():
+        for k2, v2 in t2.items():
+            k = k1 + k2
+            p = v1 * v2
+            # sparse.accumulate, inlined: every coefficient product passes here
+            s = out.get(k)
+            s = p if s is None else s + p
+            if s:
+                out[k] = s
+            else:
+                out.pop(k, None)
+    return out
 
 
 def _coerce_scalar(x):
-    if isinstance(x, Scalar):
+    """x as a Scalar (a number becomes a constant), or NotImplemented."""
+    if x.__class__ is Scalar:
         return x
-    if isinstance(x, GaussianRational):
-        return _raw_scalar({0: x} if x else {})
-    if isinstance(x, (int, Fraction)):
-        return Scalar.of(x)
-    return NotImplemented
+    g = _coerce(x)
+    if g is NotImplemented:
+        return g
+    return Scalar.raw(None, {0: g} if g else {})
 
 
 def format_coefficient(g, lam_power=0):

@@ -3,10 +3,11 @@
 An element is a canonical finite map key -> nonzero coefficient over a
 space: a CwElement maps CwMonomials over an AlgebraSignature, an OreElement
 maps OreMonomials over a rank, a GrassPolyVector maps carrier monomials over
-(ell, k), and a TensorElement maps monomial pairs over a pair of factor
-spaces.  `SparseElement` holds the map and gives the vector-space operations,
-equality, hashing and immutability once.  A subclass supplies only what
-differs:
+(ell, k), a TensorElement maps monomial pairs over a pair of factor spaces,
+and a Scalar, the coefficient ring Q(i)[L] of the cw family, maps L
+exponents over the one space None.  `SparseElement` holds the map and gives
+the vector-space operations, equality, hashing and immutability once.  A
+subclass supplies only what differs:
 
     _ring(x)             x in the coefficient ring, or NotImplemented
     _check_key(space, k) validate a key and return it in canonical form
@@ -16,7 +17,10 @@ differs:
     _product(other)      the product, for the classes that have one
 
 `accumulate` is the one "add, drop the zero" step for building term maps.
-The innermost loops of `star`, `ore_product` and the Scalar ring inline it.
+The innermost loops of `star`, `ore_product` and `scalars.convolve` (the
+L-polynomial product that every cw coefficient product runs) inline it.
+A constant raised to a power is the power of its coefficient, taken by
+squaring in the ring.
 
 `Checks` is the one recorder of verification cases: every report in the
 package, from the suites down to `ore`, `deform`, `osp` and `hochschild`,
@@ -186,9 +190,13 @@ class SparseElement:
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             raise ValueError("only non-negative integer powers")
-        out = self._constant(1)
-        if out is NotImplemented:
+        unit = self.unit_key()
+        if unit is None:
             return NotImplemented
+        if self.terms.keys() <= {unit}:
+            # a constant is the power of its coefficient, by squaring in the ring
+            return self._constant(self._ring(self.terms.get(unit, 0)) ** n)
+        out = self._constant(1)
         for _ in range(n):
             out = out * self
         return out

@@ -52,7 +52,7 @@ from itertools import product as iproduct
 from operator import itemgetter
 
 from .algebra import AlgebraError, CwElement, CwMonomial, check_same_signature
-from .scalars import GR_HALF, GR_ONE, GaussianRational, Scalar, S_ONE, S_HALF, _raw_scalar, gr_ratio
+from .scalars import GR_HALF, GR_ONE, GaussianRational, Scalar, S_ONE, S_HALF, convolve, gr_ratio
 from .sparse import accumulate
 
 
@@ -218,7 +218,8 @@ def star(a, b):
                 continue
             if csign < 0:
                 fermi = -fermi
-            base = [(k, v * fermi) for k, v in (c1 * c2).coeffs.items()]
+            # c1 * c2 on the term maps, without a Scalar per pair
+            base = [(k, v * fermi) for k, v in convolve(c1.terms, c2.terms).items()]
             # out maps a monomial to the {L power: coefficient} map of its Scalar
             for _, coeff, P, Q in _weyl_pair(m1.wp, m1.wq, m2.wp, m2.wq, tg):
                 key = CwMonomial(cmask, P, Q)
@@ -240,7 +241,8 @@ def star(a, b):
                             del acc[k]
                 if not acc:
                     del out[key]
-    return CwElement.raw(a.signature, {m: _raw_scalar(c) for m, c in out.items()})
+    raw = Scalar.raw
+    return CwElement.raw(a.signature, {m: raw(None, c) for m, c in out.items()})
 
 
 def _star_lambda(a, b, t):

@@ -238,3 +238,46 @@ def test_every_suite_passes_under_default_params(name):
     payload = report_bytes(result)
     parsed = json.loads(payload)
     assert parsed["suite"] == name and parsed["pass"] is True
+
+
+# -- work bounds ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "algebra, text, column",
+    [("cw:0,2", "2^99999999", 3), ("cw:0,2", "q1^99999999", 4), ("ore:0", "E+^99999999", 4)],
+    ids=["cw-constant", "cw-generator", "ore"],
+)
+def test_exponent_above_the_budget_is_an_input_error(algebra, text, column, capsys, monkeypatch):
+    from cliffordweyl import exprs, sparse
+
+    def no_power(self, n):
+        raise AssertionError("a power was computed")
+
+    monkeypatch.setattr(sparse.SparseElement, "__pow__", no_power)
+    assert cli.main(["--algebra", algebra, text]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip() == (
+        "error: exponent above the budget of %d (column %d)" % (exprs.MAX_EXPONENT, column)
+    )
+    head = text.partition("^")[0]
+    assert exprs.parse("%s^%d" % (head, exprs.MAX_EXPONENT))[2] == exprs.MAX_EXPONENT
+
+
+@pytest.mark.parametrize("descriptor", ["cw:0,2000000000", "cw:1001,2", "cw:0,1002", "ore:1001"])
+def test_algebra_above_the_size_bound_is_a_usage_error(descriptor, capsys, monkeypatch):
+    from cliffordweyl import exprs
+
+    def no_algebra(*args):
+        raise AssertionError("an algebra was built")
+
+    monkeypatch.setattr(exprs, "AlgebraSignature", no_algebra)
+    monkeypatch.setattr(exprs, "OreContext", no_algebra)
+    with pytest.raises(SystemExit) as err:
+        cli.main(["--algebra", descriptor, "1"])
+    assert err.value.code == 2
+    assert "above the size bound of %d" % exprs.MAX_ALGEBRA_SIZE in capsys.readouterr().err
+    monkeypatch.undo()
+    assert parse_algebra("cw:1000,1000").describe() == "cw:1000,1000"
+    assert parse_algebra("ore:1000").describe() == "ore:1000"

@@ -79,6 +79,20 @@ def test_submodules_and_unknown_names():
     assert cliffordweyl.__version__ == "0.1.0"
 
 
+def test_names_follow_a_patched_and_restored_submodule(monkeypatch):
+    from cliffordweyl import starprod
+
+    def fake(a, b):
+        return a
+
+    real = starprod.star
+    with monkeypatch.context() as patch:
+        patch.setattr(starprod, "star", fake)
+        assert cliffordweyl.star is fake
+    assert starprod.star is real
+    assert cliffordweyl.star is starprod.star
+
+
 def test_help_bytes_unchanged(capsys, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
     with pytest.raises(SystemExit) as err:

@@ -17,6 +17,7 @@ from cliffordweyl.scalars import (
     i_power,
     scalar_i_power,
 )
+from cliffordweyl.sparse import SparseElement
 
 
 def rand_gaussian(rng):
@@ -247,3 +248,15 @@ def test_mixed_operands_match_reference(x, n):
         _same(a * other, ra * other)
         _same(other - a, RefGaussian(other) - ra)
         assert (a == other) == (ra == other)
+
+
+def test_benchmark_surface_of_scalar():
+    # bench/ reads `coeffs` as a plain dict and builds coefficients with
+    # from_gaussian; both stay while Scalar exists
+    g = GaussianRational(Fraction(3, 5), -2)
+    s = Scalar.from_gaussian(g)
+    assert s.coeffs == {0: g} and type(s.coeffs) is dict
+    assert s.coeffs is s.terms
+    assert Scalar.lam(2).coeffs == {2: GR_ONE}
+    assert hash(s) == hash(g) and s == g
+    assert isinstance(s, SparseElement)

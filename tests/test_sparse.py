@@ -1,9 +1,10 @@
 """The contract every sparse element type keeps (cliffordweyl.sparse).
 
 One parametrized set of checks over CwElement, OreElement, GrassPolyVector,
-and TensorElement with cw and with deformed right factors: canonical terms,
-additive inverses, hashing that agrees with equality, space guards,
-immutability, and (for the two algebra families only) numbers acting as
+TensorElement with cw and with deformed right factors, and the L-polynomial
+ring Scalar: canonical terms, additive inverses, hashing that agrees with
+equality, space guards (for every type with more than one space),
+immutability, and (for the types with a unit only) numbers acting as
 constants.
 """
 
@@ -15,6 +16,7 @@ from cliffordweyl.algebra import AlgebraError, AlgebraSignature, CwElement, CwMo
 from cliffordweyl.ore import OreElement, OreMonomial
 from cliffordweyl.periodicity import TensorElement
 from cliffordweyl.reps import GrassPolyVector
+from cliffordweyl.scalars import Scalar
 from cliffordweyl.sparse import accumulate
 
 SIG = AlgebraSignature(2, 1)
@@ -27,7 +29,7 @@ def _fermi(mask):
 
 
 # name: (constructor over the space, two distinct keys, an element of another
-# space, whether the type is an algebra family with a unit)
+# space or None for a type with one space, whether the type has a unit)
 CASES = {
     "cw": (
         lambda t: CwElement(SIG, t),
@@ -62,11 +64,17 @@ CASES = {
         TensorElement(C4, 0, {(_fermi(8), OreMonomial(0, 0, 0, 0)): 1}),
         False,
     ),
+    "scalar": (Scalar, (1, 3), None, True),
 }
 
 
 @pytest.fixture(params=sorted(CASES))
 def case(request):
+    return CASES[request.param]
+
+
+@pytest.fixture(params=sorted(name for name, c in CASES.items() if c[2] is not None))
+def spaced_case(request):
     return CASES[request.param]
 
 
@@ -96,8 +104,8 @@ def test_equal_elements_hash_alike(case):
     assert a != a.scale(3)
 
 
-def test_mismatched_spaces_raise(case):
-    make, (k1, _), other, _ = case
+def test_mismatched_spaces_raise(spaced_case):
+    make, (k1, _), other, _ = spaced_case
     x = make({k1: 1})
     with pytest.raises(AlgebraError):
         x + other
@@ -131,6 +139,19 @@ def test_numbers_act_as_constants_only_in_algebras(case):
             x + 1
         with pytest.raises(TypeError):
             1 - x
+
+
+def test_constant_powers_take_no_products(case, monkeypatch):
+    make, (k1, _), _, has_unit = case
+    if not has_unit:
+        with pytest.raises(TypeError):
+            make({k1: 1}) ** 2
+        return
+    x = make({k1: 1})
+    two = make({x.unit_key(): 2})
+    monkeypatch.setattr(type(x), "_product", None)
+    assert two**100_000 == 2**100_000
+    assert make({}) ** 0 == 1 and make({}) ** 3 == 0
 
 
 def test_accumulate_drops_cancelled_keys():
