@@ -29,7 +29,9 @@ class AlgebraSignature(NamedTuple):
     n_bose    -- number of commuting pairs (p_i, q_i); the algebra has 2*n_bose
                  polynomial generators
     t_param   -- star-product deformation parameter (a Scalar, default 1);
-                 t = 0 degenerates the star product to the exterior product
+                 the product at t is the one at t = 1 with each term scaled
+                 by t^e, e half the Z-degree it loses, so t = 0 degenerates
+                 the star product to the exterior product
     """
 
     n_fermi: int

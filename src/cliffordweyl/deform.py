@@ -190,9 +190,10 @@ def periodicity2(n, direction, x):
 
 
 def _gr_entry(s):
-    if s.lam_degree() > 0:
-        raise AlgebraError("matrix entry involves the central parameter: %s" % s)
-    return s.constant()
+    try:
+        return s.constant()
+    except ValueError:
+        raise AlgebraError("matrix entry involves the central parameter: %s" % s) from None
 
 
 def ore_to_matrix(n, x):
@@ -566,19 +567,18 @@ def commutant_probe(rep):
     d = mats[0].shape[0]
     variables = [(i, j) for i in range(d) for j in range(d)]
     rows = []
-    for gi, M in enumerate(mats):
+    for M in mats:
         if M.shape != (d, d):
             raise AlgebraError("mixed matrix sizes")
+        G = [[_gr_entry(x) for x in row] for row in M.rows]
         for i in range(d):
             for j in range(d):
                 row = {}
                 for k in range(d):
-                    a = _gr_entry(M[k, j])
-                    if a:
-                        accumulate(row, (i, k), a)
-                    b = _gr_entry(M[i, k])
-                    if b:
-                        accumulate(row, (k, j), -b)
+                    if G[k][j]:
+                        accumulate(row, (i, k), G[k][j])
+                    if G[i][k]:
+                        accumulate(row, (k, j), -G[i][k])
                 if row:
                     rows.append(row)
     return len(sparse_nullspace(rows, variables))

@@ -18,16 +18,17 @@ closer) means the "+" directly follows "]" — "[a,b] + c" with a space is a
 sum.  Rational literals are just division: "1/2" parses as 1 divided by 2,
 and division is only defined by invertible constants.
 
-Work is bounded before any arithmetic: an exponent above `MAX_EXPONENT` is
-a ParseError at its column, and a descriptor whose n or 2k is above
-`MAX_ALGEBRA_SIZE` is an AlgebraError.
+Work is bounded: an exponent above `MAX_EXPONENT` is a ParseError at its
+column and a descriptor whose n or 2k is above `MAX_ALGEBRA_SIZE` an
+AlgebraError, both before any arithmetic; an expression whose products
+charge more than `MAX_PAIRS` monomial pairs in all is an AlgebraError.
 
 Syntax trees are plain tuples, so `parse(print_expr(t)) == t` is a cheap
 structural identity; `print_expr` re-inserts parentheses exactly where the
 precedence rules demand them.
 """
 
-from fractions import Fraction
+from operator import mul
 
 from .algebra import (
     AlgebraError,
@@ -60,6 +61,11 @@ from .starprod import anti_bracket, lie_bracket, super_bracket
 # the largest exponent `^` takes; a power of a non-constant costs one
 # product per unit of it
 MAX_EXPONENT = 100_000
+
+# the most monomial pairs one expression may multiply: len(a) * len(b) is
+# charged before each "*" and each step of a power of a non-constant, and
+# twice before a bracket; a constant's power is taken by squaring, for free
+MAX_PAIRS = 200_000
 
 # the largest n and 2k of cw:<n>,<2k> and n of ore:<n>
 MAX_ALGEBRA_SIZE = 1000
@@ -414,32 +420,48 @@ def _constant_inverse(x):
 
 
 def evaluate(node, ctx):
-    """Exact element of the context's algebra."""
-    head = node[0]
-    if head == "num":
-        return ctx.scalar(GaussianRational(node[1]))
-    if head == "imag":
-        return ctx.scalar(GaussianRational(0, 1))
-    if head == "lam":
-        return ctx.lam()
-    if head == "gen":
-        return ctx.generator(node[1])
-    if head == "neg":
-        return -evaluate(node[1], ctx)
-    if head == "add":
-        return evaluate(node[1], ctx) + evaluate(node[2], ctx)
-    if head == "sub":
-        return evaluate(node[1], ctx) - evaluate(node[2], ctx)
-    if head == "mul":
-        return evaluate(node[1], ctx) * evaluate(node[2], ctx)
-    if head == "div":
-        left = evaluate(node[1], ctx)
-        return left.scale(_constant_inverse(evaluate(node[2], ctx)))
-    if head == "pow":
-        return evaluate(node[1], ctx) ** node[2]
-    if head in ("lie", "anti", "super"):
-        return ctx.brackets[head](evaluate(node[1], ctx), evaluate(node[2], ctx))
-    raise AlgebraError("unknown expression node %r" % (head,))
+    """Exact element of the context's algebra, within the `MAX_PAIRS` budget."""
+    spent = 0
+
+    def product(op, a, b, times=1):
+        nonlocal spent
+        spent += times * len(a.terms) * len(b.terms)
+        if spent > MAX_PAIRS:
+            raise AlgebraError("expression above the work budget of %d monomial pairs" % MAX_PAIRS)
+        return op(a, b)
+
+    def ev(node):
+        head = node[0]
+        if head == "num":
+            return ctx.scalar(GaussianRational(node[1]))
+        if head == "imag":
+            return ctx.scalar(GaussianRational(0, 1))
+        if head == "lam":
+            return ctx.lam()
+        if head == "gen":
+            return ctx.generator(node[1])
+        if head == "neg":
+            return -ev(node[1])
+        if head == "pow":
+            x = ev(node[1])
+            if x.terms.keys() <= {x.unit_key()}:
+                return x ** node[2]
+            out = x**0
+            for _ in range(node[2]):
+                out = product(mul, out, x)
+            return out
+        if head not in ("add", "sub", "mul", "div", "lie", "anti", "super"):
+            raise AlgebraError("unknown expression node %r" % (head,))
+        a, b = ev(node[1]), ev(node[2])
+        if head == "mul":
+            return product(mul, a, b)
+        if head in ctx.brackets:
+            return product(ctx.brackets[head], a, b, 2)
+        if head == "div":
+            return a.scale(_constant_inverse(b))
+        return a + b if head == "add" else a - b
+
+    return ev(node)
 
 
 def evaluate_text(text, ctx):

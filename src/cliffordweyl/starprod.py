@@ -26,17 +26,24 @@ and the Fermi-factor kernel contracts exactly the common index set T = I & J
 (any smaller contraction leaves a repeated generator, killed by the exterior
 product), giving a single term sign * (-t)^{|T|} * w^{I xor J}.
 
-When t is free of L, the Bose kernel carries each term's full coefficient
-rational * (t/2)^{|r|+|s|} as one Gaussian rational, and `star` applies the
-Fermi factor sign * (-t)^{|T|} once per monomial pair.
+Each power of t in either kernel lowers the Z-degree by 2: a Bose term of
+order |r|+|s| takes 2(|r|+|s|) from it and brings (t/2)^{|r|+|s|}, and a
+Fermi contraction takes 2|T| and brings (-t)^{|T|}.  So
+f * g = sum over e of t^e B_e(f, g), with B_e lowering the degree by 2e;
+B_0 is the super-exterior product and B_1 half the Poisson bracket.  For
+homogeneous x and y, a term m of x * y is therefore t^e times its
+coefficient at t = 1, with e = (deg x + deg y - deg m)/2.  The one kernel
+loop computes the product at t = 1; `star` at any other t, and `wedge`
+(t = 0), split their factors into homogeneous parts, multiply each pair of
+parts at t = 1 and scale each term by t^e.
 
 The pairs (p_j, q_j) commute with each other, so the Weyl algebra on k
 pairs is the k-fold tensor power of the one-mode algebra A_1, and every
 factor of the Bose kernel above factors per mode.  `_mode_pair` caches the
 one-mode kernel p^a q^b * p^c q^d with integer numerators and
 denominators, free of t; `_weyl_pair` takes the product of the k one-mode
-lists and keeps the combined terms in a bounded cache.  Star words factor
-the same way: in one mode
+lists at t = 1 and keeps the combined terms in a bounded cache.  Star
+words factor the same way: in one mode
 
     p^a q^b  =  sum over r of (t/2)^r C(b,r) perm(a,r) (q^{b-r} * p^{a-r}),
 
@@ -51,8 +58,8 @@ from functools import lru_cache
 from itertools import product as iproduct
 from operator import itemgetter
 
-from .algebra import AlgebraError, CwElement, CwMonomial, check_same_signature
-from .scalars import GR_HALF, GR_ONE, GaussianRational, Scalar, S_ONE, S_HALF, convolve, gr_ratio
+from .algebra import AlgebraError, CwElement, CwMonomial, check_same_signature, z_degree
+from .scalars import GR_ONE, Scalar, S_ONE, S_HALF, S_ZERO, convolve, gr_ratio
 from .sparse import accumulate
 
 
@@ -142,55 +149,42 @@ def _mode_pair(a, b, c, d):
     return tuple(out)
 
 
-@lru_cache(maxsize=64, typed=True)
+@lru_cache(maxsize=64)
 def _half_t_powers(t):
-    """The lazily extended table of (t/2)^n, for a GaussianRational or a Scalar t.
-
-    typed, because a constant Scalar equals and hashes like its Gaussian
-    rational, and the two tables hold different types.
-    """
-    if isinstance(t, Scalar):
-        return _Powers(t * S_HALF)
-    return _Powers(t * GR_HALF, GR_ONE)
+    """The lazily extended table of (t/2)^n for a Scalar t."""
+    return _Powers(t * S_HALF)
 
 
 @lru_cache(maxsize=_WEYL_PAIR_CACHE)
-def _weyl_pair(A, B, C, D, t):
-    """Bose kernel at an L-free t as a tuple of (order, coeff, P, Q) quadruples.
+def _weyl_pair(A, B, C, D):
+    """Bose kernel at t = 1 as a tuple of (order, coeff, P, Q) quadruples.
 
     The canonical pairs (p_j, q_j) commute with each other, so the Weyl
     algebra on k pairs is the k-fold tensor power of the one-mode algebra,
     and the kernel is the product over modes of `_mode_pair`: a term picks
     one term per mode, its order, numerator and denominator are the sum and
     the products of theirs, and its exponents are theirs side by side.
-    order is |r|+|s| and coeff is the full Gaussian-rational coefficient
-    rational * (t/2)^order of p^P q^Q.  At t = 2 the factor (t/2)^order is 1,
-    so coeff is the bare rational.  Terms with a zero coefficient (t = 0,
-    order > 0) are left out.  The one-mode orders fix the exponents, so no
-    two terms share a monomial.
+    order is |r|+|s| and coeff is the Gaussian-rational coefficient
+    rational * (1/2)^order of p^P q^Q; at another t the term scales by
+    t^order, which the degree grading supplies.  The one-mode orders fix the
+    exponents, so no two terms share a monomial.
     """
     if not A:
         return ((0, GR_ONE, (), ()),)
-    half_t = _half_t_powers(t)
     out = []
     for terms in iproduct(*map(_mode_pair, A, B, C, D)):
         orders, nums, dens, P, Q = zip(*terms)
         order = sum(orders)
-        coeff = half_t[order] * gr_ratio(math.prod(nums), math.prod(dens))
-        if coeff:
-            out.append((order, coeff, P, Q))
+        out.append((order, gr_ratio(math.prod(nums), math.prod(dens) << order), P, Q))
     return tuple(out)
 
 
-_GR_TWO = GaussianRational(2)
-
-
 class _Powers:
-    """Lazily extended power table for a Scalar or GaussianRational base."""
+    """Lazily extended power table of a Scalar."""
 
-    def __init__(self, base, one=S_ONE):
+    def __init__(self, base):
         self.base = base
-        self.table = [one]
+        self.table = [S_ONE]
 
     def __getitem__(self, n):
         while len(self.table) <= n:
@@ -198,30 +192,20 @@ class _Powers:
         return self.table[n]
 
 
-def star(a, b):
-    """Associative star product at the signature's deformation parameter."""
-    check_same_signature(a, b)
-    t = a.signature.t_param
-    if t.lam_degree() > 0:
-        return _star_lambda(a, b, t)
-    tg = t.lam_coefficient(0)
-    neg_t = _Powers(-tg, GR_ONE)
+def _star_one(a, b):
+    """The product at t = 1 of two term maps, as {monomial: {L power: coefficient}}."""
     out = {}
-    for m1, c1 in a.terms.items():
+    for m1, c1 in a.items():
         bose1 = m1.bose_degree() & 1
-        for m2, c2 in b.terms.items():
+        for m2, c2 in b.items():
             csign, tcount, cmask = _cliff_pair(m1.cliff, m2.cliff)
-            if bose1 and m2.cliff.bit_count() & 1:
-                csign = -csign
-            fermi = neg_t[tcount]
-            if not fermi:
-                continue
-            if csign < 0:
-                fermi = -fermi
+            # the Fermi factor sign * (-1)^|T|, and the Bose-Fermi crossing
+            neg = (csign < 0) ^ (tcount & 1) ^ (bose1 and m2.cliff.bit_count() & 1)
             # c1 * c2 on the term maps, without a Scalar per pair
-            base = [(k, v * fermi) for k, v in convolve(c1.terms, c2.terms).items()]
-            # out maps a monomial to the {L power: coefficient} map of its Scalar
-            for _, coeff, P, Q in _weyl_pair(m1.wp, m1.wq, m2.wp, m2.wq, tg):
+            base = convolve(c1.terms, c2.terms).items()
+            if neg:
+                base = [(k, -v) for k, v in base]
+            for _, coeff, P, Q in _weyl_pair(m1.wp, m1.wq, m2.wp, m2.wq):
                 key = CwMonomial(cmask, P, Q)
                 acc = out.get(key)
                 if acc is None:
@@ -241,51 +225,40 @@ def star(a, b):
                             del acc[k]
                 if not acc:
                     del out[key]
+    return out
+
+
+def _graded(a, b, t):
+    """a * b at t from the products at t = 1 of their homogeneous parts.
+
+    A term m of the product of parts of degrees da and db scales by t^e,
+    e = (da + db - deg m)/2; at t = 0 only the terms with e = 0 are left.
+    """
+    t_pow = _Powers(t)
     raw = Scalar.raw
-    return CwElement.raw(a.signature, {m: raw(None, c) for m, c in out.items()})
-
-
-def _star_lambda(a, b, t):
-    """star at a t that involves L: the Bose kernel's rationals times Scalar powers."""
-    half_t = _half_t_powers(t)
-    neg_t = _Powers(-t)
+    parts_b = b.homogeneous_parts(z_degree).items()
     out = {}
-    for m1, c1 in a.terms.items():
-        bose1 = m1.bose_degree() & 1
-        for m2, c2 in b.terms.items():
-            csign, tcount, cmask = _cliff_pair(m1.cliff, m2.cliff)
-            if bose1 and m2.cliff.bit_count() & 1:
-                csign = -csign
-            base = c1 * c2 * neg_t[tcount]
-            if csign < 0:
-                base = -base
-            for order, frac, P, Q in _weyl_pair(m1.wp, m1.wq, m2.wp, m2.wq, _GR_TWO):
-                accumulate(out, CwMonomial(cmask, P, Q), base * half_t[order] * frac)
+    for da, x in a.homogeneous_parts(z_degree).items():
+        for db, y in parts_b:
+            for m, c in _star_one(x.terms, y.terms).items():
+                accumulate(out, m, raw(None, c) * t_pow[(da + db - m.z_degree()) >> 1])
     return CwElement.raw(a.signature, out)
+
+
+def star(a, b):
+    """Associative star product at the signature's deformation parameter."""
+    check_same_signature(a, b)
+    t = a.signature.t_param
+    if t != S_ONE:
+        return _graded(a, b, t)
+    out = _star_one(a.terms, b.terms)
+    return CwElement.raw(a.signature, {m: Scalar.raw(None, c) for m, c in out.items()})
 
 
 def wedge(a, b):
     """Super-exterior product (the t = 0 degeneration of star)."""
     check_same_signature(a, b)
-    out = {}
-    for m1, c1 in a.terms.items():
-        bose1 = m1.bose_degree() & 1
-        for m2, c2 in b.terms.items():
-            if m1.cliff & m2.cliff:
-                continue
-            par = _shuffle_parity(m1.cliff, m2.cliff)
-            if bose1 and m2.cliff.bit_count() & 1:
-                par ^= 1
-            coeff = c1 * c2
-            if par:
-                coeff = -coeff
-            key = CwMonomial(
-                m1.cliff | m2.cliff,
-                tuple(x + y for x, y in zip(m1.wp, m2.wp)),
-                tuple(x + y for x, y in zip(m1.wq, m2.wq)),
-            )
-            accumulate(out, key, coeff)
-    return CwElement.raw(a.signature, out)
+    return _graded(a, b, S_ZERO)
 
 
 def product(kind, a, b):
@@ -321,38 +294,32 @@ def poisson(a, b):
             coeff = c1 * c2
             if bose1 and J.bit_count() & 1:
                 coeff = -coeff
+            P = tuple(x + y for x, y in zip(m1.wp, m2.wp))
+            Q = tuple(x + y for x, y in zip(m1.wq, m2.wq))
             # Fermi bracket term: contracts one common index.
             common = I & J
-            if common:
-                fsign = 2 if degI & 1 else -2
-                m = common
-                while m:
-                    i = (m & -m).bit_length() - 1
-                    m &= m - 1
-                    Ii, Ji = I ^ (1 << i), J ^ (1 << i)
-                    if Ii & Ji:
-                        continue
-                    par = _parity_below(I, i) ^ _parity_below(J, i)
-                    par ^= _shuffle_parity(Ii, Ji)
-                    c = coeff * (fsign if not par else -fsign)
-                    P = tuple(x + y for x, y in zip(m1.wp, m2.wp))
-                    Q = tuple(x + y for x, y in zip(m1.wq, m2.wq))
-                    accumulate(out, CwMonomial(Ii | Ji, P, Q), c)
+            fsign = 2 if degI & 1 else -2
+            m = common
+            while m:
+                i = (m & -m).bit_length() - 1
+                m &= m - 1
+                Ii, Ji = I ^ (1 << i), J ^ (1 << i)
+                if Ii & Ji:
+                    continue
+                par = _parity_below(I, i) ^ _parity_below(J, i)
+                par ^= _shuffle_parity(Ii, Ji)
+                c = coeff * (fsign if not par else -fsign)
+                accumulate(out, CwMonomial(Ii | Ji, P, Q), c)
             # Bose bracket term: needs the Fermi parts to wedge.
-            if not (I & J):
+            if not common:
                 par = _shuffle_parity(I, J)
                 base = -coeff if par else coeff
                 for j in range(k):
                     f = m1.wp[j] * m2.wq[j] - m1.wq[j] * m2.wp[j]
-                    if not f:
-                        continue
-                    P = tuple(
-                        m1.wp[x] + m2.wp[x] - (1 if x == j else 0) for x in range(k)
-                    )
-                    Q = tuple(
-                        m1.wq[x] + m2.wq[x] - (1 if x == j else 0) for x in range(k)
-                    )
-                    accumulate(out, CwMonomial(I | J, P, Q), base * f)
+                    if f:
+                        Pj = P[:j] + (P[j] - 1,) + P[j + 1 :]
+                        Qj = Q[:j] + (Q[j] - 1,) + Q[j + 1 :]
+                        accumulate(out, CwMonomial(I | J, Pj, Qj), base * f)
     return CwElement.raw(a.signature, out)
 
 
@@ -377,15 +344,10 @@ def super_bracket(a, b):
     check_same_signature(a, b)
     pa = a.homogeneous_parts(lambda m: m.bose_degree() & 1)
     pb = b.homogeneous_parts(lambda m: m.bose_degree() & 1)
-    out = None
+    out = CwElement.raw(a.signature, {})
     for da, xa in pa.items():
         for db, xb in pb.items():
-            term = anti_bracket(xa, xb) if da and db else star(xa, xb) - star(xb, xa)
-            out = term if out is None else out + term
-    if out is None:
-        from .algebra import zero
-
-        return zero(a.signature)
+            out = out + (anti_bracket(xa, xb) if da and db else star(xa, xb) - star(xb, xa))
     return out
 
 
@@ -476,9 +438,7 @@ def to_star_words(signature, m):
     signature's deformation parameter.
     """
     prefix = tuple(("w", i) for i in m.cliff_indices())
-    return [
-        (c, prefix + w) for c, w in _weyl_words(m.wp, m.wq, signature.t_param)
-    ]
+    return [(c, prefix + w) for c, w in _weyl_words(m.wp, m.wq, signature.t_param)]
 
 
 def element_star_words(e):

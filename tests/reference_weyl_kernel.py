@@ -1,31 +1,40 @@
-"""Reference Bose kernel and star words over whole k-mode exponent tuples.
+"""Reference Bose kernel, star words and products over whole k-mode tuples.
 
-These are the library's earlier `_weyl_pair` and `_weyl_words`, kept as
-independent oracles for `cliffordweyl.starprod`, which now factors both per
-mode.  The kernel sums over every (r, s) pair of exponent tuples, and the
-words strip one q factor at a time on an explicit stack, caching every
-intermediate whole-tuple monomial, so they are only for small exponents.
+These are the library's earlier `_weyl_pair`, `_weyl_words` and `wedge`,
+kept as independent oracles for `cliffordweyl.starprod`, which factors the
+kernel and the words per mode and gets every t from the product at t = 1 by
+the degree grading.  The kernel sums over every (r, s) pair of exponent
+tuples at the given t, and the words strip one q factor at a time on an
+explicit stack, caching every intermediate whole-tuple monomial, so they are
+only for small exponents.  `star` multiplies term by term at the
+signature's t: the whole-tuple kernel at t, and the Fermi word reduced
+generator by generator with w_i w_i = t.  `wedge` is the shuffle loop of the
+super-exterior product.
 """
 
 import math
+from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iproduct
 
-from cliffordweyl.scalars import GR_HALF, GR_ONE, S_HALF, S_ONE, Scalar, gr_ratio
+from cliffordweyl.algebra import CwElement, CwMonomial
+from cliffordweyl.scalars import S_HALF, S_ONE, Scalar, gr_ratio
 from cliffordweyl.sparse import accumulate
-from cliffordweyl.starprod import _Powers
+from cliffordweyl.starprod import _shuffle_parity
 
 
-@lru_cache(maxsize=None)
+# typed, because a constant Scalar equals and hashes like its Gaussian
+# rational, and the two give coefficients of different types
+@lru_cache(maxsize=None, typed=True)
 def _weyl_pair(A, B, C, D, t):
-    """Bose kernel at an L-free t as a tuple of (order, coeff, P, Q) quadruples.
+    """Bose kernel at t (a GaussianRational or a Scalar) as (order, coeff, P, Q) quadruples.
 
-    order is |r|+|s| and coeff is the full Gaussian-rational coefficient
-    rational * (t/2)^order of p^P q^Q.  At t = 2 the factor (t/2)^order is 1,
-    so coeff is the bare rational.  Terms with a zero coefficient (t = 0,
-    order > 0) are left out.
+    order is |r|+|s| and coeff is the full coefficient rational * (t/2)^order
+    of p^P q^Q.  Terms with a zero coefficient (t = 0, order > 0) are left
+    out.
     """
-    half_t = _Powers(t * GR_HALF, GR_ONE)
+    half_t = t * Fraction(1, 2)
+    powers = {}
     out = []
     k = len(A)
     r_ranges = [range(min(A[i], D[i]) + 1) for i in range(k)]
@@ -42,13 +51,78 @@ def _weyl_pair(A, B, C, D, t):
                 num *= math.perm(B[i], s[i]) * math.perm(C[i], s[i])
                 den *= math.factorial(s[i])
             order = sum(r) + sum(s)
-            coeff = half_t[order] * gr_ratio(num, den)
+            if order not in powers:
+                powers[order] = half_t**order
+            coeff = powers[order] * gr_ratio(num, den)
             if not coeff:
                 continue
             P = tuple(A[i] - r[i] + C[i] - s[i] for i in range(k))
             Q = tuple(B[i] - s[i] + D[i] - r[i] for i in range(k))
             out.append((order, coeff, P, Q))
     return tuple(out)
+
+
+def _fermi_word(I, J):
+    """w^I w^J as (sign, contractions, mask) with w_i w_j = -w_j w_i and w_i w_i = t.
+
+    The word of I's generators then J's, each ascending, is sorted by
+    adjacent swaps, and each adjacent equal pair is replaced by t.
+    """
+    word = [i for i in range(I.bit_length()) if I >> i & 1]
+    word += [j for j in range(J.bit_length()) if J >> j & 1]
+    sign, contractions = 1, 0
+    x = 0
+    while x < len(word) - 1:
+        if word[x] == word[x + 1]:
+            del word[x : x + 2]
+            contractions += 1
+            x = max(x - 1, 0)
+        elif word[x] > word[x + 1]:
+            word[x], word[x + 1] = word[x + 1], word[x]
+            sign = -sign
+            x = max(x - 1, 0)
+        else:
+            x += 1
+    return sign, contractions, sum(1 << i for i in word)
+
+
+def star(a, b):
+    """a * b at the signature's t, one monomial pair and one kernel term at a time."""
+    t = a.signature.t_param
+    out = {}
+    for m1, c1 in a.terms.items():
+        for m2, c2 in b.terms.items():
+            sign, contractions, mask = _fermi_word(m1.cliff, m2.cliff)
+            # crossing a Bose symbol of odd degree past an odd Fermi word
+            if m1.bose_degree() & 1 and m2.cliff.bit_count() & 1:
+                sign = -sign
+            base = c1 * c2 * t**contractions * sign
+            for _, coeff, P, Q in _weyl_pair(m1.wp, m1.wq, m2.wp, m2.wq, t):
+                accumulate(out, CwMonomial(mask, P, Q), base * coeff)
+    return CwElement(a.signature, out)
+
+
+def wedge(a, b):
+    """Super-exterior product (the t = 0 degeneration of star)."""
+    out = {}
+    for m1, c1 in a.terms.items():
+        bose1 = m1.bose_degree() & 1
+        for m2, c2 in b.terms.items():
+            if m1.cliff & m2.cliff:
+                continue
+            par = _shuffle_parity(m1.cliff, m2.cliff)
+            if bose1 and m2.cliff.bit_count() & 1:
+                par ^= 1
+            coeff = c1 * c2
+            if par:
+                coeff = -coeff
+            key = CwMonomial(
+                m1.cliff | m2.cliff,
+                tuple(x + y for x, y in zip(m1.wp, m2.wp)),
+                tuple(x + y for x, y in zip(m1.wq, m2.wq)),
+            )
+            accumulate(out, key, coeff)
+    return CwElement(a.signature, out)
 
 
 _weyl_word_cache = {}

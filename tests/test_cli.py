@@ -1,11 +1,14 @@
 """Command-line behavior: modes, exit codes, deterministic reports."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cliffordweyl import cli
-from cliffordweyl.exprs import parse_algebra
+from cliffordweyl import cli, exprs
+from cliffordweyl.exprs import evaluate_text, parse_algebra
 from cliffordweyl.suites import (
     MAX_CASES,
     SuiteResult,
@@ -281,3 +284,72 @@ def test_algebra_above_the_size_bound_is_a_usage_error(descriptor, capsys, monke
     monkeypatch.undo()
     assert parse_algebra("cw:1000,1000").describe() == "cw:1000,1000"
     assert parse_algebra("ore:1000").describe() == "ore:1000"
+
+
+@pytest.mark.parametrize(
+    "algebra, text", [("cw:1,2", "(1+q1)^3000"), ("ore:0", "(1+E+)^3000")], ids=["cw", "ore"]
+)
+def test_work_above_the_budget_is_an_input_error(algebra, text, capsys):
+    # each step of the power multiplies a growing sum by a two-term one
+    assert cli.main(["--algebra", algebra, text]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip() == (
+        "error: expression above the work budget of %d monomial pairs" % exprs.MAX_PAIRS
+    )
+
+
+def test_work_budget_counts_monomial_pairs(monkeypatch):
+    ctx = parse_algebra("cw:0,2")
+    # the largest power of a generator charges one pair per step and fits
+    assert exprs.MAX_PAIRS >= exprs.MAX_EXPONENT
+    monkeypatch.setattr(exprs, "MAX_PAIRS", 12)
+    # (p1+q1)^2 charges 1*2 + 2*2 pairs and has three terms; a bracket
+    # charges twice; a constant power charges nothing
+    for text in ["q1^12", "(1+q1)*(p1+q1)^2", "[p1+q1,p1+q1+1]", "(1+i)^99 * q1^11"]:
+        evaluate_text(text, ctx)
+    for text in ["q1^13", "(1+q1)*(p1+q1)^2*1", "[p1+q1,p1+q1+1] + p1*q1"]:
+        with pytest.raises(exprs.AlgebraError, match="work budget of 12 "):
+            evaluate_text(text, ctx)
+
+
+# -- grammar fuzz ---------------------------------------------------------------------
+
+_FUZZ_ATOMS = st.one_of(
+    st.integers(0, 12).map(str),
+    st.sampled_from(["i", "L", "w1", "w2", "w3", "p1", "p2", "q1", "q2", "E+", "E-", "P"]),
+)
+
+# text built by the rules of the exprs grammar; generators outside the
+# algebra, L in cw, division by non-constants and the precedence of "^"
+# give input errors, not tracebacks
+_FUZZ_TEXT = st.recursive(
+    _FUZZ_ATOMS,
+    lambda kids: st.one_of(
+        st.builds("({})".format, kids),
+        st.builds("-{}".format, kids),
+        st.builds("{}{}{}".format, kids, st.sampled_from(["+", "-", "*", "/", " ", " - "]), kids),
+        st.builds("{}^{}".format, kids, st.integers(0, 4)),
+        st.builds(
+            "{}{},{}{}".format,
+            st.sampled_from(["[", "{"]),
+            kids,
+            kids,
+            st.sampled_from(["]", "]+", "}"]),
+        ),
+    ),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(st.sampled_from(["cw:2,2", "cw:0,4", "cw:3,0", "ore:0", "ore:1"]), _FUZZ_TEXT)
+def test_grammar_fuzz_exits_0_or_2(algebra, text):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["--algebra", algebra, "--", text])
+    assert code in (0, 2), (algebra, text)
+    if code == 2:
+        assert out.getvalue() == "" and err.getvalue().startswith("error: "), (algebra, text)
+    else:
+        assert out.getvalue().strip(), (algebra, text)

@@ -481,6 +481,13 @@ def test_commutant_of_isotypic_double():
     assert commutant_probe(double) == 4
 
 
+def test_commutant_rejects_an_entry_involving_lambda():
+    rep = finite_irrep_pi_h(0, 0, "+")
+    bad = {**rep, "E+": Matrix([[Scalar.lam(1) + 1]])}
+    with pytest.raises(AlgebraError, match="central parameter"):
+        commutant_probe(bad)
+
+
 def test_matrix_direct_sum_shape():
     a = Matrix.identity(2)
     b = Matrix.identity(3)

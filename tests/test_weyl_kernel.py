@@ -1,10 +1,12 @@
-"""The per-mode Bose kernel and star words against the whole-tuple oracles.
+"""The Bose kernel, star words and products against whole-tuple oracles.
 
-`tests/reference_weyl_kernel.py` holds the earlier kernel and star words,
-which work on whole k-mode exponent tuples.  The library now factors both
-per mode; these seeded property tests compare the two on random exponent
-tuples with k <= 4 modes and exponents <= 6, and check that the kernel caches
-stay bounded.
+`tests/reference_weyl_kernel.py` holds the earlier kernel, star words and
+wedge, which work on whole k-mode exponent tuples, and a product that
+multiplies term by term at the signature's t.  The library factors the
+kernel and the words per mode and gets every t from the product at t = 1 by
+the degree grading; these seeded property tests compare the two on random
+exponent tuples with k <= 4 modes and exponents <= 6, and check that the
+kernel caches stay bounded.
 """
 
 import math
@@ -18,13 +20,13 @@ from cliffordweyl import ore, starprod
 from cliffordweyl.algebra import AlgebraSignature, CwElement, CwMonomial
 from cliffordweyl.scalars import GR_ONE, GR_ZERO, GaussianRational, S_LAMBDA, S_ONE, Scalar
 from cliffordweyl.starprod import (
-    _GR_TWO,
     _cliff_pair,
     _mode_pair,
     _weyl_pair,
     _weyl_words,
     element_star_words,
     star,
+    wedge,
 )
 from cliffordweyl.suites import _rand_cw
 
@@ -64,17 +66,19 @@ def _by_monomial(terms):
 
 @pytest.mark.parametrize(
     "t",
-    [GR_ONE, GR_ZERO, _GR_TWO, GaussianRational(Fraction(1, 3), -1)],
+    [GR_ONE, GR_ZERO, GaussianRational(2), GaussianRational(Fraction(1, 3), -1)],
     ids=["1", "0", "2", "1/3-i"],
 )
 def test_kernel_matches_whole_tuple_reference(t):
+    # the kernel is the one at t = 1; a term of order e at t is t^e times it
     rng = random.Random(6061)
     for A, B, C, D in _kernel_cases(rng, 60):
-        got = _weyl_pair(A, B, C, D, t)
+        got = _weyl_pair(A, B, C, D)
         assert all(coeff for _, coeff, _, _ in got)
         # the per-mode kernel merges the terms of one monomial
         assert len({(P, Q) for _, _, P, Q in got}) == len(got)
-        assert _by_monomial(got) == _by_monomial(ref._weyl_pair(A, B, C, D, t)), (A, B, C, D)
+        at_t = [(order, coeff * t**order, P, Q) for order, coeff, P, Q in got]
+        assert _by_monomial(at_t) == _by_monomial(ref._weyl_pair(A, B, C, D, t)), (A, B, C, D)
 
 
 def _rand_element(rng, sig, nterms):
@@ -89,24 +93,44 @@ def _rand_element(rng, sig, nterms):
     return CwElement(sig, terms)
 
 
-@pytest.mark.parametrize("t", [S_LAMBDA, S_ONE + S_LAMBDA], ids=["L", "1+L"])
-def test_star_lambda_matches_whole_tuple_reference(t, monkeypatch):
-    # an L-dependent t takes `_star_lambda`, which reads `_weyl_pair(..., 2)`
+def _product_cases(rng, sig, count):
+    """count pairs of 2-term elements small enough for the whole-tuple kernel."""
+    cases = []
+    while len(cases) < count:
+        a, b = _rand_element(rng, sig, 2), _rand_element(rng, sig, 2)
+        work = sum(_ref_work(m1.wp, m1.wq, m2.wp, m2.wq) for m1 in a.terms for m2 in b.terms)
+        if work <= REF_PAIR_WORK:
+            cases.append((a, b))
+    return cases
+
+
+OTHER_T = [Scalar(), Scalar.of(2), Scalar.of(Fraction(1, 3), -1), S_LAMBDA, S_ONE + S_LAMBDA]
+
+
+@pytest.mark.parametrize("t", OTHER_T, ids=["0", "2", "1/3-i", "L", "1+L"])
+def test_star_matches_reference_product(t):
+    # star at t != 1 scales the t = 1 products of homogeneous parts by the
+    # grading; the reference multiplies every term at t itself
     rng = random.Random(6062)
-    for k in (1, 2, 3, 4):
-        sig = AlgebraSignature(2, k, t)
-        done = 0
-        while done < 3:
-            a, b = _rand_element(rng, sig, 2), _rand_element(rng, sig, 2)
-            work = sum(_ref_work(m1.wp, m1.wq, m2.wp, m2.wq) for m1 in a.terms for m2 in b.terms)
-            if work > REF_PAIR_WORK:
-                continue
-            done += 1
-            got = star(a, b)
-            with monkeypatch.context() as mp:
-                mp.setattr(starprod, "_weyl_pair", ref._weyl_pair)
-                want = star(a, b)
-            assert got == want, (a, b)
+    for k in (0, 1, 2, 3, 4):
+        sig = AlgebraSignature(3, k, t)
+        for a, b in _product_cases(rng, sig, 3):
+            assert star(a, b) == ref.star(a, b), (a, b)
+
+
+def test_star_at_one_matches_reference_product():
+    rng = random.Random(6065)
+    for k in (0, 1, 2, 3, 4):
+        for a, b in _product_cases(rng, AlgebraSignature(3, k), 3):
+            assert star(a, b) == ref.star(a, b), (a, b)
+
+
+def test_wedge_matches_reference_wedge():
+    rng = random.Random(6066)
+    for t in (S_ONE, S_LAMBDA):
+        for k in (0, 1, 2, 3):
+            for a, b in _product_cases(rng, AlgebraSignature(3, k, t), 4):
+                assert wedge(a, b) == ref.wedge(a, b), (a, b)
 
 
 @pytest.mark.parametrize("t", [S_ONE, Scalar(), S_LAMBDA], ids=["1", "0", "L"])
