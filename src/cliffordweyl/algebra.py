@@ -144,17 +144,6 @@ class CwElement(SparseElement):
         """Deterministically ordered list of (monomial, coefficient)."""
         return [(m, self.terms[m]) for m in sorted(self.terms, key=_monomial_sort_key)]
 
-    def homogeneous_parts(self, key):
-        """Split into parts on which `key(monomial)` is constant.
-
-        Returns {key_value: CwElement}; used to extend degree-sensitive
-        brackets bilinearly.
-        """
-        parts = {}
-        for m, c in self.terms.items():
-            parts.setdefault(key(m), {})[m] = c
-        return {k: CwElement.raw(self.space, v) for k, v in parts.items()}
-
     def map_coefficients(self, fn):
         out = {}
         for m, c in self.terms.items():

@@ -406,9 +406,7 @@ def verma_apply(lam, a, f):
             g = ops["E+"].apply(g)
         if m.cliff:
             g = ops["P"].apply(g)
-        coeff = c
-        for _ in range(m.lam):
-            coeff = coeff * lam
+        coeff = c * lam**m.lam
         for mm, cc in g.items():
             accumulate(out, mm, cc * coeff)
     return out

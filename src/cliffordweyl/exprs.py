@@ -82,6 +82,7 @@ class ParseError(ValueError):
 # -- tokenizer ---------------------------------------------------------------------
 
 _SIMPLE = set("+-*/^(),{}")
+_DIGITS = "0123456789"  # str.isdigit also accepts other scripts' digits and superscripts
 
 
 def tokenize(text):
@@ -94,16 +95,16 @@ def tokenize(text):
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < size and text[j].isdigit():
+            while j < size and text[j] in _DIGITS:
                 j += 1
             out.append(("num", int(text[i:j]), i))
             i = j
             continue
         if ch in "wpq":
             j = i + 1
-            while j < size and text[j].isdigit():
+            while j < size and text[j] in _DIGITS:
                 j += 1
             if j == i + 1:
                 raise ParseError("generator '%s' needs an index" % ch, i)

@@ -13,7 +13,8 @@ squares to L^2.  The product is computed by rewriting: the only nontrivial
 kernel is the normal form of E-^beta E+^gamma.  It is a loop that
 multiplies in the shorter block one generator at a time, so it runs
 min(beta, gamma) steps, with int numerators over the common denominator
-4^steps; everything else is sign bookkeeping and one Clifford pairing.
+4^steps.  `pair_kernel` adds the signs and one Clifford pairing per monomial
+pair, and `sparse.pair_product` sums its terms.
 
 An element is a `sparse.SparseElement` over the rank n: a canonical map
 OreMonomial -> Gaussian rational whose unit monomial is OreMonomial(0, 0, 0,
@@ -27,10 +28,14 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .algebra import AlgebraError, index_mask
-from .scalars import GR_ONE, GaussianRational, _coerce, format_coefficient, gaussian, gr_ratio, i_power
-from .sparse import Checks, SparseElement, accumulate
+from .scalars import GR_I, GR_ONE, GaussianRational, _coerce, format_coefficient, gaussian, gr_ratio
+from .scalars import i_power
+from .sparse import Checks, SparseElement, accumulate, pair_product
+from .sparse import anti_bracket as ore_anti_bracket, lie_bracket as ore_lie_bracket
 from .starprod import _LOWER_PAST_POWERS_CACHE, _cliff_pair
 from .textform import join_signed, signed_term
+
+_tuple_new = tuple.__new__  # an OreMonomial without the NamedTuple's Python __new__
 
 
 class OreMonomial(NamedTuple):
@@ -81,17 +86,8 @@ class OreElement(SparseElement):
 
     def lam_coefficient(self, r):
         """The element multiplying L^r (returned with the L factor removed)."""
-        out = {}
-        for m, c in self.terms.items():
-            if m.lam == r:
-                out[OreMonomial(m.cliff, m.e_plus, m.e_minus, 0)] = c
+        out = {m._replace(lam=0): c for m, c in self.terms.items() if m.lam == r}
         return OreElement.raw(self.n, out)
-
-    def bose_parity_parts(self):
-        even, odd = {}, {}
-        for m, c in self.terms.items():
-            (odd if m.bose_parity() else even)[m] = c
-        return OreElement.raw(self.n, even), OreElement.raw(self.n, odd)
 
     def monomials(self):
         return sorted(self.terms, key=_monomial_sort_key)
@@ -231,67 +227,52 @@ def _lower_past_powers(beta, gamma):
     return tuple(out)
 
 
+def pair_kernel(n):
+    """The rank-n pair kernel: (m1, m2) -> ((coefficient, OreMonomial), ...)."""
+    full = (1 << (2 * n + 1)) - 1
+    # the ghost's coefficient i^n is (-1)^(n // 2), times i for odd n
+    ghost_neg, ghost_i = (n >> 1) & 1, n & 1
+
+    def pair(m1, m2):
+        csign, tcount, mask = _cliff_pair(m1.cliff, m2.cliff)
+        neg = (csign < 0) ^ (tcount & 1) ^ ((m1.e_plus + m1.e_minus) & m2.cliff.bit_count() & 1)
+        e_plus, e_minus, lam = m1.e_plus, m2.e_minus, m1.lam + m2.lam
+        out, gmask = [], None
+        for q, a, eps, b, extra in _lower_past_powers(m1.e_minus, m2.e_plus):
+            if not eps:
+                key = _tuple_new(OreMonomial, (mask, e_plus + a, b + e_minus, lam + extra))
+                out.append((-q if neg else q, key))
+                continue
+            # ghost = i^n w_full L anticommutes with each E+ on its way to the
+            # front, then pairs into the Fermi word: only (-1)^a varies
+            if gmask is None:
+                gsign, gtc, gmask = _cliff_pair(mask, full)
+                gneg = neg ^ (gsign < 0) ^ (gtc & 1) ^ (e_plus & 1) ^ ghost_neg
+            c = -q if gneg ^ (a & 1) else q
+            if ghost_i:
+                c = c * GR_I
+            out.append((c, _tuple_new(OreMonomial, (gmask, e_plus + a, b + e_minus, lam + extra + 1))))
+        return out
+
+    return pair
+
+
 def ore_product(x, y):
     x._check_space(y)
-    n = x.n
-    full = (1 << (2 * n + 1)) - 1
-    ghost_coeff = i_power(n)
-    out = {}
-    for m1, c1 in x.terms.items():
-        eblock1 = (m1.e_plus + m1.e_minus) & 1
-        for m2, c2 in y.terms.items():
-            base = c1 * c2
-            # w^J of the right factor passes the E-block of the left factor
-            if eblock1 and m2.cliff.bit_count() & 1:
-                base = -base
-            csign, tcount, mask = _cliff_pair(m1.cliff, m2.cliff)
-            if (csign < 0) ^ (tcount & 1):
-                base = -base
-            lam = m1.lam + m2.lam
-            ghost = None
-            for q, a, eps, b, extra in _lower_past_powers(m1.e_minus, m2.e_plus):
-                e_plus = m1.e_plus + a
-                if eps:
-                    # ghost = i^n w_full L sits after E+^{e_plus}: it
-                    # anticommutes with each E+ on its way to the front,
-                    # commutes with every w, then pairs into the Fermi word.
-                    # All of that but the sign (-1)^a is fixed per pair.
-                    if ghost is None:
-                        gsign, gtc, gmask = _cliff_pair(mask, full)
-                        g = base * ghost_coeff
-                        if (gsign < 0) ^ (gtc & 1) ^ (m1.e_plus & 1):
-                            g = -g
-                        ghost = (g, -g)
-                    coeff = ghost[a & 1] * q
-                    key = OreMonomial(gmask, e_plus, b + m2.e_minus, lam + extra + 1)
-                else:
-                    coeff = base * q
-                    key = OreMonomial(mask, e_plus, b + m2.e_minus, lam + extra)
-                # sparse.accumulate, inlined: this loop is the product's hot path
-                s = out.get(key)
-                s = coeff if s is None else s + coeff
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
-    return OreElement.raw(n, out)
+    return OreElement.raw(x.n, pair_product(x.terms, y.terms, pair_kernel(x.n)))
 
 
 # -- brackets and specialization ---------------------------------------------------
 
 
-def ore_lie_bracket(x, y):
-    return ore_product(x, y) - ore_product(y, x)
-
-
-def ore_anti_bracket(x, y):
-    return ore_product(x, y) + ore_product(y, x)
-
-
 def ore_super_bracket(x, y):
     """Bracket graded by the parity of the E-block."""
-    xe, xo = x.bose_parity_parts()
-    ye, yo = y.bose_parity_parts()
+
+    def even_odd(e):
+        p = e.homogeneous_parts(OreMonomial.bose_parity)
+        return p.get(0, ore_zero(e.n)), p.get(1, ore_zero(e.n))
+
+    (xe, xo), (ye, yo) = even_odd(x), even_odd(y)
     out = ore_anti_bracket(xo, yo)
     for a, b in ((xe, ye), (xe, yo), (xo, ye)):
         out = out + ore_lie_bracket(a, b)
@@ -303,10 +284,7 @@ def specialize(x, lam_value):
     lam_value = gaussian(lam_value)
     out = {}
     for m, c in x.terms.items():
-        v = c
-        for _ in range(m.lam):
-            v = v * lam_value
-        accumulate(out, OreMonomial(m.cliff, m.e_plus, m.e_minus, 0), v)
+        accumulate(out, m._replace(lam=0), c * lam_value**m.lam)
     return OreElement.raw(x.n, out)
 
 

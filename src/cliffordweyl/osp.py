@@ -26,7 +26,7 @@ from .algebra import (
     zero,
 )
 from .linalg import add_row, reduce_row, sparse_rref
-from .scalars import Scalar
+from .scalars import Scalar, split_powers
 from .sparse import Checks
 from .starprod import poisson, star, super_bracket
 
@@ -90,19 +90,12 @@ def twisted_adjoint(a, b):
     """
     check_same_signature(a, b)
     out = zero(a.signature)
-    for xa, da in _bidegree_parts(a):
-        for xb, db in _bidegree_parts(b):
+    for da, xa in sorted(a.homogeneous_parts(bidegree).items()):
+        for db, xb in sorted(b.homogeneous_parts(bidegree).items()):
             sign = (da.delta2 * db.delta2 + da.delta1) & 1
             right = star(xb, xa)
             out = out + star(xa, xb) + (right if sign else -right)
     return out
-
-
-def _bidegree_parts(x):
-    parts = {}
-    for m, c in x.terms.items():
-        parts.setdefault(bidegree(m), {})[m] = c
-    return [(x.__class__(x.signature, terms), d) for d, terms in sorted(parts.items())]
 
 
 # -- the subalgebra g = V + [V, V] ------------------------------------------------
@@ -110,11 +103,7 @@ def _bidegree_parts(x):
 
 def element_row(x):
     """Flatten an element to a sparse row keyed by (monomial, L-power)."""
-    row = {}
-    for m, c in x.terms.items():
-        for power, g in c.coeffs.items():
-            row[((m.cliff, m.wp, m.wq), power)] = g
-    return row
+    return split_powers(x.terms)
 
 
 def independent_subset(elements):

@@ -26,6 +26,7 @@ Both directions extend from generators through the exact star-word
 decomposition of an element, so round-trips are literal identities.
 """
 
+from . import ore, starprod
 from .algebra import (
     AlgebraError,
     AlgebraSignature,
@@ -43,15 +44,25 @@ from .linalg import Matrix
 from .ore import OreElement
 from .reps import rep_matrix, spin
 from .scalars import GR_ONE, S_HALF, S_ONE, Scalar, _coerce_scalar, scalar_i_power
-from .sparse import SparseElement, accumulate
+from .scalars import join_powers, split_powers
+from .sparse import SparseElement, pair_product
 from .starprod import element_star_words, star
 from .textform import coefficient_text, join_signed, signed_term
 
 
 # -- tensor elements over two factor algebras --------------------------------------
 
-# the element class, and its coefficient 1, of the algebra a factor space names
-_FACTORS = {AlgebraSignature: (CwElement, S_ONE), int: (OreElement, GR_ONE)}
+def _ore_pairs(n):
+    pair = ore.pair_kernel(n)
+    return lambda k1, k2: [(c, (m, k1[1] + k2[1])) for c, m in pair(k1[0], k2[0])]
+
+
+# the algebra a factor space names: its element class and coefficient 1, the
+# module and name of its product, and its pair kernel on (monomial, L power)
+_FACTORS = {
+    AlgebraSignature: (CwElement, S_ONE, starprod, "star", lambda sig: starprod.pair_kernel(sig.t_param)),
+    int: (OreElement, GR_ONE, ore, "ore_product", _ore_pairs),
+}
 
 
 def _factor(space):
@@ -91,7 +102,7 @@ class TensorElement(SparseElement):
 
     def __str__(self):
         ls, rs = self.space
-        (lf, lone), (rf, rone) = _factor(ls), _factor(rs)
+        (lf, lone), (rf, rone) = _factor(ls)[:2], _factor(rs)[:2]
         bits = []
         for ml, mr in sorted(self.terms):
             body = "%s (x) %s" % (lf.raw(ls, {ml: lone}), rf.raw(rs, {mr: rone}))
@@ -99,11 +110,7 @@ class TensorElement(SparseElement):
         return join_signed(bits)
 
     def __repr__(self):
-        return "<TensorElement %r (x) %r | %d terms>" % (
-            self.left_signature,
-            self.right_signature,
-            len(self.terms),
-        )
+        return "<TensorElement %r (x) %r | %d terms>" % (*self.space, len(self.terms))
 
     def to_json(self):
         ls, rs = self.space
@@ -133,33 +140,45 @@ def tensor_unit(left_signature, right_signature):
 
 def tensor_of(a, b):
     """Outer product: the tensor with terms a_m (x) b_m' for every term pair."""
-    terms = {}
-    for ml, cl in a.terms.items():
-        for mr, cr in b.terms.items():
-            terms[(ml, mr)] = cl * cr
+    terms = {(ml, mr): cl * cr for ml, cl in a.terms.items() for mr, cr in b.terms.items()}
     return TensorElement(a.space, b.space, terms)
+
+
+def _slot_pairs(space):
+    """A factor's pair kernel on (monomial, L power) keys.
+
+    While the factor's product is replaced in its module (`bench/` does so to
+    trace it or to inject a fault), one-term elements multiply through the
+    replacement instead, so that it sees every slot product.
+    """
+    cls, one, module, name, kernel = _factor(space)
+    if getattr(module, name).__module__ == module.__name__:
+        return kernel(space)
+
+    def pair(k1, k2):
+        p, l = cls.raw(space, {k1[0]: one}) * cls.raw(space, {k2[0]: one}), k1[1] + k2[1]
+        return [(g, (m, l + j)) for m, c in p.terms.items() for j, g in _coerce_scalar(c).terms.items()]
+
+    return pair
 
 
 def tensor_star(x, y):
     """Slotwise product of tensor elements (no crossing sign; see module doc).
 
-    Each pair of slot monomials multiplies through its factor algebra's `*`,
-    so a cw slot goes through `star` and a deformed slot through
-    `ore_product`.
+    The kernel of a pair of terms is the product of the two slots' kernel
+    lists, the left slot carrying the pair's L power, and
+    `sparse.pair_product` sums it with the coefficients split into L powers.
     """
     x._check_space(y)
-    ls, rs = x.space
-    (lf, lone), (rf, rone) = _factor(ls), _factor(rs)
-    out = {}
-    for (al, ar), c1 in x.terms.items():
-        for (bl, br), c2 in y.terms.items():
-            left = lf.raw(ls, {al: lone}) * lf.raw(ls, {bl: lone})
-            right = rf.raw(rs, {ar: rone}) * rf.raw(rs, {br: rone})
-            base = c1 * c2
-            for ml, cl in left.terms.items():
-                for mr, cr in right.terms.items():
-                    accumulate(out, (ml, mr), base * cl * cr)
-    return TensorElement.raw(x.space, out)
+    left, right = map(_slot_pairs, x.space)
+
+    def pair(k1, k2):
+        ((al, ar), l1), ((bl, br), l2) = k1, k2
+        lt, rt = left((al, l1 + l2), (bl, 0)), right((ar, 0), (br, 0))
+        return [(cl * cr, ((ml, mr), jl + jr)) for cl, (ml, jl) in lt for cr, (mr, jr) in rt]
+
+    terms = pair_product(split_powers(x.terms), split_powers(y.terms), pair)
+    return TensorElement.raw(x.space, join_powers(terms))
 
 
 # -- the even-factor volume involution -------------------------------------------

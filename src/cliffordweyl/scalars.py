@@ -396,6 +396,24 @@ def convolve(t1, t2):
     return out
 
 
+def split_powers(terms):
+    """{(key, L power): Gaussian rational} from a map key -> Scalar."""
+    return {(k, l): g for k, s in terms.items() for l, g in s.terms.items()}
+
+
+def join_powers(flat):
+    """The map key -> Scalar from {(key, L power): nonzero Gaussian rational}."""
+    out = {}
+    get, raw = out.get, Scalar.raw
+    for (k, l), g in flat.items():
+        s = get(k)
+        if s is None:
+            out[k] = raw(None, {l: g})
+        else:
+            s.terms[l] = g  # built just above, so its map is still ours to fill
+    return out
+
+
 def _coerce_scalar(x):
     """x as a Scalar (a number becomes a constant), or NotImplemented."""
     if x.__class__ is Scalar:

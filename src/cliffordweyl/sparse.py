@@ -17,10 +17,11 @@ subclass supplies only what differs:
     _product(other)      the product, for the classes that have one
 
 `accumulate` is the one "add, drop the zero" step for building term maps.
-The innermost loops of `star`, `ore_product` and `scalars.convolve` (the
-L-polynomial product that every cw coefficient product runs) inline it.
-A constant raised to a power is the power of its coefficient, taken by
-squaring in the ring.
+`pair_product` is the one loop that accumulates products: `star` at every
+t, `wedge`, `ore_product` and `tensor_star` run it with their families'
+pair kernels.  It and `scalars.convolve` (`Scalar`'s own ring product)
+inline `accumulate`.  A constant raised to a power is the power of its
+coefficient, taken by squaring in the ring.
 
 `Checks` is the one recorder of verification cases: every report in the
 package, from the suites down to `ore`, `deform`, `osp` and `hochschild`,
@@ -81,6 +82,42 @@ def accumulate(out, key, c):
         out.pop(key, None)
 
 
+def pair_product(a, b, pair):
+    """Sum over term pairs of c1 * c2 * pair(k1, k2), as a canonical term map.
+
+    The coefficients of a and b, and the ones in pair(k1, k2) ->
+    ((coefficient, key), ...), are nonzero Gaussian rationals.
+    """
+    out = {}
+    get = out.get
+    for k1, c1 in a.items():
+        for k2, c2 in b.items():
+            c = c1 * c2
+            for coeff, key in pair(k1, k2):
+                # accumulate, inlined: this is every product's hot path
+                v = c * coeff
+                s = get(key)
+                if s is None:
+                    out[key] = v
+                else:
+                    s = s + v
+                    if s:
+                        out[key] = s
+                    else:
+                        del out[key]
+    return out
+
+
+def lie_bracket(a, b):
+    """The commutator a*b - b*a, in the product of the elements' family."""
+    return a * b - b * a
+
+
+def anti_bracket(a, b):
+    """The anticommutator a*b + b*a."""
+    return a * b + b * a
+
+
 _new = object.__new__
 _set = object.__setattr__
 
@@ -123,6 +160,13 @@ class SparseElement:
 
     def _product(self, other):
         return NotImplemented
+
+    def homogeneous_parts(self, key):
+        """{value: the part whose keys k have key(k) == value}, for graded brackets."""
+        parts = {}
+        for k, c in self.terms.items():
+            parts.setdefault(key(k), {})[k] = c
+        return {v: self.raw(self.space, p) for v, p in parts.items()}
 
     def _check_space(self, other):
         if self.space != other.space:

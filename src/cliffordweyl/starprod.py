@@ -30,12 +30,11 @@ Each power of t in either kernel lowers the Z-degree by 2: a Bose term of
 order |r|+|s| takes 2(|r|+|s|) from it and brings (t/2)^{|r|+|s|}, and a
 Fermi contraction takes 2|T| and brings (-t)^{|T|}.  So
 f * g = sum over e of t^e B_e(f, g), with B_e lowering the degree by 2e;
-B_0 is the super-exterior product and B_1 half the Poisson bracket.  For
-homogeneous x and y, a term m of x * y is therefore t^e times its
-coefficient at t = 1, with e = (deg x + deg y - deg m)/2.  The one kernel
-loop computes the product at t = 1; `star` at any other t, and `wedge`
-(t = 0), split their factors into homogeneous parts, multiply each pair of
-parts at t = 1 and scale each term by t^e.
+B_0 is the super-exterior product and B_1 half the Poisson bracket.  So
+the pair kernel at t is the one at t = 1 with each term m scaled by t^e,
+e = (deg m1 + deg m2 - deg m)/2, and `star` at every t and `wedge` (t = 0)
+run `sparse.pair_product` with it.  Its keys are (CwMonomial, L power), so
+the loop's coefficients are Gaussian rationals; Scalars are built once.
 
 The pairs (p_j, q_j) commute with each other, so the Weyl algebra on k
 pairs is the k-fold tensor power of the one-mode algebra A_1, and every
@@ -58,9 +57,10 @@ from functools import lru_cache
 from itertools import product as iproduct
 from operator import itemgetter
 
-from .algebra import AlgebraError, CwElement, CwMonomial, check_same_signature, z_degree
-from .scalars import GR_ONE, Scalar, S_ONE, S_HALF, S_ZERO, convolve, gr_ratio
-from .sparse import accumulate
+from .algebra import AlgebraError, CwElement, CwMonomial, check_same_signature
+from .algebra import bose_p, bose_q, fermi_gen, unit
+from .scalars import GR_ONE, Scalar, S_ONE, S_HALF, S_ZERO, gr_ratio, join_powers, split_powers
+from .sparse import accumulate, anti_bracket, lie_bracket, pair_product
 
 
 class ProductKind(enum.Enum):
@@ -192,73 +192,51 @@ class _Powers:
         return self.table[n]
 
 
-def _star_one(a, b):
-    """The product at t = 1 of two term maps, as {monomial: {L power: coefficient}}."""
-    out = {}
-    for m1, c1 in a.items():
-        bose1 = m1.bose_degree() & 1
-        for m2, c2 in b.items():
-            csign, tcount, cmask = _cliff_pair(m1.cliff, m2.cliff)
-            # the Fermi factor sign * (-1)^|T|, and the Bose-Fermi crossing
-            neg = (csign < 0) ^ (tcount & 1) ^ (bose1 and m2.cliff.bit_count() & 1)
-            # c1 * c2 on the term maps, without a Scalar per pair
-            base = convolve(c1.terms, c2.terms).items()
-            if neg:
-                base = [(k, -v) for k, v in base]
-            for _, coeff, P, Q in _weyl_pair(m1.wp, m1.wq, m2.wp, m2.wq):
-                key = CwMonomial(cmask, P, Q)
-                acc = out.get(key)
-                if acc is None:
-                    out[key] = {k: v * coeff for k, v in base}
-                    continue
-                # sparse.accumulate, inlined: this loop is the product's hot path
-                for k, v in base:
-                    c = v * coeff
-                    s = acc.get(k)
-                    if s is None:
-                        acc[k] = c
-                    else:
-                        s = s + c
-                        if s:
-                            acc[k] = s
-                        else:
-                            del acc[k]
-                if not acc:
-                    del out[key]
-    return out
+_tuple_new = tuple.__new__  # a CwMonomial without the NamedTuple's Python __new__
 
 
-def _graded(a, b, t):
-    """a * b at t from the products at t = 1 of their homogeneous parts.
+def _pair_at_one(k1, k2):
+    """The pair kernel at t = 1: ((coefficient, (CwMonomial, L power)), ...)."""
+    (m1, l1), (m2, l2) = k1, k2
+    csign, tcount, cmask = _cliff_pair(m1.cliff, m2.cliff)
+    l = l1 + l2
+    terms = _weyl_pair(m1.wp, m1.wq, m2.wp, m2.wq)
+    # the Fermi factor sign * (-1)^|T|, and the Bose-Fermi crossing
+    neg = (csign < 0) ^ (tcount & 1) ^ (m1.bose_degree() & m2.cliff.bit_count() & 1)
+    return [(-c if neg else c, (_tuple_new(CwMonomial, (cmask, P, Q)), l)) for _, c, P, Q in terms]
 
-    A term m of the product of parts of degrees da and db scales by t^e,
-    e = (da + db - deg m)/2; at t = 0 only the terms with e = 0 are left.
-    """
+
+def pair_kernel(t):
+    """The pair kernel at t: each term at t = 1 takes t^e, spread over its L powers."""
+    if t == S_ONE:
+        return _pair_at_one
     t_pow = _Powers(t)
-    raw = Scalar.raw
-    parts_b = b.homogeneous_parts(z_degree).items()
-    out = {}
-    for da, x in a.homogeneous_parts(z_degree).items():
-        for db, y in parts_b:
-            for m, c in _star_one(x.terms, y.terms).items():
-                accumulate(out, m, raw(None, c) * t_pow[(da + db - m.z_degree()) >> 1])
-    return CwElement.raw(a.signature, out)
+
+    def pair(k1, k2):
+        d = k1[0].z_degree() + k2[0].z_degree()
+        return [
+            (c * g, (m, l + j))
+            for c, (m, l) in _pair_at_one(k1, k2)
+            for j, g in t_pow[(d - m.z_degree()) >> 1].terms.items()
+        ]
+
+    return pair
+
+
+def _product(a, b, t):
+    check_same_signature(a, b)
+    terms = pair_product(split_powers(a.terms), split_powers(b.terms), pair_kernel(t))
+    return CwElement.raw(a.signature, join_powers(terms))
 
 
 def star(a, b):
     """Associative star product at the signature's deformation parameter."""
-    check_same_signature(a, b)
-    t = a.signature.t_param
-    if t != S_ONE:
-        return _graded(a, b, t)
-    out = _star_one(a.terms, b.terms)
-    return CwElement.raw(a.signature, {m: Scalar.raw(None, c) for m, c in out.items()})
+    return _product(a, b, a.signature.t_param)
 
 
 def wedge(a, b):
-    """Super-exterior product (the t = 0 degeneration of star)."""
-    check_same_signature(a, b)
-    return _graded(a, b, S_ZERO)
+    """Super-exterior product: the product at t = 0."""
+    return _product(a, b, S_ZERO)
 
 
 def product(kind, a, b):
@@ -321,16 +299,6 @@ def poisson(a, b):
                         Qj = Q[:j] + (Q[j] - 1,) + Q[j + 1 :]
                         accumulate(out, CwMonomial(I | J, Pj, Qj), base * f)
     return CwElement.raw(a.signature, out)
-
-
-def lie_bracket(a, b):
-    """Plain star commutator a*b - b*a."""
-    return star(a, b) - star(b, a)
-
-
-def anti_bracket(a, b):
-    """Star anticommutator a*b + b*a (the degree-(1,0) presentation pairing)."""
-    return star(a, b) + star(b, a)
 
 
 def super_bracket(a, b):
@@ -450,24 +418,19 @@ def element_star_words(e):
     return [(c, w) for w, c in sorted(acc.items())]
 
 
+_GENERATORS = {"w": fermi_gen, "p": bose_p, "q": bose_q}
+
+
 def generator_element(signature, token):
     """The CwElement for one star-word token."""
-    from .algebra import bose_p, bose_q, fermi_gen
-
     kind, idx = token
-    if kind == "w":
-        return fermi_gen(signature, idx)
-    if kind == "p":
-        return bose_p(signature, idx)
-    if kind == "q":
-        return bose_q(signature, idx)
-    raise ValueError("unknown token %r" % (token,))
+    if kind not in _GENERATORS:
+        raise ValueError("unknown token %r" % (token,))
+    return _GENERATORS[kind](signature, idx)
 
 
 def eval_star_word(signature, word):
     """Star-multiply the generators named by a token word."""
-    from .algebra import unit
-
     out = unit(signature)
     for tok in word:
         out = star(out, generator_element(signature, tok))

@@ -40,6 +40,11 @@ def test_token_errors_carry_position():
         tokenize("p + 1")  # bare p needs an index
     with pytest.raises(ParseError):
         tokenize("E * 2")  # bare E is not a generator
+    # digits are ASCII only: an Arabic-Indic one and a superscript are not numbers
+    for text, position in (("\u0661", 0), ("w\u00b2", 0), ("2\u00b2", 1)):
+        with pytest.raises(ParseError) as err:
+            tokenize(text)
+        assert err.value.position == position, text
 
 
 # -- parser -------------------------------------------------------------------------

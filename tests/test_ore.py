@@ -10,7 +10,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from reference_ore_kernel import ref_lower_past_powers
+from reference_ore_kernel import ref_lower_past_powers, ref_ore_product
 
 from cliffordweyl.algebra import AlgebraError
 from cliffordweyl.deform import verma_apply
@@ -190,6 +190,14 @@ def test_kernel_matches_recursive_reference():
     pairs = [(b, g) for b in range(21) for g in range(21)] + [(60, 60), (12, 30), (30, 12)]
     for beta, gamma in pairs:
         assert _lower_past_powers(beta, gamma) == ref_lower_past_powers(beta, gamma), (beta, gamma)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_product_matches_reference_loop(n):
+    rng = random.Random(7070 + n)
+    for _ in range(30):
+        x, y = (rand_element(n, rng, nterms=4, maxdeg=6) for _ in range(2))
+        assert ore_product(x, y) == ref_ore_product(x, y), (x, y)
 
 
 def test_deep_lowering_power():

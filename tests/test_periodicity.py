@@ -9,6 +9,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from reference_tensor import ref_tensor_star
 
 from cliffordweyl.algebra import (
     AlgebraError,
@@ -23,6 +24,7 @@ from cliffordweyl.algebra import (
     unit,
     zero,
 )
+from cliffordweyl.deform import periodicity2_forward
 from cliffordweyl.linalg import Matrix, sparse_rank
 from cliffordweyl.periodicity import (
     TensorElement,
@@ -42,8 +44,9 @@ from cliffordweyl.periodicity import (
     volume_involution,
 )
 from cliffordweyl.reps import GrassPolyVector, act, metaplectic
-from cliffordweyl.scalars import S_I, S_ONE, Scalar
+from cliffordweyl.scalars import S_I, S_LAMBDA, S_ONE, Scalar
 from cliffordweyl.starprod import star
+from cliffordweyl.suites import _rand_ore
 
 SHIFT_CASES = [(1, 0, 1), (1, 1, 1), (2, 1, 1), (1, 2, 1)]
 
@@ -77,6 +80,40 @@ def test_tensor_star_fixtures():
     assert tensor_star(pz, w1) == tensor_of(fermi_gen(LEFT, 1), bose_p(RIGHT, 1))
     x = tensor_of(fermi_gen(LEFT, 2), bose_q(RIGHT, 1))
     assert tensor_star(tensor_unit(LEFT, RIGHT), x) == x
+
+
+@pytest.mark.parametrize("m,n,k", SHIFT_CASES)
+def test_tensor_star_matches_reference_on_cw_images(m, n, k):
+    rng = random.Random(7100 + 10 * m + n)
+    src = AlgebraSignature(2 * m + n, k)
+    for _ in range(4):
+        fx, fy = (periodicity1_forward(m, n, k, rand_element(rng, src)) for _ in range(2))
+        assert tensor_star(fx, fy) == ref_tensor_star(fx, fy), (fx, fy)
+
+
+def test_tensor_star_matches_reference_with_l_powers():
+    # L-polynomial coefficients, Bose generators on the left and t = L on the right
+    rng = random.Random(7101)
+    left, right = AlgebraSignature(2, 1), AlgebraSignature(1, 1, S_LAMBDA)
+    coeffs = [S_ONE, S_LAMBDA, S_I + S_LAMBDA * S_LAMBDA]
+
+    def rand_tensor():
+        return sum(
+            (tensor_of(rand_element(rng, left), rand_element(rng, right)).scale(c) for c in coeffs),
+            tensor_zero(left, right),
+        )
+
+    for _ in range(4):
+        x, y = rand_tensor(), rand_tensor()
+        assert tensor_star(x, y) == ref_tensor_star(x, y), (x, y)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_tensor_star_matches_reference_on_deformed_images(n):
+    rng = random.Random(7102 + n)
+    for _ in range(4):
+        fx, fy = (periodicity2_forward(n, _rand_ore(rng, n, nterms=3)) for _ in range(2))
+        assert tensor_star(fx, fy) == ref_tensor_star(fx, fy), (fx, fy)
 
 
 def test_tensor_vector_ops():

@@ -17,7 +17,9 @@ import sys
 import pytest
 
 from cliffordweyl import ore, starprod
-from cliffordweyl.algebra import unit
+from cliffordweyl.algebra import AlgebraSignature, bose_p, fermi_gen, unit
+from cliffordweyl.periodicity import tensor_of, tensor_star
+from cliffordweyl.starprod import wedge
 from cliffordweyl.suites import report_bytes, run_suite, suite_names
 
 REPORT_SHA256 = {
@@ -76,25 +78,52 @@ FAULTY_REPORT_SHA256 = {
 }
 
 
-@pytest.fixture
-def faulty_products(monkeypatch):
-    """Every package binding of `star` and `ore_product` adds the unit."""
-    star, ore_product = starprod.star, ore.ore_product
-
-    def wrong_star(a, b):
-        return star(a, b) + unit(a.signature)
-
-    def wrong_ore_product(x, y):
-        return ore_product(x, y) + ore.ore_unit(x.n)
-
+def _replace_products(monkeypatch, wrap):
+    """Rebind every package binding of `star` and `ore_product` to wrap(it)."""
+    replaced = {f: wrap(f) for f in (starprod.star, ore.ore_product)}
     for name, mod in list(sys.modules.items()):
         if mod is None or name.partition(".")[0] != "cliffordweyl":
             continue
         for key, value in list(vars(mod).items()):
-            if value is star:
-                monkeypatch.setattr(mod, key, wrong_star)
-            elif value is ore_product:
-                monkeypatch.setattr(mod, key, wrong_ore_product)
+            if any(value is f for f in replaced):
+                monkeypatch.setattr(mod, key, replaced[value])
+
+
+@pytest.fixture
+def faulty_products(monkeypatch):
+    """Every package binding of `star` and `ore_product` adds the unit."""
+
+    def wrong(product):
+        if product is starprod.star:
+            return lambda a, b: product(a, b) + unit(a.signature)
+        return lambda x, y: product(x, y) + ore.ore_unit(x.n)
+
+    _replace_products(monkeypatch, wrong)
+
+
+def test_replaced_products_reach_every_product(monkeypatch):
+    # bench/selftest.py swaps `star` and `ore_product` as these fixtures do and
+    # relies on the swap reaching `*`, the brackets and the tensor slots
+    calls = []
+
+    def recorded(product):
+        def wrapper(a, b):
+            calls.append(product.__name__)
+            return product(a, b)
+
+        return wrapper
+
+    _replace_products(monkeypatch, recorded)
+    sig = AlgebraSignature(1, 1)
+    assert fermi_gen(sig, 1) * bose_p(sig, 1) == wedge(fermi_gen(sig, 1), bose_p(sig, 1))
+    assert calls == ["star"]
+    ep, em = ore.ore_e_plus(1), ore.ore_e_minus(1)
+    assert ep * em == ore.ore_product(ep, em)
+    ore.ore_lie_bracket(ep, em)
+    assert calls == ["star"] + ["ore_product"] * 4
+    del calls[:]
+    tensor_star(tensor_of(fermi_gen(sig, 1), ep), tensor_of(fermi_gen(sig, 1), em))
+    assert sorted(calls) == ["ore_product", "star"]
 
 
 def test_faulty_digest_table_covers_every_suite():
