@@ -15,6 +15,7 @@ Everything here sits on top of the normal-form arithmetic in `ore`:
 """
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .algebra import (
     AlgebraError,
@@ -133,6 +134,7 @@ def ore_tensor_unit(n):
     return ore_tensor_of(n, 0, OreMonomial(0, 0, 0, 0))
 
 
+@lru_cache(maxsize=16)
 def _forward_images(n):
     """Tensor images of w_1..w_{2n+1}, E+, E-: every Fermi generator picks
     up the rank-0 involution on the right so that mixed pairs anticommute."""
@@ -397,13 +399,17 @@ def verma_apply(lam, a, f):
         raise AlgebraError("rank-%d element: use the matrix transport instead" % a.n)
     lam = gaussian(lam)
     ops = {t: verma_operator(lam, t) for t in ("E+", "E-", "P")}
+    blocks = {}  # E+^a E-^b f by (a, b): terms differing in w and L share it
     out = {}
     for m, c in a.terms.items():
-        g = poly_clean(f)
-        for _ in range(m.e_minus):
-            g = ops["E-"].apply(g)
-        for _ in range(m.e_plus):
-            g = ops["E+"].apply(g)
+        g = blocks.get((m.e_plus, m.e_minus))
+        if g is None:
+            g = poly_clean(f)
+            for _ in range(m.e_minus):
+                g = ops["E-"].apply(g)
+            for _ in range(m.e_plus):
+                g = ops["E+"].apply(g)
+            blocks[m.e_plus, m.e_minus] = g
         if m.cliff:
             g = ops["P"].apply(g)
         coeff = c * lam**m.lam
@@ -451,55 +457,64 @@ def pi_h_lambda(h, sign):
     return GaussianRational(_parse_sign(sign) * (h + Fraction(1, 4)))
 
 
-def pi_h_matrix(n, h, sign, x):
-    """Evaluate any rank-n element in the dimension-2^n(4h+1) quotient."""
+def _pi_h_evaluator(n, h, sign):
+    """x -> its matrix in the quotient pi_h_matrix describes; the rank-0
+    matrices, and each left and right factor, are built once per evaluator."""
     h = _check_half_integer(h)
-    twist = _parse_sign(sign)
-    if x.n != n:
-        raise AlgebraError("rank mismatch: %d vs %d" % (x.n, n))
-    rank0 = _rank0_quotient_matrices(h, twist)
+    rank0 = _rank0_quotient_matrices(h, _parse_sign(sign))
     lam_val = Scalar.from_gaussian(pi_h_lambda(h, sign))
     d0 = int(4 * h) + 1
     desc = spin(n)
     sig = desc.signature()
     dim_left = 1 << n
-    forward = periodicity2_forward(n, x)
     left_cache = {}
     right_cache = {}
-    total = None
-    for (ml, m), c in forward.terms.items():
-        L = left_cache.get(ml)
-        if L is None:
-            L = rep_matrix(desc, monomial_element(sig, ml))
-            left_cache[ml] = L
-        key = (m.cliff, m.e_plus, m.e_minus, m.lam)
-        R = right_cache.get(key)
-        if R is None:
-            R = Matrix.identity(d0)
-            if m.cliff:
-                R = R * rank0["P"]
-            for _ in range(m.e_plus):
-                R = R * rank0["E+"]
-            for _ in range(m.e_minus):
-                R = R * rank0["E-"]
-            for _ in range(m.lam):
-                R = R.scale(lam_val)
-            right_cache[key] = R
-        piece = L.kron(R).scale(c)
-        total = piece if total is None else total + piece
-    return Matrix.identity(dim_left * d0).scale(0) if total is None else total
+
+    def evaluate(x):
+        if x.n != n:
+            raise AlgebraError("rank mismatch: %d vs %d" % (x.n, n))
+        total = None
+        for (ml, m), c in periodicity2_forward(n, x).terms.items():
+            L = left_cache.get(ml)
+            if L is None:
+                L = rep_matrix(desc, monomial_element(sig, ml))
+                left_cache[ml] = L
+            key = (m.cliff, m.e_plus, m.e_minus, m.lam)
+            R = right_cache.get(key)
+            if R is None:
+                R = Matrix.identity(d0)
+                if m.cliff:
+                    R = R * rank0["P"]
+                for _ in range(m.e_plus):
+                    R = R * rank0["E+"]
+                for _ in range(m.e_minus):
+                    R = R * rank0["E-"]
+                for _ in range(m.lam):
+                    R = R.scale(lam_val)
+                right_cache[key] = R
+            piece = L.kron(R).scale(c)
+            total = piece if total is None else total + piece
+        return Matrix.identity(dim_left * d0).scale(0) if total is None else total
+
+    return evaluate
+
+
+def pi_h_matrix(n, h, sign, x):
+    """Evaluate any rank-n element in the dimension-2^n(4h+1) quotient."""
+    return _pi_h_evaluator(n, h, sign)(x)
 
 
 def finite_irrep_pi_h(n, h, sign):
     """Generator matrices of the finite quotient, keyed by generator name
     (the central parameter maps to its specialization times the identity)."""
     h = _check_half_integer(h)
+    evaluate = _pi_h_evaluator(n, h, sign)
     dim = (1 << n) * (int(4 * h) + 1)
     out = {}
     for i in range(1, 2 * n + 2):
-        out["w%d" % i] = pi_h_matrix(n, h, sign, ore_fermi(n, i))
-    out["E+"] = pi_h_matrix(n, h, sign, ore_e_plus(n))
-    out["E-"] = pi_h_matrix(n, h, sign, ore_e_minus(n))
+        out["w%d" % i] = evaluate(ore_fermi(n, i))
+    out["E+"] = evaluate(ore_e_plus(n))
+    out["E-"] = evaluate(ore_e_minus(n))
     out["L"] = Matrix.identity(dim).scale(Scalar.from_gaussian(pi_h_lambda(h, sign)))
     return out
 

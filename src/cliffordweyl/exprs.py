@@ -21,13 +21,16 @@ and division is only defined by invertible constants.
 Work is bounded: an exponent above `MAX_EXPONENT` is a ParseError at its
 column and a descriptor whose n or 2k is above `MAX_ALGEBRA_SIZE` an
 AlgebraError, both before any arithmetic; an expression whose products
-charge more than `MAX_PAIRS` monomial pairs in all is an AlgebraError.
+charge more than `MAX_PAIRS` monomial pairs, or in an ore algebra more than
+`MAX_LOWERING` units of E-^b E+^g lowering, in all is an AlgebraError.
 
 Syntax trees are plain tuples, so `parse(print_expr(t)) == t` is a cheap
 structural identity; `print_expr` re-inserts parentheses exactly where the
 precedence rules demand them.
 """
 
+from bisect import bisect_right
+from itertools import accumulate
 from operator import mul
 
 from .algebra import (
@@ -66,6 +69,15 @@ MAX_EXPONENT = 100_000
 # charged before each "*" and each step of a power of a non-constant, and
 # twice before a bracket; a constant's power is taken by squaring, for free
 MAX_PAIRS = 200_000
+
+# the most E-^b E+^g lowering one ore expression may do: before each "*"
+# (twice before a bracket, once per order) every distinct pair of an E-
+# exponent b of the left factor and an E+ exponent g of the right one is
+# charged min(b, g) * (max(b, g) + 1), the kernel's steps times the
+# length of its state lists.  E-^244*E+^244, the largest square pair that
+# fits and the slowest single pair, runs in the CLI in 0.4-1.0 s (2-CPU
+# machine, Python 3.11, quiet and busy spells)
+MAX_LOWERING = 60_000
 
 # the largest n and 2k of cw:<n>,<2k> and n of ore:<n>
 MAX_ALGEBRA_SIZE = 1000
@@ -420,15 +432,32 @@ def _constant_inverse(x):
     return c.inverse()
 
 
-def evaluate(node, ctx):
-    """Exact element of the context's algebra, within the `MAX_PAIRS` budget."""
-    spent = 0
+def _lowering(a, b):
+    """The lowering charge of the ore product a * b, in O((|a| + |b|) log |b|)."""
+    gammas = sorted({m.e_plus for m in b.terms})
+    below = [0, *accumulate(gammas)]  # below[i] = sum(gammas[:i])
+    cost = 0
+    for beta in {m.e_minus for m in a.terms}:
+        i = bisect_right(gammas, beta)
+        # g <= beta charges g * (beta + 1); g > beta charges beta * (g + 1)
+        cost += (beta + 1) * below[i] + beta * (below[-1] - below[i] + len(gammas) - i)
+    return cost
 
-    def product(op, a, b, times=1):
-        nonlocal spent
-        spent += times * len(a.terms) * len(b.terms)
+
+def evaluate(node, ctx):
+    """Exact element of the context's algebra, within the `MAX_PAIRS` and
+    `MAX_LOWERING` budgets."""
+    spent = lowered = 0
+
+    def product(op, a, b, bracket=False):
+        nonlocal spent, lowered
+        spent += (2 if bracket else 1) * len(a.terms) * len(b.terms)
         if spent > MAX_PAIRS:
             raise AlgebraError("expression above the work budget of %d monomial pairs" % MAX_PAIRS)
+        if ctx.kind == "ore":
+            lowered += _lowering(a, b) + (_lowering(b, a) if bracket else 0)
+            if lowered > MAX_LOWERING:
+                raise AlgebraError("expression above the lowering budget of %d" % MAX_LOWERING)
         return op(a, b)
 
     def ev(node):
@@ -457,7 +486,7 @@ def evaluate(node, ctx):
         if head == "mul":
             return product(mul, a, b)
         if head in ctx.brackets:
-            return product(ctx.brackets[head], a, b, 2)
+            return product(ctx.brackets[head], a, b, bracket=True)
         if head == "div":
             return a.scale(_constant_inverse(b))
         return a + b if head == "add" else a - b

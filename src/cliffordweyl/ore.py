@@ -10,11 +10,14 @@ central.  The defining relations are
 
 so the ghost anticommutes with E+ and E-, commutes with every w_j, and
 squares to L^2.  The product is computed by rewriting: the only nontrivial
-kernel is the normal form of E-^beta E+^gamma.  It is a loop that
-multiplies in the shorter block one generator at a time, so it runs
-min(beta, gamma) steps, with int numerators over the common denominator
-4^steps.  `pair_kernel` adds the signs and one Clifford pairing per monomial
-pair, and `sparse.pair_product` sums its terms.
+kernel is the normal form of E-^beta E+^gamma.  It multiplies in the
+shorter block one generator at a time, min(beta, gamma) steps, and keeps
+each state (lowered exponent, ghost or not) as one int that packs the
+numerators of L^0, L^2, L^4, ... into fixed-width slots (Kronecker
+substitution), so a step is a few big-int additions, shifts and small-int
+products per state and all of it stays exact.  `pair_kernel` adds the
+signs and one Clifford pairing per monomial pair, and `sparse.pair_product`
+sums its terms.
 
 An element is a `sparse.SparseElement` over the rank n: a canonical map
 OreMonomial -> Gaussian rational whose unit monomial is OreMonomial(0, 0, 0,
@@ -22,13 +25,12 @@ OreMonomial -> Gaussian rational whose unit monomial is OreMonomial(0, 0, 0,
 part of the monomial, not the coefficient.
 """
 
-from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
 from .algebra import AlgebraError, index_mask
-from .scalars import GR_I, GR_ONE, GaussianRational, _coerce, format_coefficient, gaussian, gr_ratio
+from .scalars import GR_I, GR_ONE, GaussianRational, _coerce, _make, format_coefficient, gaussian
 from .scalars import i_power
 from .sparse import Checks, SparseElement, accumulate, pair_product
 from .sparse import anti_bracket as ore_anti_bracket, lie_bracket as ore_lie_bracket
@@ -198,32 +200,76 @@ def _lower_past_powers(beta, gamma):
     two rules are mirror images: with k the exponent being lowered and j the
     other one, both send (k, j) to (k, j + 1) and (k - 1, j), so one loop
     serves both.  k - j drops by one per step, so j is left out of the state
-    and recovered at the end.  Coefficients stay int numerators over the
-    common denominator 4^steps (each step divides by 4 at most once) and
-    become GaussianRationals only in the returned tuple.
+    and recovered at the end.
+
+    Let steps = min(beta, gamma) and top = max(beta, gamma).  A step sends a
+    term at k to at most three: it stays (sign -1 if it carries the ghost),
+    it moves to k - 1 with weight k/4, or it moves to k - 1 through the
+    ghost with weight -1, which toggles eps and, from eps = 1, raises extra
+    by 2.  A term at (k, eps, extra) has made extra + eps ghost moves, so
+    top - k - extra - eps of its moves were the k/4 kind: its coefficient
+    is an int numerator over 4^(top - k - extra - eps), and on numerators
+    the three moves have weights +-1, k and -1, so no step divides.
+
+    A state (k, eps) is a polynomial in L^2, stored as one int that packs
+    the numerators of L^0, L^2, L^4, ... into W-bit signed slots: the int
+    is P(2^W) for the polynomial P.  Every move is linear with integer
+    weights, so it is the same move on the packed ints: adding states is
+    adding ints, the weight k is a small-int product, and ghost^2 = L^2 is
+    a shift by one slot.  The states live in two lists indexed by k, one
+    per eps, updated in place in increasing k (state k reads the old states
+    k and k + 1).  Step s touches only the s + 1 states k >= top - s, so
+    the kernel makes O(steps^2) <= O(steps * top) big-int additions, shifts
+    and small-int products in all, on ints of O(steps^2 log top) bits.
+
+    Width.  Evaluation at 2^W is a ring map, so the packed ints are exact
+    whatever the slots hold on the way; only the final slots must be
+    readable.  A new numerator is a sum of at most three old ones with
+    weights 1, k + 1 <= top and 1, so the largest grows by a factor at most
+    top + 2 per step and ends at most (top + 2)^steps, which is below
+    2^(steps * bitlen(top + 2)) once steps >= 1.  W is that exponent plus 1,
+    rounded up to whole bytes (so W >= 8), and every final slot lies
+    strictly inside (-2^(W-1), 2^(W-1)).  A packed int whose top nonzero
+    slot is t then has more than 2^(W*t - 1) and less than 2^(W*(t+1) - 1)
+    in absolute value, so its bitlen // W + 1 lowest slots hold it.  Adding
+    2^(W-1) to each of them makes every slot an unsigned W-bit field, and
+    one `to_bytes` gives them all.  The denominators are powers of 2, so
+    each coefficient is reduced by its 2-adic valuation, not by a gcd.
     """
     steps, top = min(beta, gamma), max(beta, gamma)
-    state = {(top, 0, 0): 1}  # (k, eps, extra) -> numerator over 4^step
-    for _ in range(steps):
-        nxt = defaultdict(int)
-        for key, num in state.items():
-            k, eps, extra = key
-            four = num << 2
-            nxt[key] += -four if eps else four
-            if k:
-                nxt[k - 1, eps, extra] += k * num
-                if k & 1:
-                    nxt[(k - 1, 0, extra + 2) if eps else (k - 1, 1, extra)] -= four
-        state = {key: num for key, num in nxt.items() if num}
-    den = 4**steps
+    width = -(-(steps * (top + 2).bit_length() + 1) // 8)  # bytes per slot
+    w = 8 * width
+    half = 1 << (w - 1)
+    even, odd = [0] * (top + 1), [0] * (top + 1)  # eps = 0 and eps = 1, by k
+    even[top] = 1
+    for low in range(top - 1, top - steps - 1, -1):
+        for k in range(low, top):
+            up = k + 1
+            e, o = even[up], odd[up]
+            if up & 1:
+                even[k], odd[k] = even[k] + up * e - (o << w), up * o - odd[k] - e
+            else:
+                even[k], odd[k] = even[k] + up * e, up * o - odd[k]
+        odd[top] = -odd[top]
+    # 2^(W-1) in each slot; extra <= steps, so steps // 2 + 1 slots hold a state
+    slots = steps // 2 + 1
+    bias = int.from_bytes((bytes(width - 1) + b"\x80") * slots, "little")
     shift = top - steps
     out = []
-    for (k, eps, extra), num in sorted(state.items()):
-        q = gr_ratio(num, den)
-        if beta <= gamma:
-            out.append((q, k, eps, k - shift, extra))
-        else:
-            out.append((q, k - shift, eps, k, extra))
+    for k in range(shift, top + 1):
+        a, b = (k, k - shift) if beta <= gamma else (k - shift, k)
+        for eps, packed in ((0, even[k]), (1, odd[k])):
+            if not packed:
+                continue
+            n = packed.bit_length() // w + 1  # the slots it reaches
+            fields = (packed + (bias >> (w * (slots - n)))).to_bytes(n * width, "little")
+            den_bits = 2 * (top - k - eps)  # of 4^(top - k - extra - eps)
+            for slot in range(n):
+                num = int.from_bytes(fields[slot * width : (slot + 1) * width], "little") - half
+                if num:
+                    v = min((num & -num).bit_length() - 1, den_bits)
+                    out.append((_make(num >> v, 0, 1 << (den_bits - v)), a, eps, b, 2 * slot))
+                den_bits -= 4
     return tuple(out)
 
 

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -311,6 +312,33 @@ def test_work_budget_counts_monomial_pairs(monkeypatch):
     for text in ["q1^13", "(1+q1)*(p1+q1)^2*1", "[p1+q1,p1+q1+1] + p1*q1"]:
         with pytest.raises(exprs.AlgebraError, match="work budget of 12 "):
             evaluate_text(text, ctx)
+
+
+def test_lowering_above_the_budget_is_an_input_error(capsys):
+    # E-^3000 is built one E- at a time and charges nothing; the product
+    # charges 3000 * 3001 before any lowering
+    start = time.perf_counter()
+    assert cli.main(["--algebra", "ore:0", "E-^3000*E+^3000"]) == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip() == "error: expression above the lowering budget of %d" % exprs.MAX_LOWERING
+    assert cli.main(["--algebra", "ore:0", "E-^100*E+^100"]) == 0
+
+
+def test_lowering_budget_charges_each_kernel(monkeypatch):
+    ctx = parse_algebra("ore:0")
+    monkeypatch.setattr(exprs, "MAX_LOWERING", 12)
+    # E-^2*E+^3 charges 2 * (3 + 1); each distinct (E-, E+) exponent pair of
+    # the two factors is charged; a bracket charges both orders; a power of
+    # one generator lowers nothing
+    for text in ["E-^2*E+^3", "(E- + E-^2)*E+^3", "[E-^2,E+^3] + E-*E+", "E-^13 * E+^0"]:
+        evaluate_text(text, ctx)
+    for text in ["E-^2*E+^3 + E-*E+^4", "(E- + E-^2)*(E+ + E+^3)", "[E-^2,E+^3] + E-^2*E+^2"]:
+        with pytest.raises(exprs.AlgebraError, match="lowering budget of 12$"):
+            evaluate_text(text, ctx)
+    # the cw families have no lowering kernel
+    evaluate_text("p1^5*q1^5", parse_algebra("cw:0,2"))
 
 
 # -- grammar fuzz ---------------------------------------------------------------------

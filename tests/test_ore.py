@@ -192,6 +192,32 @@ def test_kernel_matches_recursive_reference():
         assert _lower_past_powers(beta, gamma) == ref_lower_past_powers(beta, gamma), (beta, gamma)
 
 
+def test_packed_kernel_matches_recursive_reference_on_random_pairs():
+    # wide slots and many L^2 powers, in both orientations of the loop
+    rng = random.Random(2009)
+    pairs = [(rng.randint(0, 90), rng.randint(0, 90)) for _ in range(40)]
+    try:
+        for beta, gamma in pairs:
+            for p in ((beta, gamma), (gamma, beta)):
+                assert _lower_past_powers(*p) == ref_lower_past_powers(*p), p
+    finally:
+        # the reference keeps every level of its recursion
+        ref_lower_past_powers.cache_clear()
+
+
+@pytest.mark.parametrize("beta, gamma", [(160, 150), (150, 160)])
+def test_long_lowering_acts_as_its_factors(beta, gamma):
+    x = OreElement(0, {OreMonomial(0, 0, beta, 0): GR(1)})
+    y = OreElement(0, {OreMonomial(0, gamma, 0, 0): GR(1)})
+    p = ore_product(x, y)
+    assert len(p.terms) > 5000
+    # z^163 survives E+^gamma, so both sides are one nonzero power of z
+    lam, f = GR(Fraction(3, 7), Fraction(1, 5)), {163: GR(1)}
+    want = verma_apply(lam, x, verma_apply(lam, y, f))
+    assert len(want) == 1
+    assert verma_apply(lam, p, f) == want
+
+
 @pytest.mark.parametrize("n", [0, 1, 2])
 def test_product_matches_reference_loop(n):
     rng = random.Random(7070 + n)
