@@ -5,7 +5,7 @@ Everything here sits on top of the normal-form arithmetic in `ore`:
 * the specialization at 0 identified with the odd Clifford-Weyl algebra
   (p = 2E-, q = 2E+),
 * the rank-reduction tensor factorization over the even Clifford algebra,
-  and its matrix realization,
+  which sends each monomial to one pure tensor, and its matrix realization,
 * extraction of the first-order deformation cochain and its comparison
   with the antisymmetric volume-word cocycle,
 * ghost/Casimir identities,
@@ -15,11 +15,11 @@ Everything here sits on top of the normal-form arithmetic in `ore`:
 """
 
 from fractions import Fraction
-from functools import lru_cache
 
 from .algebra import (
     AlgebraError,
     AlgebraSignature,
+    CwElement,
     CwMonomial,
     fermi_gen,
     monomial_element,
@@ -45,7 +45,7 @@ from .ore import (
     specialize,
     specialized_product,
 )
-from .periodicity import TensorElement
+from .periodicity import TensorElement, _times_volume
 from .reps import rep_matrix, spin
 from .scalars import (
     GR_ONE,
@@ -53,13 +53,12 @@ from .scalars import (
     GaussianRational,
     Scalar,
     gaussian,
+    gr_ratio,
     i_power,
     scalar_i_power,
 )
-from .sparse import Checks, accumulate
-from .starprod import element_star_words, star
-
-_P0 = OreMonomial(1, 0, 0, 0)
+from .sparse import Checks, accumulate, expect_element
+from .starprod import _mode_words, star
 
 
 def cw_odd_signature(n):
@@ -77,8 +76,7 @@ def iso_a0_to_cw(n, a):
     central parameter is an error because the target is the specialization
     at 0.
     """
-    if a.n != n:
-        raise AlgebraError("rank mismatch: %d vs %d" % (a.n, n))
+    expect_element(a, OreElement, n, AlgebraError)
     sig = cw_odd_signature(n)
     out = zero(sig)
     for m, c in a.terms.items():
@@ -98,23 +96,19 @@ def iso_cw_to_a0(n, x):
     Returns the canonical parameter-free representative (coefficient of
     the zeroth power after rewriting).
     """
-    if x.signature != cw_odd_signature(n):
-        raise AlgebraError("expected an element of C(%d, 2)" % (2 * n + 1,))
-    out = ore_zero(n)
-    for coeff, word in element_star_words(x):
-        if coeff.lam_degree() > 0:
-            raise AlgebraError("central parameter in coefficients: %s" % coeff)
-        g = ore_scalar(n, coeff.constant())
-        for kind, idx in word:
-            if kind == "w":
-                f = ore_fermi(n, idx)
-            elif kind == "p":
-                f = ore_e_minus(n).scale(2)
-            else:
-                f = ore_e_plus(n).scale(2)
-            g = ore_product(g, f)
-        out = out + g
-    return specialize(out, GR_ZERO)
+    expect_element(x, CwElement, cw_odd_signature(n), AlgebraError)
+    out = {}
+    for m, c in x.terms.items():
+        if c.lam_degree() > 0:
+            raise AlgebraError("central parameter in coefficients: %s" % c)
+        g, a, b = c.constant(), m.wp[0], m.wq[0]
+        # w^I p^a q^b = sum over r of 2^-r C(b,r) perm(a,r) w^I * q^(b-r) * p^(a-r) at
+        # t = 1; each q and p brings a 2, and w^I E+^(b-r) E-^(a-r) is a normal form
+        for r, num, e_plus, e_minus in _mode_words(a, b):
+            e = a + b - 3 * r
+            coeff = g * gr_ratio(num << max(e, 0), 1 << max(-e, 0))
+            accumulate(out, OreMonomial(m.cliff, e_plus, e_minus, 0), coeff)
+    return OreElement.raw(n, out)
 
 
 # -- rank reduction over the even Clifford algebra ---------------------------------
@@ -134,53 +128,39 @@ def ore_tensor_unit(n):
     return ore_tensor_of(n, 0, OreMonomial(0, 0, 0, 0))
 
 
-@lru_cache(maxsize=16)
-def _forward_images(n):
-    """Tensor images of w_1..w_{2n+1}, E+, E-: every Fermi generator picks
-    up the rank-0 involution on the right so that mixed pairs anticommute."""
-    full = (1 << (2 * n)) - 1
-    imgs = {}
-    for i in range(1, 2 * n + 1):
-        imgs[("w", i)] = ore_tensor_of(n, 1 << (i - 1), _P0)
-    imgs[("w", 2 * n + 1)] = ore_tensor_of(n, full, _P0, i_power(n))
-    imgs[("E+", 0)] = ore_tensor_of(n, 0, OreMonomial(0, 1, 0, 0))
-    imgs[("E-", 0)] = ore_tensor_of(n, 0, OreMonomial(0, 0, 1, 0))
-    return imgs
-
-
 def periodicity2_forward(n, x):
-    """Factor a rank-n element through C(2n) tensor A_L."""
-    if x.n != n:
-        raise AlgebraError("rank mismatch: %d vs %d" % (x.n, n))
-    imgs = _forward_images(n)
-    out = TensorElement(*_ore_tensor_space(n))
+    """Factor a rank-n element through C(2n) tensor A_L, one term per monomial."""
+    expect_element(x, OreElement, n, AlgebraError)
+    low = (1 << (2 * n)) - 1
+    # w^I E+^a E-^b L^r -> w^(I & low) (i^n w_low)^[2n+1 in I] (x) P^(|I| mod 2) E+^a E-^b L^r:
+    # every w_j brings one P = w_1 of rank 0, P^2 = 1, the tensor has no crossing
+    # sign, and P^eps E+^a E-^b L^r is a rank-0 normal form
+    terms = {}
     for m, c in x.terms.items():
-        acc = ore_tensor_of(n, 0, OreMonomial(0, 0, 0, m.lam))
-        for i in m.cliff_indices():
-            acc = acc * imgs[("w", i)]
-        for _ in range(m.e_plus):
-            acc = acc * imgs[("E+", 0)]
-        for _ in range(m.e_minus):
-            acc = acc * imgs[("E-", 0)]
-        out = out + acc.scale(c)
-    return out
+        mask = m.cliff & low
+        if m.cliff >> (2 * n):
+            g, mask = _times_volume(mask, 2 * n, n)
+            c = c * g
+        rest = OreMonomial(m.cliff.bit_count() & 1, m.e_plus, m.e_minus, m.lam)
+        terms[CwMonomial(mask, (), ()), rest] = Scalar.from_gaussian(c)
+    return TensorElement.raw(_ore_tensor_space(n), terms)
 
 
 def periodicity2_inverse(n, x):
     """Rebuild the rank-n element: the rank-0 involution returns as the
     full volume word i^n w_1...w_{2n+1}."""
-    if not isinstance(x, TensorElement) or x.space != _ore_tensor_space(n):
-        raise AlgebraError("expected a rank-%d tensor element" % n)
-    full = (1 << (2 * n + 1)) - 1
-    vol = OreElement(n, {OreMonomial(full, 0, 0, 0): i_power(n)})
-    out = ore_zero(n)
+    expect_element(x, TensorElement, _ore_tensor_space(n), AlgebraError)
+    # w^X (x) P^eps E+^a E-^b L^r -> w^X vol^[|X| + eps odd] E+^a E-^b L^r:
+    # w_j (x) 1 comes from w_j vol and 1 (x) P from vol, vol^2 = 1, and vol
+    # commutes with every w_j
+    out = {}
     for (ml, m), c in x.terms.items():
-        body = OreElement(n, {OreMonomial(ml.cliff, 0, 0, 0): c.constant()})
-        if (ml.cliff.bit_count() + m.cliff) & 1:
-            body = ore_product(body, vol)
-        body = ore_product(body, OreElement(n, {OreMonomial(0, m.e_plus, m.e_minus, m.lam): GR_ONE}))
-        out = out + body
-    return out
+        mask, g = ml.cliff, c.constant()
+        if (mask.bit_count() + m.cliff) & 1:
+            v, mask = _times_volume(mask, 2 * n + 1, n)
+            g = g * v
+        out[OreMonomial(mask, m.e_plus, m.e_minus, m.lam)] = g
+    return OreElement.raw(n, out)
 
 
 def periodicity2(n, direction, x):

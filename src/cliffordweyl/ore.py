@@ -34,7 +34,7 @@ from .scalars import GR_I, GR_ONE, GaussianRational, _coerce, _make, format_coef
 from .scalars import i_power
 from .sparse import Checks, SparseElement, accumulate, pair_product
 from .sparse import anti_bracket as ore_anti_bracket, lie_bracket as ore_lie_bracket
-from .starprod import _LOWER_PAST_POWERS_CACHE, _cliff_pair
+from .starprod import _LOWER_PAST_POWERS_CACHE, _LOWER_PAST_POWERS_STEPS, _cliff_pair
 from .textform import join_signed, signed_term
 
 _tuple_new = tuple.__new__  # an OreMonomial without the NamedTuple's Python __new__
@@ -273,6 +273,9 @@ def _lower_past_powers(beta, gamma):
     return tuple(out)
 
 
+_lower_uncached = _lower_past_powers.__wrapped__
+
+
 def pair_kernel(n):
     """The rank-n pair kernel: (m1, m2) -> ((coefficient, OreMonomial), ...)."""
     full = (1 << (2 * n + 1)) - 1
@@ -284,7 +287,9 @@ def pair_kernel(n):
         neg = (csign < 0) ^ (tcount & 1) ^ ((m1.e_plus + m1.e_minus) & m2.cliff.bit_count() & 1)
         e_plus, e_minus, lam = m1.e_plus, m2.e_minus, m1.lam + m2.lam
         out, gmask = [], None
-        for q, a, eps, b, extra in _lower_past_powers(m1.e_minus, m2.e_plus):
+        beta, gamma = m1.e_minus, m2.e_plus
+        lower = _lower_past_powers if min(beta, gamma) <= _LOWER_PAST_POWERS_STEPS else _lower_uncached
+        for q, a, eps, b, extra in lower(beta, gamma):
             if not eps:
                 key = _tuple_new(OreMonomial, (mask, e_plus + a, b + e_minus, lam + extra))
                 out.append((-q if neg else q, key))

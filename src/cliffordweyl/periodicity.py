@@ -22,8 +22,11 @@ Layout of the dimension-shift maps (2m even generators split off the front):
     inverse:  left w_j   -> w_j
               right gen  -> z~ * (shifted gen)   z~ the same word upstairs
 
-Both directions extend from generators through the exact star-word
-decomposition of an element, so round-trips are literal identities.
+Each direction sends a basis monomial to one term, in closed form: z^2 = 1,
+z~ commutes with the shifted generators, and every star word of p^A q^B has
+length |A| + |B| mod 2, so the image carries the volume word exactly when
+the monomial has an odd number of right-factor generators.  `_times_volume`
+is that one Fermi product, shared with the rank reduction in `deform`.
 """
 
 from . import ore, starprod
@@ -33,9 +36,6 @@ from .algebra import (
     CwElement,
     CwMonomial,
     SignatureMismatch,
-    bose_p,
-    bose_q,
-    fermi_gen,
     monomial_element,
     unit,
     zero,
@@ -43,10 +43,10 @@ from .algebra import (
 from .linalg import Matrix
 from .ore import OreElement
 from .reps import rep_matrix, spin
-from .scalars import GR_ONE, S_HALF, S_ONE, Scalar, _coerce_scalar, scalar_i_power
+from .scalars import GR_ONE, S_HALF, S_ONE, Scalar, _coerce_scalar, i_power, scalar_i_power
 from .scalars import join_powers, split_powers
-from .sparse import SparseElement, pair_product
-from .starprod import element_star_words, star
+from .sparse import SparseElement, expect_element, pair_product
+from .starprod import _cliff_pair, star
 from .textform import coefficient_text, join_signed, signed_term
 
 
@@ -57,11 +57,11 @@ def _ore_pairs(n):
     return lambda k1, k2: [(c, (m, k1[1] + k2[1])) for c, m in pair(k1[0], k2[0])]
 
 
-# the algebra a factor space names: its element class and coefficient 1, the
-# module and name of its product, and its pair kernel on (monomial, L power)
+# the algebra a factor space names: its element class, coefficient 1 and
+# pair kernel on (monomial, L power)
 _FACTORS = {
-    AlgebraSignature: (CwElement, S_ONE, starprod, "star", lambda sig: starprod.pair_kernel(sig.t_param)),
-    int: (OreElement, GR_ONE, ore, "ore_product", _ore_pairs),
+    AlgebraSignature: (CwElement, S_ONE, lambda sig: starprod.pair_kernel(sig.t_param)),
+    int: (OreElement, GR_ONE, _ore_pairs),
 }
 
 
@@ -144,24 +144,6 @@ def tensor_of(a, b):
     return TensorElement(a.space, b.space, terms)
 
 
-def _slot_pairs(space):
-    """A factor's pair kernel on (monomial, L power) keys.
-
-    While the factor's product is replaced in its module (`bench/` does so to
-    trace it or to inject a fault), one-term elements multiply through the
-    replacement instead, so that it sees every slot product.
-    """
-    cls, one, module, name, kernel = _factor(space)
-    if getattr(module, name).__module__ == module.__name__:
-        return kernel(space)
-
-    def pair(k1, k2):
-        p, l = cls.raw(space, {k1[0]: one}) * cls.raw(space, {k2[0]: one}), k1[1] + k2[1]
-        return [(g, (m, l + j)) for m, c in p.terms.items() for j, g in _coerce_scalar(c).terms.items()]
-
-    return pair
-
-
 def tensor_star(x, y):
     """Slotwise product of tensor elements (no crossing sign; see module doc).
 
@@ -170,7 +152,7 @@ def tensor_star(x, y):
     `sparse.pair_product` sums it with the coefficients split into L powers.
     """
     x._check_space(y)
-    left, right = map(_slot_pairs, x.space)
+    left, right = (_factor(space)[2](space) for space in x.space)
 
     def pair(k1, k2):
         ((al, ar), l1), ((bl, br), l2) = k1, k2
@@ -193,62 +175,47 @@ def volume_involution(signature, m):
     return monomial_element(signature, mono, scalar_i_power(m))
 
 
+def _times_volume(mask, width, m):
+    """w^mask * i^m w_1...w_width at t = 1, as (Gaussian rational, mask)."""
+    sign, tcount, out = _cliff_pair(mask, (1 << width) - 1)
+    return i_power(m + 2 * ((sign < 0) ^ (tcount & 1))), out
+
+
 # -- dimension shift: split 2m even generators off the front ---------------------
 
 
 def periodicity1_forward(m, n, k, x):
     """Homomorphism from the (2m+n, k)-signature algebra to the tensor algebra."""
-    src = AlgebraSignature(2 * m + n, k)
-    if x.signature != src:
-        raise SignatureMismatch("expected element of %r, got %r" % (src, x.signature))
-    left = AlgebraSignature(2 * m, 0)
-    right = AlgebraSignature(n, k)
-    z = volume_involution(left, m)
-    one_l, one_r = unit(left), unit(right)
-    images = {}
-    for j in range(1, 2 * m + 1):
-        images[("w", j)] = tensor_of(fermi_gen(left, j), one_r)
-    for j in range(1, n + 1):
-        images[("w", 2 * m + j)] = tensor_of(z, fermi_gen(right, j))
-    for j in range(1, k + 1):
-        images[("p", j)] = tensor_of(z, bose_p(right, j))
-        images[("q", j)] = tensor_of(z, bose_q(right, j))
-    out = tensor_zero(left, right)
-    for c, word in element_star_words(x):
-        cur = tensor_unit(left, right)
-        for tok in word:
-            cur = tensor_star(cur, images[tok])
-        out = out + cur.scale(c)
-    return out
+    expect_element(x, CwElement, AlgebraSignature(2 * m + n, k))
+    left, right = AlgebraSignature(2 * m, 0), AlgebraSignature(n, k)
+    low = (1 << (2 * m)) - 1
+    # w^I p^A q^B -> (w^{I_L} z^e) (x) w'^{I_R} p^A q^B, e = |I_R| + |A| + |B| mod 2:
+    # z^2 = 1, z commutes with the right factor's generators, and star words of
+    # p^A q^B have length |A| + |B| mod 2 (the right factor has the source's t = 1)
+    terms = {}
+    for mono, c in x.terms.items():
+        mask, rest = mono.cliff & low, mono.cliff >> (2 * m)
+        if (rest.bit_count() + mono.bose_degree()) & 1:
+            g, mask = _times_volume(mask, 2 * m, m)
+            c = c * g
+        terms[CwMonomial(mask, (), ()), CwMonomial(rest, mono.wp, mono.wq)] = c
+    return TensorElement.raw((left, right), terms)
 
 
 def periodicity1_inverse(m, n, k, X):
     """Inverse homomorphism, defined through the upstairs volume word."""
-    left = AlgebraSignature(2 * m, 0)
-    right = AlgebraSignature(n, k)
-    if X.left_signature != left or X.right_signature != right:
-        raise SignatureMismatch(
-            "expected tensor over %r (x) %r" % (left, right)
-        )
-    tgt = AlgebraSignature(2 * m + n, k)
-    z = volume_involution(tgt, m)
-    images = {}
-    for j in range(1, n + 1):
-        images[("w", j)] = star(z, fermi_gen(tgt, 2 * m + j))
-    for j in range(1, k + 1):
-        images[("p", j)] = star(z, bose_p(tgt, j))
-        images[("q", j)] = star(z, bose_q(tgt, j))
-    out = zero(tgt)
+    expect_element(X, TensorElement, (AlgebraSignature(2 * m, 0), AlgebraSignature(n, k)))
+    # w^L (x) w'^J p^A q^B -> (w^L z~^e) w^{2m+J} p^A q^B, e = |J| + |A| + |B| mod 2:
+    # z~^2 = 1, z~ commutes with the shifted generators, and star words of p^A q^B
+    # have length |A| + |B| mod 2 (the target has the right factor's t = 1)
+    terms = {}
     for (ml, mr), c in X.terms.items():
-        # the left factor is pure Fermi: its monomial is already the star
-        # word of its generators in ascending order
-        acc = monomial_element(tgt, CwMonomial(ml.cliff, (0,) * k, (0,) * k))
-        for cr, word in element_star_words(monomial_element(right, mr)):
-            cur = acc.scale(cr)
-            for tok in word:
-                cur = star(cur, images[tok])
-            out = out + cur.scale(c)
-    return out
+        mask = ml.cliff
+        if (mr.cliff.bit_count() + mr.bose_degree()) & 1:
+            g, mask = _times_volume(mask, 2 * m, m)
+            c = c * g
+        terms[CwMonomial(mask | mr.cliff << (2 * m), mr.wp, mr.wq)] = c
+    return CwElement.raw(AlgebraSignature(2 * m + n, k), terms)
 
 
 # -- odd Fermi count: split into two even-sized components -----------------------

@@ -39,6 +39,13 @@ class SignatureMismatch(AlgebraError):
     """Raised when elements of different algebras are combined."""
 
 
+def expect_element(x, cls, space, error=SignatureMismatch):
+    """Raise `error` unless x is a `cls` over `space`."""
+    if not isinstance(x, cls) or x.space != space:
+        got = "%s over %r" % (type(x).__name__, getattr(x, "space", None))
+        raise error("expected %s over %r, got %s" % (cls.__name__, space, got))
+
+
 class Checks:
     """Counts verification cases and records each failure as text.
 

@@ -205,6 +205,24 @@ def test_packed_kernel_matches_recursive_reference_on_random_pairs():
         ref_lower_past_powers.cache_clear()
 
 
+def test_only_small_pairs_enter_the_kernel_cache():
+    # an entry with min(beta, gamma) > 64 would retain over 0.2 MB, so it is
+    # computed afresh each time
+    def power_product(beta, gamma):
+        x = OreElement(0, {OreMonomial(0, 0, beta, 0): GR(1)})
+        y = OreElement(0, {OreMonomial(0, gamma, 0, 0): GR(1)})
+        return ore_product(x, y), ref_ore_product(x, y)
+
+    _lower_past_powers.cache_clear()
+    try:
+        got, want = power_product(64, 70)
+        assert got == want and _lower_past_powers.cache_info().currsize == 1
+        got, want = power_product(65, 70)
+        assert got == want and _lower_past_powers.cache_info().currsize == 1
+    finally:
+        ref_lower_past_powers.cache_clear()
+
+
 @pytest.mark.parametrize("beta, gamma", [(160, 150), (150, 160)])
 def test_long_lowering_acts_as_its_factors(beta, gamma):
     x = OreElement(0, {OreMonomial(0, 0, beta, 0): GR(1)})
