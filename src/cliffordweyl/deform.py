@@ -155,6 +155,8 @@ def periodicity2_inverse(n, x):
     # commutes with every w_j
     out = {}
     for (ml, m), c in x.terms.items():
+        if c.lam_degree() > 0:
+            raise AlgebraError("expected coefficients free of the central parameter, got %s" % c)
         mask, g = ml.cliff, c.constant()
         if (mask.bit_count() + m.cliff) & 1:
             v, mask = _times_volume(mask, 2 * n + 1, n)
@@ -186,19 +188,16 @@ def ore_to_matrix(n, x):
     sig = desc.signature()
     dim = 1 << n
     mat_cache = {}
-    entries = [[ore_zero(0) for _ in range(dim)] for _ in range(dim)]
+    entries = {}
     for (ml, m), c in forward.terms.items():
         M = mat_cache.get(ml)
         if M is None:
             M = rep_matrix(desc, monomial_element(sig, ml))
             mat_cache[ml] = M
         body = OreElement(0, {m: c.constant()})
-        for i in range(dim):
-            for j in range(dim):
-                g = _gr_entry(M[i, j])
-                if g:
-                    entries[i][j] = entries[i][j] + body.scale(g)
-    return Matrix(entries)
+        for ij, s in M.items():
+            accumulate(entries, ij, body.scale(_gr_entry(s)))
+    return Matrix.from_entries((dim, dim), entries, ore_zero(0))
 
 
 # -- first-order deformation cochain ------------------------------------------------
@@ -416,8 +415,8 @@ def _rank0_quotient_matrices(h, twist):
     out = {}
     for token in ("P", "E+", "E-"):
         rule = verma_operator(h + Fraction(1, 4), token).rule
-        images = [rule(m) for m in range(d)]
-        out[token] = Matrix([[images[m].get(r, 0) for m in range(d)] for r in range(d)])
+        images = {(r, m): c for m in range(d) for r, c in rule(m).items() if r < d}
+        out[token] = Matrix.from_entries((d, d), images)
     if twist < 0:
         out["P"] = -out["P"]
     return out
@@ -500,15 +499,10 @@ def finite_irrep_pi_h(n, h, sign):
 
 
 def matrix_direct_sum(a, b):
-    ra, ca = a.shape
-    rb, cb = b.shape
-    z = Scalar()
-    rows = []
-    for i in range(ra):
-        rows.append(list(a.rows[i]) + [z] * cb)
-    for i in range(rb):
-        rows.append([z] * ca + list(b.rows[i]))
-    return Matrix(rows)
+    (ra, ca), (rb, cb) = a.shape, b.shape
+    entries = dict(a.items())
+    entries.update(((ra + i, ca + j), x) for (i, j), x in b.items())
+    return Matrix.from_entries((ra + rb, ca + cb), entries)
 
 
 def rep_direct_sum(rep_a, rep_b):
@@ -563,15 +557,19 @@ def commutant_probe(rep):
     for M in mats:
         if M.shape != (d, d):
             raise AlgebraError("mixed matrix sizes")
-        G = [[_gr_entry(x) for x in row] for row in M.rows]
+        # (XM - MX)_ij: X_ik M_kj over column j's nonzeros, -M_ik X_kj over row i's
+        by_row, by_col = [[] for _ in range(d)], [[] for _ in range(d)]
+        for (i, k), x in M.items():
+            g = _gr_entry(x)
+            by_row[i].append((k, -g))
+            by_col[k].append((i, g))
         for i in range(d):
             for j in range(d):
                 row = {}
-                for k in range(d):
-                    if G[k][j]:
-                        accumulate(row, (i, k), G[k][j])
-                    if G[i][k]:
-                        accumulate(row, (k, j), -G[i][k])
+                for k, g in by_col[j]:
+                    accumulate(row, (i, k), g)
+                for k, g in by_row[i]:
+                    accumulate(row, (k, j), g)
                 if row:
                     rows.append(row)
     return len(sparse_nullspace(rows, variables))

@@ -3,15 +3,17 @@
 One immutable matrix type, whose entries are Scalars or elements of one
 algebra (representation images, matrix realizations, Kronecker assembly),
 and a sparse reduced-row-echelon solver used by the centralizer probes and
-the linear-independence checks.  Everything is exact; there is no floating
-point anywhere in this package.
+the linear-independence checks.  The matrix is stored sparsely, one
+{column: nonzero entry} map per row, and its operations read only the
+stored entries.  Everything is exact; there is no floating point anywhere
+in this package.
 """
 
 from __future__ import annotations
 
 from .algebra import AlgebraError
 from .hochschild import element_tag
-from .scalars import GR_ONE, S_ONE, Scalar, _coerce_scalar
+from .scalars import GR_ONE, S_ONE, S_ZERO, Scalar, _coerce_scalar
 from .sparse import accumulate
 
 
@@ -35,40 +37,72 @@ def _ring(x):
 class Matrix:
     """Immutable rectangular matrix over Scalars or over one algebra.
 
-    Plain numbers become Scalars.  Products use the entries' own `*`, so a
-    matrix over an algebra multiplies with that algebra's product.
+    Plain numbers become Scalars.  Each row is stored as a map {column:
+    nonzero entry}, beside the column count and the zero of the entry ring;
+    no zero entry is ever stored, so equal matrices have equal maps.  `rows`
+    is a dense read-only view, built when read.  Products use the entries'
+    own `*`, so a matrix over an algebra multiplies with that algebra's
+    product, and every operation reads only the stored entries.
     """
 
-    __slots__ = ("rows",)
+    __slots__ = ("_rows", "_ncols", "_zero")
 
     def __init__(self, rows):
-        rr = tuple(tuple(_entry(x) for x in r) for r in rows)
+        rr = [[_entry(x) for x in r] for r in rows]
         if rr and any(len(r) != len(rr[0]) for r in rr):
             raise MatrixError("ragged matrix")
         rings = {_ring(x) for r in rr for x in r}
         if len(rings) > 1:
             raise MatrixError("mixed entry rings: %r" % (rings,))
-        object.__setattr__(self, "rows", rr)
+        zero = rr[0][0] * 0 if rings else S_ZERO
+        _new(tuple({j: x for j, x in enumerate(r) if x} for r in rr), len(rr[0]) if rr else 0, zero, self)
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
 
     @staticmethod
+    def from_entries(shape, entries, zero=S_ZERO):
+        """The matrix of this shape with entries {(i, j): x}, zero elsewhere."""
+        (nrows, ncols), zero = shape, _entry(zero)
+        rows = tuple({} for _ in range(nrows))
+        for (i, j), x in entries.items():
+            if not (0 <= i < nrows and 0 <= j < ncols):
+                raise MatrixError("entry (%d, %d) outside shape %s" % (i, j, shape))
+            x = _entry(x)
+            if _ring(x) != _ring(zero):
+                raise MatrixError("mixed entry rings: %r" % ({_ring(zero), _ring(x)},))
+            if x:
+                rows[i][j] = x
+        return _new(rows, ncols, zero)
+
+    @staticmethod
     def identity(n, one=S_ONE):
-        z = one * 0
-        return Matrix([[one if i == j else z for j in range(n)] for i in range(n)])
+        return Matrix.from_entries((n, n), {(i, i): one for i in range(n)}, one * 0)
 
     @property
     def shape(self):
-        return (len(self.rows), len(self.rows[0]) if self.rows else 0)
+        return (len(self._rows), self._ncols)
+
+    @property
+    def rows(self):
+        """The entries as a tuple of row tuples, zeros included."""
+        z, cols = self._zero, range(self._ncols)
+        return tuple(tuple(r.get(j, z) for j in cols) for r in self._rows)
+
+    def items(self):
+        """The nonzero entries as ((i, j), entry), row by row."""
+        return (((i, j), x) for i, r in enumerate(self._rows) for j, x in r.items())
 
     def __getitem__(self, rc):
-        return self.rows[rc[0]][rc[1]]
+        i, j = rc
+        row, n = self._rows[i], self._ncols
+        if not -n <= j < n:
+            raise IndexError("matrix column index out of range")
+        return row.get(j + n if j < 0 else j, self._zero)
 
     def _check_ring(self, other):
-        if self.rows and self.rows[0] and other.rows and other.rows[0]:
-            if _ring(self.rows[0][0]) != _ring(other.rows[0][0]):
-                raise MatrixError("entry rings differ")
+        if self._ncols and other._ncols and _ring(self._zero) != _ring(other._zero):
+            raise MatrixError("entry rings differ")
 
     def __add__(self, other):
         if not isinstance(other, Matrix):
@@ -76,37 +110,41 @@ class Matrix:
         if self.shape != other.shape:
             raise MatrixError("shape mismatch %s + %s" % (self.shape, other.shape))
         self._check_ring(other)
-        return _raw_matrix(
-            tuple(tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(self.rows, other.rows))
-        )
+        out = tuple(dict(r) for r in self._rows)
+        for acc, r in zip(out, other._rows):
+            for j, b in r.items():
+                accumulate(acc, j, b)
+        return _new(out, self._ncols, self._zero)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return _raw_matrix(tuple(tuple(-a for a in r) for r in self.rows))
+        return _new(tuple({j: -x for j, x in r.items()} for r in self._rows), self._ncols, self._zero)
 
     def scale(self, s):
-        return _raw_matrix(tuple(tuple(a * s for a in r) for r in self.rows))
+        out = tuple({} for _ in self._rows)
+        for acc, r in zip(out, self._rows):
+            for j, x in r.items():
+                accumulate(acc, j, x * s)
+        return _new(out, self._ncols, self._zero * s)
 
     def __mul__(self, other):
         if not isinstance(other, Matrix):
             return self.scale(other)
-        m, p = self.shape[1], other.shape[1]
-        if m != other.shape[0]:
+        if self._ncols != len(other._rows):
             raise MatrixError("shape mismatch %s x %s" % (self.shape, other.shape))
         self._check_ring(other)
-        zero = self.rows[0][0] * 0 if m else Scalar()
+        # row by row (Gustavson): row i sums a * (row k of other) over its stored (k, a)
+        brows = other._rows
         out = []
-        for row in self.rows:
-            acc = [zero] * p
-            for a, brow in zip(row, other.rows):
-                if a:
-                    for j, b in enumerate(brow):
-                        if b:
-                            acc[j] = acc[j] + a * b
-            out.append(tuple(acc))
-        return _raw_matrix(tuple(out))
+        for row in self._rows:
+            acc = {}
+            for k, a in row.items():
+                for j, b in brows[k].items():
+                    accumulate(acc, j, a * b)
+            out.append(acc)
+        return _new(tuple(out), other._ncols, self._zero)
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -114,15 +152,22 @@ class Matrix:
     def kron(self, other):
         """Kronecker product, self's index varying slowest."""
         self._check_ring(other)
-        return _raw_matrix(
-            tuple(tuple(a * b for a in ra for b in rb) for ra in self.rows for rb in other.rows)
-        )
+        q = other._ncols
+        out = []
+        for ra in self._rows:
+            for rb in other._rows:
+                acc = {}
+                for i, a in ra.items():
+                    for j, b in rb.items():
+                        accumulate(acc, i * q + j, a * b)
+                out.append(acc)
+        return _new(tuple(out), self._ncols * q, self._zero)
 
     def __eq__(self, other):
-        return isinstance(other, Matrix) and self.rows == other.rows
+        return isinstance(other, Matrix) and self._ncols == other._ncols and self._rows == other._rows
 
     def __hash__(self):
-        return hash(self.rows)
+        return hash((self._ncols, tuple(frozenset(r.items()) for r in self._rows)))
 
     def __repr__(self):
         return "Matrix([%s])" % ", ".join(
@@ -138,10 +183,13 @@ class Matrix:
         return Matrix([[Scalar.from_json(x) for x in r] for r in data])
 
 
-def _raw_matrix(rows):
-    # internal: rows is a tuple of equal-length tuples of entries from one ring
-    m = object.__new__(Matrix)
-    object.__setattr__(m, "rows", rows)
+def _new(rows, ncols, zero, m=None):
+    # rows: a tuple of {column: nonzero entry} maps over zero's ring; a matrix
+    # without rows has no columns either
+    m = object.__new__(Matrix) if m is None else m
+    object.__setattr__(m, "_rows", rows)
+    object.__setattr__(m, "_ncols", ncols if rows else 0)
+    object.__setattr__(m, "_zero", zero)
     return m
 
 

@@ -77,8 +77,12 @@ def split_constant_and_v(x):
 
 def form(ctx, x, y):
     """The invariant bilinear form on C + V (a Scalar)."""
-    cx, vx = split_constant_and_v(x)
-    cy, vy = split_constant_and_v(y)
+    return _form(split_constant_and_v(x), split_constant_and_v(y))
+
+
+def _form(x, y):
+    """The form on two elements given by their splits (constant, V part)."""
+    (cx, vx), (cy, vy) = x, y
     return poisson(vx, vy).constant_term() - (cx * cy) * Scalar.of(2)
 
 
@@ -189,15 +193,16 @@ def verify_invariance(ctx):
     """Stability of C + V under the twisted action of g, and skew-invariance."""
     g_basis, _dim, _dims = build_g(ctx)
     h = ctx.h_basis()
+    h_split = [split_constant_and_v(zv) for zv in h]
     checks = Checks()
     for a in g_basis:
         d2a = element_bidegree(a).delta2
-        images = []
+        images = []  # the split of each image in C + V, None outside it
         for zv in h:
             img = twisted_adjoint(a, zv)
             inside = all(z_degree(m) <= 1 for m in img.terms)
             checks.record(inside, ["ad'(%s)" % a, zv], img, "element of C + V")
-            images.append(img if inside else None)
+            images.append(split_constant_and_v(img) if inside else None)
         for iz, zv in enumerate(h):
             if images[iz] is None:
                 continue
@@ -206,7 +211,7 @@ def verify_invariance(ctx):
             for it, tv in enumerate(h):
                 if images[it] is None:
                     continue
-                lhs = form(ctx, images[iz], tv)
-                rhs = form(ctx, zv, images[it])
+                lhs = _form(images[iz], h_split[it])
+                rhs = _form(h_split[iz], images[it])
                 checks.check([a, zv, tv], lhs, rhs if sign == 1 else -rhs)
     return checks.report("twisted-invariance")

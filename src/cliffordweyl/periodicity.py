@@ -45,7 +45,7 @@ from .ore import OreElement
 from .reps import rep_matrix, spin
 from .scalars import GR_ONE, S_HALF, S_ONE, Scalar, _coerce_scalar, i_power, scalar_i_power
 from .scalars import join_powers, split_powers
-from .sparse import SparseElement, expect_element, pair_product
+from .sparse import SparseElement, accumulate, expect_element, pair_product
 from .starprod import _cliff_pair, star
 from .textform import coefficient_text, join_signed, signed_term
 
@@ -324,7 +324,7 @@ def cw_to_matrix(n, k, x):
     right = X.right_signature
     desc = spin(n)
     dim = 1 << n
-    entries = [[zero(right) for _ in range(dim)] for _ in range(dim)]
+    entries = {}
     mat_cache = {}
     for (ml, mr), c in X.terms.items():
         M = mat_cache.get(ml.cliff)
@@ -332,8 +332,6 @@ def cw_to_matrix(n, k, x):
             M = rep_matrix(desc, monomial_element(left, ml))
             mat_cache[ml.cliff] = M
         body = monomial_element(right, mr, c)
-        for i in range(dim):
-            for j in range(dim):
-                if M[i, j]:
-                    entries[i][j] = entries[i][j] + body.scale(M[i, j])
-    return Matrix(entries)
+        for ij, s in M.items():
+            accumulate(entries, ij, body.scale(s))
+    return Matrix.from_entries((dim, dim), entries, zero(right))

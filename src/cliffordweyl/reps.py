@@ -206,14 +206,12 @@ def rep_matrix(desc, a):
     ell = 1 the basis is {1, xi1}.  Column j holds the image of basis j.
     """
     dim = desc.finite_dimension()
-    cols = []
+    entries = {}
     for g in range(dim):
         img = act(desc, a, GrassPolyVector.basis(desc.ell, desc.k, g))
-        col = [Scalar() for _ in range(dim)]
         for (gm, _e), c in img.terms.items():
-            col[gm] = c
-        cols.append(col)
-    return Matrix([[cols[j][i] for j in range(dim)] for i in range(dim)])
+            entries[gm, g] = c
+    return Matrix.from_entries((dim, dim), entries)
 
 
 # -- operator -> symbol on the Fermi side ---------------------------------------

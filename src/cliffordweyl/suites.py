@@ -311,16 +311,8 @@ def _suite_spin_lemma(run, rng, algebra, maxdeg, cases, params):
         for i in range(1, 2 * n + 1):
             vol = star(vol, fermi_gen(sig, i))
         dim = 1 << n
-        want = Matrix(
-            [
-                [
-                    (scalar_i_power(n) if g.bit_count() % 2 == 0 else -scalar_i_power(n))
-                    if g == h
-                    else Scalar()
-                    for h in range(dim)
-                ]
-                for g in range(dim)
-            ]
+        want = Matrix.from_entries(
+            (dim, dim), {(g, g): scalar_i_power(n) * (-1) ** g.bit_count() for g in range(dim)}
         )
         run.check(["volume word matrix, n=%d" % n], rep_matrix(spin(n), vol), want)
     for n in (1, 2, 3, 4):
@@ -336,13 +328,8 @@ def _suite_spin_lemma(run, rng, algebra, maxdeg, cases, params):
 
 
 def _matrix_rows(M):
-    """Flatten a matrix of cw elements to one sparse row, entry by entry."""
-    return {
-        (i, j, key): g
-        for i, entries in enumerate(M.rows)
-        for j, e in enumerate(entries)
-        for key, g in element_row(e).items()
-    }
+    """Flatten a matrix of cw elements to one sparse row, by its nonzero entries."""
+    return {(i, j, key): g for (i, j), e in M.items() for key, g in element_row(e).items()}
 
 
 def _suite_matrix_iso(run, rng, algebra, maxdeg, cases, params):

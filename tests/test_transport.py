@@ -3,7 +3,8 @@
 `reference_transport.py` keeps the earlier maps, which extend the images of
 the generators through star words one product at a time.  The library's
 maps send each monomial to its one-term image directly; here both are run
-on seeded random elements and must agree exactly, text included.
+on seeded random elements and must agree exactly, text included.  A fault
+injected into the maps themselves must fail the suites that use them.
 """
 
 import random
@@ -18,6 +19,7 @@ from reference_transport import (
     ref_periodicity2_inverse,
 )
 
+from cliffordweyl import deform, periodicity
 from cliffordweyl.algebra import (
     AlgebraError,
     AlgebraSignature,
@@ -37,7 +39,8 @@ from cliffordweyl.deform import (
 )
 from cliffordweyl.ore import OreElement, OreMonomial, ore_unit
 from cliffordweyl.periodicity import periodicity1_forward, periodicity1_inverse, tensor_of, tensor_unit
-from cliffordweyl.scalars import Scalar
+from cliffordweyl.scalars import Scalar, i_power
+from cliffordweyl.suites import run_suite
 
 SHIFT_GRID = [(1, 0, 1), (1, 1, 1), (2, 1, 1), (1, 2, 1), (2, 0, 2), (1, 3, 0), (3, 1, 1)]
 
@@ -134,7 +137,11 @@ WRONG_INPUTS = {
         tensor_unit(AlgebraSignature(0, 1), AlgebraSignature(2, 0)),
     ),
     "periodicity2_forward": (unit(AlgebraSignature(1, 1)), ore_unit(1)),
-    "periodicity2_inverse": (ore_unit(0), ore_tensor_unit(1)),
+    "periodicity2_inverse": (
+        ore_unit(0),
+        ore_tensor_unit(1),
+        ore_tensor_unit(0).scale(Scalar.lam(1)),  # in its space, but with an L coefficient
+    ),
     "iso_a0_to_cw": (unit(cw_odd_signature(0)), ore_unit(1)),
     "iso_cw_to_a0": (ore_unit(0), unit(cw_odd_signature(1))),
 }
@@ -146,3 +153,26 @@ def test_maps_reject_other_families_and_spaces(name):
     for x in WRONG_INPUTS[name]:
         with pytest.raises(error, match="expected"):
             call(x)
+
+
+@pytest.fixture
+def volume_without_phase(monkeypatch):
+    """Both bindings of `_times_volume` drop the i^m of the volume word.
+
+    Not a whole-factor sign flip: z -> -z is another valid isomorphism.
+    """
+    times_volume = periodicity._times_volume
+
+    def wrong(mask, width, m):
+        g, out = times_volume(mask, width, m)
+        return g * i_power(-m), out
+
+    monkeypatch.setattr(periodicity, "_times_volume", wrong)
+    monkeypatch.setattr(deform, "_times_volume", wrong)
+
+
+@pytest.mark.parametrize("name", ["periodicity1", "periodicity2", "pi-h", "matrix-iso"])
+def test_suites_catch_a_fault_in_the_transports(name, volume_without_phase):
+    # the suites' products never reach the closed-form maps, so a fault in
+    # the products leaves these checks untried; this one sits in the maps
+    assert not run_suite(name).passed
