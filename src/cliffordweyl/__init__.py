@@ -19,7 +19,7 @@ _EXPORTS = {
     "algebra": "AlgebraError AlgebraSignature BiDegree CwElement CwMonomial SignatureMismatch"
     " bidegree bose_p bose_q canonicalize fermi_gen generators scalar_element unit z_degree zero",
     "starprod": "ProductKind anti_bracket lie_bracket poisson star super_bracket supertrace_weyl"
-    " to_star_words trace_clifford wedge",
+    " trace_clifford wedge",
     "linalg": "Matrix MatrixError sparse_nullspace sparse_rank sparse_rref",
     "osp": "OspContext build_g expected_dimension form twisted_adjoint verify_invariance verify_ps",
     "periodicity": "TensorElement cw_to_matrix matrix_star module_transport odd_join"

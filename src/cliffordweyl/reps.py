@@ -12,21 +12,23 @@ length ell, E a polynomial multi-exponent of length k).  Generator actions:
 
 The (-1)^{|G|} factor on the Bose actions makes the Fermi and Bose
 generators anticommute as operators, matching the product's sign rule.
-A general element acts through its star-word decomposition, so
-act(a * b, v) = act(a, act(b, v)) holds exactly --- which is the independent
+A monomial acts in closed form, mode by mode, sending each carrier
+monomial to a multiple of one carrier monomial (`act`); no product is
+involved, so act(a * b, v) = act(a, act(b, v)) is the independent
 cross-check of the product kernels.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from typing import NamedTuple
 
-from .algebra import AlgebraError, AlgebraSignature, fermi_gen, unit, zero
-from .linalg import Matrix
-from .scalars import S_HALF, S_ONE, Scalar, _coerce_scalar, scalar_i_power
-from .sparse import SparseElement, accumulate
-from .starprod import _parity_below, _shuffle_parity, element_star_words, star
+from .algebra import AlgebraError, AlgebraSignature, CwElement, fermi_gen, unit, zero
+from .linalg import Matrix, MatrixError
+from .scalars import S_HALF, S_ONE, Scalar, _coerce_scalar, gr_ratio, i_power, scalar_i_power
+from .sparse import SparseElement, accumulate, expect_element
+from .starprod import _mode_words, _parity_below, _shuffle_parity, star
 
 
 class RepKind(enum.Enum):
@@ -60,32 +62,40 @@ class RepDescriptor(NamedTuple):
         return 1 << self.ell
 
 
+def _descriptor(kind, ell, k):
+    """The descriptor, once both carrier sizes are non-negative ints."""
+    for name, size in (("ell", ell), ("k", k)):
+        if not isinstance(size, int) or size < 0:
+            raise AlgebraError("%s must be a non-negative int, got %r" % (name, size))
+    return RepDescriptor(kind, ell, k)
+
+
 def spin(ell):
-    return RepDescriptor(RepKind.SPIN, ell, 0)
+    return _descriptor(RepKind.SPIN, ell, 0)
 
 
 def spin_plus(ell):
-    return RepDescriptor(RepKind.SPIN_PLUS, ell, 0)
+    return _descriptor(RepKind.SPIN_PLUS, ell, 0)
 
 
 def spin_minus(ell):
-    return RepDescriptor(RepKind.SPIN_MINUS, ell, 0)
+    return _descriptor(RepKind.SPIN_MINUS, ell, 0)
 
 
 def metaplectic(k):
-    return RepDescriptor(RepKind.METAPLECTIC, 0, k)
+    return _descriptor(RepKind.METAPLECTIC, 0, k)
 
 
 def spin_metaplectic(ell, k):
-    return RepDescriptor(RepKind.SPIN_METAPLECTIC, ell, k)
+    return _descriptor(RepKind.SPIN_METAPLECTIC, ell, k)
 
 
 def spin_metaplectic_plus(ell, k):
-    return RepDescriptor(RepKind.SPIN_METAPLECTIC_PLUS, ell, k)
+    return _descriptor(RepKind.SPIN_METAPLECTIC_PLUS, ell, k)
 
 
 def spin_metaplectic_minus(ell, k):
-    return RepDescriptor(RepKind.SPIN_METAPLECTIC_MINUS, ell, k)
+    return _descriptor(RepKind.SPIN_METAPLECTIC_MINUS, ell, k)
 
 
 class GrassPolyVector(SparseElement):
@@ -129,71 +139,51 @@ class GrassPolyVector(SparseElement):
         return "<vec %s>" % " + ".join(bits)
 
 
-def _gen_action(desc, token, v):
-    """Action of one generator token on a vector."""
-    kind, idx = token
-    out = {}
-    if kind == "w":
-        odd_index = 2 * desc.ell + 1
-        if desc.kind in _ODD_KINDS and idx == odd_index:
-            flip = desc.kind in _MINUS_KINDS
-            for (g, e), c in v.terms.items():
-                neg = ((g.bit_count() + sum(e)) & 1) ^ flip
-                accumulate(out, (g, e), -c if neg else c)
-            return GrassPolyVector.raw(v.space, out)
-        j = (idx + 1) // 2  # ladder pair index, 1-based
-        bit = 1 << (j - 1)
-        even = idx % 2 == 0
-        for (g, e), c in v.terms.items():
-            cc = -c if _parity_below(g, j - 1) else c
-            if g & bit:  # P_j contributes
-                accumulate(out, (g ^ bit, e), cc * Scalar.of(0, -1) if even else cc)
-            else:  # Q_j contributes
-                accumulate(out, (g | bit, e), cc * Scalar.of(0, 1) if even else cc)
-        return GrassPolyVector.raw(v.space, out)
-
-    j = idx - 1
-    if kind == "p":
-        for (g, e), c in v.terms.items():
-            if not e[j]:
-                continue
-            cc = c * Scalar.of(e[j])
-            if g.bit_count() & 1:
-                cc = -cc
-            e2 = tuple(x - 1 if t == j else x for t, x in enumerate(e))
-            accumulate(out, (g, e2), cc)
-        return GrassPolyVector.raw(v.space, out)
-    if kind == "q":
-        for (g, e), c in v.terms.items():
-            cc = -c if g.bit_count() & 1 else c
-            e2 = tuple(x + 1 if t == j else x for t, x in enumerate(e))
-            accumulate(out, (g, e2), cc)
-        return GrassPolyVector.raw(v.space, out)
-    raise ValueError("unknown token %r" % (token,))
-
-
 def act(desc, a, v):
     """Apply the element a to the vector v through the representation.
 
-    The element is rewritten as star words of generators; a word acts by
-    composing generator actions right to left.
+    The modes commute, so at t = 1 a monomial w^I p^A q^B sends a carrier
+    monomial xi^G x^E to a multiple of one carrier monomial.  In mode j,
+    p^a q^b is the sum over r of 2^-r C(b, r) perm(a, r) q^(b-r) * p^(a-r)
+    (`starprod._mode_words`), so x^e goes to x^(e-a+b) times the sum over r
+    of 2^-r C(b, r) perm(a, r) perm(e, a-r).  The Bose generators passing
+    xi^G give (-1)^(|G| (|A| + |B|)), and then the w_i act, last index
+    first.  The factor is i^quarter * num / 2^shift, with the signs counted
+    as two quarters.
     """
-    if a.signature != desc.signature():
-        raise AlgebraError(
-            "element signature %r does not match representation %r"
-            % (a.signature, desc)
-        )
-    if v.space != (desc.ell, desc.k):
-        raise AlgebraError("vector carrier mismatch for %r" % (desc,))
-    total = GrassPolyVector.raw(v.space, {})
-    for c, word in element_star_words(a):
-        cur = v
-        for tok in reversed(word):
-            cur = _gen_action(desc, tok, cur)
-            if not cur:
-                break
-        total = total + cur.scale(c)
-    return total
+    expect_element(a, CwElement, desc.signature(), AlgebraError)
+    expect_element(v, GrassPolyVector, (desc.ell, desc.k), AlgebraError)
+    odd = 2 * desc.ell + 1 if desc.kind in _ODD_KINDS else 0
+    flip = desc.kind in _MINUS_KINDS
+    out = {}
+    for m, cm in a.terms.items():
+        modes = tuple(map(_mode_words, m.wp, m.wq))
+        fermi = m.cliff_indices()[::-1]
+        for (g, e), cv in v.terms.items():
+            num, shift, image = 1, 0, []
+            for words, x in zip(modes, e):
+                top = len(words) - 1  # the largest r
+                n = sum(c * math.perm(x, pa) << (top - r) for r, c, _, pa in words)
+                if not n:
+                    break
+                num, shift = num * n, shift + top
+                _, _, qb, pa = words[0]
+                image.append(x - pa + qb)
+            else:
+                quarter, h = 2 * m.bose_degree() * g.bit_count(), g
+                for i in fermi:
+                    if i == odd:  # +-(-1)^(total degree)
+                        quarter += 2 * (h.bit_count() + sum(image) + flip)
+                        continue
+                    # ladder pair j: w_i is Q_j + P_j, or i (Q_j - P_j) for even i
+                    j = (i - 1) >> 1
+                    quarter += 2 * _parity_below(h, j)
+                    if not i & 1:
+                        quarter += 3 if h >> j & 1 else 1
+                    h ^= 1 << j
+                factor = i_power(quarter) * gr_ratio(num, 1 << shift)
+                accumulate(out, (h, tuple(image)), (cm * cv).scale(factor))
+    return GrassPolyVector.raw(v.space, out)
 
 
 # -- matrices ------------------------------------------------------------------
@@ -240,6 +230,8 @@ def clifford_op_to_symbol(n, T):
     rep_matrix for the even spin representation.
     """
     dim = 1 << n
+    if not isinstance(T, Matrix):
+        raise MatrixError("operator must be a Matrix, got %s" % type(T).__name__)
     if T.shape != (dim, dim):
         raise AlgebraError("operator must be %dx%d, got %r" % (dim, dim, T.shape))
     sig = AlgebraSignature(2 * n, 0)

@@ -41,12 +41,13 @@ pairs is the k-fold tensor power of the one-mode algebra A_1, and every
 factor of the Bose kernel above factors per mode.  `_mode_pair` caches the
 one-mode kernel p^a q^b * p^c q^d with integer numerators and
 denominators, free of t; `_weyl_pair` takes the product of the k one-mode
-lists at t = 1 and keeps the combined terms in a bounded cache.  Star
-words factor the same way: in one mode
+lists at t = 1 and keeps the combined terms in a bounded cache.  One
+mode's monomial is also a short sum of q-before-p products,
 
     p^a q^b  =  sum over r of (t/2)^r C(b,r) perm(a,r) (q^{b-r} * p^{a-r}),
 
-and a k-mode monomial's words are the products of its modes' words.
+which `_mode_words` gives in closed form; `reps.act` reads a module action
+off it one mode at a time.
 """
 
 from __future__ import annotations
@@ -55,11 +56,9 @@ import enum
 import math
 from functools import lru_cache
 from itertools import product as iproduct
-from operator import itemgetter
 
 from .algebra import AlgebraError, CwElement, CwMonomial, check_same_signature
-from .algebra import bose_p, bose_q, fermi_gen, unit
-from .scalars import GR_ONE, Scalar, S_ONE, S_HALF, S_ZERO, gr_ratio, join_powers, split_powers
+from .scalars import GR_ONE, Scalar, S_ONE, S_ZERO, gr_ratio, join_powers, split_powers
 from .sparse import accumulate, anti_bracket, lie_bracket, pair_product
 
 
@@ -98,8 +97,8 @@ def _shuffle_parity(left, right):
 # (60, 60).  Its size grows with min(beta, gamma) squared, so only pairs with
 # min(beta, gamma) <= `_LOWER_PAST_POWERS_STEPS` are cached: the largest such
 # entry retains 0.2 MB (tracemalloc, at (64, 100000); 0.9 MB at (120, 120)),
-# so the cache holds at most about 52 MB.  `_mode_pair` and the one-mode star
-# words are keyed by one mode's exponents, so they grow with the largest
+# so the cache holds at most about 52 MB.  `_mode_pair` and `_mode_words`
+# are keyed by one mode's exponents, so they grow with the largest
 # exponent in use.
 _WEYL_PAIR_CACHE = 4096
 _MODE_PAIR_CACHE = 4096
@@ -152,12 +151,6 @@ def _mode_pair(a, b, c, d):
             g = math.gcd(num, den)
             out.append((m, num // g, den // g, a + c - m, b + d - m))
     return tuple(out)
-
-
-@lru_cache(maxsize=64)
-def _half_t_powers(t):
-    """The lazily extended table of (t/2)^n for a Scalar t."""
-    return _Powers(t * S_HALF)
 
 
 @lru_cache(maxsize=_WEYL_PAIR_CACHE)
@@ -339,12 +332,10 @@ def trace_clifford(a):
     return a.constant_term() * Scalar.of(2 ** (sig.n_fermi // 2))
 
 
-# -- ordered star words -------------------------------------------------------
+# -- one mode's normal ordering -----------------------------------------------
 #
-# Every basis monomial can be rewritten as an exact combination of star
-# products of generators; this is what lets symbols act through
-# representations (`reps.act`).
-# Tokens are ('w', i) / ('p', j) / ('q', j), 1-based.
+# The closed form of p^a q^b as q-before-p products, which `reps.act` and
+# `deform.iso_cw_to_a0` read term by term.
 
 _weyl_word_cache = {}
 
@@ -367,76 +358,3 @@ def _mode_words(a, b):
             del _weyl_word_cache[next(iter(_weyl_word_cache))]
         _weyl_word_cache[key] = words
     return words
-
-
-def _weyl_words(A, B, t):
-    """p^A q^B as [(Scalar, word)] with word a tuple of ('p'/'q', j) tokens.
-
-    The modes commute, so the word list is the product over modes of the
-    one-mode closed form in `_mode_words`: one term per choice of r_j, with
-    coefficient (t/2)^|r| * prod_j C(B_j, r_j) perm(A_j, r_j) and word
-    q_1^(B_1-r_1) ... q_k^(B_k-r_k) p_1^(A_1-r_1) ... p_k^(A_k-r_k).  Distinct
-    choices give distinct words, and the list is sorted by word.  At t = 0
-    only the r = 0 term is left.
-    """
-    if not A:
-        return [(S_ONE, ())]
-    half_t = _half_t_powers(t)
-    qs = [("q", j + 1) for j in range(len(A))]
-    ps = [("p", j + 1) for j in range(len(A))]
-    out = []
-    for terms in iproduct(*map(_mode_words, A, B)):
-        orders, nums, nq, np_ = zip(*terms)
-        c = half_t[sum(orders)]
-        if not c:
-            continue
-        n = math.prod(nums)
-        if n != 1:
-            c = c * Scalar.of(n)
-        word = ()
-        for tok, e in zip(qs, nq):
-            word += (tok,) * e
-        for tok, e in zip(ps, np_):
-            word += (tok,) * e
-        out.append((c, word))
-    out.sort(key=itemgetter(1))
-    return out
-
-
-def to_star_words(signature, m):
-    """Rewrite the monomial as [(Scalar, token word)] under the star product.
-
-    The Fermi prefix is already a star word (ascending distinct generators
-    multiply without contraction); the Bose tail is `_weyl_words` at the
-    signature's deformation parameter.
-    """
-    prefix = tuple(("w", i) for i in m.cliff_indices())
-    return [(c, prefix + w) for c, w in _weyl_words(m.wp, m.wq, signature.t_param)]
-
-
-def element_star_words(e):
-    """Whole element as [(Scalar, word)], duplicate words merged."""
-    acc = {}
-    for m, c in e.terms.items():
-        for c2, w in to_star_words(e.signature, m):
-            accumulate(acc, w, c * c2)
-    return [(c, w) for w, c in sorted(acc.items())]
-
-
-_GENERATORS = {"w": fermi_gen, "p": bose_p, "q": bose_q}
-
-
-def generator_element(signature, token):
-    """The CwElement for one star-word token."""
-    kind, idx = token
-    if kind not in _GENERATORS:
-        raise ValueError("unknown token %r" % (token,))
-    return _GENERATORS[kind](signature, idx)
-
-
-def eval_star_word(signature, word):
-    """Star-multiply the generators named by a token word."""
-    out = unit(signature)
-    for tok in word:
-        out = star(out, generator_element(signature, tok))
-    return out

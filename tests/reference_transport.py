@@ -1,7 +1,7 @@
 """Reference transport maps: the library's earlier generator-image extensions.
 
 Each map names the images of the generators and extends to an element
-through its exact star-word decomposition (`starprod.element_star_words`),
+through its exact star-word decomposition (`reference_act.element_star_words`),
 multiplying the images one token at a time with `tensor_star`, `star` or
 `ore_product`.  The library's maps instead send each basis monomial to its
 one-term image in closed form; `test_transport.py` checks that the two agree.
@@ -39,7 +39,8 @@ from cliffordweyl.periodicity import (
     volume_involution,
 )
 from cliffordweyl.scalars import GR_ONE, GR_ZERO, i_power
-from cliffordweyl.starprod import element_star_words, star
+from cliffordweyl.starprod import star
+from reference_act import element_star_words
 
 _P0 = OreMonomial(1, 0, 0, 0)
 

@@ -2,7 +2,10 @@
 
 The action of a product, act(a*b, v) == act(a, act(b, v)), is the independent
 oracle for the star product: the left side goes through the bidifferential
-kernels, the right side only composes generator actions.  Expected matrices
+kernels, the right side only composes monomial actions, which `act` computes
+in closed form without any product.  `tests/reference_act.py` keeps the
+earlier token-by-token action, and the closed form must equal it exactly.
+Expected matrices
 marked [DERIVED] were computed by hand from the ladder decomposition
 w_{2j-1} = raise + lower, w_{2j} = i(raise - lower).
 """
@@ -12,6 +15,8 @@ from fractions import Fraction
 
 import pytest
 
+import reference_act
+from cliffordweyl import reps, scalars, sparse, starprod
 from cliffordweyl.algebra import (
     AlgebraError,
     AlgebraSignature,
@@ -22,9 +27,11 @@ from cliffordweyl.algebra import (
     fermi_gen,
     unit,
 )
-from cliffordweyl.linalg import Matrix
+from cliffordweyl.linalg import Matrix, MatrixError
+from cliffordweyl.ore import ore_unit
 from cliffordweyl.reps import (
     GrassPolyVector,
+    RepDescriptor,
     RepKind,
     act,
     clifford_op_to_symbol,
@@ -156,6 +163,114 @@ def test_action_is_linear():
         w = rand_vector(rng, desc)
         assert act(desc, a, v + w) == act(desc, a, v) + act(desc, a, w)
         assert act(desc, a, v.scale(S_I)) == act(desc, a, v).scale(S_I)
+
+
+# -- the closed form against the token-by-token reference ---------------------
+
+
+_SPIN_ONLY = {RepKind.SPIN, RepKind.SPIN_PLUS, RepKind.SPIN_MINUS}
+
+
+def _reference_case(rng, kind):
+    """A descriptor with ell <= 2 and k <= 4, an element with L in its
+    coefficients, and a vector that has, besides random terms, one term
+    below a monomial's p power in some mode, whose image is zero."""
+    ell = 0 if kind is RepKind.METAPLECTIC else rng.randint(0, 2)
+    k = 0 if kind in _SPIN_ONLY else rng.randint(1 if kind is RepKind.METAPLECTIC else 0, 4)
+    desc = RepDescriptor(kind, ell, k)
+    sig = desc.signature()
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        wp = tuple(rng.randint(0, 3) for _ in range(k))
+        wq = tuple(rng.randint(0, 2) for _ in range(k))
+        m = CwMonomial(rng.getrandbits(sig.n_fermi) if sig.n_fermi else 0, wp, wq)
+        re = Fraction(rng.choice((-3, -1, 1, 2)), rng.randint(1, 3))
+        terms[m] = Scalar({0: re, 1: rng.randint(-1, 1)})
+    a = CwElement(sig, terms)
+    vterms = {}
+    for _ in range(rng.randint(1, 3)):
+        g = rng.getrandbits(ell) if ell else 0
+        e = tuple(rng.randint(0, 3) for _ in range(k))
+        vterms[g, e] = Scalar.of(rng.randint(-3, 3), rng.randint(-2, 2))
+    m = rng.choice(sorted(a.terms))
+    short = [j for j in range(k) if m.wp[j] > m.wq[j]]
+    if short:
+        j = rng.choice(short)
+        e = [rng.randint(0, 3) for _ in range(k)]
+        e[j] = rng.randint(0, m.wp[j] - m.wq[j] - 1)
+        vterms[rng.getrandbits(ell) if ell else 0, tuple(e)] = S_ONE
+    return desc, a, GrassPolyVector(ell, k, vterms)
+
+
+@pytest.mark.parametrize("kind", list(RepKind), ids=lambda kind: kind.value)
+def test_act_matches_token_reference(kind):
+    rng = random.Random("reference:" + kind.value)
+    zero_images = 0
+    for _ in range(60):
+        desc, a, v = _reference_case(rng, kind)
+        assert act(desc, a, v) == reference_act.act(desc, a, v), (desc, a, v)
+        for m in a.terms:
+            for u in v.terms:
+                mono = CwElement(a.signature, {m: S_ONE})
+                zero_images += not act(desc, mono, GrassPolyVector.basis(desc.ell, desc.k, *u))
+    if kind not in _SPIN_ONLY:
+        assert zero_images
+
+
+def test_act_on_a_deep_power():
+    # p1 q1^N = q1^N p1 + (N/2) q1^(N-1): on 1 only the second term survives,
+    # on x it is x^N + (N/2) x^N; one closed-form term, no word of length N
+    desc = metaplectic(1)
+    m = CwElement(desc.signature(), {CwMonomial(0, (1,), (1500,)): S_ONE})
+    one, x = GrassPolyVector.basis(0, 1, 0, (0,)), GrassPolyVector.basis(0, 1, 0, (1,))
+    assert act(desc, m, one) == GrassPolyVector.basis(0, 1, 0, (1499,)).scale(750)
+    assert act(desc, m, x) == GrassPolyVector.basis(0, 1, 0, (1500,)).scale(751)
+
+
+def test_act_makes_one_coefficient_product_per_pair(monkeypatch):
+    rng = random.Random(43)
+    desc = spin_metaplectic_plus(2, 3)
+    exps = [tuple(rng.randint(0, 2) for _ in range(3)) for _ in range(40)]
+    monomials = [CwMonomial(rng.getrandbits(5), exps[i], exps[-1 - i]) for i in range(20)]
+    terms = {m: Scalar({0: i + 1, 1: 1}) for i, m in enumerate(monomials)}
+    a = CwElement(desc.signature(), terms)
+    v = GrassPolyVector(
+        2, 3, {(g, (g, 3 - g, 2)): Scalar({0: g + 1, 1: Fraction(1, g + 2)}) for g in range(4)}
+    )
+    want = reference_act.act(desc, a, v)
+    products = []
+    convolve = scalars.convolve
+
+    def counted_convolve(t1, t2):
+        products.append(1)
+        return convolve(t1, t2)
+
+    monkeypatch.setattr(scalars, "convolve", counted_convolve)
+    got = act(desc, a, v)
+    monkeypatch.undo()
+    assert len(products) <= len(a.terms) * len(v.terms)
+    assert got == want
+
+
+def test_act_calls_no_product(monkeypatch):
+    rng = random.Random(47)
+    cases = [_reference_case(rng, kind) for kind in RepKind for _ in range(5)]
+    want = [reference_act.act(*case) for case in cases]
+
+    def refuse(*args):
+        raise AssertionError("act called a product")
+
+    for module, name in (
+        (starprod, "star"),
+        (reps, "star"),
+        (sparse, "pair_product"),
+        (starprod, "pair_product"),
+        (starprod, "pair_kernel"),
+        (starprod, "_mode_pair"),
+        (starprod, "_weyl_pair"),
+    ):
+        monkeypatch.setattr(module, name, refuse)
+    assert [act(*case) for case in cases] == want
 
 
 # -- operator relations on the carrier ---------------------------------------
@@ -320,6 +435,9 @@ def test_act_signature_mismatch():
         act(desc, unit(other), GrassPolyVector.basis(1, 0))
     with pytest.raises(AlgebraError):
         act(desc, unit(desc.signature()), GrassPolyVector.basis(2, 0))
+    # an element of the deformed family, not of cw
+    with pytest.raises(AlgebraError):
+        act(desc, ore_unit(1), GrassPolyVector.basis(1, 0))
 
 
 def test_vector_validation():
@@ -329,6 +447,39 @@ def test_vector_validation():
         GrassPolyVector(1, 1, {(0, (-1,)): S_ONE})
     with pytest.raises(AttributeError):
         GrassPolyVector.basis(1, 0).terms = {}
+    # a plain dict is not a vector
+    with pytest.raises(AlgebraError):
+        act(spin(1), unit(spin(1).signature()), {(0, ()): S_ONE})
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: spin(-1), AlgebraError),
+        (lambda: spin_plus(-1), AlgebraError),
+        (lambda: spin_minus(-2), AlgebraError),
+        (lambda: metaplectic(-1), AlgebraError),
+        (lambda: spin_metaplectic(-1, 1), AlgebraError),
+        (lambda: spin_metaplectic_plus(1, -1), AlgebraError),
+        (lambda: spin_metaplectic_minus(-1, -1), AlgebraError),
+        (lambda: spin(1.5), AlgebraError),
+        (lambda: clifford_op_to_symbol(1, [[1, 0], [0, 1]]), MatrixError),
+    ],
+    ids=[
+        "spin",
+        "spin+",
+        "spin-",
+        "metaplectic",
+        "spin-metaplectic",
+        "spin-metaplectic+",
+        "spin-metaplectic-",
+        "spin-float",
+        "op-not-matrix",
+    ],
+)
+def test_bad_sizes_and_operators_raise(call, error):
+    with pytest.raises(error):
+        call()
 
 
 def test_matrix_json_round_trip():

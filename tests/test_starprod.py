@@ -28,18 +28,16 @@ from cliffordweyl.scalars import S_HALF, S_LAMBDA, S_ONE, Scalar
 from cliffordweyl.starprod import (
     ProductKind,
     anti_bracket,
-    element_star_words,
-    eval_star_word,
     lie_bracket,
     poisson,
     product,
     star,
     super_bracket,
     supertrace_weyl,
-    to_star_words,
     trace_clifford,
     wedge,
 )
+from reference_act import element_star_words, eval_star_word, to_star_words
 
 SIG = AlgebraSignature(3, 2)
 W = [fermi_gen(SIG, i) for i in (1, 2, 3)]
@@ -301,6 +299,9 @@ def test_trace_clifford_kills_commutators():
 
 
 # -- star words ---------------------------------------------------------------
+#
+# The star words live in `reference_act`, where they drive the reference
+# module action and transport maps; these tests check them against `star`.
 
 
 def test_star_words_reconstruct_monomials():
@@ -342,7 +343,8 @@ def test_star_words_respect_t():
 
 
 def test_star_words_of_a_deep_q_power():
-    # cw:0,2: q1^1500 is one closed-form word; no recursion over the power
+    # cw:0,2: q1^1500 is one word; the reference strips q factors on an
+    # explicit stack, so no recursion over the power
     sig = AlgebraSignature(0, 1)
     assert to_star_words(sig, CwMonomial(0, (0,), (1500,))) == [(S_ONE, (("q", 1),) * 1500)]
     # p1 q1^N = q1^N p1 + N (t/2) q1^(N-1)
@@ -351,3 +353,4 @@ def test_star_words_of_a_deep_q_power():
         (Scalar.of(1500) * sig.t_param * S_HALF, (("q", 1),) * 1499),
         (S_ONE, (("q", 1),) * 1500 + (("p", 1),)),
     ]
+    ref._weyl_word_cache.clear()  # some 30 MB of words

@@ -3,28 +3,30 @@
 `tests/reference_weyl_kernel.py` holds the earlier kernel, star words and
 wedge, which work on whole k-mode exponent tuples, and a product that
 multiplies term by term at the signature's t.  The library factors the
-kernel and the words per mode and gets every t from the product at t = 1 by
-the degree grading; these seeded property tests compare the two on random
+kernel per mode, keeps the star words only as one mode's closed form
+(`_mode_words`), and gets every t from the product at t = 1 by the degree
+grading; these seeded property tests compare the two on random
 exponent tuples with k <= 4 modes and exponents <= 6, and check that the
-kernel caches stay bounded.
+kernel caches, and the one-mode words that `reps.act` reads, stay bounded.
 """
 
 import math
 import random
 from fractions import Fraction
+from itertools import product as iproduct
 
 import pytest
 
 import reference_weyl_kernel as ref
 from cliffordweyl import ore, starprod
 from cliffordweyl.algebra import AlgebraSignature, CwElement, CwMonomial
-from cliffordweyl.scalars import GR_ONE, GR_ZERO, GaussianRational, S_LAMBDA, S_ONE, Scalar
+from cliffordweyl.reps import GrassPolyVector, act, spin_metaplectic
+from cliffordweyl.scalars import GR_ONE, GR_ZERO, GaussianRational, S_HALF, S_LAMBDA, S_ONE, Scalar
 from cliffordweyl.starprod import (
     _cliff_pair,
     _mode_pair,
+    _mode_words,
     _weyl_pair,
-    _weyl_words,
-    element_star_words,
     star,
     wedge,
 )
@@ -133,15 +135,32 @@ def test_wedge_matches_reference_wedge():
                 assert wedge(a, b) == ref.wedge(a, b), (a, b)
 
 
+def _words_from_modes(A, B, t):
+    """p^A q^B as sorted [(Scalar, word)]: the product over modes of `_mode_words`."""
+    if not A:
+        return [(S_ONE, ())]
+    out = []
+    for terms in iproduct(*map(_mode_words, A, B)):
+        orders, nums, nq, np_ = zip(*terms)
+        c = (t * S_HALF) ** sum(orders) * Scalar.of(math.prod(nums))
+        if c:
+            word = sum((((("q", j + 1),) * e) for j, e in enumerate(nq)), ())
+            word += sum((((("p", j + 1),) * e) for j, e in enumerate(np_)), ())
+            out.append((c, word))
+    return sorted(out, key=lambda cw: cw[1])
+
+
 @pytest.mark.parametrize("t", [S_ONE, Scalar(), S_LAMBDA], ids=["1", "0", "L"])
 def test_star_words_match_whole_tuple_reference(t):
+    # the one-mode closed form, multiplied out over the modes, is the
+    # whole-tuple word list; `reps.act` relies on that factorization
     rng = random.Random(6063)
     for _ in range(60):
         k = rng.randint(0, 4)
         A, B = _tuples(rng, k), _tuples(rng, k)
         if math.prod(min(a, b) + 1 for a, b in zip(A, B)) > 100:
             continue
-        assert _weyl_words(A, B, t) == ref._weyl_words(A, B, t), (A, B)
+        assert _words_from_modes(A, B, t) == ref._weyl_words(A, B, t), (A, B)
 
 
 def test_kernel_caches_stay_bounded():
@@ -150,12 +169,14 @@ def test_kernel_caches_stay_bounded():
         assert kernel.cache_info().maxsize is not None
     _weyl_pair.cache_clear()
     starprod._weyl_word_cache.clear()
-    sig = AlgebraSignature(4, 4)
+    desc = spin_metaplectic(2, 4)
+    sig = desc.signature()
+    v = GrassPolyVector.basis(2, 4, 0b11, (3, 1, 4, 1))
     rng = random.Random(6064)
     for _ in range(4):
         a, b = (_rand_cw(rng, sig, nterms=20, maxdeg=10) for _ in range(2))
         star(a, b)
-        element_star_words(a + b)
+        act(desc, a + b, v)
     ore.ore_product(ore.ore_e_minus(0) ** 6, ore.ore_e_plus(0) ** 9)
     assert _weyl_pair.cache_info().misses > 0
     for kernel in kernels:
