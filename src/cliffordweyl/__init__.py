@@ -31,10 +31,10 @@ _EXPORTS = {
     "ore": "OreElement OreMonomial ghost_theta ore_anti_bracket ore_e_minus ore_e_plus ore_fermi"
     " ore_generators ore_lambda ore_lie_bracket ore_product ore_relations_report ore_scalar"
     " ore_super_bracket ore_unit ore_zero specialize specialized_product",
-    "deform": "PolyOperator center_probe commutant_probe compare_cocycle cw_odd_signature"
+    "deform": "center_probe commutant_probe compare_cocycle cw_odd_signature"
     " deformation_cochain_c1 finite_irrep_pi_h ghost_identities iso_a0_to_cw iso_cw_to_a0"
     " ore_to_matrix osp22_check periodicity2 periodicity2_forward periodicity2_inverse"
-    " pi_h_lambda pi_h_matrix verma_apply verma_operator volume_word_element",
+    " pi_h_lambda pi_h_matrix verma_apply volume_word_element",
     "hochschild": "CochainEvaluator coboundary cochain_from_element d_squared_check element_tag"
     " identity_cochain is_cocycle multiplication_cochain relative_normalized_check",
     "exprs": "CwContext OreContext ParseError evaluate evaluate_text parse parse_algebra"

@@ -15,6 +15,7 @@ transposition count against this order.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -22,7 +23,14 @@ from .scalars import S_ONE, S_ZERO, Scalar, _coerce_scalar
 from .sparse import AlgebraError, SignatureMismatch, SparseElement, accumulate
 
 
-class AlgebraSignature(NamedTuple):
+def _check_size(name, size):
+    """size, once it is a non-negative int; AlgebraError otherwise."""
+    if not isinstance(size, int) or size < 0:
+        raise AlgebraError("%s must be a non-negative int, got %r" % (name, size))
+    return size
+
+
+class AlgebraSignature(namedtuple("AlgebraSignature", "n_fermi n_bose t_param")):
     """Which algebra an element lives in.
 
     n_fermi   -- number of anticommuting generators w_i
@@ -32,11 +40,15 @@ class AlgebraSignature(NamedTuple):
                  the product at t is the one at t = 1 with each term scaled
                  by t^e, e half the Z-degree it loses, so t = 0 degenerates
                  the star product to the exterior product
+
+    Both counts must be non-negative ints (AlgebraError otherwise).
     """
 
-    n_fermi: int
-    n_bose: int
-    t_param: Scalar = S_ONE
+    __slots__ = ()
+
+    def __new__(cls, n_fermi, n_bose, t_param=S_ONE):
+        n_fermi, n_bose = _check_size("n_fermi", n_fermi), _check_size("n_bose", n_bose)
+        return super().__new__(cls, n_fermi, n_bose, t_param)
 
     def __repr__(self):
         if self.t_param == S_ONE:

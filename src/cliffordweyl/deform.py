@@ -10,11 +10,15 @@ Everything here sits on top of the normal-form arithmetic in `ore`:
   with the antisymmetric volume-word cocycle,
 * ghost/Casimir identities,
 * the polynomial (one-variable) representation and its finite-dimensional
-  quotients, with exact centralizer and commutant probes,
+  quotients, in closed form: a monomial w^I E+^a E-^b L^r sends z^m to one
+  multiple of z^(m+b-a), so neither acts generator by generator,
+* exact center and commutant probes; the center probe refuses a degree
+  bound with more than MAX_PROBE_MONOMIALS monomials,
 * the three-element orthosymplectic check around K = -1/4 w_odd + L.
 """
 
 from fractions import Fraction
+from math import comb
 
 from .algebra import (
     AlgebraError,
@@ -117,15 +121,6 @@ def iso_cw_to_a0(n, x):
 def _ore_tensor_space(n):
     """C(2n) (x) A_L at rank 0: the space of the rank-n factorization."""
     return (AlgebraSignature(2 * n, 0), 0)
-
-
-def ore_tensor_of(n, mask, m, coeff=GR_ONE):
-    """The pure tensor coeff * w^mask (x) m in C(2n) (x) A_L."""
-    return TensorElement(*_ore_tensor_space(n), {(CwMonomial(mask, (), ()), m): coeff})
-
-
-def ore_tensor_unit(n):
-    return ore_tensor_of(n, 0, OreMonomial(0, 0, 0, 0))
 
 
 def periodicity2_forward(n, x):
@@ -310,90 +305,59 @@ def ghost_identities(n, lam_samples=_GHOST_SAMPLE_VALUES):
 # -- the one-variable polynomial representation ------------------------------------
 
 
-class PolyOperator:
-    """Exact operator on one-variable polynomials.
+# E- sends z^m to this times z^(m+1)
+_E_MINUS_FACTOR = GaussianRational(Fraction(-1, 2))
 
-    Polynomials are sparse maps {exponent: Gaussian rational}; the rule
-    gives the image of each power and extends linearly.
+
+def _lowering_factor(lam, k):
+    """E+ sends z^k to this times z^(k-1): k/2, minus 2 lam when k is odd."""
+    c = GaussianRational(Fraction(k, 2))
+    return c - lam - lam if k & 1 else c
+
+
+def _weight_image(lam, m, mono, runs):
+    """The image of z^m under the rank-0 monomial w^I E+^a E-^b L^r at weight
+    lam, as (m + b - a, c), or None when it is zero.
+
+    c = (-1/2)^b lam^r f(k) f(k-1) ... f(k-a+1) (-1)^([I != 0](k - a)) with
+    k = m + b and f the lowering factor.  `runs` maps k to the running
+    products of f from k down, shared by every monomial of one weight; a run
+    ends at its first zero factor and is never divided through.  f(0) = 0,
+    so a > k gives zero, and f vanishes elsewhere exactly at odd k = 4 lam.
     """
-
-    __slots__ = ("rule",)
-
-    def __init__(self, rule):
-        object.__setattr__(self, "rule", rule)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PolyOperator is immutable")
-
-    def apply(self, poly):
-        out = {}
-        for m, c in poly.items():
-            c = gaussian(c)
-            for mm, cc in self.rule(m).items():
-                accumulate(out, mm, c * cc)
-        return out
-
-
-def poly_clean(poly):
-    """Canonical sparse form of {exponent: coefficient}."""
-    out = {}
-    for m, c in poly.items():
-        accumulate(out, m, gaussian(c))
-    return out
-
-
-def verma_operator(lam, token):
-    """Generator action on polynomials: E+ is half-derivative minus lam
-    times the odd-part difference quotient, E- multiplies by -z/2, P is
-    the parity flip."""
-    lam = gaussian(lam)
-    if token == "E+":
-
-        def rule(m):
-            if m == 0:
-                return {}
-            c = GaussianRational(Fraction(m, 2))
-            if m & 1:
-                c = c - lam - lam
-            return {m - 1: c} if c else {}
-
-    elif token == "E-":
-
-        def rule(m):
-            return {m + 1: GaussianRational(Fraction(-1, 2))}
-
-    elif token == "P":
-
-        def rule(m):
-            return {m: GaussianRational(Fraction(-1 if m & 1 else 1))}
-
-    else:
-        raise AlgebraError("unknown token %r" % (token,))
-    return PolyOperator(rule)
+    k, a = m + mono.e_minus, mono.e_plus
+    run = runs.setdefault(k, [GR_ONE])
+    while len(run) <= a:
+        if not run[-1]:
+            return None
+        run.append(run[-1] * _lowering_factor(lam, k + 1 - len(run)))
+    c = run[a]
+    if not c:
+        return None
+    c = c * _E_MINUS_FACTOR**mono.e_minus * lam**mono.lam
+    return k - a, -c if mono.cliff and (k - a) & 1 else c
 
 
 def verma_apply(lam, a, f):
-    """Apply a rank-0 element to a polynomial through the lam-action."""
+    """Apply a rank-0 element to a polynomial {exponent: coefficient} through
+    the lam-action, one image per (monomial, polynomial term) pair: E+
+    lowers with the factor above, E- multiplies by -z/2, P is the parity
+    flip and L is lam."""
     if a.n != 0:
         raise AlgebraError("rank-%d element: use the matrix transport instead" % a.n)
     lam = gaussian(lam)
-    ops = {t: verma_operator(lam, t) for t in ("E+", "E-", "P")}
-    blocks = {}  # E+^a E-^b f by (a, b): terms differing in w and L share it
+    poly = []
+    for m, c in f.items():
+        if not isinstance(m, int) or m < 0:
+            raise AlgebraError("exponents must be non-negative ints, got %r" % (m,))
+        poly.append((m, gaussian(c)))
+    runs = {}
     out = {}
-    for m, c in a.terms.items():
-        g = blocks.get((m.e_plus, m.e_minus))
-        if g is None:
-            g = poly_clean(f)
-            for _ in range(m.e_minus):
-                g = ops["E-"].apply(g)
-            for _ in range(m.e_plus):
-                g = ops["E+"].apply(g)
-            blocks[m.e_plus, m.e_minus] = g
-        if m.cliff:
-            g = ops["P"].apply(g)
-        coeff = c * lam**m.lam
-        for mm, cc in g.items():
-            accumulate(out, mm, cc * coeff)
+    for mono, c in a.terms.items():
+        for m, g in poly:
+            image = _weight_image(lam, m, mono, runs)
+            if image is not None:
+                accumulate(out, image[0], image[1] * c * g)
     return out
 
 
@@ -405,21 +369,6 @@ def _check_half_integer(h):
     if h < 0 or (2 * h).denominator != 1:
         raise AlgebraError("h must be a non-negative half-integer, got %s" % h)
     return h
-
-
-def _rank0_quotient_matrices(h, twist):
-    """Generator matrices of the polynomial action at lam = h + 1/4 on the
-    span of z^0..z^{4h} (E+ kills z^{4h+1} at that weight), P negated for
-    the minus sign."""
-    d = int(4 * h) + 1
-    out = {}
-    for token in ("P", "E+", "E-"):
-        rule = verma_operator(h + Fraction(1, 4), token).rule
-        images = {(r, m): c for m in range(d) for r, c in rule(m).items() if r < d}
-        out[token] = Matrix.from_entries((d, d), images)
-    if twist < 0:
-        out["P"] = -out["P"]
-    return out
 
 
 def _parse_sign(sign):
@@ -437,17 +386,33 @@ def pi_h_lambda(h, sign):
 
 
 def _pi_h_evaluator(n, h, sign):
-    """x -> its matrix in the quotient pi_h_matrix describes; the rank-0
-    matrices, and each left and right factor, are built once per evaluator."""
+    """x -> its matrix in the quotient pi_h_matrix describes; each left and
+    right factor is built once per evaluator.
+
+    The right factor of w^I E+^a E-^b L^r is the one shifted diagonal of
+    its action on z^0..z^{4h} at lam = h + 1/4, where E+ kills z^{4h+1}: the
+    entry at (m + b - a, m) for m + b <= 4h, since the quotient kills
+    z^(m+b) before any lowering.  The minus sign negates P and L.
+    """
     h = _check_half_integer(h)
-    rank0 = _rank0_quotient_matrices(h, _parse_sign(sign))
-    lam_val = Scalar.from_gaussian(pi_h_lambda(h, sign))
-    d0 = int(4 * h) + 1
+    twist = _parse_sign(sign)
+    lam = GaussianRational(h + Fraction(1, 4))
+    top = int(4 * h)
     desc = spin(n)
     sig = desc.signature()
     dim_left = 1 << n
+    runs = {}
     left_cache = {}
     right_cache = {}
+
+    def right_factor(m):
+        g = GaussianRational(twist ** (m.cliff + m.lam))
+        entries = {}
+        for col in range(top + 1 - m.e_minus):
+            image = _weight_image(lam, col, m, runs)
+            if image is not None:
+                entries[image[0], col] = image[1] * g
+        return Matrix.from_entries((top + 1, top + 1), entries)
 
     def evaluate(x):
         if x.n != n:
@@ -458,22 +423,12 @@ def _pi_h_evaluator(n, h, sign):
             if L is None:
                 L = rep_matrix(desc, monomial_element(sig, ml))
                 left_cache[ml] = L
-            key = (m.cliff, m.e_plus, m.e_minus, m.lam)
-            R = right_cache.get(key)
+            R = right_cache.get(m)
             if R is None:
-                R = Matrix.identity(d0)
-                if m.cliff:
-                    R = R * rank0["P"]
-                for _ in range(m.e_plus):
-                    R = R * rank0["E+"]
-                for _ in range(m.e_minus):
-                    R = R * rank0["E-"]
-                for _ in range(m.lam):
-                    R = R.scale(lam_val)
-                right_cache[key] = R
+                R = right_cache[m] = right_factor(m)
             piece = L.kron(R).scale(c)
             total = piece if total is None else total + piece
-        return Matrix.identity(dim_left * d0).scale(0) if total is None else total
+        return Matrix.identity(dim_left * (top + 1)).scale(0) if total is None else total
 
     return evaluate
 
@@ -514,9 +469,36 @@ def rep_direct_sum(rep_a, rep_b):
 # -- exact structure probes ---------------------------------------------------------
 
 
+# The most monomials bounded_monomials lists: center_probe at ore:6, degree
+# 4 sets up 2,310 of them in about a second, and 12,341 at ore:0, degree 40
+# take about 6 s
+MAX_PROBE_MONOMIALS = 5_000
+
+
+def _bounded_monomial_count(n, max_total_degree):
+    """How many monomials bounded_monomials lists, counted only until the
+    total passes MAX_PROBE_MONOMIALS: over each Fermi degree s, C(2n+1, s)
+    masks times the (a, b, r) with a + b + 2r <= max_total_degree - s."""
+    width, total = 2 * n + 1, 0
+    for s in range(min(width, max_total_degree) + 1):
+        masks = comb(width, s)
+        for r in range((max_total_degree - s) // 2 + 1):
+            rest = max_total_degree - s - 2 * r
+            total += masks * (rest + 1) * (rest + 2) // 2
+            if total > MAX_PROBE_MONOMIALS:
+                return total
+    return total
+
+
 def bounded_monomials(n, max_total_degree):
     """All normal-form monomials with Fermi+Bose degree plus twice the
-    central power at most the bound, in canonical order."""
+    central power at most the bound, in canonical order; AlgebraError when
+    there are more than MAX_PROBE_MONOMIALS, before any is built."""
+    if _bounded_monomial_count(n, max_total_degree) > MAX_PROBE_MONOMIALS:
+        raise AlgebraError(
+            "rank %d to degree %d has more than %d monomials to probe"
+            % (n, max_total_degree, MAX_PROBE_MONOMIALS)
+        )
     width = 2 * n + 1
     out = []
     for mask in range(1 << width):

@@ -22,9 +22,9 @@ from __future__ import annotations
 
 import enum
 import math
-from typing import NamedTuple
+from collections import namedtuple
 
-from .algebra import AlgebraError, AlgebraSignature, CwElement, fermi_gen, unit, zero
+from .algebra import AlgebraError, AlgebraSignature, CwElement, _check_size, fermi_gen, unit, zero
 from .linalg import Matrix, MatrixError
 from .scalars import S_HALF, S_ONE, Scalar, _coerce_scalar, gr_ratio, i_power, scalar_i_power
 from .sparse import SparseElement, accumulate, expect_element
@@ -47,10 +47,14 @@ _MINUS_KINDS = {RepKind.SPIN_MINUS, RepKind.SPIN_METAPLECTIC_MINUS}
 _FINITE_KINDS = {RepKind.SPIN, RepKind.SPIN_PLUS, RepKind.SPIN_MINUS}
 
 
-class RepDescriptor(NamedTuple):
-    kind: RepKind
-    ell: int  # Grassmann variables in the carrier
-    k: int  # polynomial variables in the carrier
+class RepDescriptor(namedtuple("RepDescriptor", "kind ell k")):
+    """A representation: its kind, the Grassmann variables (ell) and the
+    polynomial variables (k) of its carrier, both non-negative ints."""
+
+    __slots__ = ()
+
+    def __new__(cls, kind, ell, k):
+        return super().__new__(cls, kind, _check_size("ell", ell), _check_size("k", k))
 
     def signature(self):
         n = 2 * self.ell + (1 if self.kind in _ODD_KINDS else 0)
@@ -62,40 +66,32 @@ class RepDescriptor(NamedTuple):
         return 1 << self.ell
 
 
-def _descriptor(kind, ell, k):
-    """The descriptor, once both carrier sizes are non-negative ints."""
-    for name, size in (("ell", ell), ("k", k)):
-        if not isinstance(size, int) or size < 0:
-            raise AlgebraError("%s must be a non-negative int, got %r" % (name, size))
-    return RepDescriptor(kind, ell, k)
-
-
 def spin(ell):
-    return _descriptor(RepKind.SPIN, ell, 0)
+    return RepDescriptor(RepKind.SPIN, ell, 0)
 
 
 def spin_plus(ell):
-    return _descriptor(RepKind.SPIN_PLUS, ell, 0)
+    return RepDescriptor(RepKind.SPIN_PLUS, ell, 0)
 
 
 def spin_minus(ell):
-    return _descriptor(RepKind.SPIN_MINUS, ell, 0)
+    return RepDescriptor(RepKind.SPIN_MINUS, ell, 0)
 
 
 def metaplectic(k):
-    return _descriptor(RepKind.METAPLECTIC, 0, k)
+    return RepDescriptor(RepKind.METAPLECTIC, 0, k)
 
 
 def spin_metaplectic(ell, k):
-    return _descriptor(RepKind.SPIN_METAPLECTIC, ell, k)
+    return RepDescriptor(RepKind.SPIN_METAPLECTIC, ell, k)
 
 
 def spin_metaplectic_plus(ell, k):
-    return _descriptor(RepKind.SPIN_METAPLECTIC_PLUS, ell, k)
+    return RepDescriptor(RepKind.SPIN_METAPLECTIC_PLUS, ell, k)
 
 
 def spin_metaplectic_minus(ell, k):
-    return _descriptor(RepKind.SPIN_METAPLECTIC_MINUS, ell, k)
+    return RepDescriptor(RepKind.SPIN_METAPLECTIC_MINUS, ell, k)
 
 
 class GrassPolyVector(SparseElement):

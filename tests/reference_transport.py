@@ -18,7 +18,7 @@ from cliffordweyl.algebra import (
     unit,
     zero,
 )
-from cliffordweyl.deform import cw_odd_signature, ore_tensor_of
+from cliffordweyl.deform import cw_odd_signature
 from cliffordweyl.ore import (
     OreElement,
     OreMonomial,
@@ -43,6 +43,11 @@ from cliffordweyl.starprod import star
 from reference_act import element_star_words
 
 _P0 = OreMonomial(1, 0, 0, 0)
+
+
+def ore_tensor(n, mask, m, coeff=GR_ONE):
+    """The pure tensor coeff * w^mask (x) m in C(2n) (x) A_L."""
+    return TensorElement(AlgebraSignature(2 * n, 0), 0, {(CwMonomial(mask, (), ()), m): coeff})
 
 
 def ref_periodicity1_forward(m, n, k, x):
@@ -94,12 +99,12 @@ def ref_periodicity1_inverse(m, n, k, X):
 def ref_periodicity2_forward(n, x):
     """w_j -> w_j (x) P (j <= 2n), w_{2n+1} -> i^n w_1...w_{2n} (x) P, E+- -> 1 (x) E+-."""
     full = (1 << (2 * n)) - 1
-    images = {("w", i): ore_tensor_of(n, 1 << (i - 1), _P0) for i in range(1, 2 * n + 1)}
-    images["w", 2 * n + 1] = ore_tensor_of(n, full, _P0, i_power(n))
-    e_plus, e_minus = ore_tensor_of(n, 0, OreMonomial(0, 1, 0, 0)), ore_tensor_of(n, 0, OreMonomial(0, 0, 1, 0))
+    images = {("w", i): ore_tensor(n, 1 << (i - 1), _P0) for i in range(1, 2 * n + 1)}
+    images["w", 2 * n + 1] = ore_tensor(n, full, _P0, i_power(n))
+    e_plus, e_minus = ore_tensor(n, 0, OreMonomial(0, 1, 0, 0)), ore_tensor(n, 0, OreMonomial(0, 0, 1, 0))
     out = TensorElement(AlgebraSignature(2 * n, 0), 0)
     for m, c in x.terms.items():
-        acc = ore_tensor_of(n, 0, OreMonomial(0, 0, 0, m.lam))
+        acc = ore_tensor(n, 0, OreMonomial(0, 0, 0, m.lam))
         for i in m.cliff_indices():
             acc = tensor_star(acc, images["w", i])
         for _ in range(m.e_plus):

@@ -13,14 +13,10 @@ import time
 from fractions import Fraction
 
 from cliffordweyl.algebra import AlgebraSignature, CwElement, CwMonomial
-from cliffordweyl.deform import (
-    ore_tensor_of,
-    periodicity2_forward,
-    periodicity2_inverse,
-)
+from cliffordweyl.deform import periodicity2_forward, periodicity2_inverse
 from cliffordweyl.exprs import parse, parse_algebra, print_expr
 from cliffordweyl.ore import OreMonomial
-from cliffordweyl.periodicity import periodicity1_forward, periodicity1_inverse, tensor_of
+from cliffordweyl.periodicity import TensorElement, periodicity1_forward, periodicity1_inverse, tensor_of
 from cliffordweyl.reps import (
     GrassPolyVector,
     act,
@@ -150,11 +146,9 @@ def test_criterion_04_periodicity():
     for n in (1, 2):
         rng = random.Random("acc4ore:%d" % n)
         for _ in range(20):
-            X = ore_tensor_of(
-                n,
-                rng.getrandbits(2 * n),
-                OreMonomial(rng.getrandbits(1), rng.randrange(2), rng.randrange(2), rng.randrange(2)),
-            )
+            ml = CwMonomial(rng.getrandbits(2 * n), (), ())
+            m = OreMonomial(rng.getrandbits(1), rng.randrange(2), rng.randrange(2), rng.randrange(2))
+            X = TensorElement(AlgebraSignature(2 * n, 0), 0, {(ml, m): Scalar.of(1)})
             ok = ok and periodicity2_forward(n, periodicity2_inverse(n, X)) == X
     ok = ok and run_suite("matrix-iso", seed=4, cases=10).passed
     _line(4, ok, "dimension shifts both ways; matrix realization faithful")

@@ -113,6 +113,17 @@ def test_monomial_validation():
         bose_p(SIG, 3)
 
 
+def test_signature_rejects_bad_sizes():
+    # unit(AlgebraSignature(-2, 0)) used to end in "negative shift count"
+    for sizes in [(-2, 0), (0, -1), (1.5, 0), ("2", 1)]:
+        with pytest.raises(AlgebraError, match="must be a non-negative int"):
+            AlgebraSignature(*sizes)
+    sig = AlgebraSignature(2, 1)
+    assert sig == (2, 1, S_ONE) and hash(sig) == hash((2, 1, S_ONE))
+    assert repr(sig) == "AlgebraSignature(2, 1)"
+    assert repr(AlgebraSignature(0, 1, t_param=Scalar.of(2))) == "AlgebraSignature(0, 1, t=2)"
+
+
 def test_generators_list():
     gens = generators(SIG)
     assert len(gens) == 3 + 2 + 2

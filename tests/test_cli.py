@@ -8,7 +8,8 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cliffordweyl import cli, exprs
+from cliffordweyl import cli, deform, exprs
+from cliffordweyl.deform import MAX_PROBE_MONOMIALS, _bounded_monomial_count, bounded_monomials
 from cliffordweyl.exprs import evaluate_text, parse_algebra
 from cliffordweyl.suites import (
     MAX_CASES,
@@ -214,6 +215,30 @@ def test_center_suite_reports_basis():
     assert result.details["basis"] == {"ore:0": ["1", "L", "L^2"]}
     smaller = run_suite("center", maxdeg=3)
     assert smaller.details["basis"] == {"ore:0": ["1", "L"]}
+
+
+@pytest.mark.parametrize("argv", [["--algebra", "ore:12"], ["--maxdeg", "80"]], ids=["ore12", "maxdeg80"])
+def test_center_probe_above_the_monomial_bound_is_an_input_error(argv, capsys):
+    # 21,997 and 91,881 monomials; the count stops past the bound, before any is built
+    start = time.perf_counter()
+    assert cli.main(["--suite", "center"] + argv) == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: rank ")
+    assert "more than %d monomials" % MAX_PROBE_MONOMIALS in captured.err
+    assert cli.main(["--suite", "center"]) == 0
+
+
+def test_center_probe_counts_its_monomials(monkeypatch):
+    for n, degree in [(0, 0), (0, 4), (1, 3), (2, 5), (6, 4)]:
+        assert _bounded_monomial_count(n, degree) == len(bounded_monomials(n, degree))
+    monkeypatch.setattr(deform, "MAX_PROBE_MONOMIALS", 10**6)
+    assert [_bounded_monomial_count(*probe) for probe in [(0, 40), (12, 4)]] == [12_341, 21_997]
+    monkeypatch.setattr(deform, "MAX_PROBE_MONOMIALS", 35)
+    assert len(bounded_monomials(0, 4)) == 35
+    with pytest.raises(exprs.AlgebraError, match="more than 35 monomials"):
+        bounded_monomials(0, 5)
 
 
 def test_parastat_suite_counts_exhaustive_triples():

@@ -6,13 +6,18 @@ E- * E+ whose parameter-linear part is -ghost, scaled by 4 under the
 p = 2E-, q = 2E+ identification) and frozen below as a regression value.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+import reference_verma
+from reference_transport import ore_tensor
 
+from cliffordweyl import deform, ore, sparse
 from cliffordweyl.algebra import (
     AlgebraError,
+    AlgebraSignature,
     CwMonomial,
     bose_p,
     bose_q,
@@ -33,8 +38,6 @@ from cliffordweyl.deform import (
     iso_a0_to_cw,
     iso_cw_to_a0,
     matrix_direct_sum,
-    ore_tensor_of,
-    ore_tensor_unit,
     ore_to_matrix,
     osp22_check,
     osp22_k_element,
@@ -45,7 +48,6 @@ from cliffordweyl.deform import (
     pi_h_matrix,
     rep_direct_sum,
     verma_apply,
-    verma_operator,
     volume_word_element,
 )
 from cliffordweyl.linalg import Matrix
@@ -67,9 +69,10 @@ from cliffordweyl.ore import (
     specialize,
     specialized_product,
 )
-from cliffordweyl.periodicity import matrix_star
+from cliffordweyl.periodicity import TensorElement, matrix_star
 from cliffordweyl.scalars import GR_ONE, GaussianRational, Scalar, i_power
 from cliffordweyl.starprod import star
+from cliffordweyl.suites import run_suite
 
 GR = GaussianRational
 
@@ -252,16 +255,16 @@ def test_ghost_specializations_square_to_one():
 def test_forward_generator_images():
     n = 1
     P = OreMonomial(1, 0, 0, 0)
-    assert periodicity2_forward(n, ore_fermi(n, 1)) == ore_tensor_of(n, 0b01, P)
-    assert periodicity2_forward(n, ore_fermi(n, 2)) == ore_tensor_of(n, 0b10, P)
+    assert periodicity2_forward(n, ore_fermi(n, 1)) == ore_tensor(n, 0b01, P)
+    assert periodicity2_forward(n, ore_fermi(n, 2)) == ore_tensor(n, 0b10, P)
     # the top generator folds onto the even volume word times i^n
-    assert periodicity2_forward(n, ore_fermi(n, 3)) == ore_tensor_of(
+    assert periodicity2_forward(n, ore_fermi(n, 3)) == ore_tensor(
         n, 0b11, P, i_power(1)
     )
-    assert periodicity2_forward(n, ore_e_plus(n)) == ore_tensor_of(
+    assert periodicity2_forward(n, ore_e_plus(n)) == ore_tensor(
         n, 0, OreMonomial(0, 1, 0, 0)
     )
-    assert periodicity2_forward(n, ore_lambda(n)) == ore_tensor_of(
+    assert periodicity2_forward(n, ore_lambda(n)) == ore_tensor(
         n, 0, OreMonomial(0, 0, 0, 1)
     )
 
@@ -276,11 +279,11 @@ def test_forward_bracket_image(n):
     epf = periodicity2_forward(n, ore_e_plus(n))
     emf = periodicity2_forward(n, ore_e_minus(n))
     lhs = epf * emf - emf * epf
-    vol = ore_tensor_unit(n)
+    vol = ore_tensor(n, 0, OreMonomial(0, 0, 0, 0))
     for i in range(1, 2 * n + 2):
         vol = vol * periodicity2_forward(n, ore_fermi(n, i))
     rhs = periodicity2_forward(n, ore_lambda(n)) * vol.scale(i_power(n))
-    rhs = rhs - ore_tensor_unit(n).scale(GR(Fraction(1, 4)))
+    rhs = rhs - ore_tensor(n, 0, OreMonomial(0, 0, 0, 0)).scale(GR(Fraction(1, 4)))
     assert lhs == rhs
 
 
@@ -315,10 +318,11 @@ def test_periodicity2_dispatch_and_guards():
     with pytest.raises(AlgebraError):
         periodicity2_forward(2, x)
     # left Fermi bits outside C(2), and a right factor above rank 0
+    left = AlgebraSignature(2, 0)
     with pytest.raises(AlgebraError):
-        ore_tensor_of(1, 0b100, OreMonomial(0, 0, 0, 0))
+        TensorElement(left, 0, {(CwMonomial(0b100, (), ()), OreMonomial(0, 0, 0, 0)): GR_ONE})
     with pytest.raises(AlgebraError):
-        ore_tensor_of(1, 0, OreMonomial(2, 0, 0, 0))
+        TensorElement(left, 0, {(CwMonomial(0, (), ()), OreMonomial(2, 0, 0, 0)): GR_ONE})
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -387,8 +391,10 @@ def test_verma_relations_on_powers():
 def test_verma_rejects_higher_rank():
     with pytest.raises(AlgebraError):
         verma_apply(GR(1), ore_e_plus(1), {0: GR_ONE})
-    with pytest.raises(AlgebraError):
-        verma_operator(GR(1), "Q")
+    # z^-1 and z^(1/2) are not in the module
+    for bad in (-1, Fraction(1, 2)):
+        with pytest.raises(AlgebraError, match="exponents"):
+            verma_apply(GR(1), ore_e_plus(0), {bad: GR_ONE})
 
 
 def test_verma_apply_rejects_a_non_number_weight():
@@ -399,9 +405,80 @@ def test_verma_apply_rejects_a_non_number_weight():
         verma_apply("x", ore_e_plus(0), {1: 1})
 
 
-def test_verma_operator_rejects_a_non_number_weight():
-    with pytest.raises(TypeError):
-        verma_operator("x", "E+")
+def _rand_weight(rng):
+    """h + 1/4 for some 2h <= 6, where E+ kills z^(4h+1), or a random weight."""
+    if rng.random() < 0.4:
+        return GR(Fraction(rng.randrange(7), 2) + Fraction(1, 4))
+    return GR(
+        Fraction(rng.randrange(-9, 10), rng.randrange(1, 5)),
+        Fraction(rng.randrange(-3, 4), rng.randrange(1, 4)),
+    )
+
+
+def _rand_coeff(rng):
+    return GR(rng.randrange(-5, 6), rng.randrange(-2, 3))
+
+
+def _verma_cases(seed, count):
+    """(lam, rank-0 element with w, E+^a E-^b and L powers up to 7, 7 and 2, polynomial)."""
+    rng = random.Random(seed)
+    cases = []
+    for _ in range(count):
+        monos = [OreMonomial(*(rng.randrange(top) for top in (2, 8, 8, 3))) for _ in range(rng.randrange(1, 6))]
+        terms = {m: _rand_coeff(rng) for m in monos}
+        f = {rng.randrange(12): _rand_coeff(rng) for _ in range(rng.randrange(1, 4))}
+        cases.append((_rand_weight(rng), OreElement(0, terms), f))
+    return cases
+
+
+def test_verma_apply_matches_operator_reference():
+    """The closed form equals the operator-by-operator action, zero images included."""
+    zeros = {"past z^0": 0, "at 4 lam": 0}
+    for lam, a, f in _verma_cases("verma-reference", 300):
+        assert verma_apply(lam, a, f) == reference_verma.verma_apply(lam, a, f)
+        for m in a.terms:
+            for k in f:
+                if not reference_verma.verma_apply(lam, OreElement(0, {m: GR_ONE}), {k: GR_ONE}):
+                    zeros["past z^0" if m.e_plus > k + m.e_minus else "at 4 lam"] += 1
+    assert min(zeros.values()) >= 20, zeros
+
+
+def test_weight_action_calls_no_product(monkeypatch):
+    cases = _verma_cases("verma-no-product", 40)
+    want = [reference_verma.verma_apply(*case) for case in cases]
+    rep_want = finite_irrep_pi_h(1, 1, "-")
+
+    def refuse(*args):
+        raise AssertionError("the weight-module action called a product")
+
+    for module, name in (
+        (ore, "ore_product"),
+        (deform, "ore_product"),
+        (sparse, "pair_product"),
+        (ore, "pair_product"),
+        (ore, "pair_kernel"),
+        (ore, "_lower_past_powers"),
+    ):
+        monkeypatch.setattr(module, name, refuse)
+    assert [verma_apply(*case) for case in cases] == want
+    assert finite_irrep_pi_h(1, 1, "-") == rep_want
+
+
+@pytest.mark.parametrize("name", ["verma", "pi-h"])
+def test_suites_catch_a_lowering_factor_without_its_weight(name, monkeypatch):
+    # E+ lowers z^k by k/2 alone, so z^(4h+1) is no longer killed at h + 1/4
+    monkeypatch.setattr(deform, "_lowering_factor", lambda lam, k: GR(Fraction(k, 2)))
+    assert not run_suite(name).passed
+
+
+def test_verma_tests_catch_a_wrong_e_minus_sign(monkeypatch):
+    # the verma suite's relations are normal-ordered before they act, so it
+    # never applies E- there and passes; these tests apply it directly
+    monkeypatch.setattr(deform, "_E_MINUS_FACTOR", GR(Fraction(1, 2)))
+    for test in (test_verma_generator_rules, test_verma_apply_matches_operator_reference):
+        with pytest.raises(AssertionError):
+            test()
+    assert not run_suite("pi-h").passed
 
 
 # -- finite quotients ----------------------------------------------------------------
@@ -452,6 +529,27 @@ def test_pi_h_relations_and_commutant(n, two_h, sign):
     assert rep["E+"].shape[0] == (1 << n) * (int(4 * h) + 1)
     _check_relations(n, rep, pi_h_lambda(h, sign))
     assert commutant_probe(rep) == 1
+
+
+def test_pi_h_right_factors_match_reference_rank0():
+    """Every w^I E+^a E-^b L^r with a, b <= 6 and r <= 2, at each 2h <= 6 and sign."""
+    for two_h in range(7):
+        h = Fraction(two_h, 2)
+        for sign, twist in (("+", 1), ("-", -1)):
+            for c, a, b, r in itertools.product(range(2), range(7), range(7), range(3)):
+                m = OreMonomial(c, a, b, r)
+                got = pi_h_matrix(0, h, sign, OreElement(0, {m: GR_ONE}))
+                assert got == reference_verma.right_factor(h, twist, m), (two_h, sign, m)
+
+
+def test_pi_h_matrices_match_reference_rank1():
+    rng = random.Random("pi-h-reference")
+    for two_h in range(5):
+        for sign in ("+", "-"):
+            for _ in range(4):
+                x = rand_ore(1, rng, nterms=4, maxdeg=6)
+                h = Fraction(two_h, 2)
+                assert pi_h_matrix(1, h, sign, x) == reference_verma.pi_h_matrix(1, h, sign, x)
 
 
 def test_pi_h_matrix_multiplicative():

@@ -1,10 +1,12 @@
 """The package namespace: its exported names, the `--help` text, lazy loading.
 
-`PUBLIC_NAMES` lists, by the submodule that provides them, the 126 names
+`PUBLIC_NAMES` lists, by the submodule that provides them, the 124 names
 that `cliffordweyl` exports, and `HELP_SHA256` is the sha256 of
 `cliffordweyl --help` at 80 columns; both were recorded while the package
-still imported every submodule eagerly, and `to_star_words` has left the
-names since, with the star-word expansion that `act` no longer uses.  The
+still imported every submodule eagerly.  Three names have left since:
+`to_star_words`, with the star-word expansion that `act` no longer uses,
+and `PolyOperator` and `verma_operator`, with the generator-by-generator
+polynomial action that `verma_apply` replaced by its closed form.  The
 package now loads a submodule when one of its names is first read, so an
 expression evaluated by the CLI does not import the verification suites or
 the modules only they need.
@@ -41,10 +43,10 @@ PUBLIC_NAMES = {
     "ore": "OreElement OreMonomial ghost_theta ore_anti_bracket ore_e_minus ore_e_plus ore_fermi"
     " ore_generators ore_lambda ore_lie_bracket ore_product ore_relations_report ore_scalar"
     " ore_super_bracket ore_unit ore_zero specialize specialized_product",
-    "deform": "PolyOperator center_probe commutant_probe compare_cocycle cw_odd_signature"
+    "deform": "center_probe commutant_probe compare_cocycle cw_odd_signature"
     " deformation_cochain_c1 finite_irrep_pi_h ghost_identities iso_a0_to_cw iso_cw_to_a0"
     " ore_to_matrix osp22_check periodicity2 periodicity2_forward periodicity2_inverse"
-    " pi_h_lambda pi_h_matrix verma_apply verma_operator volume_word_element",
+    " pi_h_lambda pi_h_matrix verma_apply volume_word_element",
     "hochschild": "CochainEvaluator coboundary cochain_from_element d_squared_check element_tag"
     " identity_cochain is_cocycle multiplication_cochain relative_normalized_check",
     "exprs": "CwContext OreContext ParseError evaluate evaluate_text parse parse_algebra"
@@ -60,7 +62,7 @@ SUITE_ONLY = ("suites", "deform", "periodicity", "osp", "hochschild", "linalg", 
 
 
 def test_public_names_are_pinned():
-    assert len(ALL_NAMES) == 126
+    assert len(ALL_NAMES) == 124
     assert sorted(cliffordweyl.__all__) == ALL_NAMES
     assert set(ALL_NAMES) <= set(dir(cliffordweyl))
 

@@ -482,6 +482,16 @@ def test_bad_sizes_and_operators_raise(call, error):
         call()
 
 
+def test_descriptor_rejects_bad_sizes():
+    # rep_matrix(RepDescriptor(SPIN, -1, 0), ...) used to end in "negative shift count"
+    for kind, ell, k in [(RepKind.SPIN, -1, 0), (RepKind.METAPLECTIC, 0, -2), (RepKind.SPIN_PLUS, 0.5, 0)]:
+        with pytest.raises(AlgebraError, match="must be a non-negative int"):
+            RepDescriptor(kind, ell, k)
+    desc = RepDescriptor(RepKind.SPIN, 2, 0)
+    assert desc == spin(2) == (RepKind.SPIN, 2, 0)
+    assert repr(desc) == "RepDescriptor(kind=<RepKind.SPIN: 'spin'>, ell=2, k=0)"
+
+
 def test_matrix_json_round_trip():
     desc = spin(2)
     sig = desc.signature()

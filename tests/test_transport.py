@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import pytest
 from reference_transport import (
+    ore_tensor,
     ref_iso_cw_to_a0,
     ref_periodicity1_forward,
     ref_periodicity1_inverse,
@@ -33,7 +34,6 @@ from cliffordweyl.deform import (
     cw_odd_signature,
     iso_a0_to_cw,
     iso_cw_to_a0,
-    ore_tensor_unit,
     periodicity2_forward,
     periodicity2_inverse,
 )
@@ -139,8 +139,8 @@ WRONG_INPUTS = {
     "periodicity2_forward": (unit(AlgebraSignature(1, 1)), ore_unit(1)),
     "periodicity2_inverse": (
         ore_unit(0),
-        ore_tensor_unit(1),
-        ore_tensor_unit(0).scale(Scalar.lam(1)),  # in its space, but with an L coefficient
+        ore_tensor(1, 0, OreMonomial(0, 0, 0, 0)),
+        ore_tensor(0, 0, OreMonomial(0, 0, 0, 0), Scalar.lam(1)),  # in its space, but with an L coefficient
     ),
     "iso_a0_to_cw": (unit(cw_odd_signature(0)), ore_unit(1)),
     "iso_cw_to_a0": (ore_unit(0), unit(cw_odd_signature(1))),
