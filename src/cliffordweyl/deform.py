@@ -3,7 +3,9 @@
 Everything here sits on top of the normal-form arithmetic in `ore`:
 
 * the specialization at 0 identified with the odd Clifford-Weyl algebra
-  (p = 2E-, q = 2E+),
+  (p = 2E-, q = 2E+), both ways in closed form: a monomial goes to the
+  normal-ordered terms of one mode's reordering (`starprod._mode_words`),
+  with no product,
 * the rank-reduction tensor factorization over the even Clifford algebra,
   which sends each monomial to one pure tensor, and its matrix realization,
 * extraction of the first-order deformation cochain and its comparison
@@ -62,7 +64,7 @@ from .scalars import (
     scalar_i_power,
 )
 from .sparse import Checks, accumulate, expect_element
-from .starprod import _mode_words, star
+from .starprod import _mode_words
 
 
 def cw_odd_signature(n):
@@ -81,17 +83,18 @@ def iso_a0_to_cw(n, a):
     at 0.
     """
     expect_element(a, OreElement, n, AlgebraError)
-    sig = cw_odd_signature(n)
-    out = zero(sig)
+    out = {}
     for m, c in a.terms.items():
         if m.lam:
             raise AlgebraError("central parameter present: %r" % (m,))
-        img = monomial_element(sig, CwMonomial(m.cliff, (0,), (m.e_plus,)))
-        if m.e_minus:
-            img = star(img, monomial_element(sig, CwMonomial(0, (m.e_minus,), (0,))))
-        half = GaussianRational(Fraction(1, 2 ** (m.e_plus + m.e_minus)))
-        out = out + img.scale(Scalar.from_gaussian(c * half))
-    return out
+        # w^I E+^a E-^b -> 2^-(a+b) w^I q^a * p^b, and at t = 1 q^a * p^b is the sum
+        # over s of (-1/2)^s C(a,s) perm(b,s) p^(b-s) q^(a-s): `_mode_words` of p^b q^a
+        # with the sign of each odd order flipped
+        e = m.e_plus + m.e_minus
+        for s, num, q_exp, p_exp in _mode_words(m.e_minus, m.e_plus):
+            coeff = c * gr_ratio(-num if s & 1 else num, 1 << (e + s))
+            accumulate(out, CwMonomial(m.cliff, (p_exp,), (q_exp,)), coeff)
+    return CwElement.raw(cw_odd_signature(n), {m: Scalar.from_gaussian(g) for m, g in out.items()})
 
 
 def iso_cw_to_a0(n, x):

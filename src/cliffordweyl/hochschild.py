@@ -10,14 +10,7 @@ and the deformed normal-form algebras provide.
 
 import itertools
 
-from .sparse import AlgebraError, Checks, SparseElement
-
-
-def element_tag(x):
-    """Identify the algebra an element belongs to: its family and its space."""
-    if not isinstance(x, SparseElement) or x.unit_key() is None:
-        raise AlgebraError("not an algebra element: %r" % (x,))
-    return (type(x).__name__, x.space)
+from .sparse import AlgebraError, Checks, element_tag
 
 
 class CochainEvaluator:

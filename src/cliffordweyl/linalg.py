@@ -12,9 +12,8 @@ in this package.
 from __future__ import annotations
 
 from .algebra import AlgebraError
-from .hochschild import element_tag
 from .scalars import GR_ONE, S_ONE, S_ZERO, Scalar, _coerce_scalar
-from .sparse import accumulate
+from .sparse import accumulate, element_tag
 
 
 class MatrixError(AlgebraError, ValueError):
@@ -59,6 +58,10 @@ class Matrix:
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
+
+    def __reduce__(self):
+        # pickle and copy rebuild through _new, since __setattr__ refuses the slots
+        return _new, (self._rows, self._ncols, self._zero)
 
     @staticmethod
     def from_entries(shape, entries, zero=S_ZERO):

@@ -27,6 +27,10 @@ z~ commutes with the shifted generators, and every star word of p^A q^B has
 length |A| + |B| mod 2, so the image carries the volume word exactly when
 the monomial has an odd number of right-factor generators.  `_times_volume`
 is that one Fermi product, shared with the rank reduction in `deform`.
+
+The odd split reads it too: w^I w_{2n+1}^e goes to (w^I v^e, (-1)^e w^I v^e),
+v = i^n w_1...w_{2n}, and its join is (c+ + c-)/2 + (c+ - c-) u/2, u the
+central volume word i^n w_1...w_{2n+1} upstairs.  No map here calls `star`.
 """
 
 from . import ore, starprod
@@ -35,7 +39,6 @@ from .algebra import (
     AlgebraSignature,
     CwElement,
     CwMonomial,
-    SignatureMismatch,
     monomial_element,
     unit,
     zero,
@@ -43,10 +46,10 @@ from .algebra import (
 from .linalg import Matrix
 from .ore import OreElement
 from .reps import rep_matrix, spin
-from .scalars import GR_ONE, S_HALF, S_ONE, Scalar, _coerce_scalar, i_power, scalar_i_power
+from .scalars import GR_HALF, GR_ONE, S_HALF, S_ONE, Scalar, _coerce_scalar, i_power, scalar_i_power
 from .scalars import join_powers, split_powers
 from .sparse import SparseElement, accumulate, expect_element, pair_product
-from .starprod import _cliff_pair, star
+from .starprod import _cliff_pair
 from .textform import coefficient_text, join_signed, signed_term
 
 
@@ -235,45 +238,44 @@ def odd_split(n, x):
     The last generator maps to +/- i^n w_1*...*w_{2n} respectively; the pair
     map is an algebra isomorphism onto the product of the two quotients.
     """
-    src = AlgebraSignature(2 * n + 1, 0)
-    if x.signature != src:
-        raise SignatureMismatch("expected element of %r, got %r" % (src, x.signature))
-    tgt = AlgebraSignature(2 * n, 0)
-    vol = monomial_element(tgt, CwMonomial((1 << (2 * n)) - 1, (), ()), scalar_i_power(n))
-    top = 1 << (2 * n)
-    plus, minus = zero(tgt), zero(tgt)
+    expect_element(x, CwElement, AlgebraSignature(2 * n + 1, 0))
+    low = (1 << (2 * n)) - 1
+    # w^I w_{2n+1}^e -> (w^I v^e, (-1)^e w^I v^e), v = i^n w_1...w_{2n}: the
+    # ascending word ends with the last generator
+    plus, minus = {}, {}
     for mono, c in x.terms.items():
-        body = monomial_element(tgt, CwMonomial(mono.cliff & (top - 1), (), ()), c)
-        if mono.cliff & top:
-            # ascending star word ends with the last generator
-            plus = plus + star(body, vol)
-            minus = minus - star(body, vol)
-        else:
-            plus = plus + body
-            minus = minus + body
-    return plus, minus
+        mask, last = mono.cliff & low, mono.cliff >> (2 * n)
+        if last:
+            g, mask = _times_volume(mask, 2 * n, n)
+            c = c * g
+        key = CwMonomial(mask, (), ())
+        accumulate(plus, key, c)
+        accumulate(minus, key, -c if last else c)
+    tgt = AlgebraSignature(2 * n, 0)
+    return CwElement.raw(tgt, plus), CwElement.raw(tgt, minus)
 
 
 def odd_join(n, c_plus, c_minus):
     """Inverse of odd_split: assemble from the two components."""
     tgt = AlgebraSignature(2 * n, 0)
-    if c_plus.signature != tgt or c_minus.signature != tgt:
-        raise SignatureMismatch("expected pair of elements of %r" % (tgt,))
-    src = AlgebraSignature(2 * n + 1, 0)
-    zp, zm = odd_projections(n)
-    return star(zp, include_element(c_plus, src)) + star(zm, include_element(c_minus, src))
+    expect_element(c_plus, CwElement, tgt)
+    expect_element(c_minus, CwElement, tgt)
+    # the projections (1 +/- u)/2 times the components, u = i^n w_1...w_{2n+1} central:
+    # x = (c+ + c-)/2 + (c+ - c-) u/2, and only the second part's words hold w_{2n+1}
+    out = dict((c_plus + c_minus).scale(S_HALF).terms)
+    for mono, c in (c_plus - c_minus).terms.items():
+        g, mask = _times_volume(mono.cliff, 2 * n + 1, n)
+        out[CwMonomial(mask, (), ())] = c * (g * GR_HALF)
+    return CwElement.raw(AlgebraSignature(2 * n + 1, 0), out)
 
 
 def include_element(x, bigger_signature):
     """Reinterpret x inside a signature with at least as many Fermi generators."""
-    sig = x.signature
-    if (
-        bigger_signature.n_fermi < sig.n_fermi
-        or bigger_signature.n_bose != sig.n_bose
-        or bigger_signature.t_param != sig.t_param
-    ):
-        raise SignatureMismatch("cannot include %r into %r" % (sig, bigger_signature))
-    return CwElement(bigger_signature, dict(x.terms))
+    # x's own Fermi count, capped by the bigger one's: any other count, Bose
+    # count or t is a mismatch
+    n_fermi = min(x.space.n_fermi, bigger_signature.n_fermi) if isinstance(x, CwElement) else 0
+    expect_element(x, CwElement, bigger_signature._replace(n_fermi=n_fermi))
+    return CwElement.raw(bigger_signature, x.terms)
 
 
 # -- matrices over an entry algebra ----------------------------------------------
@@ -316,9 +318,7 @@ def cw_to_matrix(n, k, x):
     Splits all 2n Fermi generators off the front in one dimension-shift step,
     then replaces the Fermi factor by its matrix in the even carrier.
     """
-    src = AlgebraSignature(2 * n, k)
-    if x.signature != src:
-        raise SignatureMismatch("expected element of %r, got %r" % (src, x.signature))
+    expect_element(x, CwElement, AlgebraSignature(2 * n, k))
     X = periodicity1_forward(n, 0, k, x)
     left = X.left_signature
     right = X.right_signature

@@ -15,7 +15,8 @@ generators anticommute as operators, matching the product's sign rule.
 A monomial acts in closed form, mode by mode, sending each carrier
 monomial to a multiple of one carrier monomial (`act`); no product is
 involved, so act(a * b, v) = act(a, act(b, v)) is the independent
-cross-check of the product kernels.
+cross-check of the product kernels.  `clifford_op_to_symbol` inverts the
+even spin representation by the trace formula, with no product either.
 """
 
 from __future__ import annotations
@@ -24,11 +25,12 @@ import enum
 import math
 from collections import namedtuple
 
-from .algebra import AlgebraError, AlgebraSignature, CwElement, _check_size, fermi_gen, unit, zero
+from .algebra import AlgebraError, AlgebraSignature, CwElement, CwMonomial, _check_size, fermi_gen
+from .algebra import monomial_element, unit
 from .linalg import Matrix, MatrixError
-from .scalars import S_HALF, S_ONE, Scalar, _coerce_scalar, gr_ratio, i_power, scalar_i_power
+from .scalars import S_ONE, S_ZERO, Scalar, _coerce_scalar, gr_ratio, i_power, scalar_i_power
 from .sparse import SparseElement, accumulate, expect_element
-from .starprod import _mode_words, _parity_below, _shuffle_parity, star
+from .starprod import _mode_words, _parity_below, star
 
 
 class RepKind(enum.Enum):
@@ -203,78 +205,32 @@ def rep_matrix(desc, a):
 # -- operator -> symbol on the Fermi side ---------------------------------------
 
 
-def ladder_raise(signature, j):
-    """(w_{2j-1} - i w_{2j})/2: acts as wedge-by-xi_j (raises Grassmann degree)."""
-    e = fermi_gen(signature, 2 * j - 1) - fermi_gen(signature, 2 * j).scale(Scalar.of(0, 1))
-    return e.scale(S_HALF)
-
-
-def ladder_lower(signature, j):
-    """(w_{2j-1} + i w_{2j})/2: acts as d/dxi_j (lowers Grassmann degree)."""
-    e = fermi_gen(signature, 2 * j - 1) + fermi_gen(signature, 2 * j).scale(Scalar.of(0, 1))
-    return e.scale(S_HALF)
-
-
 def clifford_op_to_symbol(n, T):
     """Element of the 2n-generator Fermi algebra whose spin action is T.
 
-    Expands T against the wedge/contract normal form: for every index set I
-    the coproduct splits xi^I across the two tensor slots (graded signs), the
-    antipode weights the right slot, T acts on the left slot, and the
-    surviving wedge monomial xi^M determines the normal-ordered word
-    Q_{M} * P_{I} whose coefficients are read off exactly.  Inverse of
-    rep_matrix for the even spin representation.
+    The inverse of rep_matrix for the even spin representation, by the trace
+    formula (Lawson & Michelsohn, Spin Geometry, 1989): w^I w^I is
+    (-1)^(|I|(|I|-1)/2) and act(w^I) has trace 0 for every nonempty I, so
+    the coefficient of w^I is (-1)^(|I|(|I|-1)/2) tr(act(w^I) T) / 2^n.
     """
-    dim = 1 << n
+    dim = 1 << _check_size("n", n)
     if not isinstance(T, Matrix):
         raise MatrixError("operator must be a Matrix, got %s" % type(T).__name__)
     if T.shape != (dim, dim):
         raise AlgebraError("operator must be %dx%d, got %r" % (dim, dim, T.shape))
-    sig = AlgebraSignature(2 * n, 0)
-    Q = [ladder_raise(sig, j) for j in range(1, n + 1)]
-    P = [ladder_lower(sig, j) for j in range(1, n + 1)]
-    total = zero(sig)
-    for imask in range(dim):
-        r = imask.bit_count()
-        sign_i = -1 if (r * (r - 1) // 2) & 1 else 1
-        # graded coproduct of xi^imask: {(J,K): +-1}
-        split = {(0, 0): 1}
-        m = imask
-        while m:
-            bit = m & -m
-            m ^= bit
-            nxt = {}
-            for (J, K), c in split.items():
-                cL = -c if K.bit_count() & 1 else c
-                nxt[(J | bit, K)] = nxt.get((J | bit, K), 0) + cL
-                nxt[(J, K | bit)] = nxt.get((J, K | bit), 0) + c
-            split = nxt
-        for (J, K), csplit in split.items():
-            if not csplit:
-                continue
-            # antipode of the right slot: graded anti-homomorphism sending
-            # each generator to its negative, so xi^K picks up (-1)^{|K|}
-            sK = -1 if K.bit_count() & 1 else 1
-            for M in range(dim):
-                tMJ = T[(M, J)]
-                if not tMJ:
-                    continue
-                if M & K:
-                    continue
-                sh = -1 if _shuffle_parity(M, K) else 1
-                coeff = tMJ * Scalar.of(csplit * sK * sh * sign_i)
-                if not coeff:
-                    continue
-                word = unit(sig)
-                qm = M | K
-                for j in range(n):
-                    if qm >> j & 1:
-                        word = star(word, Q[j])
-                for j in range(n):
-                    if imask >> j & 1:
-                        word = star(word, P[j])
-                total = total + word.scale(coeff)
-    return total
+    if not isinstance(T[0, 0], Scalar):
+        raise MatrixError("operator entries must be scalars, got %s" % type(T[0, 0]).__name__)
+    desc, sig = spin(n), AlgebraSignature(2 * n, 0)
+    terms = {}
+    for mask in range(dim * dim):
+        mono = CwMonomial(mask, (), ())
+        # one entry per column of act(w^I): the trace reads T at the transposed places
+        rho = rep_matrix(desc, monomial_element(sig, mono))
+        trace = sum((x * T[j, i] for (i, j), x in rho.items()), S_ZERO)
+        if trace:
+            r = mask.bit_count()
+            terms[mono] = trace.scale(gr_ratio(-1 if r * (r - 1) >> 1 & 1 else 1, dim))
+    return CwElement.raw(sig, terms)
 
 
 def spin_rep_odd_sign_check(n):

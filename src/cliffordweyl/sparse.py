@@ -23,6 +23,9 @@ pair kernels.  It and `scalars.convolve` (`Scalar`'s own ring product)
 inline `accumulate`.  A constant raised to a power is the power of its
 coefficient, taken by squaring in the ring.
 
+`element_tag` names the algebra of an element, its family and space, for
+the cochains' argument checks and the matrices' entry rings.
+
 `Checks` is the one recorder of verification cases: every report in the
 package, from the suites down to `ore`, `deform`, `osp` and `hochschild`,
 counts its cases and writes its failure records through it.
@@ -44,6 +47,13 @@ def expect_element(x, cls, space, error=SignatureMismatch):
     if not isinstance(x, cls) or x.space != space:
         got = "%s over %r" % (type(x).__name__, getattr(x, "space", None))
         raise error("expected %s over %r, got %s" % (cls.__name__, space, got))
+
+
+def element_tag(x):
+    """Identify the algebra an element belongs to: its family and its space."""
+    if not isinstance(x, SparseElement) or x.unit_key() is None:
+        raise AlgebraError("not an algebra element: %r" % (x,))
+    return (type(x).__name__, x.space)
 
 
 class Checks:
@@ -161,6 +171,10 @@ class SparseElement:
 
     def __setattr__(self, name, value):
         raise AttributeError("%s is immutable" % type(self).__name__)
+
+    def __reduce__(self):
+        # pickle and copy rebuild through raw, since __setattr__ refuses the slots
+        return type(self).raw, (self.space, self.terms)
 
     def unit_key(self):
         return None

@@ -1,11 +1,17 @@
-"""Reference transport maps: the library's earlier generator-image extensions.
+"""Reference transport maps: the library's earlier product-built versions.
 
-Each map names the images of the generators and extends to an element
+Most maps name the images of the generators and extend to an element
 through its exact star-word decomposition (`reference_act.element_star_words`),
 multiplying the images one token at a time with `tensor_star`, `star` or
-`ore_product`.  The library's maps instead send each basis monomial to its
-one-term image in closed form; `test_transport.py` checks that the two agree.
+`ore_product`.  The identification of the specialization at 0 with
+C(2n+1, 2), the odd split and its join multiply monomial images or central
+idempotents with `star`, and the operator-to-symbol map expands a matrix
+against the wedge/contract normal form of the ladder operators.  The
+library's maps instead send each basis monomial to its image in closed
+form; `test_transport.py` checks that the two agree.
 """
+
+from fractions import Fraction
 
 from cliffordweyl.algebra import (
     AlgebraError,
@@ -30,16 +36,19 @@ from cliffordweyl.ore import (
     ore_zero,
     specialize,
 )
+from cliffordweyl.linalg import Matrix, MatrixError
 from cliffordweyl.periodicity import (
     TensorElement,
+    include_element,
+    odd_projections,
     tensor_of,
     tensor_star,
     tensor_unit,
     tensor_zero,
     volume_involution,
 )
-from cliffordweyl.scalars import GR_ONE, GR_ZERO, i_power
-from cliffordweyl.starprod import star
+from cliffordweyl.scalars import GR_ONE, GR_ZERO, S_HALF, GaussianRational, Scalar, i_power, scalar_i_power
+from cliffordweyl.starprod import _shuffle_parity, star
 from reference_act import element_star_words
 
 _P0 = OreMonomial(1, 0, 0, 0)
@@ -148,3 +157,116 @@ def ref_iso_cw_to_a0(n, x):
             g = ore_product(g, f)
         out = out + g
     return specialize(out, GR_ZERO)
+
+
+def ref_iso_a0_to_cw(n, a):
+    """E+ -> q/2, E- -> p/2, w_j fixed: w^I E+^a E-^b is w^I q^a times p^b."""
+    sig = cw_odd_signature(n)
+    out = zero(sig)
+    for m, c in a.terms.items():
+        if m.lam:
+            raise AlgebraError("central parameter present: %r" % (m,))
+        img = monomial_element(sig, CwMonomial(m.cliff, (0,), (m.e_plus,)))
+        if m.e_minus:
+            img = star(img, monomial_element(sig, CwMonomial(0, (m.e_minus,), (0,))))
+        half = GaussianRational(Fraction(1, 2 ** (m.e_plus + m.e_minus)))
+        out = out + img.scale(Scalar.from_gaussian(c * half))
+    return out
+
+
+def ref_odd_split(n, x):
+    """w_{2n+1} -> +/- i^n w_1...w_{2n}, each monomial's image a star product."""
+    tgt = AlgebraSignature(2 * n, 0)
+    vol = monomial_element(tgt, CwMonomial((1 << (2 * n)) - 1, (), ()), scalar_i_power(n))
+    top = 1 << (2 * n)
+    plus, minus = zero(tgt), zero(tgt)
+    for mono, c in x.terms.items():
+        body = monomial_element(tgt, CwMonomial(mono.cliff & (top - 1), (), ()), c)
+        if mono.cliff & top:
+            # ascending star word ends with the last generator
+            plus = plus + star(body, vol)
+            minus = minus - star(body, vol)
+        else:
+            plus = plus + body
+            minus = minus + body
+    return plus, minus
+
+
+def ref_odd_join(n, c_plus, c_minus):
+    """The central idempotents times the included components."""
+    src = AlgebraSignature(2 * n + 1, 0)
+    zp, zm = odd_projections(n)
+    return star(zp, include_element(c_plus, src)) + star(zm, include_element(c_minus, src))
+
+
+def ladder_raise(signature, j):
+    """(w_{2j-1} - i w_{2j})/2: acts as wedge-by-xi_j (raises Grassmann degree)."""
+    e = fermi_gen(signature, 2 * j - 1) - fermi_gen(signature, 2 * j).scale(Scalar.of(0, 1))
+    return e.scale(S_HALF)
+
+
+def ladder_lower(signature, j):
+    """(w_{2j-1} + i w_{2j})/2: acts as d/dxi_j (lowers Grassmann degree)."""
+    e = fermi_gen(signature, 2 * j - 1) + fermi_gen(signature, 2 * j).scale(Scalar.of(0, 1))
+    return e.scale(S_HALF)
+
+
+def ref_clifford_op_to_symbol(n, T):
+    """Expand T against the wedge/contract normal form of the ladder operators.
+
+    For every index set I the coproduct splits xi^I across the two tensor
+    slots (graded signs), the antipode weights the right slot, T acts on the
+    left slot, and the surviving wedge monomial xi^M determines the
+    normal-ordered word Q_{M} * P_{I} whose coefficients are read off
+    exactly.
+    """
+    dim = 1 << n
+    if not isinstance(T, Matrix):
+        raise MatrixError("operator must be a Matrix, got %s" % type(T).__name__)
+    if T.shape != (dim, dim):
+        raise AlgebraError("operator must be %dx%d, got %r" % (dim, dim, T.shape))
+    sig = AlgebraSignature(2 * n, 0)
+    Q = [ladder_raise(sig, j) for j in range(1, n + 1)]
+    P = [ladder_lower(sig, j) for j in range(1, n + 1)]
+    total = zero(sig)
+    for imask in range(dim):
+        r = imask.bit_count()
+        sign_i = -1 if (r * (r - 1) // 2) & 1 else 1
+        # graded coproduct of xi^imask: {(J,K): +-1}
+        split = {(0, 0): 1}
+        m = imask
+        while m:
+            bit = m & -m
+            m ^= bit
+            nxt = {}
+            for (J, K), c in split.items():
+                cL = -c if K.bit_count() & 1 else c
+                nxt[(J | bit, K)] = nxt.get((J | bit, K), 0) + cL
+                nxt[(J, K | bit)] = nxt.get((J, K | bit), 0) + c
+            split = nxt
+        for (J, K), csplit in split.items():
+            if not csplit:
+                continue
+            # antipode of the right slot: graded anti-homomorphism sending
+            # each generator to its negative, so xi^K picks up (-1)^{|K|}
+            sK = -1 if K.bit_count() & 1 else 1
+            for M in range(dim):
+                tMJ = T[(M, J)]
+                if not tMJ:
+                    continue
+                if M & K:
+                    continue
+                sh = -1 if _shuffle_parity(M, K) else 1
+                coeff = tMJ * Scalar.of(csplit * sK * sh * sign_i)
+                if not coeff:
+                    continue
+                word = unit(sig)
+                qm = M | K
+                for j in range(n):
+                    if qm >> j & 1:
+                        word = star(word, Q[j])
+                for j in range(n):
+                    if imask >> j & 1:
+                        word = star(word, P[j])
+                total = total + word.scale(coeff)
+    return total

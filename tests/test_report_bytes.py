@@ -56,15 +56,15 @@ def test_report_bytes_unchanged(name):
 
 
 FAULTY_REPORT_SHA256 = {
-    "a0-iso": "06f423faa9826c86d358d234ad73ef232a5a66256683f35ed5015c9d667a22c6",
+    "a0-iso": "fc5151695ac1a7de26b9a15b5d2a91d34c51d91b25406a1b454d7c5bc97685ca",
     "associativity": "6a9b6cb4b9f299c0e74cb62a2dfa838eb07b69edb15d683aee12b8388422c9fc",
     "center": "1bd27ffe43ca3fcf822ee2ff855bee02c50067d46228ae52ee6bff58c048d56a",
-    "cocycle": "14bab869d83e0068b6e0b6f01d0d0188d786afe481658040547c368d456e8748",
+    "cocycle": "9a8ff8d85efbba00361ab4626e99d3fc4d08103fd70a46e6b21339d8519c3175",
     "commutant": "2fdd682c3190ca9db0df16c4ee1d53397a87728c782c0141bf1bcd49a646d9c3",
     "ghost": "b212a26a95c6dc59701459c0aadc54efac2e0a4eca9a289b83f6c85b96591442",
     "hochschild": "28cd8631e9c8ea771de4f27ca14052fa7d6015ef9172efb59a66e7ea81bbea40",
     "matrix-iso": "43aabdc5d3b7470666a0010364c22cf4f7c269700e7b38e73c57a84b1de962c3",
-    "odd-split": "607f645b0ec9be2499b9d320322fd671de8a983a48b074548c7403884a7138e5",
+    "odd-split": "adbda40e924c739c09379c263deff451e6f8ad06f95ef2230736b3b928245730",
     "ore-relations": "08d9b6293eb0c4363a64242c2aa6e1fcf87919c5fba99acaa375130199c94a29",
     "osp22": "661e2a82a074726a7e316a691bb69ea62ff5af87147f565e473d045910c4c0c9",
     "parastat": "6a4d8227f0bc9f0a3542f8a5ff73ead774707c0ff95f96a300cdb1ed100fd623",
@@ -137,7 +137,11 @@ def test_faulty_report_bytes_unchanged(name, faulty_products):
     result = run_suite(name, cases=3)
     # the commutators of `center` cancel the added unit; `pi-h` and `commutant`
     # check irrep matrices built by the closed-form `periodicity2_forward`,
-    # which calls no product
-    assert result.passed == (name in ("center", "pi-h", "commutant"))
+    # which calls no product; `a0-iso` and `cocycle` transport through the
+    # closed-form isos, which call no product either: the iso maps the added
+    # unit to the unit on both sides of each check, and the cochain reads
+    # the L^1 coefficient, past the unit, whose two copies in the coboundary
+    # cancel (`test_transport.py` faults the iso itself)
+    assert result.passed == (name in ("a0-iso", "center", "cocycle", "pi-h", "commutant"))
     digest = hashlib.sha256(report_bytes(result)).hexdigest()
     assert digest == FAULTY_REPORT_SHA256[name]

@@ -16,6 +16,7 @@ from fractions import Fraction
 import pytest
 
 import reference_act
+from reference_transport import ladder_lower, ladder_raise
 from cliffordweyl import reps, scalars, sparse, starprod
 from cliffordweyl.algebra import (
     AlgebraError,
@@ -35,8 +36,6 @@ from cliffordweyl.reps import (
     RepKind,
     act,
     clifford_op_to_symbol,
-    ladder_lower,
-    ladder_raise,
     metaplectic,
     rep_matrix,
     spin,
@@ -464,6 +463,8 @@ def test_vector_validation():
         (lambda: spin_metaplectic_minus(-1, -1), AlgebraError),
         (lambda: spin(1.5), AlgebraError),
         (lambda: clifford_op_to_symbol(1, [[1, 0], [0, 1]]), MatrixError),
+        (lambda: clifford_op_to_symbol(-1, Matrix.identity(1)), AlgebraError),
+        (lambda: clifford_op_to_symbol(1, Matrix.identity(2, unit(AlgebraSignature(0, 1)))), MatrixError),
     ],
     ids=[
         "spin",
@@ -475,6 +476,8 @@ def test_vector_validation():
         "spin-metaplectic-",
         "spin-float",
         "op-not-matrix",
+        "op-negative-n",
+        "op-over-an-algebra",
     ],
 )
 def test_bad_sizes_and_operators_raise(call, error):

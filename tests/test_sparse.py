@@ -4,15 +4,19 @@ One parametrized set of checks over CwElement, OreElement, GrassPolyVector,
 TensorElement with cw and with deformed right factors, and the L-polynomial
 ring Scalar: canonical terms, additive inverses, hashing that agrees with
 equality, space guards (for every type with more than one space),
-immutability, and (for the types with a unit only) numbers acting as
-constants.
+immutability, round trips through pickle, copy and deepcopy (with the
+immutable `Matrix` and `AlgebraSignature` too), and (for the types with a
+unit only) numbers acting as constants.
 """
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
 
-from cliffordweyl.algebra import AlgebraError, AlgebraSignature, CwElement, CwMonomial
+from cliffordweyl.algebra import AlgebraError, AlgebraSignature, CwElement, CwMonomial, fermi_gen
+from cliffordweyl.linalg import Matrix
 from cliffordweyl.ore import OreElement, OreMonomial
 from cliffordweyl.periodicity import TensorElement
 from cliffordweyl.reps import GrassPolyVector
@@ -121,6 +125,38 @@ def test_elements_are_immutable(case):
         with pytest.raises(AttributeError):
             setattr(x, name, {})
     assert x.terms == make({k1: 1}).terms
+
+
+ROUND_TRIPS = {
+    "pickle": lambda x: pickle.loads(pickle.dumps(x)),
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+}
+
+
+def assert_round_trips(x):
+    for name, trip in ROUND_TRIPS.items():
+        y = trip(x)
+        assert y == x and hash(y) == hash(x) and type(y) is type(x), name
+
+
+def test_elements_pickle_and_copy(case):
+    make, (k1, k2), _, _ = case
+    assert_round_trips(make({k1: 2, k2: Fraction(-1, 3)}))
+    assert_round_trips(make({}))
+
+
+@pytest.mark.parametrize(
+    "x",
+    [
+        Matrix([[1, Scalar.lam(1)], [0, Fraction(1, 2)]]),
+        Matrix.identity(2, fermi_gen(SIG, 1)),
+        AlgebraSignature(2, 1, Scalar.lam(1)),
+    ],
+    ids=["matrix", "matrix-over-cw", "signature"],
+)
+def test_immutables_pickle_and_copy(x):
+    assert_round_trips(x)
 
 
 def test_numbers_act_as_constants_only_in_algebras(case):
