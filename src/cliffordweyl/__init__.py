@@ -18,7 +18,7 @@ _EXPORTS = {
     "scalars": "GaussianRational Scalar",
     "algebra": "AlgebraError AlgebraSignature BiDegree CwElement CwMonomial SignatureMismatch"
     " bidegree bose_p bose_q canonicalize fermi_gen generators scalar_element unit z_degree zero",
-    "starprod": "ProductKind anti_bracket lie_bracket poisson star super_bracket supertrace_weyl"
+    "starprod": "anti_bracket lie_bracket poisson star super_bracket supertrace_weyl"
     " trace_clifford wedge",
     "linalg": "Matrix MatrixError sparse_nullspace sparse_rank sparse_rref",
     "osp": "OspContext build_g expected_dimension form twisted_adjoint verify_invariance verify_ps",
@@ -33,7 +33,7 @@ _EXPORTS = {
     " ore_super_bracket ore_unit ore_zero specialize specialized_product",
     "deform": "center_probe commutant_probe compare_cocycle cw_odd_signature"
     " deformation_cochain_c1 finite_irrep_pi_h ghost_identities iso_a0_to_cw iso_cw_to_a0"
-    " ore_to_matrix osp22_check periodicity2 periodicity2_forward periodicity2_inverse"
+    " ore_to_matrix osp22_check periodicity2_forward periodicity2_inverse"
     " pi_h_lambda pi_h_matrix verma_apply volume_word_element",
     "hochschild": "CochainEvaluator coboundary cochain_from_element d_squared_check element_tag"
     " identity_cochain is_cocycle multiplication_cochain relative_normalized_check",

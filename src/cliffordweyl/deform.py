@@ -7,13 +7,15 @@ Everything here sits on top of the normal-form arithmetic in `ore`:
   normal-ordered terms of one mode's reordering (`starprod._mode_words`),
   with no product,
 * the rank-reduction tensor factorization over the even Clifford algebra,
-  which sends each monomial to one pure tensor, and its matrix realization,
+  which sends each monomial to one pure tensor, and its matrix realization
+  (`periodicity._realize_left`, as for `cw_to_matrix`),
 * extraction of the first-order deformation cochain and its comparison
   with the antisymmetric volume-word cocycle,
 * ghost/Casimir identities,
 * the polynomial (one-variable) representation and its finite-dimensional
   quotients, in closed form: a monomial w^I E+^a E-^b L^r sends z^m to one
-  multiple of z^(m+b-a), so neither acts generator by generator,
+  multiple of z^(m+b-a), so neither acts generator by generator; pi_h reads
+  each entry of `ore_to_matrix` through that rank-0 quotient,
 * exact center and commutant probes; the center probe refuses a degree
   bound with more than MAX_PROBE_MONOMIALS monomials,
 * the three-element orthosymplectic check around K = -1/4 w_odd + L.
@@ -51,8 +53,7 @@ from .ore import (
     specialize,
     specialized_product,
 )
-from .periodicity import TensorElement, _times_volume
-from .reps import rep_matrix, spin
+from .periodicity import TensorElement, _realize_left, _times_volume
 from .scalars import (
     GR_ONE,
     GR_ZERO,
@@ -163,14 +164,6 @@ def periodicity2_inverse(n, x):
     return OreElement.raw(n, out)
 
 
-def periodicity2(n, direction, x):
-    if direction == "forward":
-        return periodicity2_forward(n, x)
-    if direction == "inverse":
-        return periodicity2_inverse(n, x)
-    raise AlgebraError("direction must be 'forward' or 'inverse'")
-
-
 def _gr_entry(s):
     try:
         return s.constant()
@@ -179,23 +172,10 @@ def _gr_entry(s):
 
 
 def ore_to_matrix(n, x):
-    """The size-2^n matrix realization over A_L: factor through the tensor
-    algebra and send the even Clifford factor to its irreducible matrices."""
-    forward = periodicity2_forward(n, x)
-    desc = spin(n)
-    sig = desc.signature()
-    dim = 1 << n
-    mat_cache = {}
-    entries = {}
-    for (ml, m), c in forward.terms.items():
-        M = mat_cache.get(ml)
-        if M is None:
-            M = rep_matrix(desc, monomial_element(sig, ml))
-            mat_cache[ml] = M
-        body = OreElement(0, {m: c.constant()})
-        for ij, s in M.items():
-            accumulate(entries, ij, body.scale(_gr_entry(s)))
-    return Matrix.from_entries((dim, dim), entries, ore_zero(0))
+    """The size-2^n realization over A_L through the tensor algebra; an
+    entry term c * s is never zero, since Q(i)[L] has no zero divisors."""
+    X = periodicity2_forward(n, x)
+    return _realize_left(n, X, lambda m, c: OreElement.raw(0, {m: _gr_entry(c)}), ore_zero(0))
 
 
 # -- first-order deformation cochain ------------------------------------------------
@@ -389,49 +369,39 @@ def pi_h_lambda(h, sign):
 
 
 def _pi_h_evaluator(n, h, sign):
-    """x -> its matrix in the quotient pi_h_matrix describes; each left and
-    right factor is built once per evaluator.
+    """x -> its matrix in the quotient pi_h_matrix describes: entry (i, j)
+    of ore_to_matrix(n, x) fills block (i, j) through the rank-0 quotient.
 
-    The right factor of w^I E+^a E-^b L^r is the one shifted diagonal of
-    its action on z^0..z^{4h} at lam = h + 1/4, where E+ kills z^{4h+1}: the
-    entry at (m + b - a, m) for m + b <= 4h, since the quotient kills
-    z^(m+b) before any lowering.  The minus sign negates P and L.
+    There w^I E+^a E-^b L^r is one shifted diagonal, built once per
+    evaluator: its action on z^0..z^{4h} at lam = h + 1/4, where E+ kills
+    z^{4h+1}, has the entries (m + b - a, m) for m + b <= 4h, since the
+    quotient kills z^(m+b) before any lowering.  The minus sign negates P
+    and L.
     """
     h = _check_half_integer(h)
     twist = _parse_sign(sign)
     lam = GaussianRational(h + Fraction(1, 4))
-    top = int(4 * h)
-    desc = spin(n)
-    sig = desc.signature()
-    dim_left = 1 << n
-    runs = {}
-    left_cache = {}
-    right_cache = {}
+    d = int(4 * h) + 1
+    runs, diagonals = {}, {}
 
-    def right_factor(m):
+    def diagonal(m):
         g = GaussianRational(twist ** (m.cliff + m.lam))
-        entries = {}
-        for col in range(top + 1 - m.e_minus):
+        out = []
+        for col in range(d - m.e_minus):
             image = _weight_image(lam, col, m, runs)
             if image is not None:
-                entries[image[0], col] = image[1] * g
-        return Matrix.from_entries((top + 1, top + 1), entries)
+                out.append((image[0], col, image[1] * g))
+        return out
 
     def evaluate(x):
-        if x.n != n:
-            raise AlgebraError("rank mismatch: %d vs %d" % (x.n, n))
-        total = None
-        for (ml, m), c in periodicity2_forward(n, x).terms.items():
-            L = left_cache.get(ml)
-            if L is None:
-                L = rep_matrix(desc, monomial_element(sig, ml))
-                left_cache[ml] = L
-            R = right_cache.get(m)
-            if R is None:
-                R = right_cache[m] = right_factor(m)
-            piece = L.kron(R).scale(c)
-            total = piece if total is None else total + piece
-        return Matrix.identity(dim_left * (top + 1)).scale(0) if total is None else total
+        entries = {}
+        for (i, j), a in ore_to_matrix(n, x).items():
+            for m, c in a.terms.items():
+                if m not in diagonals:
+                    diagonals[m] = diagonal(m)
+                for row, col, v in diagonals[m]:
+                    accumulate(entries, (i * d + row, j * d + col), c * v)
+        return Matrix.from_entries((d << n, d << n), entries)
 
     return evaluate
 

@@ -40,7 +40,6 @@ from .algebra import (
     bose_q,
     fermi_gen,
     scalar_element,
-    unit,
     zero,
 )
 from .ore import (
@@ -54,7 +53,6 @@ from .ore import (
     ore_lie_bracket,
     ore_scalar,
     ore_super_bracket,
-    ore_unit,
     ore_zero,
 )
 from .scalars import GaussianRational, Scalar, i_power

@@ -1,9 +1,9 @@
 """Exact linear algebra over Gaussian rationals.
 
 One immutable matrix type, whose entries are Scalars or elements of one
-algebra (representation images, matrix realizations, Kronecker assembly),
-and a sparse reduced-row-echelon solver used by the centralizer probes and
-the linear-independence checks.  The matrix is stored sparsely, one
+algebra (representation images, matrix realizations), and a sparse
+reduced-row-echelon solver used by the centralizer probes and the
+linear-independence checks.  The matrix is stored sparsely, one
 {column: nonzero entry} map per row, and its operations read only the
 stored entries.  Everything is exact; there is no floating point anywhere
 in this package.
@@ -151,20 +151,6 @@ class Matrix:
 
     def __rmul__(self, other):
         return self.scale(other)
-
-    def kron(self, other):
-        """Kronecker product, self's index varying slowest."""
-        self._check_ring(other)
-        q = other._ncols
-        out = []
-        for ra in self._rows:
-            for rb in other._rows:
-                acc = {}
-                for i, a in ra.items():
-                    for j, b in rb.items():
-                        accumulate(acc, i * q + j, a * b)
-                out.append(acc)
-        return _new(tuple(out), self._ncols * q, self._zero)
 
     def __eq__(self, other):
         return isinstance(other, Matrix) and self._ncols == other._ncols and self._rows == other._rows

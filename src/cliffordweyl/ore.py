@@ -32,7 +32,7 @@ from typing import NamedTuple
 from .algebra import AlgebraError, index_mask
 from .scalars import GR_I, GR_ONE, GaussianRational, _coerce, _make, format_coefficient, gaussian
 from .scalars import i_power
-from .sparse import Checks, SparseElement, accumulate, pair_product
+from .sparse import Checks, SparseElement, accumulate, graded_bracket, pair_product
 from .sparse import anti_bracket as ore_anti_bracket, lie_bracket as ore_lie_bracket
 from .starprod import _LOWER_PAST_POWERS_CACHE, _LOWER_PAST_POWERS_STEPS, _cliff_pair
 from .textform import join_signed, signed_term
@@ -318,16 +318,7 @@ def ore_product(x, y):
 
 def ore_super_bracket(x, y):
     """Bracket graded by the parity of the E-block."""
-
-    def even_odd(e):
-        p = e.homogeneous_parts(OreMonomial.bose_parity)
-        return p.get(0, ore_zero(e.n)), p.get(1, ore_zero(e.n))
-
-    (xe, xo), (ye, yo) = even_odd(x), even_odd(y)
-    out = ore_anti_bracket(xo, yo)
-    for a, b in ((xe, ye), (xe, yo), (xo, ye)):
-        out = out + ore_lie_bracket(a, b)
-    return out
+    return graded_bracket(x, y, OreMonomial.bose_parity, lambda dx, dy: dx and dy)
 
 
 def specialize(x, lam_value):

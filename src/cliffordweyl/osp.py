@@ -14,11 +14,9 @@ keeps C + V stable.
 
 from .algebra import (
     AlgebraError,
-    AlgebraSignature,
     bidegree,
     bose_p,
     bose_q,
-    check_same_signature,
     element_bidegree,
     fermi_gen,
     unit,
@@ -27,8 +25,8 @@ from .algebra import (
 )
 from .linalg import add_row, reduce_row, sparse_rref
 from .scalars import Scalar, split_powers
-from .sparse import Checks
-from .starprod import poisson, star, super_bracket
+from .sparse import Checks, graded_bracket
+from .starprod import poisson, super_bracket
 
 
 class OspContext:
@@ -92,14 +90,7 @@ def twisted_adjoint(a, b):
     Each argument is split into parity-homogeneous components first, so
     non-homogeneous inputs are handled by linearity rather than rejected.
     """
-    check_same_signature(a, b)
-    out = zero(a.signature)
-    for da, xa in sorted(a.homogeneous_parts(bidegree).items()):
-        for db, xb in sorted(b.homogeneous_parts(bidegree).items()):
-            sign = (da.delta2 * db.delta2 + da.delta1) & 1
-            right = star(xb, xa)
-            out = out + star(xa, xb) + (right if sign else -right)
-    return out
+    return graded_bracket(a, b, bidegree, lambda da, db: (da.delta2 * db.delta2 + da.delta1) & 1)
 
 
 # -- the subalgebra g = V + [V, V] ------------------------------------------------

@@ -31,6 +31,9 @@ is that one Fermi product, shared with the rank reduction in `deform`.
 The odd split reads it too: w^I w_{2n+1}^e goes to (w^I v^e, (-1)^e w^I v^e),
 v = i^n w_1...w_{2n}, and its join is (c+ + c-)/2 + (c+ - c-) u/2, u the
 central volume word i^n w_1...w_{2n+1} upstairs.  No map here calls `star`.
+
+`_realize_left` is the one spin realization of both families, read by
+`cw_to_matrix` and `deform.ore_to_matrix`.
 """
 
 from . import ore, starprod
@@ -269,15 +272,6 @@ def odd_join(n, c_plus, c_minus):
     return CwElement.raw(AlgebraSignature(2 * n + 1, 0), out)
 
 
-def include_element(x, bigger_signature):
-    """Reinterpret x inside a signature with at least as many Fermi generators."""
-    # x's own Fermi count, capped by the bigger one's: any other count, Bose
-    # count or t is a mismatch
-    n_fermi = min(x.space.n_fermi, bigger_signature.n_fermi) if isinstance(x, CwElement) else 0
-    expect_element(x, CwElement, bigger_signature._replace(n_fermi=n_fermi))
-    return CwElement.raw(bigger_signature, x.terms)
-
-
 # -- matrices over an entry algebra ----------------------------------------------
 
 
@@ -312,6 +306,22 @@ def module_transport(action, r):
 # -- full even reduction to a matrix algebra --------------------------------------
 
 
+def _realize_left(n, X, entry, zero):
+    """The 2^n-square matrix over B of X in C(2n) (x) B: each left word w^I
+    becomes rep_matrix(spin(n), w^I), built once per call, and each stored
+    entry s of it, times the term's coefficient c, adds entry(right key,
+    c * s) at the same place."""
+    desc = spin(n)
+    sig, spins, entries = desc.signature(), {}, {}
+    for (ml, mr), c in X.terms.items():
+        M = spins.get(ml)
+        if M is None:
+            M = spins[ml] = rep_matrix(desc, monomial_element(sig, ml))
+        for ij, s in M.items():
+            accumulate(entries, ij, entry(mr, c * s))
+    return Matrix.from_entries((1 << n, 1 << n), entries, zero)
+
+
 def cw_to_matrix(n, k, x):
     """Matrix of size 2^n over the pure Bose algebra realizing x.
 
@@ -320,18 +330,5 @@ def cw_to_matrix(n, k, x):
     """
     expect_element(x, CwElement, AlgebraSignature(2 * n, k))
     X = periodicity1_forward(n, 0, k, x)
-    left = X.left_signature
     right = X.right_signature
-    desc = spin(n)
-    dim = 1 << n
-    entries = {}
-    mat_cache = {}
-    for (ml, mr), c in X.terms.items():
-        M = mat_cache.get(ml.cliff)
-        if M is None:
-            M = rep_matrix(desc, monomial_element(left, ml))
-            mat_cache[ml.cliff] = M
-        body = monomial_element(right, mr, c)
-        for ij, s in M.items():
-            accumulate(entries, ij, body.scale(s))
-    return Matrix.from_entries((dim, dim), entries, zero(right))
+    return _realize_left(n, X, lambda m, c: CwElement.raw(right, {m: c}), zero(right))

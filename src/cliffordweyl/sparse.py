@@ -135,6 +135,18 @@ def anti_bracket(a, b):
     return a * b + b * a
 
 
+def graded_bracket(a, b, degree, odd):
+    """The bracket of a and b graded by degree(key), extended bilinearly: over
+    each pair of homogeneous parts of degrees (da, db), the anticommutator
+    when odd(da, db) holds and the commutator otherwise."""
+    a._check_space(b)
+    out = a.raw(a.space, {})
+    for da, xa in a.homogeneous_parts(degree).items():
+        for db, xb in b.homogeneous_parts(degree).items():
+            out = out + (anti_bracket(xa, xb) if odd(da, db) else lie_bracket(xa, xb))
+    return out
+
+
 _new = object.__new__
 _set = object.__setattr__
 

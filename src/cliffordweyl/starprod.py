@@ -52,19 +52,13 @@ off it one mode at a time.
 
 from __future__ import annotations
 
-import enum
 import math
 from functools import lru_cache
 from itertools import product as iproduct
 
 from .algebra import AlgebraError, CwElement, CwMonomial, check_same_signature
 from .scalars import GR_ONE, Scalar, S_ONE, S_ZERO, gr_ratio, join_powers, split_powers
-from .sparse import accumulate, anti_bracket, lie_bracket, pair_product
-
-
-class ProductKind(enum.Enum):
-    WEDGE = "wedge"  # t = 0 super-exterior product
-    STAR = "star"  # t = signature.t_param
+from .sparse import accumulate, anti_bracket, graded_bracket, lie_bracket, pair_product
 
 
 def _parity_below(mask, i):
@@ -237,14 +231,6 @@ def wedge(a, b):
     return _product(a, b, S_ZERO)
 
 
-def product(kind, a, b):
-    if kind is ProductKind.WEDGE:
-        return wedge(a, b)
-    if kind is ProductKind.STAR:
-        return star(a, b)
-    raise ValueError("unknown product kind %r" % (kind,))
-
-
 def poisson(a, b):
     """Graded Poisson bracket of symbols.
 
@@ -307,14 +293,7 @@ def super_bracket(a, b):
     Note this grading makes the bracket of two Fermi generators a commutator;
     the anticommutator pairing of the presentation is `anti_bracket`.
     """
-    check_same_signature(a, b)
-    pa = a.homogeneous_parts(lambda m: m.bose_degree() & 1)
-    pb = b.homogeneous_parts(lambda m: m.bose_degree() & 1)
-    out = CwElement.raw(a.signature, {})
-    for da, xa in pa.items():
-        for db, xb in pb.items():
-            out = out + (anti_bracket(xa, xb) if da and db else star(xa, xb) - star(xb, xa))
-    return out
+    return graded_bracket(a, b, lambda m: m.bose_degree() & 1, lambda da, db: da and db)
 
 
 def supertrace_weyl(a):

@@ -16,6 +16,7 @@ from fractions import Fraction
 from cliffordweyl.algebra import (
     AlgebraError,
     AlgebraSignature,
+    CwElement,
     CwMonomial,
     bose_p,
     bose_q,
@@ -39,7 +40,6 @@ from cliffordweyl.ore import (
 from cliffordweyl.linalg import Matrix, MatrixError
 from cliffordweyl.periodicity import (
     TensorElement,
-    include_element,
     odd_projections,
     tensor_of,
     tensor_star,
@@ -48,6 +48,7 @@ from cliffordweyl.periodicity import (
     volume_involution,
 )
 from cliffordweyl.scalars import GR_ONE, GR_ZERO, S_HALF, GaussianRational, Scalar, i_power, scalar_i_power
+from cliffordweyl.sparse import expect_element
 from cliffordweyl.starprod import _shuffle_parity, star
 from reference_act import element_star_words
 
@@ -190,6 +191,15 @@ def ref_odd_split(n, x):
             plus = plus + body
             minus = minus + body
     return plus, minus
+
+
+def include_element(x, bigger_signature):
+    """Reinterpret x inside a signature with at least as many Fermi generators."""
+    # x's own Fermi count, capped by the bigger one's: any other count, Bose
+    # count or t is a mismatch
+    n_fermi = min(x.space.n_fermi, bigger_signature.n_fermi) if isinstance(x, CwElement) else 0
+    expect_element(x, CwElement, bigger_signature._replace(n_fermi=n_fermi))
+    return CwElement.raw(bigger_signature, x.terms)
 
 
 def ref_odd_join(n, c_plus, c_minus):

@@ -4,13 +4,16 @@ Each generator is a `PolyOperator`, a rule giving the image of one power of
 z, and an element acts by applying E- b times and then E+ a times to the
 polynomial for each (E+, E-) block, then P for a Fermi word, then lam^r.
 The finite quotient's right factor is the matching product of generator
-matrices on z^0..z^{4h}.  The library's `deform.verma_apply` and its pi_h
+matrices on z^0..z^{4h}, and `pi_h_matrix` assembles the quotient with the
+dense oracle's Kronecker product, apart from the library's realization.  The library's `deform.verma_apply` and its pi_h
 right factors instead send each power to its one image in closed form;
 `test_deform.py` checks that the two agree exactly.
 """
 
 from fractions import Fraction
 from functools import lru_cache
+
+from reference_matrix import DenseMatrix
 
 from cliffordweyl.algebra import AlgebraError, monomial_element
 from cliffordweyl.deform import periodicity2_forward
@@ -134,11 +137,11 @@ def right_factor(h, twist, m):
 
 def pi_h_matrix(n, h, sign, x):
     """x in the quotient: the sum over its factored terms of the left
-    factor's spin matrix Kronecker the reference right factor."""
+    factor's spin matrix Kronecker the reference right factor, both dense."""
     twist = 1 if sign == "+" else -1
     desc = spin(n)
-    total = Matrix.identity((1 << n) * (int(4 * h) + 1)).scale(0)
+    total = DenseMatrix.identity((1 << n) * (int(4 * h) + 1)).scale(0)
     for (ml, m), c in periodicity2_forward(n, x).terms.items():
-        left = rep_matrix(desc, monomial_element(desc.signature(), ml))
-        total = total + left.kron(right_factor(h, twist, m)).scale(c)
-    return total
+        left = DenseMatrix(rep_matrix(desc, monomial_element(desc.signature(), ml)).rows)
+        total = total + left.kron(DenseMatrix(right_factor(h, twist, m).rows)).scale(c)
+    return Matrix(total.rows)

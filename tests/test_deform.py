@@ -6,15 +6,17 @@ E- * E+ whose parameter-linear part is -ghost, scaled by 4 under the
 p = 2E-, q = 2E+ identification) and frozen below as a regression value.
 """
 
+import inspect
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 import reference_verma
 from reference_transport import ore_tensor
 
-from cliffordweyl import deform, ore, sparse
+from cliffordweyl import deform, ore, periodicity, sparse
 from cliffordweyl.algebra import (
     AlgebraError,
     AlgebraSignature,
@@ -41,7 +43,6 @@ from cliffordweyl.deform import (
     ore_to_matrix,
     osp22_check,
     osp22_k_element,
-    periodicity2,
     periodicity2_forward,
     periodicity2_inverse,
     pi_h_lambda,
@@ -69,7 +70,7 @@ from cliffordweyl.ore import (
     specialize,
     specialized_product,
 )
-from cliffordweyl.periodicity import TensorElement, matrix_star
+from cliffordweyl.periodicity import TensorElement, cw_to_matrix, matrix_star
 from cliffordweyl.scalars import GR_ONE, GaussianRational, Scalar, i_power
 from cliffordweyl.starprod import star
 from cliffordweyl.suites import run_suite
@@ -308,13 +309,8 @@ def test_periodicity2_homomorphism(n):
         ) * periodicity2_forward(n, y)
 
 
-def test_periodicity2_dispatch_and_guards():
-    n = 1
-    x = ore_fermi(n, 1)
-    f = periodicity2(n, "forward", x)
-    assert periodicity2(n, "inverse", f) == x
-    with pytest.raises(AlgebraError):
-        periodicity2(n, "sideways", x)
+def test_periodicity2_guards():
+    x = ore_fermi(1, 1)
     with pytest.raises(AlgebraError):
         periodicity2_forward(2, x)
     # left Fermi bits outside C(2), and a right factor above rank 0
@@ -472,13 +468,21 @@ def test_suites_catch_a_lowering_factor_without_its_weight(name, monkeypatch):
 
 
 def test_verma_tests_catch_a_wrong_e_minus_sign(monkeypatch):
-    # the verma suite's relations are normal-ordered before they act, so it
-    # never applies E- there and passes; these tests apply it directly
     monkeypatch.setattr(deform, "_E_MINUS_FACTOR", GR(Fraction(1, 2)))
     for test in (test_verma_generator_rules, test_verma_apply_matches_operator_reference):
         with pytest.raises(AssertionError):
             test()
     assert not run_suite("pi-h").passed
+
+
+def test_verma_suite_catches_a_wrong_e_minus_sign(monkeypatch):
+    # the suite's left sides act one generator at a time, so no product
+    # normal-orders E- away before it acts: E+(E- f) - E-(E+ f) + f/4 no
+    # longer equals L P f
+    monkeypatch.setattr(deform, "_E_MINUS_FACTOR", GR(Fraction(1, 2)))
+    result = run_suite("verma")
+    assert not result.passed
+    assert {f["inputs"][0] for f in result.failures} == {"[E+,E-] + 1/4"}
 
 
 # -- finite quotients ----------------------------------------------------------------
@@ -550,6 +554,46 @@ def test_pi_h_matrices_match_reference_rank1():
                 x = rand_ore(1, rng, nterms=4, maxdeg=6)
                 h = Fraction(two_h, 2)
                 assert pi_h_matrix(1, h, sign, x) == reference_verma.pi_h_matrix(1, h, sign, x)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_pi_h_matrices_match_reference(n):
+    """Every 2h <= 4 and sign, on zero and on 5-term elements with L powers."""
+    rng = random.Random("pi-h-reference:%d" % n)
+    lam_terms = 0
+    for two_h in range(5):
+        h = Fraction(two_h, 2)
+        for sign in ("+", "-"):
+            for x in [ore_zero(n)] + [rand_ore(n, rng, nterms=5, maxdeg=5) for _ in range(3)]:
+                lam_terms += sum(1 for m in x.terms if m.lam)
+                assert pi_h_matrix(n, h, sign, x) == reference_verma.pi_h_matrix(n, h, sign, x)
+    assert lam_terms >= 10
+
+
+def test_matrix_realizations_share_one_path(monkeypatch):
+    x = rand_ore(1, random.Random("one-path"), nterms=5)
+    realize = periodicity._realize_left
+
+    def refuse(*args):
+        raise AssertionError("realized without _realize_left")
+
+    for name, mod in list(sys.modules.items()):
+        if mod is not None and name.partition(".")[0] == "cliffordweyl":
+            for key, value in list(vars(mod).items()):
+                if value is realize:
+                    monkeypatch.setattr(mod, key, refuse)
+    calls = (
+        lambda: cw_to_matrix(1, 1, fermi_gen(AlgebraSignature(2, 1), 1)),
+        lambda: ore_to_matrix(1, x),
+        lambda: pi_h_matrix(1, 1, "-", x),
+        lambda: finite_irrep_pi_h(0, 1, "+"),
+    )
+    for call in calls:
+        with pytest.raises(AssertionError, match="without _realize_left"):
+            call()
+    assert not hasattr(Matrix, "kron")
+    source = inspect.getsource(deform)
+    assert "rep_matrix" not in source and "kron" not in source
 
 
 def test_pi_h_matrix_multiplicative():

@@ -49,15 +49,6 @@ def test_matrix_shape_errors():
         Matrix([[1, 2]]) * Matrix([[1, 2]])
 
 
-def test_kron_mixed_product_rule():
-    rng = random.Random(8)
-    a = Matrix([[rand_gr(rng) for _ in range(2)] for _ in range(2)])
-    b = Matrix([[rand_gr(rng) for _ in range(2)] for _ in range(2)])
-    c = Matrix([[rand_gr(rng) for _ in range(2)] for _ in range(2)])
-    d = Matrix([[rand_gr(rng) for _ in range(2)] for _ in range(2)])
-    assert a.kron(b) * c.kron(d) == (a * c).kron(b * d)
-
-
 def test_matrix_coerces_numbers_and_rejects_mixed_rings():
     assert Matrix([[1, GaussianRational(0, 1)]]).rows == ((Scalar.of(1), Scalar.of(0, 1)),)
     sig = AlgebraSignature(0, 1)

@@ -1,21 +1,28 @@
 """The package namespace: its exported names, the `--help` text, lazy loading.
 
-`PUBLIC_NAMES` lists, by the submodule that provides them, the 124 names
+`PUBLIC_NAMES` lists, by the submodule that provides them, the 122 names
 that `cliffordweyl` exports, and `HELP_SHA256` is the sha256 of
 `cliffordweyl --help` at 80 columns; both were recorded while the package
-still imported every submodule eagerly.  Three names have left since:
-`to_star_words`, with the star-word expansion that `act` no longer uses,
-and `PolyOperator` and `verma_operator`, with the generator-by-generator
-polynomial action that `verma_apply` replaced by its closed form.  The
-package now loads a submodule when one of its names is first read, so an
+still imported every submodule eagerly.  Five names have left since:
+`to_star_words`, with the star-word expansion that `act` no longer uses;
+`PolyOperator` and `verma_operator`, with the generator-by-generator
+polynomial action that `verma_apply` replaced by its closed form; and
+`ProductKind` and `periodicity2`, two selectors that only picked a function
+their caller could name directly (`wedge` or `star`, and
+`periodicity2_forward` or `periodicity2_inverse`).  The package now loads a submodule when one of its names is first read, so an
 expression evaluated by the CLI does not import the verification suites or
 the modules only they need.
+
+No module of the package imports a name it never reads, unless the package
+exports that name from it.
 """
 
+import ast
 import hashlib
 import importlib
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -30,7 +37,7 @@ PUBLIC_NAMES = {
     "scalars": "GaussianRational Scalar",
     "algebra": "AlgebraError AlgebraSignature BiDegree CwElement CwMonomial SignatureMismatch"
     " bidegree bose_p bose_q canonicalize fermi_gen generators scalar_element unit z_degree zero",
-    "starprod": "ProductKind anti_bracket lie_bracket poisson star super_bracket supertrace_weyl"
+    "starprod": "anti_bracket lie_bracket poisson star super_bracket supertrace_weyl"
     " trace_clifford wedge",
     "linalg": "Matrix MatrixError sparse_nullspace sparse_rank sparse_rref",
     "osp": "OspContext build_g expected_dimension form twisted_adjoint verify_invariance verify_ps",
@@ -45,7 +52,7 @@ PUBLIC_NAMES = {
     " ore_super_bracket ore_unit ore_zero specialize specialized_product",
     "deform": "center_probe commutant_probe compare_cocycle cw_odd_signature"
     " deformation_cochain_c1 finite_irrep_pi_h ghost_identities iso_a0_to_cw iso_cw_to_a0"
-    " ore_to_matrix osp22_check periodicity2 periodicity2_forward periodicity2_inverse"
+    " ore_to_matrix osp22_check periodicity2_forward periodicity2_inverse"
     " pi_h_lambda pi_h_matrix verma_apply volume_word_element",
     "hochschild": "CochainEvaluator coboundary cochain_from_element d_squared_check element_tag"
     " identity_cochain is_cocycle multiplication_cochain relative_normalized_check",
@@ -62,7 +69,7 @@ SUITE_ONLY = ("suites", "deform", "periodicity", "osp", "hochschild", "linalg", 
 
 
 def test_public_names_are_pinned():
-    assert len(ALL_NAMES) == 124
+    assert len(ALL_NAMES) == 122
     assert sorted(cliffordweyl.__all__) == ALL_NAMES
     assert set(ALL_NAMES) <= set(dir(cliffordweyl))
 
@@ -95,6 +102,30 @@ def test_names_follow_a_patched_and_restored_submodule(monkeypatch):
         assert cliffordweyl.star is fake
     assert starprod.star is real
     assert cliffordweyl.star is starprod.star
+
+
+def _unread_imports(path):
+    """The names a module's imports bind and its code never reads."""
+    tree = ast.parse(path.read_text())
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update((alias.asname or alias.name).partition(".")[0] for alias in node.names)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return bound - read
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    package = pathlib.Path(cliffordweyl.__file__).parent
+    unread = {}
+    for path in sorted(package.glob("*.py")):
+        module = path.stem
+        names = _unread_imports(path) - set(PUBLIC_NAMES.get(module, "").split())
+        if names:
+            unread[module] = sorted(names)
+    assert unread == {}
 
 
 def test_help_bytes_unchanged(capsys, monkeypatch):

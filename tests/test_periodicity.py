@@ -29,7 +29,6 @@ from cliffordweyl.linalg import Matrix, sparse_rank
 from cliffordweyl.periodicity import (
     TensorElement,
     cw_to_matrix,
-    include_element,
     matrix_star,
     module_transport,
     odd_join,
@@ -242,11 +241,6 @@ def test_odd_split_is_isomorphism(n):
         cp = rand_element(rng, small, maxdeg=2 * n)
         cm = rand_element(rng, small, maxdeg=2 * n)
         assert odd_split(n, odd_join(n, cp, cm)) == (cp, cm)
-
-
-def test_include_element_guard():
-    with pytest.raises(SignatureMismatch):
-        include_element(unit(AlgebraSignature(2, 1)), AlgebraSignature(1, 1))
 
 
 # -- matrices over an algebra ----------------------------------------------------

@@ -66,7 +66,9 @@ FAULTY_REPORT_SHA256 = {
     "matrix-iso": "43aabdc5d3b7470666a0010364c22cf4f7c269700e7b38e73c57a84b1de962c3",
     "odd-split": "adbda40e924c739c09379c263deff451e6f8ad06f95ef2230736b3b928245730",
     "ore-relations": "08d9b6293eb0c4363a64242c2aa6e1fcf87919c5fba99acaa375130199c94a29",
-    "osp22": "661e2a82a074726a7e316a691bb69ea62ff5af87147f565e473d045910c4c0c9",
+    # 16 of 54 cases fail: the graded bracket skips empty homogeneous parts,
+    # whose bracket the added unit made 2
+    "osp22": "95386f7614c347750076140ed333df704b1ac527d5077ab9dac56f0d92bacb9b",
     "parastat": "6a4d8227f0bc9f0a3542f8a5ff73ead774707c0ff95f96a300cdb1ed100fd623",
     "periodicity1": "d3a3b2390f1373e8f0ddabae2d5bc88811faebafa25505a736c10673b9f2375e",
     "periodicity2": "5f597c5c13e92b99fa4fd2040df9a1a92f7b9cda86a1029af423517fa8a4a94b",
@@ -74,7 +76,9 @@ FAULTY_REPORT_SHA256 = {
     "relations": "3ef611a2eb14f2a7ad590b8e52dd4afd25de86b5891007e0b1943f7a25170b9f",
     "spin-lemma": "872843e823d8d7ee668a14f59a5655a737464b2ade025919e172e6e524a48cb9",
     "twisted-adjoint": "de6bbccdf53c9603abd2238cda2d6affa84175874f3f4995aec04403877bf833",
-    "verma": "0d486177e1d3693b84580a9f8d0d6b2464dda3d2da5b49d1b24bca4bf78baeeb",
+    # 153 of 619 cases fail: the left sides act one generator at a time, and
+    # only the right side L P of [E+,E-] + 1/4 is a product
+    "verma": "7fbb7e83363301d6d1bf7429d934760cb84375dcf46845870d22ceee0a66413e",
 }
 
 

@@ -26,11 +26,9 @@ from cliffordweyl.algebra import (
 )
 from cliffordweyl.scalars import S_HALF, S_LAMBDA, S_ONE, Scalar
 from cliffordweyl.starprod import (
-    ProductKind,
     anti_bracket,
     lie_bracket,
     poisson,
-    product,
     star,
     super_bracket,
     supertrace_weyl,
@@ -240,14 +238,6 @@ def test_bidegree_additive_through_star():
             d = element_bidegree(prod)
             if prod:
                 assert d == bidegree(m1) + bidegree(m2)
-
-
-def test_product_kind_dispatch():
-    a, b = P[0], Q[0]
-    assert product(ProductKind.WEDGE, a, b) == wedge(a, b)
-    assert product(ProductKind.STAR, a, b) == star(a, b)
-    with pytest.raises(ValueError):
-        product("nope", a, b)
 
 
 def test_signature_mismatch():

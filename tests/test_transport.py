@@ -47,7 +47,6 @@ from cliffordweyl.linalg import Matrix
 from cliffordweyl.ore import OreElement, OreMonomial, ore_e_minus, ore_e_plus, ore_unit
 from cliffordweyl.periodicity import (
     cw_to_matrix,
-    include_element,
     odd_join,
     odd_split,
     periodicity1_forward,
@@ -234,7 +233,6 @@ MAPS = {
     "odd_split": (lambda x: odd_split(0, x), SignatureMismatch),
     "odd_join": (lambda x: odd_join(0, unit(AlgebraSignature(0, 0)), x), SignatureMismatch),
     "cw_to_matrix": (lambda x: cw_to_matrix(1, 0, x), SignatureMismatch),
-    "include_element": (lambda x: include_element(x, AlgebraSignature(2, 1)), SignatureMismatch),
 }
 _ONE_TERM = {CwMonomial(0, (), ()): 1}  # a plain dict is not an element
 WRONG_INPUTS = {
@@ -254,12 +252,6 @@ WRONG_INPUTS = {
     "odd_split": (ore_unit(0), unit(AlgebraSignature(3, 0)), _ONE_TERM),
     "odd_join": (ore_unit(0), unit(AlgebraSignature(1, 0)), _ONE_TERM),
     "cw_to_matrix": (ore_unit(0), unit(AlgebraSignature(2, 1)), _ONE_TERM),
-    "include_element": (
-        ore_unit(0),
-        unit(AlgebraSignature(3, 1)),  # more Fermi generators
-        unit(AlgebraSignature(1, 0)),  # another Bose count
-        _ONE_TERM,
-    ),
 }
 
 
