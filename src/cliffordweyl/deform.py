@@ -368,75 +368,43 @@ def pi_h_lambda(h, sign):
     return GaussianRational(_parse_sign(sign) * (h + Fraction(1, 4)))
 
 
-def _pi_h_evaluator(n, h, sign):
-    """x -> its matrix in the quotient pi_h_matrix describes: entry (i, j)
-    of ore_to_matrix(n, x) fills block (i, j) through the rank-0 quotient.
+def pi_h_matrix(n, h, sign, x):
+    """Evaluate any rank-n element in the dimension-2^n(4h+1) quotient:
+    entry (i, j) of ore_to_matrix(n, x) fills block (i, j) through the
+    rank-0 quotient.
 
-    There w^I E+^a E-^b L^r is one shifted diagonal, built once per
-    evaluator: its action on z^0..z^{4h} at lam = h + 1/4, where E+ kills
-    z^{4h+1}, has the entries (m + b - a, m) for m + b <= 4h, since the
-    quotient kills z^(m+b) before any lowering.  The minus sign negates P
-    and L.
+    There w^I E+^a E-^b L^r is one shifted diagonal, built once per call:
+    its action on z^0..z^{4h} at lam = h + 1/4, where E+ kills z^{4h+1},
+    has the entries (m + b - a, m) for m + b <= 4h, since the quotient
+    kills z^(m+b) before any lowering.  The minus sign negates P and L.
     """
     h = _check_half_integer(h)
     twist = _parse_sign(sign)
     lam = GaussianRational(h + Fraction(1, 4))
     d = int(4 * h) + 1
-    runs, diagonals = {}, {}
-
-    def diagonal(m):
-        g = GaussianRational(twist ** (m.cliff + m.lam))
-        out = []
-        for col in range(d - m.e_minus):
-            image = _weight_image(lam, col, m, runs)
-            if image is not None:
-                out.append((image[0], col, image[1] * g))
-        return out
-
-    def evaluate(x):
-        entries = {}
-        for (i, j), a in ore_to_matrix(n, x).items():
-            for m, c in a.terms.items():
-                if m not in diagonals:
-                    diagonals[m] = diagonal(m)
-                for row, col, v in diagonals[m]:
-                    accumulate(entries, (i * d + row, j * d + col), c * v)
-        return Matrix.from_entries((d << n, d << n), entries)
-
-    return evaluate
-
-
-def pi_h_matrix(n, h, sign, x):
-    """Evaluate any rank-n element in the dimension-2^n(4h+1) quotient."""
-    return _pi_h_evaluator(n, h, sign)(x)
+    runs, diagonals, entries = {}, {}, {}
+    for (i, j), a in ore_to_matrix(n, x).items():
+        for m, c in a.terms.items():
+            if m not in diagonals:
+                g = GaussianRational(twist ** (m.cliff + m.lam))
+                diagonals[m] = []
+                for col in range(d - m.e_minus):
+                    image = _weight_image(lam, col, m, runs)
+                    if image is not None:
+                        diagonals[m].append((image[0], col, image[1] * g))
+            for row, col, v in diagonals[m]:
+                accumulate(entries, (i * d + row, j * d + col), c * v)
+    return Matrix.from_entries((d << n, d << n), entries)
 
 
 def finite_irrep_pi_h(n, h, sign):
     """Generator matrices of the finite quotient, keyed by generator name
     (the central parameter maps to its specialization times the identity)."""
-    h = _check_half_integer(h)
-    evaluate = _pi_h_evaluator(n, h, sign)
-    dim = (1 << n) * (int(4 * h) + 1)
-    out = {}
-    for i in range(1, 2 * n + 2):
-        out["w%d" % i] = evaluate(ore_fermi(n, i))
-    out["E+"] = evaluate(ore_e_plus(n))
-    out["E-"] = evaluate(ore_e_minus(n))
-    out["L"] = Matrix.identity(dim).scale(Scalar.from_gaussian(pi_h_lambda(h, sign)))
+    gens = {"w%d" % i: ore_fermi(n, i) for i in range(1, 2 * n + 2)}
+    gens["E+"], gens["E-"] = ore_e_plus(n), ore_e_minus(n)
+    out = {name: pi_h_matrix(n, h, sign, x) for name, x in gens.items()}
+    out["L"] = Matrix.identity(out["E+"].shape[0]).scale(Scalar.from_gaussian(pi_h_lambda(h, sign)))
     return out
-
-
-def matrix_direct_sum(a, b):
-    (ra, ca), (rb, cb) = a.shape, b.shape
-    entries = dict(a.items())
-    entries.update(((ra + i, ca + j), x) for (i, j), x in b.items())
-    return Matrix.from_entries((ra + rb, ca + cb), entries)
-
-
-def rep_direct_sum(rep_a, rep_b):
-    if set(rep_a) != set(rep_b):
-        raise AlgebraError("generator sets differ")
-    return {k: matrix_direct_sum(rep_a[k], rep_b[k]) for k in rep_a}
 
 
 # -- exact structure probes ---------------------------------------------------------

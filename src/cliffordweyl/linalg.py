@@ -258,9 +258,3 @@ def sparse_nullspace(rows, variables):
                 vec[pc] = -coef
         basis.append(vec)
     return basis
-
-
-def vectors_independent(vecs):
-    """Whether sparse vectors {key: GaussianRational} are linearly independent."""
-    vecs = list(vecs)
-    return sparse_rank(vecs) == len(vecs)

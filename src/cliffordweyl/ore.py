@@ -283,8 +283,8 @@ def pair_kernel(n):
     ghost_neg, ghost_i = (n >> 1) & 1, n & 1
 
     def pair(m1, m2):
-        csign, tcount, mask = _cliff_pair(m1.cliff, m2.cliff)
-        neg = (csign < 0) ^ (tcount & 1) ^ ((m1.e_plus + m1.e_minus) & m2.cliff.bit_count() & 1)
+        par, mask = _cliff_pair(m1.cliff, m2.cliff)
+        neg = par ^ ((m1.e_plus + m1.e_minus) & m2.cliff.bit_count() & 1)
         e_plus, e_minus, lam = m1.e_plus, m2.e_minus, m1.lam + m2.lam
         out, gmask = [], None
         beta, gamma = m1.e_minus, m2.e_plus
@@ -297,8 +297,8 @@ def pair_kernel(n):
             # ghost = i^n w_full L anticommutes with each E+ on its way to the
             # front, then pairs into the Fermi word: only (-1)^a varies
             if gmask is None:
-                gsign, gtc, gmask = _cliff_pair(mask, full)
-                gneg = neg ^ (gsign < 0) ^ (gtc & 1) ^ (e_plus & 1) ^ ghost_neg
+                gpar, gmask = _cliff_pair(mask, full)
+                gneg = neg ^ gpar ^ (e_plus & 1) ^ ghost_neg
             c = -q if gneg ^ (a & 1) else q
             if ghost_i:
                 c = c * GR_I

@@ -23,7 +23,7 @@ from .algebra import (
     z_degree,
     zero,
 )
-from .linalg import add_row, reduce_row, sparse_rref
+from .linalg import add_row
 from .scalars import Scalar, split_powers
 from .sparse import Checks, graded_bracket
 from .starprod import poisson, super_bracket
@@ -99,20 +99,6 @@ def twisted_adjoint(a, b):
 def element_row(x):
     """Flatten an element to a sparse row keyed by (monomial, L-power)."""
     return split_powers(x.terms)
-
-
-def independent_subset(elements):
-    """Indices of a maximal independent prefix-greedy subset, smallest-monomial pivots."""
-    pivots = {}
-    keep = []
-    for idx, x in enumerate(elements):
-        if add_row(pivots, element_row(x)):
-            keep.append(idx)
-    return keep
-
-
-def span_contains(elements, x):
-    return not reduce_row(sparse_rref(map(element_row, elements)), element_row(x))
 
 
 def build_g(ctx):

@@ -136,14 +136,6 @@ class TensorElement(SparseElement):
         return TensorElement(left_signature, right_signature, terms)
 
 
-def tensor_zero(left_signature, right_signature):
-    return TensorElement(left_signature, right_signature)
-
-
-def tensor_unit(left_signature, right_signature):
-    return tensor_of(unit(left_signature), unit(right_signature))
-
-
 def tensor_of(a, b):
     """Outer product: the tensor with terms a_m (x) b_m' for every term pair."""
     terms = {(ml, mr): cl * cr for ml, cl in a.terms.items() for mr, cr in b.terms.items()}
@@ -183,8 +175,8 @@ def volume_involution(signature, m):
 
 def _times_volume(mask, width, m):
     """w^mask * i^m w_1...w_width at t = 1, as (Gaussian rational, mask)."""
-    sign, tcount, out = _cliff_pair(mask, (1 << width) - 1)
-    return i_power(m + 2 * ((sign < 0) ^ (tcount & 1))), out
+    par, out = _cliff_pair(mask, (1 << width) - 1)
+    return i_power(m + 2 * par), out
 
 
 # -- dimension shift: split 2m even generators off the front ---------------------

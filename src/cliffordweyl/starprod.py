@@ -4,16 +4,15 @@ All products are computed per monomial pair by closed-form terminating
 kernels (the bidifferential series collapses to finite sums of falling
 factorials on monomials), so every result is exact.
 
-Sign conventions (fixed once, here):
+The Fermi-generator order is w1 < w2 < ... , and the Fermi kernel is an
+inversion count against it:
 
-* Fermi-generator order w1 < w2 < ... ; every Koszul sign is an inversion
-  count against this order.
-* The pair-contraction operator on the Fermi factor is a graded operator
-  tensor: applying (d_i (x) d_i) to X (x) Y picks up (-1)^{deg X} before the
-  two odd derivations act, and d_i itself contributes (-1)^{#{j in X : j < i}}.
-  This normalization is pinned by w_i * w_i = 1.
-* Crossing a Bose symbol past a Fermi symbol costs a sign: combining
-  (X (x) F) with (Y (x) G) carries (-1)^{deg F * deg Y}.
+    w^I * w^J  =  (-1)^N t^{|I & J|} w^{I xor J},
+
+with N the number of pairs i in I, j in J with i > j: each w_j of J moves
+left past the larger generators of I, and w_j * w_j = t.  Crossing a Bose
+symbol past a Fermi symbol costs a sign: combining (X (x) F) with
+(Y (x) G) carries (-1)^{deg F * deg Y}.
 
 The Bose-factor kernel, with t the signature's deformation parameter:
 
@@ -22,19 +21,16 @@ The Bose-factor kernel, with t the signature's deformation parameter:
         * fall(A,r) fall(B,s) fall(D,r) fall(C,s)
         * p^{A-r+C-s} q^{B-s+D-r}
 
-and the Fermi-factor kernel contracts exactly the common index set T = I & J
-(any smaller contraction leaves a repeated generator, killed by the exterior
-product), giving a single term sign * (-t)^{|T|} * w^{I xor J}.
-
 Each power of t in either kernel lowers the Z-degree by 2: a Bose term of
-order |r|+|s| takes 2(|r|+|s|) from it and brings (t/2)^{|r|+|s|}, and a
-Fermi contraction takes 2|T| and brings (-t)^{|T|}.  So
+order |r|+|s| takes 2(|r|+|s|) from it and brings (t/2)^{|r|+|s|}, and the
+Fermi kernel takes 2|I & J| and brings t^{|I & J|}.  So
 f * g = sum over e of t^e B_e(f, g), with B_e lowering the degree by 2e;
 B_0 is the super-exterior product and B_1 half the Poisson bracket.  So
 the pair kernel at t is the one at t = 1 with each term m scaled by t^e,
-e = (deg m1 + deg m2 - deg m)/2, and `star` at every t and `wedge` (t = 0)
-run `sparse.pair_product` with it.  Its keys are (CwMonomial, L power), so
-the loop's coefficients are Gaussian rationals; Scalars are built once.
+e = (deg m1 + deg m2 - deg m)/2; `star` at every t and `wedge` (t = 0) run
+`sparse.pair_product` with it, and `poisson` with its e = 1 terms, doubled.
+Its keys are (CwMonomial, L power), so the loop's coefficients are
+Gaussian rationals; Scalars are built once.
 
 The pairs (p_j, q_j) commute with each other, so the Weyl algebra on k
 pairs is the k-fold tensor power of the one-mode algebra A_1, and every
@@ -58,7 +54,7 @@ from itertools import product as iproduct
 
 from .algebra import AlgebraError, CwElement, CwMonomial, check_same_signature
 from .scalars import GR_ONE, Scalar, S_ONE, S_ZERO, gr_ratio, join_powers, split_powers
-from .sparse import accumulate, anti_bracket, graded_bracket, lie_bracket, pair_product
+from .sparse import anti_bracket, graded_bracket, lie_bracket, pair_product
 
 
 def _parity_below(mask, i):
@@ -67,11 +63,7 @@ def _parity_below(mask, i):
 
 
 def _shuffle_parity(left, right):
-    """Parity of the permutation merging w^left then w^right into w^(left|right).
-
-    Assumes the bitsets are disjoint; counts pairs (a in left, b in right)
-    with a > b.
-    """
+    """Parity of the pairs (a in left, b in right) with a > b."""
     par = 0
     m = right
     while m:
@@ -104,23 +96,8 @@ _LOWER_PAST_POWERS_STEPS = 64
 
 @lru_cache(maxsize=_CLIFF_PAIR_CACHE)
 def _cliff_pair(I, J):
-    """Fermi kernel: w^I * w^J = sign * (-t)^tcount * w^mask.
-
-    Returns (sign, tcount, mask); sign is +-1 and tcount = |I & J|.
-    """
-    KL, KR = I, J
-    par = 0
-    m = I & J
-    while m:
-        i = (m & -m).bit_length() - 1
-        par ^= KL.bit_count() & 1  # graded operator tensor
-        par ^= _parity_below(KL, i)  # d_i on the left factor
-        KL ^= 1 << i
-        par ^= _parity_below(KR, i)  # d_i on the right factor
-        KR ^= 1 << i
-        m &= m - 1
-    par ^= _shuffle_parity(KL, KR)
-    return (-1 if par else 1), (I & J).bit_count(), KL | KR
+    """Fermi kernel at t = 1: w^I * w^J = (-1)^parity w^mask, as (parity, mask)."""
+    return _shuffle_parity(I, J), I ^ J
 
 
 @lru_cache(maxsize=_MODE_PAIR_CACHE)
@@ -190,11 +167,11 @@ _tuple_new = tuple.__new__  # a CwMonomial without the NamedTuple's Python __new
 def _pair_at_one(k1, k2):
     """The pair kernel at t = 1: ((coefficient, (CwMonomial, L power)), ...)."""
     (m1, l1), (m2, l2) = k1, k2
-    csign, tcount, cmask = _cliff_pair(m1.cliff, m2.cliff)
+    par, cmask = _cliff_pair(m1.cliff, m2.cliff)
     l = l1 + l2
     terms = _weyl_pair(m1.wp, m1.wq, m2.wp, m2.wq)
-    # the Fermi factor sign * (-1)^|T|, and the Bose-Fermi crossing
-    neg = (csign < 0) ^ (tcount & 1) ^ (m1.bose_degree() & m2.cliff.bit_count() & 1)
+    # the Fermi sign and the Bose-Fermi crossing
+    neg = par ^ (m1.bose_degree() & m2.cliff.bit_count() & 1)
     return [(-c if neg else c, (_tuple_new(CwMonomial, (cmask, P, Q)), l)) for _, c, P, Q in terms]
 
 
@@ -215,74 +192,32 @@ def pair_kernel(t):
     return pair
 
 
-def _product(a, b, t):
+def _order_one(k1, k2):
+    """Twice the pair kernel's t = 1 terms that lose exactly two degrees."""
+    d = k1[0].z_degree() + k2[0].z_degree() - 2
+    return [(c + c, key) for c, key in _pair_at_one(k1, k2) if key[0].z_degree() == d]
+
+
+def _product(a, b, pair):
     check_same_signature(a, b)
-    terms = pair_product(split_powers(a.terms), split_powers(b.terms), pair_kernel(t))
+    terms = pair_product(split_powers(a.terms), split_powers(b.terms), pair)
     return CwElement.raw(a.signature, join_powers(terms))
 
 
 def star(a, b):
     """Associative star product at the signature's deformation parameter."""
-    return _product(a, b, a.signature.t_param)
+    return _product(a, b, pair_kernel(a.signature.t_param))
 
 
 def wedge(a, b):
     """Super-exterior product: the product at t = 0."""
-    return _product(a, b, S_ZERO)
+    return _product(a, b, pair_kernel(S_ZERO))
 
 
 def poisson(a, b):
-    """Graded Poisson bracket of symbols.
-
-    On monomial pairs (w^I F) x (w^J G) it is
-
-        (-1)^{deg F * deg w^J} ( {w^I, w^J} F G  +  (w^I ^ w^J) {F, G} )
-
-    with the Fermi part {X, Y} = 2 (-1)^{deg X + 1} sum_i d_i X ^ d_i Y and
-    the Bose part {F, G} = sum_j (dF/dp_j dG/dq_j - dF/dq_j dG/dp_j).
-    General elements are expanded bilinearly over monomials, which realizes
-    the homogeneous-split convention.
-    """
-    check_same_signature(a, b)
-    k = a.signature.n_bose
-    out = {}
-
-    for m1, c1 in a.terms.items():
-        I = m1.cliff
-        degI = I.bit_count()
-        bose1 = m1.bose_degree() & 1
-        for m2, c2 in b.terms.items():
-            J = m2.cliff
-            coeff = c1 * c2
-            if bose1 and J.bit_count() & 1:
-                coeff = -coeff
-            P = tuple(x + y for x, y in zip(m1.wp, m2.wp))
-            Q = tuple(x + y for x, y in zip(m1.wq, m2.wq))
-            # Fermi bracket term: contracts one common index.
-            common = I & J
-            fsign = 2 if degI & 1 else -2
-            m = common
-            while m:
-                i = (m & -m).bit_length() - 1
-                m &= m - 1
-                Ii, Ji = I ^ (1 << i), J ^ (1 << i)
-                if Ii & Ji:
-                    continue
-                par = _parity_below(I, i) ^ _parity_below(J, i)
-                par ^= _shuffle_parity(Ii, Ji)
-                c = coeff * (fsign if not par else -fsign)
-                accumulate(out, CwMonomial(Ii | Ji, P, Q), c)
-            # Bose bracket term: needs the Fermi parts to wedge.
-            if not common:
-                par = _shuffle_parity(I, J)
-                base = -coeff if par else coeff
-                for j in range(k):
-                    f = m1.wp[j] * m2.wq[j] - m1.wq[j] * m2.wp[j]
-                    if f:
-                        Pj = P[:j] + (P[j] - 1,) + P[j + 1 :]
-                        Qj = Q[:j] + (Q[j] - 1,) + Q[j + 1 :]
-                        accumulate(out, CwMonomial(I | J, Pj, Qj), base * f)
-    return CwElement.raw(a.signature, out)
+    """Graded Poisson bracket of symbols: twice B_1, the order-one term of
+    the product, independent of the signature's deformation parameter."""
+    return _product(a, b, _order_one)
 
 
 def super_bracket(a, b):

@@ -8,7 +8,8 @@ C(2n+1, 2), the odd split and its join multiply monomial images or central
 idempotents with `star`, and the operator-to-symbol map expands a matrix
 against the wedge/contract normal form of the ladder operators.  The
 library's maps instead send each basis monomial to its image in closed
-form; `test_transport.py` checks that the two agree.
+form; `test_transport.py` checks that the two agree.  `include_element`,
+`tensor_zero` and `tensor_unit` left the library when only tests used them.
 """
 
 from fractions import Fraction
@@ -43,8 +44,6 @@ from cliffordweyl.periodicity import (
     odd_projections,
     tensor_of,
     tensor_star,
-    tensor_unit,
-    tensor_zero,
     volume_involution,
 )
 from cliffordweyl.scalars import GR_ONE, GR_ZERO, S_HALF, GaussianRational, Scalar, i_power, scalar_i_power
@@ -200,6 +199,14 @@ def include_element(x, bigger_signature):
     n_fermi = min(x.space.n_fermi, bigger_signature.n_fermi) if isinstance(x, CwElement) else 0
     expect_element(x, CwElement, bigger_signature._replace(n_fermi=n_fermi))
     return CwElement.raw(bigger_signature, x.terms)
+
+
+def tensor_zero(left_signature, right_signature):
+    return TensorElement(left_signature, right_signature)
+
+
+def tensor_unit(left_signature, right_signature):
+    return tensor_of(unit(left_signature), unit(right_signature))
 
 
 def ref_odd_join(n, c_plus, c_minus):

@@ -9,7 +9,8 @@ explicit stack, caching every intermediate whole-tuple monomial, so they are
 only for small exponents.  `star` multiplies term by term at the
 signature's t: the whole-tuple kernel at t, and the Fermi word reduced
 generator by generator with w_i w_i = t.  `wedge` is the shuffle loop of the
-super-exterior product.
+super-exterior product, and `poisson` the hand-written graded Poisson
+bracket, which the library now reads off the pair kernel's order-one terms.
 """
 
 import math
@@ -17,10 +18,10 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iproduct
 
-from cliffordweyl.algebra import CwElement, CwMonomial
+from cliffordweyl.algebra import CwElement, CwMonomial, check_same_signature
 from cliffordweyl.scalars import S_HALF, S_ONE, Scalar, gr_ratio
 from cliffordweyl.sparse import accumulate
-from cliffordweyl.starprod import _shuffle_parity
+from cliffordweyl.starprod import _parity_below, _shuffle_parity
 
 
 # typed, because a constant Scalar equals and hashes like its Gaussian
@@ -123,6 +124,60 @@ def wedge(a, b):
             )
             accumulate(out, key, coeff)
     return CwElement(a.signature, out)
+
+
+def poisson(a, b):
+    """Graded Poisson bracket of symbols.
+
+    On monomial pairs (w^I F) x (w^J G) it is
+
+        (-1)^{deg F * deg w^J} ( {w^I, w^J} F G  +  (w^I ^ w^J) {F, G} )
+
+    with the Fermi part {X, Y} = 2 (-1)^{deg X + 1} sum_i d_i X ^ d_i Y and
+    the Bose part {F, G} = sum_j (dF/dp_j dG/dq_j - dF/dq_j dG/dp_j).
+    General elements are expanded bilinearly over monomials, which realizes
+    the homogeneous-split convention.
+    """
+    check_same_signature(a, b)
+    k = a.signature.n_bose
+    out = {}
+
+    for m1, c1 in a.terms.items():
+        I = m1.cliff
+        degI = I.bit_count()
+        bose1 = m1.bose_degree() & 1
+        for m2, c2 in b.terms.items():
+            J = m2.cliff
+            coeff = c1 * c2
+            if bose1 and J.bit_count() & 1:
+                coeff = -coeff
+            P = tuple(x + y for x, y in zip(m1.wp, m2.wp))
+            Q = tuple(x + y for x, y in zip(m1.wq, m2.wq))
+            # Fermi bracket term: contracts one common index.
+            common = I & J
+            fsign = 2 if degI & 1 else -2
+            m = common
+            while m:
+                i = (m & -m).bit_length() - 1
+                m &= m - 1
+                Ii, Ji = I ^ (1 << i), J ^ (1 << i)
+                if Ii & Ji:
+                    continue
+                par = _parity_below(I, i) ^ _parity_below(J, i)
+                par ^= _shuffle_parity(Ii, Ji)
+                c = coeff * (fsign if not par else -fsign)
+                accumulate(out, CwMonomial(Ii | Ji, P, Q), c)
+            # Bose bracket term: needs the Fermi parts to wedge.
+            if not common:
+                par = _shuffle_parity(I, J)
+                base = -coeff if par else coeff
+                for j in range(k):
+                    f = m1.wp[j] * m2.wq[j] - m1.wq[j] * m2.wp[j]
+                    if f:
+                        Pj = P[:j] + (P[j] - 1,) + P[j + 1 :]
+                        Qj = Q[:j] + (Q[j] - 1,) + Q[j + 1 :]
+                        accumulate(out, CwMonomial(I | J, Pj, Qj), base * f)
+    return CwElement.raw(a.signature, out)
 
 
 _weyl_word_cache = {}

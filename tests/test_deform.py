@@ -39,7 +39,6 @@ from cliffordweyl.deform import (
     ghost_identities,
     iso_a0_to_cw,
     iso_cw_to_a0,
-    matrix_direct_sum,
     ore_to_matrix,
     osp22_check,
     osp22_k_element,
@@ -47,7 +46,6 @@ from cliffordweyl.deform import (
     periodicity2_inverse,
     pi_h_lambda,
     pi_h_matrix,
-    rep_direct_sum,
     verma_apply,
     volume_word_element,
 )
@@ -76,6 +74,19 @@ from cliffordweyl.starprod import star
 from cliffordweyl.suites import run_suite
 
 GR = GaussianRational
+
+
+def matrix_direct_sum(a, b):
+    (ra, ca), (rb, cb) = a.shape, b.shape
+    entries = dict(a.items())
+    entries.update(((ra + i, ca + j), x) for (i, j), x in b.items())
+    return Matrix.from_entries((ra + rb, ca + cb), entries)
+
+
+def rep_direct_sum(rep_a, rep_b):
+    if set(rep_a) != set(rep_b):
+        raise AlgebraError("generator sets differ")
+    return {k: matrix_direct_sum(rep_a[k], rep_b[k]) for k in rep_a}
 
 
 def rand_ore(n, rng, nterms=3, maxdeg=4, with_lam=True):

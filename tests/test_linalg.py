@@ -12,7 +12,6 @@ from cliffordweyl.linalg import (
     sparse_nullspace,
     sparse_rank,
     sparse_rref,
-    vectors_independent,
 )
 from cliffordweyl.scalars import GR_ONE, GR_ZERO, GaussianRational, Scalar
 
@@ -145,9 +144,3 @@ def test_add_row_builds_sparse_rref():
         assert pivots == sparse_rref(rows)
         assert all(not reduce_row(pivots, r) for r in rows)
 
-
-def test_vectors_independent():
-    assert vectors_independent([{0: GR_ONE}, {1: GR_ONE}])
-    assert not vectors_independent(
-        [{0: GR_ONE}, {0: GaussianRational(0, 1)}]  # i * first
-    )

@@ -14,7 +14,9 @@ expression evaluated by the CLI does not import the verification suites or
 the modules only they need.
 
 No module of the package imports a name it never reads, unless the package
-exports that name from it.
+exports that name from it, and every module-level function is exported or
+read, directly or through other such functions, by exported code or by
+module-level code outside a function.
 """
 
 import ast
@@ -126,6 +128,39 @@ def test_no_module_imports_a_name_it_never_reads():
         if names:
             unread[module] = sorted(names)
     assert unread == {}
+
+
+def _reads(node):
+    """The names and attribute names that the code under `node` reads."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+    return names
+
+
+def test_every_src_function_is_exported_or_read():
+    # names are matched without their module, so a helper that shares its
+    # name with a live function goes unseen; dunders are interpreter hooks
+    package = pathlib.Path(cliffordweyl.__file__).parent
+    functions, live = {}, set(ALL_NAMES)
+    for path in sorted(package.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef):
+                functions[path.stem, node.name] = _reads(node)
+                if node.name.startswith("__"):
+                    live.add(node.name)
+            else:
+                live |= _reads(node)
+    size = None
+    while size != len(live):
+        size = len(live)
+        for (_module, name), names in functions.items():
+            if name in live:
+                live |= names
+    assert sorted(key for key in functions if key[1] not in live) == []
 
 
 def test_help_bytes_unchanged(capsys, monkeypatch):

@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 from reference_tensor import ref_tensor_star
+from reference_transport import tensor_unit, tensor_zero
 
 from cliffordweyl.algebra import (
     AlgebraError,
@@ -38,8 +39,6 @@ from cliffordweyl.periodicity import (
     periodicity1_inverse,
     tensor_of,
     tensor_star,
-    tensor_unit,
-    tensor_zero,
     volume_involution,
 )
 from cliffordweyl.reps import GrassPolyVector, act, metaplectic

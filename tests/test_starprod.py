@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 
 import reference_weyl_kernel as ref
+from cliffordweyl import starprod
 from cliffordweyl.algebra import (
     AlgebraSignature,
     CwElement,
@@ -209,7 +210,41 @@ def test_first_order_term_is_half_poisson():
         order0 = sp.map_coefficients(lambda c: Scalar.from_gaussian(c.lam_coefficient(0)))
         order1 = sp.map_coefficients(lambda c: Scalar.from_gaussian(c.lam_coefficient(1)))
         assert order0 == ref.wedge(a, b)
-        assert order1.scale(2) == poisson(a, b)
+        assert order1.scale(2) == ref.poisson(a, b)
+
+
+# t = L and t = 0 too: the bracket is the classical one at every t
+POISSON_SIGNATURES = [
+    AlgebraSignature(3, 2),
+    AlgebraSignature(5, 0),
+    AlgebraSignature(0, 3),
+    AlgebraSignature(2, 1, S_LAMBDA),
+    AlgebraSignature(3, 1, Scalar()),
+]
+
+
+@pytest.mark.parametrize("sig", POISSON_SIGNATURES, ids=repr)
+def test_poisson_matches_the_reference_bracket(sig):
+    rng = random.Random(4711)
+    for _ in range(125):
+        # coefficients with L powers ride through the bracket unchanged
+        a, b = (
+            rand_element(rng, sig, nterms=4).map_coefficients(
+                lambda c: c * Scalar.lam(rng.randint(0, 2))
+            )
+            for _ in range(2)
+        )
+        got, want = poisson(a, b), ref.poisson(a, b)
+        assert got == want and str(got) == str(want), (a, b)
+
+
+def test_poisson_reads_the_pair_kernel(monkeypatch):
+    def refused(k1, k2):
+        raise RuntimeError("pair kernel")
+
+    monkeypatch.setattr(starprod, "_pair_at_one", refused)
+    with pytest.raises(RuntimeError, match="pair kernel"):
+        poisson(W[0], W[0])
 
 
 def test_low_degree_weyl_bracket_equals_poisson():
@@ -226,7 +261,7 @@ def test_low_degree_weyl_bracket_equals_poisson():
     for m in basis:
         f = monomial_element(sig, m)
         for g in gs:
-            assert lie_bracket(f, g) == poisson(f, g)
+            assert lie_bracket(f, g) == ref.poisson(f, g)
 
 
 def test_bidegree_additive_through_star():

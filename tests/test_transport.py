@@ -24,6 +24,7 @@ from reference_transport import (
     ref_periodicity1_inverse,
     ref_periodicity2_forward,
     ref_periodicity2_inverse,
+    tensor_unit,
 )
 
 from cliffordweyl import deform, periodicity, sparse, starprod
@@ -52,7 +53,6 @@ from cliffordweyl.periodicity import (
     periodicity1_forward,
     periodicity1_inverse,
     tensor_of,
-    tensor_unit,
 )
 from cliffordweyl.reps import clifford_op_to_symbol
 from cliffordweyl.scalars import GaussianRational, Scalar, gr_ratio, i_power
