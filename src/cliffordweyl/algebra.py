@@ -21,6 +21,7 @@ from typing import NamedTuple
 
 from .scalars import S_ONE, S_ZERO, Scalar, _coerce_scalar
 from .sparse import AlgebraError, SignatureMismatch, SparseElement, accumulate
+from .textform import element_to_text
 
 
 def _check_size(name, size):
@@ -167,8 +168,6 @@ class CwElement(SparseElement):
     # -- presentation ----------------------------------------------------------
 
     def __str__(self):
-        from .textform import element_to_text
-
         return element_to_text(self)
 
     def __repr__(self):

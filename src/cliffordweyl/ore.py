@@ -30,12 +30,12 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .algebra import AlgebraError, index_mask
-from .scalars import GR_I, GR_ONE, GaussianRational, _coerce, _make, format_coefficient, gaussian
+from .scalars import GR_I, GR_ONE, GaussianRational, _coerce, _make, gaussian
 from .scalars import i_power
 from .sparse import Checks, SparseElement, accumulate, graded_bracket, pair_product
 from .sparse import anti_bracket as ore_anti_bracket, lie_bracket as ore_lie_bracket
 from .starprod import _LOWER_PAST_POWERS_CACHE, _LOWER_PAST_POWERS_STEPS, _cliff_pair
-from .textform import join_signed, signed_term
+from .textform import element_to_text
 
 _tuple_new = tuple.__new__  # an OreMonomial without the NamedTuple's Python __new__
 
@@ -95,15 +95,7 @@ class OreElement(SparseElement):
         return sorted(self.terms, key=_monomial_sort_key)
 
     def __str__(self):
-        bits = []
-        for m in self.monomials():
-            factors = ["w%d" % i for i in m.cliff_indices()]
-            if m.e_plus:
-                factors.append("E+" if m.e_plus == 1 else "E+^%d" % m.e_plus)
-            if m.e_minus:
-                factors.append("E-" if m.e_minus == 1 else "E-^%d" % m.e_minus)
-            bits.append(signed_term(format_coefficient(self.terms[m], m.lam), " ".join(factors)))
-        return join_signed(bits)
+        return element_to_text(self)
 
     def __repr__(self):
         return "<OreElement n=%d | %s>" % (self.n, self)

@@ -30,9 +30,10 @@ from .starprod import poisson, super_bracket
 
 
 class OspContext:
-    """Degree-one generators of one algebra, split by Bose parity."""
+    """Degree-one generators of one algebra, split by Bose parity, and the
+    invariant form on C + V as {(monomial, monomial): Scalar}."""
 
-    __slots__ = ("signature", "v0_basis", "v1_basis")
+    __slots__ = ("signature", "v0_basis", "v1_basis", "form_table")
 
     def __init__(self, signature):
         n, k = signature.n_fermi, signature.n_bose
@@ -46,6 +47,11 @@ class OspContext:
             [bose_p(signature, j) for j in range(1, k + 1)]
             + [bose_q(signature, j) for j in range(1, k + 1)],
         )
+        # (X|Y) is the value at 0 of {X,Y} on a pair of generators, each one
+        # monomial; (1|1) = -2 and (1|V) = 0
+        gens, one = self.v_basis(), unit(signature).unit_key()
+        table = {(*x.terms, *y.terms): poisson(x, y).constant_term() for x in gens for y in gens}
+        object.__setattr__(self, "form_table", {**table, (one, one): Scalar.of(-2)})
 
     def __setattr__(self, name, value):
         raise AttributeError("OspContext is immutable")
@@ -75,13 +81,14 @@ def split_constant_and_v(x):
 
 def form(ctx, x, y):
     """The invariant bilinear form on C + V (a Scalar)."""
-    return _form(split_constant_and_v(x), split_constant_and_v(y))
+    split_constant_and_v(x), split_constant_and_v(y)  # reject anything outside C + V
+    return _form(ctx.form_table, x, y)
 
 
-def _form(x, y):
-    """The form on two elements given by their splits (constant, V part)."""
-    (cx, vx), (cy, vy) = x, y
-    return poisson(vx, vy).constant_term() - (cx * cy) * Scalar.of(2)
+def _form(table, x, y):
+    """The form on two elements of C + V, read bilinearly off the table."""
+    pairs = ((mx, cx, my, cy) for mx, cx in x.terms.items() for my, cy in y.terms.items())
+    return sum((cx * cy * table[mx, my] for mx, cx, my, cy in pairs if (mx, my) in table), Scalar())
 
 
 def twisted_adjoint(a, b):
@@ -149,18 +156,18 @@ def expected_dimension(n, k):
 
 def verify_ps(ctx):
     """Check [[X,Y],Z] = 2({Y,Z}X - (-1)^(d2 d2){X,Z}Y) on all generator triples."""
-    gens = ctx.v_basis()
+    table = ctx.form_table
+    gens = [(g, *g.terms) for g in ctx.v_basis()]  # each generator with its one monomial
     checks = Checks()
-    for x in gens:
+    for x, mx in gens:
         d2x = element_bidegree(x).delta2
-        for y in gens:
+        for y, my in gens:
             d2y = element_bidegree(y).delta2
             bxy = super_bracket(x, y)
             sgn = -1 if d2x and d2y else 1
-            for z in gens:
+            for z, mz in gens:
                 lhs = super_bracket(bxy, z)
-                cyz = poisson(y, z).constant_term()
-                cxz = poisson(x, z).constant_term()
+                cyz, cxz = table[my, mz], table[mx, mz]
                 rhs = x.scale(cyz + cyz) - y.scale(cxz + cxz).scale(sgn)
                 checks.check([x, y, z], lhs, rhs)
     return checks.report("parastatistics")
@@ -169,17 +176,16 @@ def verify_ps(ctx):
 def verify_invariance(ctx):
     """Stability of C + V under the twisted action of g, and skew-invariance."""
     g_basis, _dim, _dims = build_g(ctx)
-    h = ctx.h_basis()
-    h_split = [split_constant_and_v(zv) for zv in h]
+    h, table = ctx.h_basis(), ctx.form_table
     checks = Checks()
     for a in g_basis:
         d2a = element_bidegree(a).delta2
-        images = []  # the split of each image in C + V, None outside it
+        images = []  # each image in C + V, None outside it
         for zv in h:
             img = twisted_adjoint(a, zv)
             inside = all(z_degree(m) <= 1 for m in img.terms)
             checks.record(inside, ["ad'(%s)" % a, zv], img, "element of C + V")
-            images.append(split_constant_and_v(img) if inside else None)
+            images.append(img if inside else None)
         for iz, zv in enumerate(h):
             if images[iz] is None:
                 continue
@@ -188,7 +194,7 @@ def verify_invariance(ctx):
             for it, tv in enumerate(h):
                 if images[it] is None:
                     continue
-                lhs = _form(images[iz], h_split[it])
-                rhs = _form(h_split[iz], images[it])
+                lhs = _form(table, images[iz], tv)
+                rhs = _form(table, zv, images[it])
                 checks.check([a, zv, tv], lhs, rhs if sign == 1 else -rhs)
     return checks.report("twisted-invariance")

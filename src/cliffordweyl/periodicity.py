@@ -49,11 +49,11 @@ from .algebra import (
 from .linalg import Matrix
 from .ore import OreElement
 from .reps import rep_matrix, spin
-from .scalars import GR_HALF, GR_ONE, S_HALF, S_ONE, Scalar, _coerce_scalar, i_power, scalar_i_power
+from .scalars import GR_HALF, S_HALF, Scalar, _coerce_scalar, i_power, scalar_i_power
 from .scalars import join_powers, split_powers
 from .sparse import SparseElement, accumulate, expect_element, pair_product
 from .starprod import _cliff_pair
-from .textform import coefficient_text, join_signed, signed_term
+from .textform import element_to_text
 
 
 # -- tensor elements over two factor algebras --------------------------------------
@@ -63,11 +63,11 @@ def _ore_pairs(n):
     return lambda k1, k2: [(c, (m, k1[1] + k2[1])) for c, m in pair(k1[0], k2[0])]
 
 
-# the algebra a factor space names: its element class, coefficient 1 and
-# pair kernel on (monomial, L power)
+# the algebra a factor space names: its element class and its pair kernel on
+# (monomial, L power)
 _FACTORS = {
-    AlgebraSignature: (CwElement, S_ONE, lambda sig: starprod.pair_kernel(sig.t_param)),
-    int: (OreElement, GR_ONE, _ore_pairs),
+    AlgebraSignature: (CwElement, lambda sig: starprod.pair_kernel(sig.t_param)),
+    int: (OreElement, _ore_pairs),
 }
 
 
@@ -107,13 +107,7 @@ class TensorElement(SparseElement):
         return tensor_star(self, other)
 
     def __str__(self):
-        ls, rs = self.space
-        (lf, lone), (rf, rone) = _factor(ls)[:2], _factor(rs)[:2]
-        bits = []
-        for ml, mr in sorted(self.terms):
-            body = "%s (x) %s" % (lf.raw(ls, {ml: lone}), rf.raw(rs, {mr: rone}))
-            bits.append(signed_term(coefficient_text(self.terms[ml, mr]), body))
-        return join_signed(bits)
+        return element_to_text(self)
 
     def __repr__(self):
         return "<TensorElement %r (x) %r | %d terms>" % (*self.space, len(self.terms))
@@ -150,7 +144,7 @@ def tensor_star(x, y):
     `sparse.pair_product` sums it with the coefficients split into L powers.
     """
     x._check_space(y)
-    left, right = (_factor(space)[2](space) for space in x.space)
+    left, right = (_factor(space)[1](space) for space in x.space)
 
     def pair(k1, k2):
         ((al, ar), l1), ((bl, br), l2) = k1, k2

@@ -35,8 +35,8 @@ from cliffordweyl.osp import (
     verify_invariance,
     verify_ps,
 )
-from cliffordweyl.scalars import S_ONE, Scalar
-from cliffordweyl.starprod import super_bracket
+from cliffordweyl.scalars import S_ONE, GaussianRational, Scalar
+from cliffordweyl.starprod import poisson, super_bracket
 
 PS_SIGNATURES = [(1, 1), (2, 1), (3, 1), (1, 2)]
 
@@ -176,10 +176,47 @@ def test_form_fixtures():
     assert form(ctx, q, p) == -S_ONE
 
 
+def reference_form(x, y):
+    """The form before its generator-pair table: the value at 0 of the Poisson
+    bracket of the two V parts, less twice the product of the constants."""
+    (cx, vx), (cy, vy) = split_constant_and_v(x), split_constant_and_v(y)
+    return poisson(vx, vy).constant_term() - (cx * cy) * Scalar.of(2)
+
+
+def _rand_l_scalar(rng):
+    """0, or a sum of one to three L powers with Gaussian-rational coefficients."""
+    if rng.random() < 0.2:
+        return Scalar()
+    parts = {}
+    for _ in range(rng.randint(1, 3)):
+        re = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+        parts[rng.randrange(4)] = GaussianRational(re, Fraction(rng.randint(-2, 2), rng.randint(1, 3)))
+    return Scalar(parts)
+
+
+@pytest.mark.parametrize("nk", PS_SIGNATURES, ids=str)
+def test_form_table_matches_the_poisson_form(nk):
+    ctx = OspContext(AlgebraSignature(*nk))
+    rng = random.Random(sum(nk) * 31 + nk[0])
+    h = ctx.h_basis()
+
+    def rand_h():
+        out = h[0].scale(0)
+        for x in h:
+            out = out + x.scale(_rand_l_scalar(rng))
+        return out
+
+    elements = h + [rand_h() for _ in range(12)]
+    for x, y in itertools.product(elements, repeat=2):
+        assert form(ctx, x, y) == reference_form(x, y)
+
+
 def test_split_rejects_higher_degree():
     x = monomial_element(SIG11, CwMonomial(0, (1,), (1,)))
     with pytest.raises(AlgebraError):
         split_constant_and_v(x)
+    with pytest.raises(AlgebraError):
+        form(OspContext(SIG11), unit(SIG11), x)
 
 
 @pytest.mark.parametrize("nk", [(1, 1), (2, 1), (0, 1), (1, 0)], ids=str)

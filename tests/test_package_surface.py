@@ -16,7 +16,9 @@ the modules only they need.
 No module of the package imports a name it never reads, unless the package
 exports that name from it, and every module-level function is exported or
 read, directly or through other such functions, by exported code or by
-module-level code outside a function.
+module-level code outside a function.  The text writer keeps no state
+between calls: `textform` binds no dict, list or set at module level and
+caches no function.
 """
 
 import ast
@@ -161,6 +163,46 @@ def test_every_src_function_is_exported_or_read():
             if name in live:
                 live |= names
     assert sorted(key for key in functions if key[1] not in live) == []
+
+
+def _container_bindings(tree):
+    """Module-level statements of `tree` that bind a dict, list or set."""
+    containers = {"dict", "list", "set", "defaultdict", "OrderedDict", "Counter"}
+    for node in tree.body:  # a class that subclasses a container makes containers too
+        if isinstance(node, ast.ClassDef) and any(_reads(b) & containers for b in node.bases):
+            containers.add(node.name)
+    displays = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)) and node.value is not None:
+            value = node.value
+            call = isinstance(value, ast.Call) and _reads(value.func) & containers
+            if isinstance(value, displays) or call:
+                found.append(ast.unparse(node))
+    return found
+
+
+def _cached_functions(tree):
+    """Functions of `tree` decorated with `lru_cache` or `cache`."""
+    return [
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any(_reads(d) & {"lru_cache", "cache"} for d in node.decorator_list)
+    ]
+
+
+def test_text_writer_keeps_no_state_between_calls():
+    tree = ast.parse((pathlib.Path(cliffordweyl.__file__).parent / "textform.py").read_text())
+    assert _container_bindings(tree) == []
+    assert _cached_functions(tree) == []
+    # the checks see what they look for
+    probe = ast.parse(
+        "class T(dict): pass\nA = {}\nB: list = []\nC = set()\nD = T(f)\n"
+        "@functools.lru_cache(None)\ndef f(): pass\n@cache\ndef g(): pass\n"
+    )
+    assert len(_container_bindings(probe)) == 4
+    assert _cached_functions(probe) == ["f", "g"]
 
 
 def test_help_bytes_unchanged(capsys, monkeypatch):
