@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from cliffordweyl import (
     AlgebraSignature,
-    Scalar,
+    GaussianRational,
     anti_bracket,
     bose_p,
     bose_q,
@@ -37,7 +37,7 @@ print("{w1, p1}         =", anti_bracket(w1, p1), "  (odd generators anticommute
 
 print()
 print("== the product is exact, not floating point ==")
-half_i = scalar_element(SIG, Scalar.of(Fraction(1, 2), 1))
+half_i = scalar_element(SIG, GaussianRational(Fraction(1, 2), 1))
 x = star(half_i, star(p1, q1))
 print("(1/2 + ... )*p1*q1 =", x)
 print("x * x              =", star(x, x))

@@ -15,7 +15,6 @@ from cliffordweyl import (
     CwElement,
     CwMonomial,
     GrassPolyVector,
-    Scalar,
     act,
     bose_p,
     fermi_gen,
@@ -37,7 +36,7 @@ def rand_element(rng, sig, nterms=3, maxdeg=4):
             m = CwMonomial(cliff, wp, wq)
             if m.z_degree() <= maxdeg:
                 break
-        terms[m] = Scalar.of(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+        terms[m] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
     return CwElement(sig, terms)
 
 
@@ -62,7 +61,7 @@ print("== a mixed kind acting on vectors ==")
 desc = spin_metaplectic(1, 1)
 sig = desc.signature()
 rng = random.Random(2024)
-v = GrassPolyVector(desc.ell, desc.k, {(0, (0,)): Scalar.of(1)})
+v = GrassPolyVector(desc.ell, desc.k, {(0, (0,)): 1})
 print("start           v =", v)
 print("act(p1)         ->", act(desc, bose_p(sig, 1), v))
 print("act(w1)         ->", act(desc, fermi_gen(sig, 1), v))
@@ -76,7 +75,7 @@ for _ in range(200):
     u = GrassPolyVector(
         desc.ell,
         desc.k,
-        {(rng.getrandbits(desc.ell), (rng.randint(0, 3),)): Scalar.of(rng.randint(-3, 3))},
+        {(rng.getrandbits(desc.ell), (rng.randint(0, 3),)): rng.randint(-3, 3)},
     )
     if act(desc, star(a, b), u) != act(desc, a, act(desc, b, u)):
         bad += 1

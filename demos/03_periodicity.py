@@ -15,7 +15,6 @@ from cliffordweyl import (
     AlgebraSignature,
     CwElement,
     CwMonomial,
-    Scalar,
     bose_p,
     cw_to_matrix,
     fermi_gen,
@@ -39,7 +38,7 @@ def rand_element(rng, sig, nterms=3, maxdeg=3):
             m = CwMonomial(cliff, wp, wq)
             if m.z_degree() <= maxdeg:
                 break
-        terms[m] = Scalar.of(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+        terms[m] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
     return CwElement(sig, terms)
 
 

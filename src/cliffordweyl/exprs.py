@@ -55,7 +55,7 @@ from .ore import (
     ore_super_bracket,
     ore_zero,
 )
-from .scalars import GaussianRational, Scalar, i_power
+from .scalars import GaussianRational, i_power
 from .starprod import anti_bracket, lie_bracket, super_bracket
 
 
@@ -334,7 +334,7 @@ class CwContext:
         return "cw:%d,%d" % (self.signature.n_fermi, 2 * self.signature.n_bose)
 
     def scalar(self, g):
-        return scalar_element(self.signature, Scalar.from_gaussian(g))
+        return scalar_element(self.signature, g)
 
     def lam(self):
         raise AlgebraError("no central parameter L in %s" % self.describe())

@@ -49,7 +49,7 @@ from .algebra import (
 from .linalg import Matrix
 from .ore import OreElement
 from .reps import rep_matrix, spin
-from .scalars import GR_HALF, S_HALF, Scalar, _coerce_scalar, i_power, scalar_i_power
+from .scalars import GR_HALF, Scalar, _coerce_scalar, i_power
 from .scalars import join_powers, split_powers
 from .sparse import SparseElement, accumulate, expect_element, pair_product
 from .starprod import _cliff_pair
@@ -164,7 +164,7 @@ def volume_involution(signature, m):
         raise AlgebraError("volume word needs %d Fermi generators" % (2 * m))
     k = signature.n_bose
     mono = CwMonomial((1 << (2 * m)) - 1, (0,) * k, (0,) * k)
-    return monomial_element(signature, mono, scalar_i_power(m))
+    return monomial_element(signature, mono, i_power(m))
 
 
 def _times_volume(mask, width, m):
@@ -216,9 +216,9 @@ def periodicity1_inverse(m, n, k, X):
 def odd_projections(n):
     """The central idempotents (1 +/- i^n w_1*...*w_{2n+1})/2 upstairs."""
     sig = AlgebraSignature(2 * n + 1, 0)
-    u = monomial_element(sig, CwMonomial((1 << (2 * n + 1)) - 1, (), ()), scalar_i_power(n))
+    u = monomial_element(sig, CwMonomial((1 << (2 * n + 1)) - 1, (), ()), i_power(n))
     one = unit(sig)
-    return (one + u).scale(S_HALF), (one - u).scale(S_HALF)
+    return (one + u).scale(GR_HALF), (one - u).scale(GR_HALF)
 
 
 def odd_split(n, x):
@@ -251,7 +251,7 @@ def odd_join(n, c_plus, c_minus):
     expect_element(c_minus, CwElement, tgt)
     # the projections (1 +/- u)/2 times the components, u = i^n w_1...w_{2n+1} central:
     # x = (c+ + c-)/2 + (c+ - c-) u/2, and only the second part's words hold w_{2n+1}
-    out = dict((c_plus + c_minus).scale(S_HALF).terms)
+    out = dict((c_plus + c_minus).scale(GR_HALF).terms)
     for mono, c in (c_plus - c_minus).terms.items():
         g, mask = _times_volume(mono.cliff, 2 * n + 1, n)
         out[CwMonomial(mask, (), ())] = c * (g * GR_HALF)

@@ -28,7 +28,7 @@ from collections import namedtuple
 from .algebra import AlgebraError, AlgebraSignature, CwElement, CwMonomial, _check_size, fermi_gen
 from .algebra import monomial_element, unit
 from .linalg import Matrix, MatrixError
-from .scalars import S_ONE, S_ZERO, Scalar, _coerce_scalar, gr_ratio, i_power, scalar_i_power
+from .scalars import S_ONE, S_ZERO, Scalar, _coerce_scalar, gr_ratio, i_power
 from .sparse import SparseElement, accumulate, expect_element
 from .starprod import _mode_words, _parity_below, star
 
@@ -243,7 +243,7 @@ def spin_rep_odd_sign_check(n):
     vol = unit(sig)
     for i in range(1, 2 * n + 2):
         vol = star(vol, fermi_gen(sig, i))
-    want = scalar_i_power(n)
+    want = i_power(n)
     dim = 1 << n
     ident = Matrix.identity(dim)
     plus = rep_matrix(spin_plus(n), vol)

@@ -23,7 +23,7 @@ import sys
 from fractions import Fraction
 from math import gcd
 
-from .sparse import SparseElement
+from .sparse import AlgebraError, SparseElement
 
 _HASH_MODULUS = sys.hash_info.modulus
 
@@ -171,9 +171,6 @@ class GaussianRational:
     def __bool__(self):
         return self._re != 0 or self._im != 0
 
-    def is_zero(self):
-        return not self
-
     # -- presentation --------------------------------------------------------
 
     def __repr__(self):
@@ -285,6 +282,10 @@ def i_power(n):
     return (GR_I ** (n % 4)) if n >= 0 else (GaussianRational(0, -1) ** ((-n) % 4))
 
 
+class CentralParameterError(AlgebraError, ValueError):
+    """A number was asked of a scalar that involves L."""
+
+
 class Scalar(SparseElement):
     """Sparse polynomial in the central parameter L over Gaussian rationals.
 
@@ -332,15 +333,8 @@ class Scalar(SparseElement):
     # -- the L structure -------------------------------------------------------
 
     def inverse(self):
-        """Inverse of a nonzero constant; ValueError if L appears."""
+        """Inverse of a nonzero constant; CentralParameterError if L appears."""
         return Scalar.from_gaussian(self.constant().inverse())
-
-    def divide_by(self, g):
-        """Exact division by a nonzero Gaussian rational (not by L-polynomials)."""
-        return self.scale(gaussian(g).inverse())
-
-    def is_zero(self):
-        return not self.terms
 
     def lam_coefficient(self, power):
         """The GaussianRational coefficient of L**power."""
@@ -351,10 +345,13 @@ class Scalar(SparseElement):
         return max(self.terms) if self.terms else -1
 
     def constant(self):
-        """The Gaussian rational this scalar equals, or raise if L appears."""
+        """The Gaussian rational this scalar equals; CentralParameterError if
+        L appears.  It is the one way to read a number off a Scalar."""
         for k in self.terms:
             if k != 0:
-                raise ValueError("scalar involves L: %s" % self)
+                raise CentralParameterError(
+                    "expected a number free of the central parameter L, got %s" % self
+                )
         return self.terms.get(0, GR_ZERO)
 
     def specialize(self, value):
@@ -461,7 +458,3 @@ S_ONE = Scalar.of(1)
 S_I = Scalar.of(0, 1)
 S_HALF = Scalar.of(Fraction(1, 2))
 S_LAMBDA = Scalar.lam(1)
-
-
-def scalar_i_power(n):
-    return Scalar.from_gaussian(i_power(n))

@@ -4,10 +4,10 @@ An element is a canonical finite map key -> nonzero coefficient over a
 space: a CwElement maps CwMonomials over an AlgebraSignature, an OreElement
 maps OreMonomials over a rank, a GrassPolyVector maps carrier monomials over
 (ell, k), a TensorElement maps monomial pairs over a pair of factor spaces,
-and a Scalar, the coefficient ring Q(i)[L] of the cw family, maps L
-exponents over the one space None.  `SparseElement` holds the map and gives
-the vector-space operations, equality, hashing and immutability once.  A
-subclass supplies only what differs:
+and the cw family's coefficient ring Q(i)[L] maps L exponents over the
+one space None.  `SparseElement` holds the map and gives the vector-space
+operations, equality, hashing and immutability once.  A subclass supplies
+only what differs:
 
     _ring(x)             x in the coefficient ring, or NotImplemented
     _check_key(space, k) validate a key and return it in canonical form
@@ -19,9 +19,11 @@ subclass supplies only what differs:
 `accumulate` is the one "add, drop the zero" step for building term maps.
 `pair_product` is the one loop that accumulates products: `star` at every
 t, `wedge`, `ore_product` and `tensor_star` run it with their families'
-pair kernels.  It and `scalars.convolve` (`Scalar`'s own ring product)
-inline `accumulate`.  A constant raised to a power is the power of its
-coefficient, taken by squaring in the ring.
+pair kernels.  It and `scalars.convolve` (the product of Q(i)[L]) inline
+`accumulate`.  A constant raised to a power is the power of its
+coefficient, taken by squaring in the ring.  `graded_bracket` is the one
+graded bracket, and `triple_bracket_law` the one check of the
+orthosymplectic triple-bracket law over a basis and a form.
 
 `element_tag` names the algebra of an element, its family and space, for
 the cochains' argument checks and the matrices' entry rings.
@@ -145,6 +147,24 @@ def graded_bracket(a, b, degree, odd):
         for db, xb in b.homogeneous_parts(degree).items():
             out = out + (anti_bracket(xa, xb) if odd(da, db) else lie_bracket(xa, xb))
     return out
+
+
+def triple_bracket_law(basis, form, bracket):
+    """Check [[X,Y],Z] = 2((Y|Z)X - (-1)^(|X||Y|)(X|Z)Y) on every triple of
+    basis, in order, as `Checks` labelled by the three labels.
+
+    basis holds (label, element, key, parity) and form maps pairs of keys to
+    the pairing, 0 where absent; bracket is the graded bracket.
+    """
+    checks = Checks()
+    for lx, x, kx, px in basis:
+        for ly, y, ky, py in basis:
+            bxy, sign = bracket(x, y), -1 if px and py else 1
+            for lz, z, kz, _ in basis:
+                cyz, cxz = form.get((ky, kz), 0), form.get((kx, kz), 0)
+                rhs = x.scale(cyz + cyz) - y.scale(cxz + cxz).scale(sign)
+                checks.check([lx, ly, lz], bracket(bxy, z), rhs)
+    return checks
 
 
 _new = object.__new__

@@ -53,7 +53,7 @@ from functools import lru_cache
 from itertools import product as iproduct
 
 from .algebra import AlgebraError, CwElement, CwMonomial, check_same_signature
-from .scalars import GR_ONE, Scalar, S_ONE, S_ZERO, gr_ratio, join_powers, split_powers
+from .scalars import GR_ONE, S_ONE, S_ZERO, gr_ratio, join_powers, split_powers
 from .sparse import anti_bracket, graded_bracket, lie_bracket, pair_product
 
 
@@ -149,7 +149,7 @@ def _weyl_pair(A, B, C, D):
 
 
 class _Powers:
-    """Lazily extended power table of a Scalar."""
+    """Lazily extended power table of the deformation parameter t."""
 
     def __init__(self, base):
         self.base = base
@@ -243,7 +243,7 @@ def trace_clifford(a):
     sig = a.signature
     if sig.n_bose != 0 or sig.n_fermi % 2 != 0:
         raise AlgebraError("trace_clifford needs a Bose-free signature with evenly many Fermi generators")
-    return a.constant_term() * Scalar.of(2 ** (sig.n_fermi // 2))
+    return a.constant_term() * 2 ** (sig.n_fermi // 2)
 
 
 # -- one mode's normal ordering -----------------------------------------------

@@ -75,7 +75,7 @@ from .periodicity import (
     tensor_star,
 )
 from .reps import rep_matrix, spin
-from .scalars import GaussianRational, Scalar, scalar_i_power
+from .scalars import GaussianRational, i_power
 from .sparse import Checks, accumulate
 from .starprod import anti_bracket, lie_bracket, star
 
@@ -135,11 +135,9 @@ def _rand_cw(rng, sig, nterms=3, maxdeg=4):
             wq = tuple(rng.randrange(3) for _ in range(k))
             if mask.bit_count() + sum(wp) + sum(wq) <= maxdeg:
                 break
-        c = Scalar.from_gaussian(
-            GaussianRational(
-                Fraction(rng.randrange(-4, 5), rng.randrange(1, 4)),
-                Fraction(rng.randrange(-3, 4)),
-            )
+        c = GaussianRational(
+            Fraction(rng.randrange(-4, 5), rng.randrange(1, 4)),
+            Fraction(rng.randrange(-3, 4)),
         )
         out = out + monomial_element(sig, CwMonomial(mask, wp, wq), c)
     return out
@@ -311,7 +309,7 @@ def _suite_spin_lemma(run, rng, algebra, maxdeg, cases, params):
             vol = star(vol, fermi_gen(sig, i))
         dim = 1 << n
         want = Matrix.from_entries(
-            (dim, dim), {(g, g): scalar_i_power(n) * (-1) ** g.bit_count() for g in range(dim)}
+            (dim, dim), {(g, g): i_power(n) * (-1) ** g.bit_count() for g in range(dim)}
         )
         run.check(["volume word matrix, n=%d" % n], rep_matrix(spin(n), vol), want)
     for n in (1, 2, 3, 4):
@@ -360,7 +358,8 @@ def _suite_matrix_iso(run, rng, algebra, maxdeg, cases, params):
                 cw_to_matrix(n, k, star(x, y)),
                 matrix_star(cw_to_matrix(n, k, x), cw_to_matrix(n, k, y)),
             )
-        bose_parts = [((0,) * k, (0,) * k), ((1,) + (0,) * (k - 1), (0,) * k)]
+        # the unit, and p1 when there is a Bose pair
+        bose_parts = [((0,) * k, (0,) * k)] + [((1,) + (0,) * (k - 1), (0,) * k)] * (k > 0)
         rows = []
         for mask in range(1 << (2 * n)):
             for wp, wq in bose_parts:
@@ -521,8 +520,7 @@ def _check_pi_relations(run, n, rep, label):
     ep, em, lam = rep["E+"], rep["E-"], rep["L"]
     d = ep.shape[0]
     ident = Matrix.identity(d)
-    nul = ident.scale(Scalar())
-    two = ident.scale(Scalar.from_gaussian(GaussianRational(2)))
+    nul, two = ident.scale(0), ident.scale(2)
     for i, wi in enumerate(ws):
         for j, wj in enumerate(ws):
             want = two if i == j else nul
@@ -532,8 +530,8 @@ def _check_pi_relations(run, n, rep, label):
     vol = ident
     for wi in ws:
         vol = vol * wi
-    ghost_img = vol.scale(scalar_i_power(n)) * lam
-    quarter = ident.scale(Scalar.from_gaussian(GaussianRational(Fraction(-1, 4))))
+    ghost_img = vol.scale(i_power(n)) * lam
+    quarter = ident.scale(Fraction(-1, 4))
     run.check([label, "[E+,E-]"], ep * em - em * ep, quarter + ghost_img)
 
 

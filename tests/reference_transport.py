@@ -46,7 +46,7 @@ from cliffordweyl.periodicity import (
     tensor_star,
     volume_involution,
 )
-from cliffordweyl.scalars import GR_ONE, GR_ZERO, S_HALF, GaussianRational, Scalar, i_power, scalar_i_power
+from cliffordweyl.scalars import GR_ONE, GR_ZERO, S_HALF, GaussianRational, Scalar, i_power
 from cliffordweyl.sparse import expect_element
 from cliffordweyl.starprod import _shuffle_parity, star
 from reference_act import element_star_words
@@ -177,7 +177,7 @@ def ref_iso_a0_to_cw(n, a):
 def ref_odd_split(n, x):
     """w_{2n+1} -> +/- i^n w_1...w_{2n}, each monomial's image a star product."""
     tgt = AlgebraSignature(2 * n, 0)
-    vol = monomial_element(tgt, CwMonomial((1 << (2 * n)) - 1, (), ()), scalar_i_power(n))
+    vol = monomial_element(tgt, CwMonomial((1 << (2 * n)) - 1, (), ()), i_power(n))
     top = 1 << (2 * n)
     plus, minus = zero(tgt), zero(tgt)
     for mono, c in x.terms.items():

@@ -241,6 +241,16 @@ def test_center_probe_counts_its_monomials(monkeypatch):
         bounded_monomials(0, 5)
 
 
+@pytest.mark.parametrize("algebra", ["cw:2,0", "cw:4,0"])
+def test_matrix_iso_runs_without_bose_pairs(algebra, capsys):
+    # the basis images are the Fermi words times the unit alone: there is no p1
+    assert cli.main(["--suite", "matrix-iso", "--algebra", algebra]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["pass"] is True
+    assert (data["cases"], data["failures"]) == (12, [])
+    assert run_suite("matrix-iso").cases == 24  # the default grid keeps its p1 rows
+
+
 def test_parastat_suite_counts_exhaustive_triples():
     # 3 generators -> 27 ordered triples (+1 dimension check)
     small = run_suite("parastat", algebra=parse_algebra("cw:1,2"))

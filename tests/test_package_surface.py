@@ -18,7 +18,8 @@ exports that name from it, and every module-level function is exported or
 read, directly or through other such functions, by exported code or by
 module-level code outside a function.  The text writer keeps no state
 between calls: `textform` binds no dict, list or set at module level and
-caches no function.
+caches no function.  Only the modules that hold cw coefficients name
+`Scalar`, its constants or its coercion.
 """
 
 import ast
@@ -27,6 +28,7 @@ import importlib
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -203,6 +205,52 @@ def test_text_writer_keeps_no_state_between_calls():
     )
     assert len(_container_bindings(probe)) == 4
     assert _cached_functions(probe) == ["f", "g"]
+
+
+# the modules that hold cw coefficients as polynomials in L; every other
+# module passes plain numbers, which the containers coerce, and reads a
+# number off a coefficient through `Scalar.constant()`
+SCALAR_HOLDERS = {"scalars", "algebra", "linalg", "periodicity", "reps", "starprod"}
+
+
+def _is_scalar_name(name):
+    return name in ("Scalar", "_coerce_scalar") or name.startswith("S_")
+
+
+def _scalar_names(tree):
+    """`Scalar`, the S_* constants and `_coerce_scalar`, where `tree` imports
+    them from the package's `scalars` module or reads them off it."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module, node.level) in (
+            ("scalars", 1),
+            ("cliffordweyl.scalars", 0),
+        ):
+            found |= {alias.name for alias in node.names if _is_scalar_name(alias.name)}
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id == "scalars" and _is_scalar_name(node.attr):
+                found.add(node.attr)
+    return found
+
+
+def test_only_the_coefficient_holders_name_scalar():
+    package = pathlib.Path(cliffordweyl.__file__).parent
+    importers, naming = {}, 0
+    for path in sorted(package.glob("*.py")):
+        text = path.read_text()
+        names = _scalar_names(ast.parse(text))
+        if names:
+            importers[path.stem] = sorted(names)
+        if path.stem != "scalars":
+            naming += sum(bool(re.search(r"\bScalar\b", line)) for line in text.splitlines())
+    assert set(importers) - SCALAR_HOLDERS == set(), importers
+    assert naming <= 20
+    # the check sees what it looks for
+    probe = ast.parse(
+        "from .scalars import S_ONE, gaussian\nfrom cliffordweyl.scalars import Scalar\n"
+        "from . import scalars\nscalars._coerce_scalar(1)\nscalars.i_power(1)\n"
+    )
+    assert _scalar_names(probe) == {"S_ONE", "Scalar", "_coerce_scalar"}
 
 
 def test_help_bytes_unchanged(capsys, monkeypatch):

@@ -46,7 +46,7 @@ from cliffordweyl.reps import (
     spin_plus,
     spin_rep_odd_sign_check,
 )
-from cliffordweyl.scalars import S_I, S_ONE, Scalar, scalar_i_power
+from cliffordweyl.scalars import S_I, S_ONE, Scalar, i_power
 from cliffordweyl.starprod import star
 
 Z = Scalar()
@@ -350,7 +350,7 @@ def test_volume_word_is_scaled_parity():
         expected = Matrix(
             [
                 [
-                    (scalar_i_power(n) if g.bit_count() % 2 == 0 else -scalar_i_power(n))
+                    (i_power(n) if g.bit_count() % 2 == 0 else -i_power(n))
                     if g == h
                     else Z
                     for h in range(dim)
