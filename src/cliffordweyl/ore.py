@@ -15,9 +15,10 @@ shorter block one generator at a time, min(beta, gamma) steps, and keeps
 each state (lowered exponent, ghost or not) as one int that packs the
 numerators of L^0, L^2, L^4, ... into fixed-width slots (Kronecker
 substitution), so a step is a few big-int additions, shifts and small-int
-products per state and all of it stays exact.  `pair_kernel` adds the
-signs and one Clifford pairing per monomial pair, and `sparse.pair_product`
-sums its terms.
+products per state and all of it stays exact.  Its numerators are ints
+over 4^min(beta, gamma).  `pair_kernel` adds the signs, one Clifford
+pairing per monomial pair and the ghost's i^n as a Gaussian-integer
+factor, and `sparse.pair_product` sums its terms in integers.
 
 An element is a `sparse.SparseElement` over the rank n: a canonical map
 OreMonomial -> Gaussian rational whose unit monomial is OreMonomial(0, 0, 0,
@@ -30,7 +31,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .algebra import AlgebraError, index_mask
-from .scalars import GR_I, GR_ONE, GaussianRational, _coerce, _make, gaussian
+from .scalars import GR_ONE, GaussianRational, _coerce, from_numerators, gaussian
 from .scalars import i_power
 from .sparse import Checks, SparseElement, accumulate, graded_bracket, pair_product
 from .sparse import anti_bracket as ore_anti_bracket, lie_bracket as ore_lie_bracket
@@ -172,12 +173,11 @@ def ore_generators(n):
 
 @lru_cache(maxsize=_LOWER_PAST_POWERS_CACHE)
 def _lower_past_powers(beta, gamma):
-    """Normal form of E-^beta E+^gamma.
-
-    Terms are (q, a, eps, b, extra) meaning q * E+^a ghost^eps E-^b L^extra
-    with eps in {0,1} and q a real GaussianRational, sorted by (a, eps, b,
-    extra); the ghost is kept abstract here so the kernel is independent of
-    the rank.
+    """Normal form of E-^beta E+^gamma as (den, plain, ghost), den =
+    4^min(beta, gamma): (num, a, b, extra) in plain is (num/den) E+^a E-^b
+    L^extra, and in ghost (num/den) E+^a ghost E-^b L^extra, each sorted by
+    (a, b, extra); the ghost is kept abstract so the kernel is independent
+    of the rank.
 
     The shorter block is multiplied in one generator at a time.  For
     beta <= gamma each step puts one E- in front of E+^gamma,
@@ -225,8 +225,8 @@ def _lower_past_powers(beta, gamma):
     slot is t then has more than 2^(W*t - 1) and less than 2^(W*(t+1) - 1)
     in absolute value, so its bitlen // W + 1 lowest slots hold it.  Adding
     2^(W-1) to each of them makes every slot an unsigned W-bit field, and
-    one `to_bytes` gives them all.  The denominators are powers of 2, so
-    each coefficient is reduced by its 2-adic valuation, not by a gcd.
+    one `to_bytes` gives them all.  A slot's numerator is over
+    4^(top - k - extra - eps), so it goes over 4^steps by a left shift.
     """
     steps, top = min(beta, gamma), max(beta, gamma)
     width = -(-(steps * (top + 2).bit_length() + 1) // 8)  # bytes per slot
@@ -247,29 +247,29 @@ def _lower_past_powers(beta, gamma):
     slots = steps // 2 + 1
     bias = int.from_bytes((bytes(width - 1) + b"\x80") * slots, "little")
     shift = top - steps
-    out = []
+    plain, ghost = [], []
     for k in range(shift, top + 1):
         a, b = (k, k - shift) if beta <= gamma else (k - shift, k)
-        for eps, packed in ((0, even[k]), (1, odd[k])):
+        for eps, packed, out in ((0, even[k], plain), (1, odd[k], ghost)):
             if not packed:
                 continue
             n = packed.bit_length() // w + 1  # the slots it reaches
             fields = (packed + (bias >> (w * (slots - n)))).to_bytes(n * width, "little")
-            den_bits = 2 * (top - k - eps)  # of 4^(top - k - extra - eps)
+            lift = 2 * (steps - top + k + eps)  # from 4^(top - k - eps) to 4^steps
             for slot in range(n):
                 num = int.from_bytes(fields[slot * width : (slot + 1) * width], "little") - half
                 if num:
-                    v = min((num & -num).bit_length() - 1, den_bits)
-                    out.append((_make(num >> v, 0, 1 << (den_bits - v)), a, eps, b, 2 * slot))
-                den_bits -= 4
-    return tuple(out)
+                    out.append((num << lift, a, b, 2 * slot))
+                lift += 4
+    return 1 << (2 * steps), tuple(plain), tuple(ghost)
 
 
 _lower_uncached = _lower_past_powers.__wrapped__
 
 
 def pair_kernel(n):
-    """The rank-n pair kernel: (m1, m2) -> ((coefficient, OreMonomial), ...)."""
+    """The rank-n pair kernel of `sparse.pair_product`: (m1, m2) -> (den,
+    groups), one group without the ghost and one with it and its i^n."""
     full = (1 << (2 * n + 1)) - 1
     # the ghost's coefficient i^n is (-1)^(n // 2), times i for odd n
     ghost_neg, ghost_i = (n >> 1) & 1, n & 1
@@ -278,31 +278,33 @@ def pair_kernel(n):
         par, mask = _cliff_pair(m1.cliff, m2.cliff)
         neg = par ^ ((m1.e_plus + m1.e_minus) & m2.cliff.bit_count() & 1)
         e_plus, e_minus, lam = m1.e_plus, m2.e_minus, m1.lam + m2.lam
-        out, gmask = [], None
         beta, gamma = m1.e_minus, m2.e_plus
         lower = _lower_past_powers if min(beta, gamma) <= _LOWER_PAST_POWERS_STEPS else _lower_uncached
-        for q, a, eps, b, extra in lower(beta, gamma):
-            if not eps:
-                key = _tuple_new(OreMonomial, (mask, e_plus + a, b + e_minus, lam + extra))
-                out.append((-q if neg else q, key))
-                continue
+        den, plain, ghost = lower(beta, gamma)
+        keys = [
+            (num, _tuple_new(OreMonomial, (mask, e_plus + a, b + e_minus, lam + extra)))
+            for num, a, b, extra in plain
+        ]
+        groups = [(-1 if neg else 1, 0, keys)]
+        if ghost:
             # ghost = i^n w_full L anticommutes with each E+ on its way to the
             # front, then pairs into the Fermi word: only (-1)^a varies
-            if gmask is None:
-                gpar, gmask = _cliff_pair(mask, full)
-                gneg = neg ^ gpar ^ (e_plus & 1) ^ ghost_neg
-            c = -q if gneg ^ (a & 1) else q
-            if ghost_i:
-                c = c * GR_I
-            out.append((c, _tuple_new(OreMonomial, (gmask, e_plus + a, b + e_minus, lam + extra + 1))))
-        return out
+            gpar, gmask = _cliff_pair(mask, full)
+            g = -1 if neg ^ gpar ^ (e_plus & 1) ^ ghost_neg else 1
+            keys = [
+                (-u if a & 1 else u, _tuple_new(OreMonomial, (gmask, e_plus + a, b + e_minus, lam + extra + 1)))
+                for u, a, b, extra in ghost
+            ]
+            groups.append((0, g, keys) if ghost_i else (g, 0, keys))
+        return den, groups
 
     return pair
 
 
 def ore_product(x, y):
     x._check_space(y)
-    return OreElement.raw(x.n, pair_product(x.terms, y.terms, pair_kernel(x.n)))
+    product = pair_product(x.terms.items(), y.terms.items(), pair_kernel(x.n))
+    return OreElement.raw(x.n, from_numerators(product))
 
 
 # -- brackets and specialization ---------------------------------------------------

@@ -106,7 +106,7 @@ def twisted_adjoint(a, b):
 
 def element_row(x):
     """Flatten an element to a sparse row keyed by (monomial, L-power)."""
-    return split_powers(x.terms)
+    return dict(split_powers(x.terms))
 
 
 def build_g(ctx):

@@ -50,7 +50,7 @@ from .linalg import Matrix
 from .ore import OreElement
 from .reps import rep_matrix, spin
 from .scalars import GR_HALF, Scalar, _coerce_scalar, i_power
-from .scalars import join_powers, split_powers
+from .scalars import join_numerators, split_powers
 from .sparse import SparseElement, accumulate, expect_element, pair_product
 from .starprod import _cliff_pair
 from .textform import element_to_text
@@ -60,7 +60,12 @@ from .textform import element_to_text
 
 def _ore_pairs(n):
     pair = ore.pair_kernel(n)
-    return lambda k1, k2: [(c, (m, k1[1] + k2[1])) for c, m in pair(k1[0], k2[0])]
+
+    def with_powers(k1, k2):
+        den, groups = pair(k1[0], k2[0])
+        return den, [(fr, fi, [(u, (m, k1[1] + k2[1])) for u, m in terms]) for fr, fi, terms in groups]
+
+    return with_powers
 
 
 # the algebra a factor space names: its element class and its pair kernel on
@@ -139,20 +144,26 @@ def tensor_of(a, b):
 def tensor_star(x, y):
     """Slotwise product of tensor elements (no crossing sign; see module doc).
 
-    The kernel of a pair of terms is the product of the two slots' kernel
-    lists, the left slot carrying the pair's L power, and
-    `sparse.pair_product` sums it with the coefficients split into L powers.
+    The kernel of a pair of terms is the product of the two slots' kernels,
+    a group for each pair of theirs, the left slot carrying the pair's L
+    power; `sparse.pair_product` sums it with the coefficients split into L
+    powers.
     """
     x._check_space(y)
     left, right = (_factor(space)[1](space) for space in x.space)
 
     def pair(k1, k2):
         ((al, ar), l1), ((bl, br), l2) = k1, k2
-        lt, rt = left((al, l1 + l2), (bl, 0)), right((ar, 0), (br, 0))
-        return [(cl * cr, ((ml, mr), jl + jr)) for cl, (ml, jl) in lt for cr, (mr, jr) in rt]
+        (dl, gl), (dr, gr) = left((al, l1 + l2), (bl, 0)), right((ar, 0), (br, 0))
+        groups = []
+        for fl, il, tl in gl:
+            for fr, ir, tr in gr:
+                terms = [(ul * ur, ((ml, mr), jl + jr)) for ul, (ml, jl) in tl for ur, (mr, jr) in tr]
+                groups.append((fl * fr - il * ir, fl * ir + il * fr, terms))
+        return dl * dr, groups
 
     terms = pair_product(split_powers(x.terms), split_powers(y.terms), pair)
-    return TensorElement.raw(x.space, join_powers(terms))
+    return TensorElement.raw(x.space, join_numerators(terms))
 
 
 # -- the even-factor volume involution -------------------------------------------

@@ -219,9 +219,21 @@ def _reduce(re, im, den):
     return _make(re // g, im // g, den // g)
 
 
-def gr_ratio(num, den):
-    """The real Gaussian rational num/den from ints, den > 0."""
-    return _reduce(num, 0, den)
+def gr_ratio(num, den, im=0):
+    """The Gaussian rational (num + im*i)/den from ints, den > 0."""
+    return _reduce(num, im, den)
+
+
+def from_numerators(values):
+    """The term map {key: (re + im*i) / den} of the nonzero [re, im, den] of
+    `sparse.pair_product`, each coefficient reduced by one gcd."""
+    out = {}
+    for key, (re, im, den) in values.items():
+        if re or im:
+            g = gcd(re, im, den)
+            c = out[key] = _new(GaussianRational)  # _make, inlined
+            c._re, c._im, c._den = re // g, im // g, den // g
+    return out
 
 
 def _fraction_hash(num, den):
@@ -394,15 +406,15 @@ def convolve(t1, t2):
 
 
 def split_powers(terms):
-    """{(key, L power): Gaussian rational} from a map key -> Scalar."""
-    return {(k, l): g for k, s in terms.items() for l, g in s.terms.items()}
+    """[((key, L power), Gaussian rational), ...] from a map key -> Scalar."""
+    return [((k, l), g) for k, s in terms.items() for l, g in s.terms.items()]
 
 
-def join_powers(flat):
-    """The map key -> Scalar from {(key, L power): nonzero Gaussian rational}."""
+def join_numerators(values):
+    """`from_numerators` on (key, L power) keys, joined into the map key -> Scalar."""
     out = {}
     get, raw = out.get, Scalar.raw
-    for (k, l), g in flat.items():
+    for (k, l), g in from_numerators(values).items():
         s = get(k)
         if s is None:
             out[k] = raw(None, {l: g})

@@ -18,12 +18,15 @@ only what differs:
 
 `accumulate` is the one "add, drop the zero" step for building term maps.
 `pair_product` is the one loop that accumulates products: `star` at every
-t, `wedge`, `ore_product` and `tensor_star` run it with their families'
-pair kernels.  It and `scalars.convolve` (the product of Q(i)[L]) inline
-`accumulate`.  A constant raised to a power is the power of its
-coefficient, taken by squaring in the ring.  `graded_bracket` is the one
-graded bracket, and `triple_bracket_law` the one check of the
-orthosymplectic triple-bracket law over a basis and a form.
+t, `wedge`, `poisson`, `ore_product` and `tensor_star` run it with their
+families' pair kernels.  It works in ints, on each coefficient's
+numerators and denominator, and `scalars.from_numerators` reduces each
+output coefficient once, by one gcd: `scalars` imports this module for
+`SparseElement`, so this one cannot import `scalars` at module level.
+A constant raised to a power is the power of its coefficient, taken by
+squaring in the ring.  `graded_bracket` is the one graded bracket, and
+`triple_bracket_law` the one check of the orthosymplectic triple-bracket
+law over a basis and a form.
 
 `element_tag` names the algebra of an element, its family and space, for
 the cochains' argument checks and the matrices' entry rings.
@@ -34,6 +37,8 @@ counts its cases and writes its failure records through it.
 """
 
 from __future__ import annotations
+
+from math import lcm
 
 
 class AlgebraError(Exception):
@@ -102,28 +107,41 @@ def accumulate(out, key, c):
 
 
 def pair_product(a, b, pair):
-    """Sum over term pairs of c1 * c2 * pair(k1, k2), as a canonical term map.
+    """Sum over term pairs of c1 * c2 * pair(k1, k2), in integers.
 
-    The coefficients of a and b, and the ones in pair(k1, k2) ->
-    ((coefficient, key), ...), are nonzero Gaussian rationals.
+    a and b are (key, coefficient) pairs, each coefficient a nonzero
+    Gaussian rational read as its ints (re + im*i) / den.  pair(k1, k2) ->
+    (den, groups), a group (fr, fi, ((num, key), ...)) meaning (fr + fi*i) *
+    num / den * key.  A pair's terms are over den times the denominators of
+    c1 and c2, and D is the running lcm of those.  It returns {key: [re, im,
+    D]}, keys in the order of their first contribution: the coefficient is
+    (re + im*i) / D, D as it was when the key was last touched.
     """
     out = {}
     get = out.get
-    for k1, c1 in a.items():
-        for k2, c2 in b.items():
-            c = c1 * c2
-            for coeff, key in pair(k1, k2):
-                # accumulate, inlined: this is every product's hot path
-                v = c * coeff
-                s = get(key)
-                if s is None:
-                    out[key] = v
-                else:
-                    s = s + v
-                    if s:
-                        out[key] = s
-                    else:
-                        del out[key]
+    D = 1
+    for k1, c1 in a:
+        x1, y1, d1 = c1._re, c1._im, c1._den
+        for k2, c2 in b:
+            den, groups = pair(k1, k2)
+            den *= d1 * c2._den
+            if D % den:
+                D = lcm(D, den)
+            f = D // den
+            x2, y2 = c2._re, c2._im
+            x, y = (x1 * x2 - y1 * y2) * f, (x1 * y2 + y1 * x2) * f
+            for fr, fi, terms in groups:
+                re, im = x * fr - y * fi, x * fi + y * fr
+                for num, key in terms:
+                    s = get(key)
+                    if s is None:
+                        out[key] = [re * num, im * num, D]
+                    elif s[2] == D:
+                        s[0] += re * num
+                        s[1] += im * num
+                    else:  # D grew since the key was last touched
+                        g = D // s[2]
+                        s[:] = s[0] * g + re * num, s[1] * g + im * num, D
     return out
 
 

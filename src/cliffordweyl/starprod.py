@@ -27,18 +27,18 @@ Fermi kernel takes 2|I & J| and brings t^{|I & J|}.  So
 f * g = sum over e of t^e B_e(f, g), with B_e lowering the degree by 2e;
 B_0 is the super-exterior product and B_1 half the Poisson bracket.  So
 the pair kernel at t is the one at t = 1 with each term m scaled by t^e,
-e = (deg m1 + deg m2 - deg m)/2; `star` at every t and `wedge` (t = 0) run
-`sparse.pair_product` with it, and `poisson` with its e = 1 terms, doubled.
-Its keys are (CwMonomial, L power), so the loop's coefficients are
-Gaussian rationals; Scalars are built once.
+e = |I & J| + |r| + |s|; `star` at every t runs `sparse.pair_product` with
+it, and `wedge` and `poisson` with its e = 0 terms and its e = 1 terms,
+doubled.  Its keys are (CwMonomial, L power), and it gives integers over
+one denominator per pair, the format of `sparse.pair_product`.
 
 The pairs (p_j, q_j) commute with each other, so the Weyl algebra on k
 pairs is the k-fold tensor power of the one-mode algebra A_1, and every
 factor of the Bose kernel above factors per mode.  `_mode_pair` caches the
-one-mode kernel p^a q^b * p^c q^d with integer numerators and
-denominators, free of t; `_weyl_pair` takes the product of the k one-mode
-lists at t = 1 and keeps the combined terms in a bounded cache.  One
-mode's monomial is also a short sum of q-before-p products,
+one-mode kernel p^a q^b * p^c q^d as integer numerators over M! 2^M, free
+of t; `_weyl_pair` takes the product of the k one-mode lists at t = 1 and
+keeps it in a bounded cache.  One mode's monomial is also a short sum of
+q-before-p products,
 
     p^a q^b  =  sum over r of (t/2)^r C(b,r) perm(a,r) (q^{b-r} * p^{a-r}),
 
@@ -53,7 +53,7 @@ from functools import lru_cache
 from itertools import product as iproduct
 
 from .algebra import AlgebraError, CwElement, CwMonomial, check_same_signature
-from .scalars import GR_ONE, S_ONE, S_ZERO, gr_ratio, join_powers, split_powers
+from .scalars import S_ONE, join_numerators, split_powers
 from .sparse import anti_bracket, graded_bracket, lie_bracket, pair_product
 
 
@@ -76,13 +76,13 @@ def _shuffle_parity(left, right):
 # Bounds of the kernel caches, in entries.  A run's working set is the set
 # of its distinct monomial pairs: the benchmark's warm cw suites reuse 2,106
 # Bose and 173 Fermi pairs, and six cold products on cw:4,4, cw:2,6 and
-# cw:0,8 need 3,666 Bose pairs.  A combined Bose entry takes about 3 KB;
+# cw:0,8 need 3,666 Bose pairs.  A combined Bose entry takes about 1 KB;
 # past a bound it is rebuilt from the one-mode kernel.  An entry of
 # `ore._lower_past_powers` holds the whole normal form of E-^beta E+^gamma;
 # the benchmark's deform workload needs about 21 of them, the largest at
 # (60, 60).  Its size grows with min(beta, gamma) squared, so only pairs with
 # min(beta, gamma) <= `_LOWER_PAST_POWERS_STEPS` are cached: the largest such
-# entry retains 0.2 MB (tracemalloc, at (64, 100000); 0.9 MB at (120, 120)),
+# entry retains 0.2 MB (tracemalloc, at (64, 100000); 0.7 MB at (120, 120)),
 # so the cache holds at most about 52 MB.  `_mode_pair` and `_mode_words`
 # are keyed by one mode's exponents, so they grow with the largest
 # exponent in use.
@@ -102,15 +102,17 @@ def _cliff_pair(I, J):
 
 @lru_cache(maxsize=_MODE_PAIR_CACHE)
 def _mode_pair(a, b, c, d):
-    """One-mode Bose kernel p^a q^b * p^c q^d, free of t.
+    """One-mode Bose kernel p^a q^b * p^c q^d at t = 1 as (den, ((order, num,
+    P, Q), ...)): the terms (num/den) p^P q^Q, which scale by t^order.
 
-    A tuple of (order, num, den, P, Q): the term (t/2)^order (num/den) p^P q^Q.
-    The (r, s) terms of one order m = r + s all give p^(a+c-m) q^(b+d-m), so
-    they are summed over the common denominator m!; orders whose sum
-    cancels (pq * pq at m = 1, say) are left out.
+    den is M! 2^M, M = min(a, d) + min(b, c) the highest order.  The (r, s)
+    terms of one order m = r + s all give p^(a+c-m) q^(b+d-m), so they are
+    summed; orders whose sum cancels (pq * pq at m = 1, say) are left out.
     """
+    top = min(a, d) + min(b, c)
+    den = math.factorial(top) << top
     out = []
-    for m in range(min(a, d) + min(b, c) + 1):
+    for m in range(top + 1):
         num = 0
         for r in range(max(0, m - min(b, c)), min(m, a, d) + 1):
             s = m - r
@@ -118,90 +120,81 @@ def _mode_pair(a, b, c, d):
             term *= math.perm(b, s) * math.perm(c, s)
             num += -term if s & 1 else term
         if num:
-            den = math.factorial(m)
-            g = math.gcd(num, den)
-            out.append((m, num // g, den // g, a + c - m, b + d - m))
-    return tuple(out)
+            out.append((m, num * (den // (math.factorial(m) << m)), a + c - m, b + d - m))
+    return den, tuple(out)
 
 
 @lru_cache(maxsize=_WEYL_PAIR_CACHE)
 def _weyl_pair(A, B, C, D):
-    """Bose kernel at t = 1 as a tuple of (order, coeff, P, Q) quadruples.
-
-    The canonical pairs (p_j, q_j) commute with each other, so the Weyl
-    algebra on k pairs is the k-fold tensor power of the one-mode algebra,
-    and the kernel is the product over modes of `_mode_pair`: a term picks
-    one term per mode, its order, numerator and denominator are the sum and
-    the products of theirs, and its exponents are theirs side by side.
-    order is |r|+|s| and coeff is the Gaussian-rational coefficient
-    rational * (1/2)^order of p^P q^Q; at another t the term scales by
-    t^order, which the degree grading supplies.  The one-mode orders fix the
-    exponents, so no two terms share a monomial.
+    """Bose kernel at t = 1 as (den, ((order, num, P, Q), ...)): the product
+    over modes of `_mode_pair`.  den and a term's numerator are the products
+    of the modes', its order the sum, and its exponents theirs side by side;
+    the one-mode orders fix the exponents, so no two terms share a monomial.
     """
     if not A:
-        return ((0, GR_ONE, (), ()),)
+        return 1, ((0, 1, (), ()),)
+    dens, modes = zip(*map(_mode_pair, A, B, C, D))
     out = []
-    for terms in iproduct(*map(_mode_pair, A, B, C, D)):
-        orders, nums, dens, P, Q = zip(*terms)
-        order = sum(orders)
-        out.append((order, gr_ratio(math.prod(nums), math.prod(dens) << order), P, Q))
-    return tuple(out)
-
-
-class _Powers:
-    """Lazily extended power table of the deformation parameter t."""
-
-    def __init__(self, base):
-        self.base = base
-        self.table = [S_ONE]
-
-    def __getitem__(self, n):
-        while len(self.table) <= n:
-            self.table.append(self.table[-1] * self.base)
-        return self.table[n]
+    for terms in iproduct(*modes):
+        orders, nums, P, Q = zip(*terms)
+        out.append((sum(orders), math.prod(nums), P, Q))
+    return math.prod(dens), tuple(out)
 
 
 _tuple_new = tuple.__new__  # a CwMonomial without the NamedTuple's Python __new__
 
 
-def _pair_at_one(k1, k2):
-    """The pair kernel at t = 1: ((coefficient, (CwMonomial, L power)), ...)."""
-    (m1, l1), (m2, l2) = k1, k2
-    par, cmask = _cliff_pair(m1.cliff, m2.cliff)
-    l = l1 + l2
-    terms = _weyl_pair(m1.wp, m1.wq, m2.wp, m2.wq)
-    # the Fermi sign and the Bose-Fermi crossing
-    neg = par ^ (m1.bose_degree() & m2.cliff.bit_count() & 1)
-    return [(-c if neg else c, (_tuple_new(CwMonomial, (cmask, P, Q)), l)) for _, c, P, Q in terms]
-
-
-def pair_kernel(t):
-    """The pair kernel at t: each term at t = 1 takes t^e, spread over its L powers."""
-    if t == S_ONE:
-        return _pair_at_one
-    t_pow = _Powers(t)
+def _order_kernel(order, weight):
+    """The pair kernel at t = 1 on (CwMonomial, L power) keys, times weight:
+    every term, or with `order` only those with e = order.  A pair gives
+    one group, signed by the Fermi kernel and the Bose-Fermi crossing."""
 
     def pair(k1, k2):
-        d = k1[0].z_degree() + k2[0].z_degree()
-        return [
-            (c * g, (m, l + j))
-            for c, (m, l) in _pair_at_one(k1, k2)
-            for j, g in t_pow[(d - m.z_degree()) >> 1].terms.items()
-        ]
+        (m1, l1), (m2, l2) = k1, k2
+        par, cmask = _cliff_pair(m1.cliff, m2.cliff)
+        den, terms = _weyl_pair(m1.wp, m1.wq, m2.wp, m2.wq)
+        if order is not None:
+            bose = order - (m1.cliff & m2.cliff).bit_count()
+            terms = [term for term in terms if term[0] == bose]
+        s = -weight if par ^ (m2.cliff.bit_count() & 1 and m1.bose_degree() & 1) else weight
+        l = l1 + l2
+        return den, ((s, 0, [(num, (_tuple_new(CwMonomial, (cmask, P, Q)), l)) for _, num, P, Q in terms]),)
 
     return pair
 
 
-def _order_one(k1, k2):
-    """Twice the pair kernel's t = 1 terms that lose exactly two degrees."""
-    d = k1[0].z_degree() + k2[0].z_degree() - 2
-    return [(c + c, key) for c, key in _pair_at_one(k1, k2) if key[0].z_degree() == d]
+_at_one = _order_kernel(None, 1)
+
+
+def pair_kernel(t):
+    """The pair kernel at t: each term at t = 1 takes t^e, spread over its L
+    powers, one group per term and L power.  With t = T/dt, T a Gaussian-
+    integer L-polynomial, a pair of degree d is over den * dt^top, top = d
+    >> 1, and a term of degree deg takes T^e dt^h, h = deg >> 1 = top - e."""
+    if t is S_ONE or t == S_ONE:
+        return _at_one
+    dt = math.lcm(*[g._den for g in t.terms.values()])
+    powers = [S_ONE]  # T^e
+
+    def pair(k1, k2):
+        den, ((s, _, terms),) = _at_one(k1, k2)
+        top = (k1[0].z_degree() + k2[0].z_degree()) >> 1
+        while len(powers) <= top:
+            powers.append(powers[-1] * t.scale(dt))
+        groups = []
+        for num, (m, l) in terms:
+            h = m.z_degree() >> 1
+            for j, g in powers[top - h].terms.items():
+                groups.append((s * g._re * dt**h, s * g._im * dt**h, ((num, (m, l + j)),)))
+        return den * dt**top, groups
+
+    return pair
 
 
 def _product(a, b, pair):
     check_same_signature(a, b)
     terms = pair_product(split_powers(a.terms), split_powers(b.terms), pair)
-    return CwElement.raw(a.signature, join_powers(terms))
+    return CwElement.raw(a.signature, join_numerators(terms))
 
 
 def star(a, b):
@@ -210,14 +203,14 @@ def star(a, b):
 
 
 def wedge(a, b):
-    """Super-exterior product: the product at t = 0."""
-    return _product(a, b, pair_kernel(S_ZERO))
+    """Super-exterior product: the product at t = 0, the terms of order 0."""
+    return _product(a, b, _order_kernel(0, 1))
 
 
 def poisson(a, b):
-    """Graded Poisson bracket of symbols: twice B_1, the order-one term of
+    """Graded Poisson bracket of symbols: twice B_1, the order-one terms of
     the product, independent of the signature's deformation parameter."""
-    return _product(a, b, _order_one)
+    return _product(a, b, _order_kernel(1, 2))
 
 
 def super_bracket(a, b):

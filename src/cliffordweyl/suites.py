@@ -17,6 +17,7 @@ from functools import partial
 from .algebra import (
     AlgebraError,
     AlgebraSignature,
+    CwElement,
     CwMonomial,
     bose_p,
     bose_q,
@@ -75,7 +76,7 @@ from .periodicity import (
     tensor_star,
 )
 from .reps import rep_matrix, spin
-from .scalars import GaussianRational, i_power
+from .scalars import GaussianRational, gr_ratio, i_power
 from .sparse import Checks, accumulate
 from .starprod import anti_bracket, lie_bracket, star
 
@@ -125,8 +126,14 @@ def report_bytes(result):
 # -- shared plumbing ----------------------------------------------------------------
 
 
+def _rand_coeff(rng):
+    """a/b + c*i with a in [-4, 4], b in [1, 3] and c in [-3, 3], from its ints."""
+    re, den = rng.randrange(-4, 5), rng.randrange(1, 4)
+    return gr_ratio(re, den, rng.randrange(-3, 4) * den)
+
+
 def _rand_cw(rng, sig, nterms=3, maxdeg=4):
-    out = zero(sig)
+    terms = {}
     k = sig.n_bose
     for _ in range(nterms):
         while True:
@@ -135,16 +142,12 @@ def _rand_cw(rng, sig, nterms=3, maxdeg=4):
             wq = tuple(rng.randrange(3) for _ in range(k))
             if mask.bit_count() + sum(wp) + sum(wq) <= maxdeg:
                 break
-        c = GaussianRational(
-            Fraction(rng.randrange(-4, 5), rng.randrange(1, 4)),
-            Fraction(rng.randrange(-3, 4)),
-        )
-        out = out + monomial_element(sig, CwMonomial(mask, wp, wq), c)
-    return out
+        accumulate(terms, CwMonomial(mask, wp, wq), _rand_coeff(rng))
+    return CwElement(sig, terms)
 
 
 def _rand_ore(rng, n, nterms=3, maxdeg=4, with_lam=True):
-    out = ore_zero(n)
+    terms = {}
     for _ in range(nterms):
         while True:
             mask = rng.getrandbits(2 * n + 1)
@@ -152,20 +155,14 @@ def _rand_ore(rng, n, nterms=3, maxdeg=4, with_lam=True):
             r = rng.randrange(2) if with_lam else 0
             if mask.bit_count() + a + b + 2 * r <= maxdeg:
                 break
-        c = GaussianRational(
-            Fraction(rng.randrange(-4, 5), rng.randrange(1, 4)),
-            Fraction(rng.randrange(-3, 4)),
-        )
-        out = out + OreElement(n, {OreMonomial(mask, a, b, r): c})
-    return out
+        accumulate(terms, OreMonomial(mask, a, b, r), _rand_coeff(rng))
+    return OreElement(n, terms)
 
 
 def _rand_lam(rng):
     while True:
-        g = GaussianRational(
-            Fraction(rng.randrange(-9, 10), rng.randrange(1, 8)),
-            Fraction(rng.randrange(-9, 10), rng.randrange(1, 8)),
-        )
+        a, b, c, d = rng.randrange(-9, 10), rng.randrange(1, 8), rng.randrange(-9, 10), rng.randrange(1, 8)
+        g = gr_ratio(a * d, b * d, c * b)  # a/b + (c/d) i
         if g:
             return g
 

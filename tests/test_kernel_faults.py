@@ -1,8 +1,8 @@
-"""Two kernel faults and the suites that catch them, with `cases=3`.
+"""Three product-layer faults and the suites that catch them, with `cases=3`.
 
-Each fault replaces one kernel of the product layer by a monkeypatch that
-rewrites the true kernel's terms; nothing in the package has a hook for
-it.  The kernel caches are emptied before and after each test, so the
+Each fault replaces one kernel of the product layer, or the product loop,
+by a monkeypatch that rewrites the true one's result; nothing in the
+package has a hook for it.  The kernel caches are emptied before and after each test, so the
 faulty run starts from no cached correct entry and no faulty entry is
 served to a later test.
 
@@ -11,10 +11,14 @@ the message of the `AlgebraError` it raised; every other suite passes.
 A pin that changes is a test change.
 """
 
-import pytest
+from fractions import Fraction
 
-from cliffordweyl import ore, starprod
+import pytest
+from kernel_format import lowering_terms
+
+from cliffordweyl import ore, periodicity, sparse, starprod
 from cliffordweyl.algebra import AlgebraError
+from cliffordweyl.scalars import _make
 from cliffordweyl.suites import run_suite, suite_names
 
 KERNEL_CACHES = (starprod._cliff_pair, starprod._mode_pair, starprod._weyl_pair, ore._lower_past_powers)
@@ -57,12 +61,12 @@ def test_suites_catch_a_wrong_coefficient_in_the_mode_kernel(empty_kernel_caches
     real = starprod._mode_pair
 
     def wrong(a, b, c, d):
-        return tuple(
-            (m, 2 * num if m == 1 else num, den, P, Q) for m, num, den, P, Q in real(a, b, c, d)
-        )
+        den, terms = real(a, b, c, d)
+        return den, tuple((m, 2 * num if m == 1 else num, P, Q) for m, num, P, Q in terms)
 
     monkeypatch.setattr(starprod, "_mode_pair", wrong)
-    assert wrong(1, 0, 0, 1) == ((0, 1, 1, 1, 1), (1, 2, 1, 0, 0))  # p * q = pq + 2 (t/2)
+    # p * q = pq + 2 (t/2): over the denominator 2, the order-one numerator 1 becomes 2
+    assert wrong(1, 0, 0, 1) == (2, ((0, 2, 1, 1), (1, 2, 0, 0)))
     assert _failing_suites() == MODE_PAIR_FAULT_FAILURES
 
 
@@ -83,15 +87,41 @@ def test_suites_catch_a_wrong_slot_in_the_lowering_kernel(empty_kernel_caches, m
     real = ore._lower_past_powers
 
     def wrong(beta, gamma):
-        return tuple(
-            (q, a, eps, b, extra + 2 if eps else extra) for q, a, eps, b, extra in real(beta, gamma)
-        )
+        den, plain, ghost = real(beta, gamma)
+        return den, plain, tuple((num, a, b, extra + 2) for num, a, b, extra in ghost)
 
     monkeypatch.setattr(ore, "_lower_past_powers", wrong)
     # E- E+ = E+ E- + 1/4 - ghost L^2
-    assert [(a, eps, b, extra) for _, a, eps, b, extra in wrong(1, 1)] == [
+    assert [(a, eps, b, extra) for _, a, eps, b, extra in lowering_terms(wrong(1, 1))] == [
         (0, 0, 0, 0),
         (0, 1, 0, 2),
         (1, 0, 1, 0),
     ]
     assert _failing_suites() == LOWER_PAST_POWERS_FAULT_FAILURES
+
+
+# The product loop's common denominator leaves out the second operand's:
+# each product is read over the first operand's denominators only.
+ONE_OPERAND_DENOMINATOR_FAILURES = {
+    "a0-iso": (56, 2),
+    "associativity": (3, 3),
+    "ghost": (45, 12),
+    "hochschild": (69, 3),
+    "matrix-iso": (10, 2),
+    "odd-split": (27, 5),
+    "osp22": (54, 40),
+}
+
+
+def test_suites_catch_a_denominator_from_one_operand(empty_kernel_caches, monkeypatch):
+    real = sparse.pair_product
+
+    def wrong(a, b, pair):
+        return real(a, [(k, _make(c._re, c._im, 1)) for k, c in b], pair)
+
+    for module in (sparse, starprod, ore, periodicity):
+        monkeypatch.setattr(module, "pair_product", wrong)
+    # (1/2 E+) (1/3 E-) comes out E+ E- / 2
+    half, third = ore.ore_e_plus(0).scale(Fraction(1, 2)), ore.ore_e_minus(0).scale(Fraction(1, 3))
+    assert half * third == ore.ore_product(ore.ore_e_plus(0), ore.ore_e_minus(0)).scale(Fraction(1, 2))
+    assert _failing_suites() == ONE_OPERAND_DENOMINATOR_FAILURES

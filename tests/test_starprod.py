@@ -239,10 +239,10 @@ def test_poisson_matches_the_reference_bracket(sig):
 
 
 def test_poisson_reads_the_pair_kernel(monkeypatch):
-    def refused(k1, k2):
+    def refused(*exponents):
         raise RuntimeError("pair kernel")
 
-    monkeypatch.setattr(starprod, "_pair_at_one", refused)
+    monkeypatch.setattr(starprod, "_weyl_pair", refused)
     with pytest.raises(RuntimeError, match="pair kernel"):
         poisson(W[0], W[0])
 

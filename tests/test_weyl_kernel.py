@@ -21,10 +21,11 @@ from itertools import product as iproduct
 import pytest
 
 import reference_weyl_kernel as ref
+from kernel_format import weyl_terms
 from cliffordweyl import ore, periodicity, starprod
 from cliffordweyl.algebra import AlgebraSignature, CwElement, CwMonomial
 from cliffordweyl.reps import GrassPolyVector, act, spin_metaplectic
-from cliffordweyl.scalars import GR_ONE, GR_ZERO, GaussianRational, S_HALF, S_LAMBDA, S_ONE, Scalar
+from cliffordweyl.scalars import GR_ONE, GR_ZERO, GaussianRational, S_HALF, S_LAMBDA, S_ONE, Scalar, split_powers
 from cliffordweyl.starprod import (
     _cliff_pair,
     _mode_pair,
@@ -78,7 +79,7 @@ def test_kernel_matches_whole_tuple_reference(t):
     # the kernel is the one at t = 1; a term of order e at t is t^e times it
     rng = random.Random(6061)
     for A, B, C, D in _kernel_cases(rng, 60):
-        got = _weyl_pair(A, B, C, D)
+        got = weyl_terms(_weyl_pair(A, B, C, D))
         assert all(coeff for _, coeff, _, _ in got)
         # the per-mode kernel merges the terms of one monomial
         assert len({(P, Q) for _, _, P, Q in got}) == len(got)
@@ -136,6 +137,21 @@ def test_wedge_matches_reference_wedge():
         for k in (0, 1, 2, 3):
             for a, b in _product_cases(rng, AlgebraSignature(3, k, t), 4):
                 assert wedge(a, b) == ref.wedge(a, b), (a, b)
+
+
+def test_wedge_and_poisson_kernels_keep_only_their_orders():
+    # the order-e kernel gives the t = 1 terms that lose 2e degrees, times its
+    # weight, selected by the order field before any key is built
+    rng = random.Random(6067)
+    for k in (0, 1, 2, 3):
+        for a, b in _product_cases(rng, AlgebraSignature(3, k), 4):
+            for (k1, _), (k2, _) in iproduct(split_powers(a.terms), split_powers(b.terms)):
+                den, ((s, _, terms),) = starprod._at_one(k1, k2)
+                d = k1[0].z_degree() + k2[0].z_degree()
+                for e, weight in ((0, 1), (1, 2)):
+                    got_den, ((got_s, fi, kept),) = starprod._order_kernel(e, weight)(k1, k2)
+                    assert (got_den, got_s, fi) == (den, s * weight, 0)
+                    assert kept == [(u, key) for u, key in terms if key[0].z_degree() == d - 2 * e]
 
 
 def test_cliff_pair_is_the_inversion_count():
