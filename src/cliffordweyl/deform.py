@@ -22,6 +22,7 @@ Everything here sits on top of the normal-form arithmetic in `ore`:
 """
 
 from fractions import Fraction
+from itertools import chain
 from math import comb
 
 from .algebra import (
@@ -33,7 +34,7 @@ from .algebra import (
     monomial_element,
     zero,
 )
-from .linalg import Matrix, sparse_nullspace
+from .linalg import Matrix, add_row, reduce_row, sparse_nullspace
 from .ore import (
     OreElement,
     OreMonomial,
@@ -184,7 +185,8 @@ def compare_cocycle(n):
 
     Returns a report whose "constant" entry is the single proportionality
     scalar on the Bose-Bose block (normalized so the (p, q) slot carries
-    symplectic value 1); raises if the table is not proportional.
+    symplectic value 1), or None when the (p1, q1) slot is not one nonzero
+    multiple of the volume word; the two symplectic slots then fail.
     """
     sig = cw_odd_signature(n)
     ws = [fermi_gen(sig, j) for j in range(1, 2 * n + 2)]
@@ -201,25 +203,17 @@ def compare_cocycle(n):
     checks = Checks()
     vol = volume_word_element(n)
     # the (p1, q1) slot fixes the constant
-    probe = table[("p1", "q1")]
-    terms = list(probe.terms.items())
-    if len(terms) != 1:
-        raise AlgebraError("no-proportionality: %s" % probe)
-    mono, coeff = terms[0]
-    vmono, vcoeff = next(iter(vol.terms.items()))
-    if mono != vmono:
-        raise AlgebraError("no-proportionality: %s" % probe)
-    constant = coeff.constant() * vcoeff.constant().inverse()
+    probe, ((vmono, vcoeff),) = table[("p1", "q1")], vol.terms.items()
+    coeff = probe.terms.get(vmono) if len(probe.terms) == 1 else None
+    constant = coeff.constant() * vcoeff.constant().inverse() if coeff else None
     sympl = {("p1", "q1"): 1, ("q1", "p1"): -1}
     for na, _ in gens:
         for nb, _ in gens:
-            s = sympl.get((na, nb), 0)
-            want = vol.scale(constant * s) if s else zero(sig)
-            got = table[(na, nb)]
-            ok = got == want
-            if not ok and na.startswith(("p", "q")) and nb.startswith(("p", "q")):
-                raise AlgebraError("no-proportionality at (%s, %s)" % (na, nb))
-            checks.record(ok, [na, nb], got, want)
+            s, got = sympl.get((na, nb), 0), table[(na, nb)]
+            if s and constant is None:
+                checks.record(False, [na, nb], got, "a nonzero multiple of %s" % vol)
+            else:
+                checks.check([na, nb], got, vol.scale(constant * s) if s else zero(sig))
     return dict(checks.report("cocycle"), constant=constant)
 
 
@@ -452,33 +446,88 @@ def center_probe(n, max_total_degree):
     return [OreElement(n, vec) for vec in basis]
 
 
-def commutant_probe(rep):
-    """Dimension of {X : [X, M] = 0 for every generator matrix M}."""
-    mats = [rep[k] for k in sorted(rep)] if isinstance(rep, dict) else list(rep)
-    if not mats:
+def _generator_columns(rep):
+    """Each generator matrix, in sorted(rep) order, as d column lists
+    [(row, number)], and d; every entry is read before anything is solved."""
+    try:
+        named = sorted(rep.items()) if isinstance(rep, dict) else list(enumerate(rep))
+    except TypeError:
+        raise AlgebraError("not a dict with sortable keys or a sequence of matrices: %r" % (rep,)) from None
+    if not named:
         raise AlgebraError("empty representation")
-    d = mats[0].shape[0]
-    variables = [(i, j) for i in range(d) for j in range(d)]
-    rows = []
-    for M in mats:
-        if M.shape != (d, d):
-            raise AlgebraError("mixed matrix sizes")
-        # (XM - MX)_ij: X_ik M_kj over column j's nonzeros, -M_ik X_kj over row i's
-        by_row, by_col = [[] for _ in range(d)], [[] for _ in range(d)]
+    gens, d = [], named[0][1].shape[0] if isinstance(named[0][1], Matrix) else 0
+    for name, M in named:
+        if not isinstance(M, Matrix) or M.shape != (d, d):
+            raise AlgebraError("generator %s is not a square Matrix of the first one's size: %r" % (name, M))
+        gens.append([[] for _ in range(d)])
         for (i, k), x in M.items():
-            g = x.constant()
-            by_row[i].append((k, -g))
-            by_col[k].append((i, g))
-        for i in range(d):
-            for j in range(d):
-                row = {}
-                for k, g in by_col[j]:
-                    accumulate(row, (i, k), g)
-                for k, g in by_row[i]:
-                    accumulate(row, (k, j), g)
-                if row:
-                    rows.append(row)
-    return len(sparse_nullspace(rows, variables))
+            if getattr(x, "constant", None) is None:
+                raise AlgebraError("generator %s has the entry %s, which is not a number" % (name, x))
+            gens[-1][k].append((i, x.constant()))  # CentralParameterError for an entry in L
+    return gens, d
+
+
+def _product(cols, rows, extra=()):
+    """M * R, plus c * row in row i for each (i, row, c) in extra; M is given
+    by its column lists, R and the result as {i: {column: number}}."""
+    out = {}
+    for i, row, c in chain(((i, row, x) for j, row in rows.items() for i, x in cols[j]), extra):
+        acc = out.setdefault(i, {})
+        for u, v in row.items():
+            accumulate(acc, u, c * v)
+    return out
+
+
+def _spin_up(gens, d):
+    """(m, lifts, relations) for `commutant_probe`: lifts[k] is T_k as {row:
+    {unknown s*d + i of (X v_s)_i: number}}, relations the (g, k, c) of each
+    image M_g b_k = sum_j c[j] b_j in the span.  Column d + k of the echelon
+    form tracks b_k, which joins only when add_row takes it, and never past d."""
+    pivots, basis, lifts, relations, m, k = {}, [], [], [], 0, 0
+    for s in range(d):
+        if min(reduce_row(pivots, {s: GR_ONE}), default=d) < d:  # e_s is not spanned yet
+            m += 1
+            if add_row(pivots, {s: GR_ONE, d + len(lifts): GR_ONE}):
+                basis.append({s: {0: GR_ONE}})  # b_k as one column, so `_product` applies
+                lifts.append({i: {(m - 1) * d + i: GR_ONE} for i in range(d)})
+        while k < len(lifts):
+            for g, cols in enumerate(gens):
+                image = _product(cols, basis[k])
+                w = {i: row[0] for i, row in image.items() if row}
+                # w's residue keeps a coordinate column, or it is -sum_j c_j e_(d + j)
+                r = reduce_row(pivots, w)
+                if min(r, default=d) >= d:
+                    relations.append((g, k, {j - d: -c for j, c in r.items()}))
+                elif len(lifts) < d and add_row(pivots, {**w, d + len(lifts): GR_ONE}):
+                    basis.append(image)
+                    lifts.append(_product(cols, lifts[k]))
+            k += 1
+    return m, lifts, relations
+
+
+def commutant_probe(rep):
+    """Dimension of {X : XM = MX for every generator matrix M}, by spin-up.
+
+    rep is a dict of d x d matrices over numbers, taken in sorted key order,
+    or a sequence of them.  A basis b_k of the module is spun up from the
+    standard vectors not yet spanned (Parker's standard basis), with
+    X b_k = T_k u in the images u of its m start vectors: m*d unknowns, not
+    d^2 (m = 1 for a cyclic module, such as every pi_h).  X commutes with
+    M_g on each new basis vector M_g b_k by construction; each other image
+    M_g b_k = sum_j c_j b_j gives d equations (M_g T_k - sum_j c_j T_j) u = 0.
+    The answer is m*d minus their rank.  The identity always commutes, so
+    for d >= 1 the rank is at most m*d - 1, and the solve stops there.
+    """
+    gens, d = _generator_columns(rep)
+    m, lifts, relations = _spin_up(gens, d)
+    unknowns, eqs = m * d, {}
+    for g, k, coeffs in relations:
+        if len(eqs) >= unknowns - 1:
+            break
+        minus = ((i, row, -c) for j, c in coeffs.items() for i, row in lifts[j].items())
+        for row in _product(gens[g], lifts[k], minus).values():
+            add_row(eqs, row)
+    return unknowns - len(eqs)
 
 
 # -- the three-element orthosymplectic check ---------------------------------------

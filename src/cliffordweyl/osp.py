@@ -12,6 +12,8 @@ bracket by an extra total-parity sign on the acting element, which is what
 keeps C + V stable.
 """
 
+from itertools import combinations, combinations_with_replacement
+
 from .algebra import (
     AlgebraError,
     bidegree,
@@ -25,7 +27,7 @@ from .algebra import (
 )
 from .linalg import add_row
 from .scalars import split_powers
-from .sparse import Checks, graded_bracket, triple_bracket_law
+from .sparse import Checks, accumulate, graded_bracket, triple_bracket_law
 from .starprod import poisson, super_bracket
 
 
@@ -37,16 +39,10 @@ class OspContext:
 
     def __init__(self, signature):
         n, k = signature.n_fermi, signature.n_bose
-        object.__setattr__(self, "signature", signature)
-        object.__setattr__(
-            self, "v0_basis", [fermi_gen(signature, i) for i in range(1, n + 1)]
-        )
-        object.__setattr__(
-            self,
-            "v1_basis",
-            [bose_p(signature, j) for j in range(1, k + 1)]
-            + [bose_q(signature, j) for j in range(1, k + 1)],
-        )
+        v0 = [fermi_gen(signature, i) for i in range(1, n + 1)]
+        v1 = [gen(signature, j) for gen in (bose_p, bose_q) for j in range(1, k + 1)]
+        for name, value in (("signature", signature), ("v0_basis", v0), ("v1_basis", v1)):
+            object.__setattr__(self, name, value)
         # (X|Y) is the value at 0 of {X,Y} on a pair of generators, each one
         # monomial; (1|1) = -2 and (1|V) = 0
         gens, one = self.v_basis(), unit(signature).unit_key()
@@ -117,30 +113,18 @@ def build_g(ctx):
     smallest monomial, so the returned basis is reproducible.
     """
     v0, v1 = ctx.v0_basis, ctx.v1_basis
-    blocks = [("v0", v0), ("v1", v1)]
-    b00 = [
-        super_bracket(v0[i], v0[j])
-        for i in range(len(v0))
-        for j in range(i + 1, len(v0))
+    blocks = [
+        ("v0", v0),
+        ("v1", v1),
+        ("v0v0", [super_bracket(x, y) for x, y in combinations(v0, 2)]),
+        ("v1v1", [super_bracket(x, y) for x, y in combinations_with_replacement(v1, 2)]),
+        ("v0v1", [super_bracket(x, y) for x in v0 for y in v1]),
     ]
-    b11 = [
-        super_bracket(v1[i], v1[j])
-        for i in range(len(v1))
-        for j in range(i, len(v1))
-    ]
-    b01 = [super_bracket(x, y) for x in v0 for y in v1]
-    blocks += [("v0v0", b00), ("v1v1", b11), ("v0v1", b01)]
-
-    basis = []
-    dims = {}
-    pivots = {}
+    basis, dims, pivots = [], {}, {}
     for name, cands in blocks:
-        count = 0
-        for x in cands:
-            if add_row(pivots, element_row(x)):
-                basis.append(x)
-                count += 1
-        dims[name] = count
+        new = [x for x in cands if add_row(pivots, element_row(x))]
+        basis += new
+        dims[name] = len(new)
     dims["even"] = dims["v0"] + dims["v0v0"] + dims["v1v1"]
     dims["odd"] = dims["v1"] + dims["v0v1"]
     dims["total"] = len(basis)
@@ -162,28 +146,45 @@ def verify_ps(ctx):
     return triple_bracket_law(basis, ctx.form_table, super_bracket).report("parastatistics")
 
 
+def _form_rows(table, x):
+    """x's two rows of the form, read off the table by monomial m of V or
+    the unit: {m: (x|m)} and {m: (m|x)}, with no entry where it is 0."""
+    left, right = {}, {}
+    for (u, v), f in table.items():
+        if u in x.terms:
+            accumulate(left, v, x.terms[u] * f)
+        if v in x.terms:
+            accumulate(right, u, f * x.terms[v])
+    return left, right
+
+
 def verify_invariance(ctx):
-    """Stability of C + V under the twisted action of g, and skew-invariance."""
+    """Stability of C + V under the twisted action of g, and skew-invariance.
+
+    For each a of `build_g`'s basis and each z of C + V's basis (the unit and
+    the generators, one monomial each), one case that ad'(a) z lies in C + V;
+    then for each pair (z, t) whose images both do, one case (ad'(a) z | t)
+    = -(z | ad'(a) t), + when a and z are both Bose-odd, read off `_form_rows`."""
     g_basis, _dim, _dims = build_g(ctx)
-    h, table = ctx.h_basis(), ctx.form_table
+    h, table, zero_form = ctx.h_basis(), ctx.form_table, zero(ctx.signature).constant_term()
+    keys = [m for x in h for m in x.terms]
     checks = Checks()
     for a in g_basis:
-        d2a = element_bidegree(a).delta2
-        images = []  # each image in C + V, None outside it
+        d2a, label = element_bidegree(a).delta2, "ad'(%s)" % a
+        rows = []  # per z: the rows (ad'(a) z | .) and (. | ad'(a) z), None outside C + V
         for zv in h:
             img = twisted_adjoint(a, zv)
             inside = all(z_degree(m) <= 1 for m in img.terms)
-            checks.record(inside, ["ad'(%s)" % a, zv], img, "element of C + V")
-            images.append(img if inside else None)
+            checks.record(inside, [label, zv], img, "element of C + V")
+            rows.append(_form_rows(table, img) if inside else None)
         for iz, zv in enumerate(h):
-            if images[iz] is None:
+            if rows[iz] is None:
                 continue
-            d2z = element_bidegree(zv).delta2
-            sign = 1 if d2z and d2a else -1
+            sign = 1 if d2a and element_bidegree(zv).delta2 else -1
             for it, tv in enumerate(h):
-                if images[it] is None:
+                if rows[it] is None:
                     continue
-                lhs = _form(table, images[iz], tv)
-                rhs = _form(table, zv, images[it])
+                lhs = rows[iz][0].get(keys[it], zero_form)
+                rhs = rows[it][1].get(keys[iz], zero_form)
                 checks.check([a, zv, tv], lhs, rhs if sign == 1 else -rhs)
     return checks.report("twisted-invariance")

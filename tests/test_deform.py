@@ -14,6 +14,7 @@ from fractions import Fraction
 
 import pytest
 import reference_verma
+from reference_commutant import reference_commutant_dimension
 from reference_transport import ore_tensor
 
 from cliffordweyl import deform, ore, periodicity, sparse
@@ -632,6 +633,19 @@ def test_commutant_of_isotypic_double():
     double = rep_direct_sum(rep, rep)
     assert double["E+"].shape == (2, 2)
     assert commutant_probe(double) == 4
+
+
+@pytest.mark.parametrize(
+    "first,second,dim",
+    [
+        ((1, Fraction(1, 2), "-"), (1, Fraction(1, 2), "-"), 4),
+        ((0, 1, "+"), (0, 1, "-"), 2),
+        ((1, 0, "+"), (1, Fraction(3, 2), "+"), 2),
+    ],
+)
+def test_direct_sums_count_their_isomorphic_summands(first, second, dim):
+    rep = rep_direct_sum(finite_irrep_pi_h(*first), finite_irrep_pi_h(*second))
+    assert commutant_probe(rep) == reference_commutant_dimension(rep) == dim
 
 
 def test_commutant_rejects_an_entry_involving_lambda():

@@ -163,6 +163,9 @@ def _failing_suites():
 
 # `add_row` refuses a row while the echelon form is empty, so no elimination
 # ever sets its first pivot and every rank reads 0; the other suites pass.
+# The commutant spin-up then takes no basis vector and starts from every
+# standard vector, so pi_h reads d^2 as the d^2-unknown solve did: only the
+# two of dimension 1 pass.
 # (Skipping only the first independent row of each elimination fails
 # `matrix-iso` and `parastat` alone.)
 ADD_ROW_FAULT_FAILURES = {
@@ -203,9 +206,11 @@ def _drop_first_independent_row(rows):
 
 
 # Under that eliminator only `matrix-iso`, whose rank check counts every
-# basis image, fails.  `center` and `commutant` keep their answers: on their
-# default grids the row dropped is a combination of the rows after it, so
-# the ranks, the center basis and the commutant dimensions do not change.
+# basis image, fails.  `center` keeps its answer: on its default grid the
+# row dropped is a combination of the rows after it, so the rank and the
+# center basis do not change.  `commutant_probe` does not call
+# `sparse_rref` (its spin-up adds rows one at a time), so its dimensions
+# cannot move here; `test_commutant.py` pins a fault in its relations.
 DROPPED_ROW_FAILURES = {"matrix-iso": (24, 2)}
 
 

@@ -22,10 +22,13 @@ from cliffordweyl.algebra import (
     fermi_gen,
     monomial_element,
     unit,
+    z_degree,
 )
 from cliffordweyl.linalg import reduce_row, sparse_rref
 from cliffordweyl.osp import (
     OspContext,
+    _form,
+    _form_rows,
     build_g,
     element_row,
     expected_dimension,
@@ -209,6 +212,26 @@ def test_form_table_matches_the_poisson_form(nk):
     elements = h + [rand_h() for _ in range(12)]
     for x, y in itertools.product(elements, repeat=2):
         assert form(ctx, x, y) == reference_form(x, y)
+
+
+@pytest.mark.parametrize("nk", PS_SIGNATURES, ids=str)
+def test_form_rows_match_the_pairwise_form(nk):
+    """The rows `verify_invariance` reads give `_form`, on both sides, between
+    each basis element of C + V and each of: that basis, its twisted-adjoint
+    images under g, and a few elements with coefficients in L."""
+    ctx = OspContext(AlgebraSignature(*nk))
+    rng = random.Random("form-rows:%d,%d" % nk)
+    h, table = ctx.h_basis(), ctx.form_table
+    images = [twisted_adjoint(a, z) for a in build_g(ctx)[0] for z in h]
+    assert all(z_degree(m) <= 1 for x in images for m in x.terms)
+    mixed = [sum((x.scale(_rand_l_scalar(rng)) for x in h), h[0].scale(0)) for _ in range(4)]
+    elements = h + images + mixed
+    for x in elements:
+        left, right = _form_rows(table, x)
+        for y in h:
+            (m,) = y.terms
+            assert left.get(m, Scalar()) == _form(table, x, y)
+            assert right.get(m, Scalar()) == _form(table, y, x)
 
 
 def test_split_rejects_higher_degree():
