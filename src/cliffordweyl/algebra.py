@@ -113,10 +113,6 @@ def element_bidegree(e):
     return None
 
 
-def check_same_signature(a, b):
-    a._check_space(b)
-
-
 class CwElement(SparseElement):
     """Element of the algebra: canonical sparse sum of CwMonomial terms.
 
@@ -148,6 +144,9 @@ class CwElement(SparseElement):
     def _product(self, other):
         # looked up at call time, so a replaced starprod.star takes effect
         return starprod.star(self, other)
+
+    def _bracket(self, other, odd):
+        return starprod.bracket(self, other, odd)
 
     def constant_term(self):
         """Coefficient of the unit monomial (the raw "value at 0")."""

@@ -65,16 +65,17 @@ MAX_EXPONENT = 100_000
 
 # the most monomial pairs one expression may multiply: len(a) * len(b) is
 # charged before each "*" and each step of a power of a non-constant, and
-# twice before a bracket; a constant's power is taken by squaring, for free
+# twice before a bracket (one kernel pass, charged as two products); a
+# constant's power is taken by squaring, for free
 MAX_PAIRS = 200_000
 
 # the most E-^b E+^g lowering one ore expression may do: before each "*"
-# (twice before a bracket, once per order) every distinct pair of an E-
-# exponent b of the left factor and an E+ exponent g of the right one is
-# charged min(b, g) * (max(b, g) + 1), the kernel's steps times the
-# length of its state lists.  E-^244*E+^244, the largest square pair that
-# fits and the slowest single pair, runs in the CLI in 0.4-1.0 s (2-CPU
-# machine, Python 3.11, quiet and busy spells)
+# (twice before a bracket, whose kernel lowers both orders) every distinct
+# pair of an E- exponent b of the left factor and an E+ exponent g of the
+# right one is charged min(b, g) * (max(b, g) + 1), the kernel's steps times
+# the length of its state lists.  E-^244*E+^244, the largest square pair
+# that fits and the slowest single pair, runs in the CLI in 0.4-1.0 s
+# (2-CPU machine, Python 3.11, quiet and busy spells)
 MAX_LOWERING = 60_000
 
 # the largest n and 2k of cw:<n>,<2k> and n of ore:<n>

@@ -18,7 +18,8 @@ substitution), so a step is a few big-int additions, shifts and small-int
 products per state and all of it stays exact.  Its numerators are ints
 over 4^min(beta, gamma).  `pair_kernel` adds the signs, one Clifford
 pairing per monomial pair and the ghost's i^n as a Gaussian-integer
-factor, and `sparse.pair_product` sums its terms in integers.
+factor, and `sparse.pair_product` sums its terms in integers; for a
+bracket, `bracket_kernel` gives a pair's two orders over one denominator.
 
 An element is a `sparse.SparseElement` over the rank n: a canonical map
 OreMonomial -> Gaussian rational whose unit monomial is OreMonomial(0, 0, 0,
@@ -86,6 +87,9 @@ class OreElement(SparseElement):
 
     def _product(self, other):
         return ore_product(self, other)
+
+    def _bracket(self, other, odd):
+        return _product(self, other, bracket_kernel(self.n, odd))
 
     def lam_coefficient(self, r):
         """The element multiplying L^r (returned with the L factor removed)."""
@@ -301,10 +305,27 @@ def pair_kernel(n):
     return pair
 
 
-def ore_product(x, y):
+def bracket_kernel(n, odd):
+    """The kernel of m1*m2 - sigma m2*m1, sigma = -1 where odd(m1, m2): both
+    orders' groups over the lcm of their denominators, the second's times -sigma."""
+    plain = pair_kernel(n)
+
+    def pair(m1, m2):
+        (d1, g1), (d2, g2) = plain(m1, m2), plain(m2, m1)
+        den = max(d1, d2)  # their lcm: both are powers of 4
+        f1, f2 = den // d1, den // d2 if odd(m1, m2) else -den // d2
+        return den, [(fr * f1, fi * f1, t) for fr, fi, t in g1] + [(fr * f2, fi * f2, t) for fr, fi, t in g2]
+
+    return pair
+
+
+def _product(x, y, pair):
     x._check_space(y)
-    product = pair_product(x.terms.items(), y.terms.items(), pair_kernel(x.n))
-    return OreElement.raw(x.n, from_numerators(product))
+    return OreElement.raw(x.n, from_numerators(pair_product(x.terms.items(), y.terms.items(), pair)))
+
+
+def ore_product(x, y):
+    return _product(x, y, pair_kernel(x.n))
 
 
 # -- brackets and specialization ---------------------------------------------------

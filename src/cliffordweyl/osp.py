@@ -91,8 +91,8 @@ def _form(table, x, y):
 def twisted_adjoint(a, b):
     """a * b - (-1)^(d2(a)d2(b) + d1(a)) b * a, extended bilinearly.
 
-    Each argument is split into parity-homogeneous components first, so
-    non-homogeneous inputs are handled by linearity rather than rejected.
+    The sign is read per pair of terms, so non-homogeneous inputs are
+    handled by linearity rather than rejected.
     """
     return graded_bracket(a, b, bidegree, lambda da, db: (da.delta2 * db.delta2 + da.delta1) & 1)
 

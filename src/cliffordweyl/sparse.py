@@ -15,6 +15,8 @@ only what differs:
                          and tensors; only a class with a unit takes numbers
                          as constants (in +, -, == and hash)
     _product(other)      the product, for the classes that have one
+    _bracket(other, odd) self*other - sigma other*self, sigma = -1 on the
+                         term pairs (m1, m2) where odd(m1, m2), likewise
 
 `accumulate` is the one "add, drop the zero" step for building term maps.
 `pair_product` is the one loop that accumulates products: `star` at every
@@ -24,7 +26,8 @@ numerators and denominator, and `scalars.from_numerators` reduces each
 output coefficient once, by one gcd: `scalars` imports this module for
 `SparseElement`, so this one cannot import `scalars` at module level.
 A constant raised to a power is the power of its coefficient, taken by
-squaring in the ring.  `graded_bracket` is the one graded bracket, and
+squaring in the ring.  `graded_bracket` is the one graded bracket, one
+`pair_product` pass over a x b with the family's bracket kernel, and
 `triple_bracket_law` the one check of the orthosymplectic triple-bracket
 law over a basis and a form.
 
@@ -146,25 +149,20 @@ def pair_product(a, b, pair):
 
 
 def lie_bracket(a, b):
-    """The commutator a*b - b*a, in the product of the elements' family."""
-    return a * b - b * a
+    """The commutator a*b - b*a, in the bracket of the elements' family."""
+    return a._bracket(b, lambda m1, m2: False)
 
 
 def anti_bracket(a, b):
     """The anticommutator a*b + b*a."""
-    return a * b + b * a
+    return a._bracket(b, lambda m1, m2: True)
 
 
 def graded_bracket(a, b, degree, odd):
-    """The bracket of a and b graded by degree(key), extended bilinearly: over
-    each pair of homogeneous parts of degrees (da, db), the anticommutator
-    when odd(da, db) holds and the commutator otherwise."""
-    a._check_space(b)
-    out = a.raw(a.space, {})
-    for da, xa in a.homogeneous_parts(degree).items():
-        for db, xb in b.homogeneous_parts(degree).items():
-            out = out + (anti_bracket(xa, xb) if odd(da, db) else lie_bracket(xa, xb))
-    return out
+    """The bracket of a and b graded by degree(key), extended bilinearly: on
+    each pair of terms of degrees (da, db), the anticommutator when odd(da,
+    db) holds and the commutator otherwise."""
+    return a._bracket(b, lambda m1, m2: odd(degree(m1), degree(m2)))
 
 
 def triple_bracket_law(basis, form, bracket):
@@ -231,13 +229,6 @@ class SparseElement:
 
     def _product(self, other):
         return NotImplemented
-
-    def homogeneous_parts(self, key):
-        """{value: the part whose keys k have key(k) == value}, for graded brackets."""
-        parts = {}
-        for k, c in self.terms.items():
-            parts.setdefault(key(k), {})[k] = c
-        return {v: self.raw(self.space, p) for v, p in parts.items()}
 
     def _check_space(self, other):
         if self.space != other.space:

@@ -32,6 +32,12 @@ it, and `wedge` and `poisson` with its e = 0 terms and its e = 1 terms,
 doubled.  Its keys are (CwMonomial, L power), and it gives integers over
 one denominator per pair, the format of `sparse.pair_product`.
 
+Swapping the factors signs the terms: for m1 = w^I p^A q^B and m2 = w^J
+p^C q^D, a term of m2 * m1 is the one of m1 * m2 times rho (-1)^r, r its
+Bose order (as in the Moyal bracket) and rho = (-1)^(|J||A+B| + |I||C+D| +
+|I||J| - |I & J|).  So m1*m2 - sigma m2*m1 is the terms with sigma rho
+(-1)^r = -1, doubled: `bracket` is one pass of that parity filter.
+
 The pairs (p_j, q_j) commute with each other, so the Weyl algebra on k
 pairs is the k-fold tensor power of the one-mode algebra A_1, and every
 factor of the Bose kernel above factors per mode.  `_mode_pair` caches the
@@ -52,7 +58,7 @@ import math
 from functools import lru_cache
 from itertools import product as iproduct
 
-from .algebra import AlgebraError, CwElement, CwMonomial, check_same_signature
+from .algebra import AlgebraError, CwElement, CwMonomial
 from .scalars import S_ONE, join_numerators, split_powers
 from .sparse import anti_bracket, graded_bracket, lie_bracket, pair_product
 
@@ -166,18 +172,37 @@ def _order_kernel(order, weight):
 _at_one = _order_kernel(None, 1)
 
 
-def pair_kernel(t):
-    """The pair kernel at t: each term at t = 1 takes t^e, spread over its L
-    powers, one group per term and L power.  With t = T/dt, T a Gaussian-
-    integer L-polynomial, a pair of degree d is over den * dt^top, top = d
-    >> 1, and a term of degree deg takes T^e dt^h, h = deg >> 1 = top - e."""
+def _bracket_kernel(odd):
+    """The kernel at t = 1 of m1*m2 - sigma m2*m1, sigma = -1 where odd(m1,
+    m2): the terms of m1*m2 with sigma rho (-1)^r = -1, doubled."""
+
+    def pair(k1, k2):
+        (m1, l1), (m2, l2) = k1, k2
+        (I, J), bi = (m1.cliff, m2.cliff), m1.bose_degree()
+        par, cmask = _cliff_pair(I, J)
+        den, terms = _weyl_pair(m1.wp, m1.wq, m2.wp, m2.wq)
+        # the kept r is rho's exponent + 1 + [sigma = -1], mod 2
+        rho = J.bit_count() * bi + I.bit_count() * (m2.bose_degree() + J.bit_count()) + (I & J).bit_count()
+        keep = (rho if odd(m1, m2) else rho + 1) & 1
+        s = -2 if par ^ (J.bit_count() & bi & 1) else 2
+        kept = [(num, (_tuple_new(CwMonomial, (cmask, P, Q)), l1 + l2)) for r, num, P, Q in terms if r & 1 == keep]
+        return den, ((s, 0, kept),)
+
+    return pair
+
+
+def pair_kernel(t, at_one=_at_one):
+    """The pair kernel at t from `at_one` at t = 1: each term at t = 1 takes
+    t^e, spread over its L powers, one group per term and L power.  With t =
+    T/dt, T a Gaussian-integer L-polynomial, a pair of degree d is over den *
+    dt^top, top = d >> 1, and a term of degree deg takes T^e dt^h, h = top - e."""
     if t is S_ONE or t == S_ONE:
-        return _at_one
+        return at_one
     dt = math.lcm(*[g._den for g in t.terms.values()])
     powers = [S_ONE]  # T^e
 
     def pair(k1, k2):
-        den, ((s, _, terms),) = _at_one(k1, k2)
+        den, ((s, _, terms),) = at_one(k1, k2)
         top = (k1[0].z_degree() + k2[0].z_degree()) >> 1
         while len(powers) <= top:
             powers.append(powers[-1] * t.scale(dt))
@@ -192,7 +217,7 @@ def pair_kernel(t):
 
 
 def _product(a, b, pair):
-    check_same_signature(a, b)
+    a._check_space(b)
     terms = pair_product(split_powers(a.terms), split_powers(b.terms), pair)
     return CwElement.raw(a.signature, join_numerators(terms))
 
@@ -213,13 +238,18 @@ def poisson(a, b):
     return _product(a, b, _order_kernel(1, 2))
 
 
+def bracket(a, b, odd):
+    """a*b - sigma b*a over the term pairs (m1, m2), sigma = -1 where odd(m1, m2)."""
+    return _product(a, b, pair_kernel(a.signature.t_param, _bracket_kernel(odd)))
+
+
 def super_bracket(a, b):
     """Bracket graded by the Bose parity (second Z2 degree).
 
-    On homogeneous arguments: a*b - (-1)^{d2(a) d2(b)} b*a; general arguments
-    are split into Bose-parity-homogeneous parts and combined bilinearly.
-    Note this grading makes the bracket of two Fermi generators a commutator;
-    the anticommutator pairing of the presentation is `anti_bracket`.
+    On homogeneous arguments: a*b - (-1)^{d2(a) d2(b)} b*a, extended
+    bilinearly, one pair of terms at a time.  Note this grading makes the
+    bracket of two Fermi generators a commutator; the anticommutator pairing
+    of the presentation is `anti_bracket`.
     """
     return graded_bracket(a, b, lambda m: m.bose_degree() & 1, lambda da, db: da and db)
 

@@ -13,6 +13,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
+from itertools import product
 
 from .algebra import (
     AlgebraError,
@@ -399,6 +400,14 @@ def _suite_ore_relations(run, rng, algebra, maxdeg, cases, params):
     params["ranks"] = ranks
     for n in ranks:
         run.merge(ore_relations_report(n))
+    # at rank 0, the normal form of E-^beta E+^gamma acts as E+^gamma and then
+    # E-^beta do; it has L^2 terms once min(beta, gamma) >= 3
+    lams = (_rand_lam(rng), _rand_lam(rng)) if 0 in ranks else ()
+    for (beta, gamma), lam, m in product(((3, 3), (4, 5), (5, 3)), lams, range(8)):
+        em, ep = OreElement(0, {OreMonomial(0, 0, beta, 0): 1}), OreElement(0, {OreMonomial(0, gamma, 0, 0): 1})
+        f, label = {m: GaussianRational(1)}, "E-^%d E+^%d" % (beta, gamma)
+        want = verma_apply(lam, em, verma_apply(lam, ep, f))
+        run.check([label, "lambda=%s" % lam, "z^%d" % m], verma_apply(lam, ore_product(em, ep), f), want)
 
 
 def _suite_a0_iso(run, rng, algebra, maxdeg, cases, params):

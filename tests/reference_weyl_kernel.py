@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iproduct
 
-from cliffordweyl.algebra import CwElement, CwMonomial, check_same_signature
+from cliffordweyl.algebra import CwElement, CwMonomial
 from cliffordweyl.scalars import S_HALF, S_ONE, Scalar, gr_ratio
 from cliffordweyl.sparse import accumulate
 from cliffordweyl.starprod import _parity_below, _shuffle_parity
@@ -138,7 +138,7 @@ def poisson(a, b):
     General elements are expanded bilinearly over monomials, which realizes
     the homogeneous-split convention.
     """
-    check_same_signature(a, b)
+    a._check_space(b)
     k = a.signature.n_bose
     out = {}
 

@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 
 import reference_weyl_kernel as ref
+from reference_bracket import homogeneous_parts
 from cliffordweyl import starprod
 from cliffordweyl.algebra import (
     AlgebraSignature,
@@ -300,8 +301,8 @@ def test_supertrace_kills_brackets():
         a = rand_element(rng, sig)
         b = rand_element(rng, sig)
         # Bose-parity homogeneous parts, bracketed pairwise
-        for da, xa in a.homogeneous_parts(lambda m: m.bose_degree() % 2).items():
-            for db, xb in b.homogeneous_parts(lambda m: m.bose_degree() % 2).items():
+        for da, xa in homogeneous_parts(a, lambda m: m.bose_degree() % 2).items():
+            for db, xb in homogeneous_parts(b, lambda m: m.bose_degree() % 2).items():
                 assert supertrace_weyl(super_bracket(xa, xb)) == Scalar()
 
 

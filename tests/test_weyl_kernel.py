@@ -172,7 +172,7 @@ CLIFF_PAIR_FAULT_FAILURES = {
     "ghost": (66, 33),
     "matrix-iso": (24, 20),
     "odd-split": (69, 36),
-    "ore-relations": (71, 9),
+    "ore-relations": (119, 9),
     "osp22": (54, 16),
     "periodicity1": (80, 54),
     "periodicity2": (40, 24),
