@@ -74,6 +74,9 @@ class CwMonomial(NamedTuple):
     def bose_degree(self):
         return sum(self.wp) + sum(self.wq)
 
+    def bose_parity(self):
+        return self.bose_degree() & 1
+
     def cliff_indices(self):
         """Sorted 1-based list of Clifford generator indices present."""
         return [i + 1 for i in range(self.cliff.bit_length()) if self.cliff >> i & 1]
@@ -101,7 +104,7 @@ def bidegree(m):
     delta2 the Bose parity (Weyl degree mod 2); the Fermi generators sit in
     degree (1,0), the Bose generators in (1,1), scalars in (0,0).
     """
-    b = m.bose_degree() % 2
+    b = m.bose_parity()
     return BiDegree((m.cliff.bit_count() + b) % 2, b)
 
 

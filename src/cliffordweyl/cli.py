@@ -113,7 +113,7 @@ def main(argv=None):
         print(text)
         return 0
 
-    from .suites import SuiteUsageError, report_bytes
+    from .suites import report_bytes
 
     try:
         result = run_suite(
@@ -123,9 +123,6 @@ def main(argv=None):
             maxdeg=args.maxdeg,
             cases=args.cases,
         )
-    except SuiteUsageError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
     except AlgebraError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

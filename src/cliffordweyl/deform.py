@@ -22,8 +22,7 @@ Everything here sits on top of the normal-form arithmetic in `ore`:
 """
 
 from fractions import Fraction
-from itertools import chain
-from math import comb
+from itertools import chain, combinations, islice
 
 from .algebra import (
     AlgebraError,
@@ -31,6 +30,7 @@ from .algebra import (
     CwElement,
     CwMonomial,
     fermi_gen,
+    index_mask,
     monomial_element,
     zero,
 )
@@ -38,6 +38,7 @@ from .linalg import Matrix, add_row, reduce_row, sparse_nullspace
 from .ore import (
     OreElement,
     OreMonomial,
+    _monomial_sort_key,
     ghost_theta,
     ore_anti_bracket,
     ore_e_minus,
@@ -393,42 +394,25 @@ def finite_irrep_pi_h(n, h, sign):
 MAX_PROBE_MONOMIALS = 5_000
 
 
-def _bounded_monomial_count(n, max_total_degree):
-    """How many monomials bounded_monomials lists, counted only until the
-    total passes MAX_PROBE_MONOMIALS: over each Fermi degree s, C(2n+1, s)
-    masks times the (a, b, r) with a + b + 2r <= max_total_degree - s."""
-    width, total = 2 * n + 1, 0
-    for s in range(min(width, max_total_degree) + 1):
-        masks = comb(width, s)
-        for r in range((max_total_degree - s) // 2 + 1):
-            rest = max_total_degree - s - 2 * r
-            total += masks * (rest + 1) * (rest + 2) // 2
-            if total > MAX_PROBE_MONOMIALS:
-                return total
-    return total
-
-
 def bounded_monomials(n, max_total_degree):
     """All normal-form monomials with Fermi+Bose degree plus twice the
-    central power at most the bound, in canonical order; AlgebraError when
-    there are more than MAX_PROBE_MONOMIALS, before any is built."""
-    if _bounded_monomial_count(n, max_total_degree) > MAX_PROBE_MONOMIALS:
+    central power at most the bound, in canonical order, listed by Fermi
+    degree; AlgebraError once the listing passes MAX_PROBE_MONOMIALS."""
+    width, d = 2 * n + 1, max_total_degree
+    listing = (
+        OreMonomial(mask, a, b, r)
+        for s in range(min(width, d) + 1)
+        for mask in map(index_mask, combinations(range(1, width + 1), s))
+        for r in range((d - s) // 2 + 1)
+        for a in range(d - s - 2 * r + 1)
+        for b in range(d - s - 2 * r - a + 1)
+    )
+    out = list(islice(listing, MAX_PROBE_MONOMIALS + 1))
+    if len(out) > MAX_PROBE_MONOMIALS:
         raise AlgebraError(
-            "rank %d to degree %d has more than %d monomials to probe"
-            % (n, max_total_degree, MAX_PROBE_MONOMIALS)
+            "rank %d to degree %d has more than %d monomials to probe" % (n, d, MAX_PROBE_MONOMIALS)
         )
-    width = 2 * n + 1
-    out = []
-    for mask in range(1 << width):
-        base = mask.bit_count()
-        if base > max_total_degree:
-            continue
-        for r in range((max_total_degree - base) // 2 + 1):
-            rest = max_total_degree - base - 2 * r
-            for a in range(rest + 1):
-                for b in range(rest - a + 1):
-                    out.append(OreMonomial(mask, a, b, r))
-    out.sort(key=lambda m: (m.degree(), m.lam, m.cliff, m.e_plus, m.e_minus))
+    out.sort(key=_monomial_sort_key)
     return out
 
 

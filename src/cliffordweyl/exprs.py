@@ -45,18 +45,15 @@ from .algebra import (
 from .ore import (
     OreElement,
     OreMonomial,
-    ore_anti_bracket,
     ore_e_minus,
     ore_e_plus,
     ore_fermi,
     ore_lambda,
-    ore_lie_bracket,
     ore_scalar,
-    ore_super_bracket,
     ore_zero,
 )
 from .scalars import GaussianRational, i_power
-from .starprod import anti_bracket, lie_bracket, super_bracket
+from .sparse import anti_bracket, lie_bracket, super_bracket
 
 
 # the largest exponent `^` takes; a power of a non-constant costs one
@@ -351,8 +348,6 @@ class CwContext:
             return bose_q(sig, int(index))
         raise AlgebraError("unknown generator %r for %s" % (name, self.describe()))
 
-    brackets = {"lie": lie_bracket, "anti": anti_bracket, "super": super_bracket}
-
     def zero(self):
         return zero(self.signature)
 
@@ -386,12 +381,6 @@ class OreContext:
         if name[0] == "w" and name[1:] and 1 <= int(name[1:]) <= 2 * n + 1:
             return ore_fermi(n, int(name[1:]))
         raise AlgebraError("unknown generator %r for %s" % (name, self.describe()))
-
-    brackets = {
-        "lie": ore_lie_bracket,
-        "anti": ore_anti_bracket,
-        "super": ore_super_bracket,
-    }
 
     def zero(self):
         return ore_zero(self.n)
@@ -443,6 +432,10 @@ def _lowering(a, b):
     return cost
 
 
+# the bracket nodes; each bracket serves both families
+_BRACKETS = {"lie": lie_bracket, "anti": anti_bracket, "super": super_bracket}
+
+
 def evaluate(node, ctx):
     """Exact element of the context's algebra, within the `MAX_PAIRS` and
     `MAX_LOWERING` budgets."""
@@ -484,8 +477,8 @@ def evaluate(node, ctx):
         a, b = ev(node[1]), ev(node[2])
         if head == "mul":
             return product(mul, a, b)
-        if head in ctx.brackets:
-            return product(ctx.brackets[head], a, b, bracket=True)
+        if head in _BRACKETS:
+            return product(_BRACKETS[head], a, b, bracket=True)
         if head == "div":
             return a.scale(_constant_inverse(b))
         return a + b if head == "add" else a - b

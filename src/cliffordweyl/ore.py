@@ -34,8 +34,9 @@ from typing import NamedTuple
 from .algebra import AlgebraError, index_mask
 from .scalars import GR_ONE, GaussianRational, _coerce, from_numerators, gaussian
 from .scalars import i_power
-from .sparse import Checks, SparseElement, accumulate, graded_bracket, pair_product
+from .sparse import Checks, SparseElement, accumulate, pair_product
 from .sparse import anti_bracket as ore_anti_bracket, lie_bracket as ore_lie_bracket
+from .sparse import super_bracket as ore_super_bracket
 from .starprod import _LOWER_PAST_POWERS_CACHE, _LOWER_PAST_POWERS_STEPS, _cliff_pair
 from .textform import element_to_text
 
@@ -328,12 +329,7 @@ def ore_product(x, y):
     return _product(x, y, pair_kernel(x.n))
 
 
-# -- brackets and specialization ---------------------------------------------------
-
-
-def ore_super_bracket(x, y):
-    """Bracket graded by the parity of the E-block."""
-    return graded_bracket(x, y, OreMonomial.bose_parity, lambda dx, dy: dx and dy)
+# -- specialization ----------------------------------------------------------------
 
 
 def specialize(x, lam_value):

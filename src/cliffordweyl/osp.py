@@ -27,13 +27,13 @@ from .algebra import (
 )
 from .linalg import add_row
 from .scalars import split_powers
-from .sparse import Checks, accumulate, graded_bracket, triple_bracket_law
-from .starprod import poisson, super_bracket
+from .sparse import Checks, accumulate, graded_bracket, super_bracket, triple_bracket_law
+from .starprod import poisson
 
 
 class OspContext:
     """Degree-one generators of one algebra, split by Bose parity, and the
-    invariant form on C + V as {(monomial, monomial): Gaussian rational}."""
+    invariant form on C + V as {(monomial, monomial): nonzero Gaussian rational}."""
 
     __slots__ = ("signature", "v0_basis", "v1_basis", "form_table")
 
@@ -44,12 +44,13 @@ class OspContext:
         for name, value in (("signature", signature), ("v0_basis", v0), ("v1_basis", v1)):
             object.__setattr__(self, name, value)
         # (X|Y) is the value at 0 of {X,Y} on a pair of generators, each one
-        # monomial; (1|1) = -2 and (1|V) = 0
+        # monomial; (1|1) = -2, and a pair the table leaves out, such as (1|V), is 0
         gens, one = self.v_basis(), unit(signature).unit_key()
-        table = {
-            (*x.terms, *y.terms): poisson(x, y).constant_term().constant() for x in gens for y in gens
-        }
-        object.__setattr__(self, "form_table", {**table, (one, one): -2})
+        table = {(one, one): -2}
+        for x in gens:
+            for y in gens:
+                accumulate(table, (*x.terms, *y.terms), poisson(x, y).constant_term().constant())
+        object.__setattr__(self, "form_table", table)
 
     def __setattr__(self, name, value):
         raise AttributeError("OspContext is immutable")

@@ -28,8 +28,9 @@ output coefficient once, by one gcd: `scalars` imports this module for
 A constant raised to a power is the power of its coefficient, taken by
 squaring in the ring.  `graded_bracket` is the one graded bracket, one
 `pair_product` pass over a x b with the family's bracket kernel, and
-`triple_bracket_law` the one check of the orthosymplectic triple-bracket
-law over a basis and a form.
+`lie_bracket`, `anti_bracket` and `super_bracket` its gradings for both
+families; `triple_bracket_law` is the one check of the orthosymplectic
+triple-bracket law over a basis and a form.
 
 `element_tag` names the algebra of an element, its family and space, for
 the cochains' argument checks and the matrices' entry rings.
@@ -156,6 +157,14 @@ def lie_bracket(a, b):
 def anti_bracket(a, b):
     """The anticommutator a*b + b*a."""
     return a._bracket(b, lambda m1, m2: True)
+
+
+def super_bracket(a, b):
+    """a*b - (-1)^{d2(a) d2(b)} b*a on each pair of terms, d2 the Bose parity
+    `bose_parity()` of a key.  This grading makes the bracket of two Fermi
+    generators a commutator; the anticommutator pairing of the presentation
+    is `anti_bracket`."""
+    return a._bracket(b, lambda m1, m2: m1.bose_parity() and m2.bose_parity())
 
 
 def graded_bracket(a, b, degree, odd):

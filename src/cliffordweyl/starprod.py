@@ -60,7 +60,7 @@ from itertools import product as iproduct
 
 from .algebra import AlgebraError, CwElement, CwMonomial
 from .scalars import S_ONE, join_numerators, split_powers
-from .sparse import anti_bracket, graded_bracket, lie_bracket, pair_product
+from .sparse import anti_bracket, lie_bracket, pair_product, super_bracket
 
 
 def _parity_below(mask, i):
@@ -241,17 +241,6 @@ def poisson(a, b):
 def bracket(a, b, odd):
     """a*b - sigma b*a over the term pairs (m1, m2), sigma = -1 where odd(m1, m2)."""
     return _product(a, b, pair_kernel(a.signature.t_param, _bracket_kernel(odd)))
-
-
-def super_bracket(a, b):
-    """Bracket graded by the Bose parity (second Z2 degree).
-
-    On homogeneous arguments: a*b - (-1)^{d2(a) d2(b)} b*a, extended
-    bilinearly, one pair of terms at a time.  Note this grading makes the
-    bracket of two Fermi generators a commutator; the anticommutator pairing
-    of the presentation is `anti_bracket`.
-    """
-    return graded_bracket(a, b, lambda m: m.bose_degree() & 1, lambda da, db: da and db)
 
 
 def supertrace_weyl(a):

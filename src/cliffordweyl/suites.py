@@ -226,7 +226,7 @@ def _suite_relations(run, rng, algebra, maxdeg, cases, params):
 def _suite_associativity(run, rng, algebra, maxdeg, cases, params):
     ctx = algebra if algebra is not None else CwContext(AlgebraSignature(1, 1))
     count = cases or 200
-    deg = maxdeg or 4
+    deg = 4 if maxdeg is None else maxdeg
     params.update({"algebra": ctx.describe(), "cases": count, "maxdeg": deg})
     for _ in range(count):
         if ctx.kind == "cw":
@@ -240,13 +240,14 @@ def _suite_periodicity1(run, rng, algebra, maxdeg, cases, params):
     _no_algebra(algebra, "periodicity1")
     grid = ((1, 0, 1), (1, 1, 1), (2, 1, 1), (1, 2, 1))
     pairs = cases or 10
+    deg = 3 if maxdeg is None else maxdeg
     params.update({"grid": ["m=%d,n=%d,k=%d" % e for e in grid], "cases": pairs})
     for m, n, k in grid:
         sig = AlgebraSignature(2 * m + n, k)
         label = "m=%d,n=%d,k=%d" % (m, n, k)
         for _ in range(pairs):
-            x = _rand_cw(rng, sig, maxdeg=maxdeg or 3)
-            y = _rand_cw(rng, sig, maxdeg=maxdeg or 3)
+            x = _rand_cw(rng, sig, maxdeg=deg)
+            y = _rand_cw(rng, sig, maxdeg=deg)
             fx = periodicity1_forward(m, n, k, x)
             fy = periodicity1_forward(m, n, k, y)
             run.check(
@@ -260,12 +261,13 @@ def _suite_periodicity1(run, rng, algebra, maxdeg, cases, params):
 def _suite_periodicity2(run, rng, algebra, maxdeg, cases, params):
     ranks = _need_ore_grid(algebra, (1, 2))
     pairs = cases or 10
+    deg = 3 if maxdeg is None else maxdeg
     params.update({"ranks": ranks, "cases": pairs})
     for n in ranks:
         label = "ore:%d" % n
         for _ in range(pairs):
-            x = _rand_ore(rng, n, maxdeg=maxdeg or 3)
-            y = _rand_ore(rng, n, maxdeg=maxdeg or 3)
+            x = _rand_ore(rng, n, maxdeg=deg)
+            y = _rand_ore(rng, n, maxdeg=deg)
             fx = periodicity2_forward(n, x)
             fy = periodicity2_forward(n, y)
             run.check([label, x, y], periodicity2_forward(n, ore_product(x, y)), fx * fy)
@@ -336,6 +338,7 @@ def _suite_matrix_iso(run, rng, algebra, maxdeg, cases, params):
     else:
         grid = [(1, 1), (2, 1)]
     pairs = cases or 10
+    deg = 3 if maxdeg is None else maxdeg
     params.update({"grid": ["n=%d,k=%d" % e for e in grid], "cases": pairs})
     for n, k in grid:
         sig = AlgebraSignature(2 * n, k)
@@ -349,8 +352,8 @@ def _suite_matrix_iso(run, rng, algebra, maxdeg, cases, params):
             Matrix.identity(dim, unit(bose_sig)),
         )
         for _ in range(pairs):
-            x = _rand_cw(rng, sig, maxdeg=maxdeg or 3)
-            y = _rand_cw(rng, sig, maxdeg=maxdeg or 3)
+            x = _rand_cw(rng, sig, maxdeg=deg)
+            y = _rand_cw(rng, sig, maxdeg=deg)
             run.check(
                 ["hom, " + label, x, y],
                 cw_to_matrix(n, k, star(x, y)),
@@ -413,13 +416,14 @@ def _suite_ore_relations(run, rng, algebra, maxdeg, cases, params):
 def _suite_a0_iso(run, rng, algebra, maxdeg, cases, params):
     ranks = _need_ore_grid(algebra, (0, 1))
     pairs = cases or 100
+    deg = 3 if maxdeg is None else maxdeg
     params.update({"ranks": ranks, "cases": pairs})
     for n in ranks:
         sig = cw_odd_signature(n)
         label = "ore:%d" % n
         for _ in range(pairs):
-            a = _rand_cw(rng, sig, maxdeg=maxdeg or 3)
-            b = _rand_cw(rng, sig, maxdeg=maxdeg or 3)
+            a = _rand_cw(rng, sig, maxdeg=deg)
+            b = _rand_cw(rng, sig, maxdeg=deg)
             fa, fb = iso_cw_to_a0(n, a), iso_cw_to_a0(n, b)
             run.check(
                 ["degree-zero part of the product, " + label, a, b],
@@ -427,7 +431,7 @@ def _suite_a0_iso(run, rng, algebra, maxdeg, cases, params):
                 star(a, b),
             )
         for _ in range(25):
-            x = _rand_cw(rng, sig, maxdeg=maxdeg or 3)
+            x = _rand_cw(rng, sig, maxdeg=deg)
             run.check(
                 ["round trip, " + label, x], iso_a0_to_cw(n, iso_cw_to_a0(n, x)), x
             )
@@ -554,9 +558,7 @@ def _suite_pi_h(run, rng, algebra, maxdeg, cases, params):
 
 def _suite_center(run, rng, algebra, maxdeg, cases, params):
     ranks = _need_ore_grid(algebra, (0,))
-    degree = maxdeg or 4
-    if degree < 0:
-        raise SuiteUsageError("maxdeg must be non-negative")
+    degree = 4 if maxdeg is None else maxdeg
     params.update({"ranks": ranks, "maxdeg": degree})
     basis = {}
     for n in ranks:

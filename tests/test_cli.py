@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import itertools
 import json
 import time
 
@@ -9,8 +10,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cliffordweyl import cli, deform, exprs
-from cliffordweyl.deform import MAX_PROBE_MONOMIALS, _bounded_monomial_count, bounded_monomials
+from cliffordweyl.deform import MAX_PROBE_MONOMIALS, bounded_monomials
 from cliffordweyl.exprs import evaluate_text, parse_algebra
+from cliffordweyl.ore import OreMonomial
 from cliffordweyl.suites import (
     MAX_CASES,
     SuiteResult,
@@ -219,7 +221,7 @@ def test_center_suite_reports_basis():
 
 @pytest.mark.parametrize("argv", [["--algebra", "ore:12"], ["--maxdeg", "80"]], ids=["ore12", "maxdeg80"])
 def test_center_probe_above_the_monomial_bound_is_an_input_error(argv, capsys):
-    # 21,997 and 91,881 monomials; the count stops past the bound, before any is built
+    # 21,997 and 91,881 monomials; the listing stops at MAX_PROBE_MONOMIALS + 1
     start = time.perf_counter()
     assert cli.main(["--suite", "center"] + argv) == 2
     assert time.perf_counter() - start < 1.0
@@ -231,14 +233,42 @@ def test_center_probe_above_the_monomial_bound_is_an_input_error(argv, capsys):
 
 
 def test_center_probe_counts_its_monomials(monkeypatch):
-    for n, degree in [(0, 0), (0, 4), (1, 3), (2, 5), (6, 4)]:
-        assert _bounded_monomial_count(n, degree) == len(bounded_monomials(n, degree))
+    # the listing by Fermi degree against a scan of every mask, filtered
+    for n, degree in [(0, 0), (0, 4), (1, 3), (2, 5)]:
+        scan = [
+            OreMonomial(mask, a, b, r)
+            for mask in range(1 << (2 * n + 1))
+            for a, b, r in itertools.product(range(degree + 1), repeat=3)
+            if mask.bit_count() + a + b + 2 * r <= degree
+        ]
+        canonical = sorted(scan, key=lambda m: (m.degree(), m.lam, m.cliff, m.e_plus, m.e_minus))
+        assert bounded_monomials(n, degree) == canonical
     monkeypatch.setattr(deform, "MAX_PROBE_MONOMIALS", 10**6)
-    assert [_bounded_monomial_count(*probe) for probe in [(0, 40), (12, 4)]] == [12_341, 21_997]
+    assert [len(bounded_monomials(*probe)) for probe in [(0, 40), (12, 4)]] == [12_341, 21_997]
     monkeypatch.setattr(deform, "MAX_PROBE_MONOMIALS", 35)
     assert len(bounded_monomials(0, 4)) == 35
     with pytest.raises(exprs.AlgebraError, match="more than 35 monomials"):
         bounded_monomials(0, 5)
+
+
+def test_center_probe_work_follows_its_listing_at_every_rank(capsys):
+    # 64 monomials at ore:30; a scan of the 2^61 Fermi masks never finished
+    start = time.perf_counter()
+    assert cli.main(["--suite", "center", "--algebra", "ore:30", "--maxdeg", "1"]) == 0
+    assert time.perf_counter() - start < 1.0
+    assert json.loads(capsys.readouterr().out)["cases"] == 64
+
+
+@pytest.mark.parametrize(
+    "suite", ["associativity", "periodicity1", "periodicity2", "matrix-iso", "a0-iso", "center"]
+)
+def test_maxdeg_zero_is_honoured(suite, capsys):
+    assert cli.main(["--suite", suite, "--maxdeg", "0"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["params"].get("maxdeg", 0) == 0
+    if suite == "center":
+        assert report["details"]["basis"] == {"ore:0": ["1"]}
+        assert report["cases"] == 4
 
 
 @pytest.mark.parametrize("algebra", ["cw:2,0", "cw:4,0"])

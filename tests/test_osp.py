@@ -200,6 +200,7 @@ def _rand_l_scalar(rng):
 @pytest.mark.parametrize("nk", PS_SIGNATURES, ids=str)
 def test_form_table_matches_the_poisson_form(nk):
     ctx = OspContext(AlgebraSignature(*nk))
+    assert all(ctx.form_table.values())  # only the nonzero pairs are kept
     rng = random.Random(sum(nk) * 31 + nk[0])
     h = ctx.h_basis()
 
