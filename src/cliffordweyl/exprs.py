@@ -287,6 +287,8 @@ def _wrap(text, need):
 
 def print_expr(node):
     """Canonical text form; parse(print_expr(t)) == t."""
+    if not node:
+        raise ParseError("empty expression node", 0)
     head = node[0]
     if head == "num":
         return str(node[1])
@@ -453,6 +455,8 @@ def evaluate(node, ctx):
         return op(a, b)
 
     def ev(node):
+        if not node:
+            raise ParseError("empty expression node", 0)
         head = node[0]
         if head == "num":
             return ctx.scalar(GaussianRational(node[1]))

@@ -3,17 +3,18 @@
 One immutable matrix type, whose entries are Scalars or elements of one
 algebra (representation images, matrix realizations), and a sparse
 reduced-row-echelon solver used by the centralizer probes and the
-linear-independence checks.  The matrix is stored sparsely, one
-{column: nonzero entry} map per row, and its operations read only the
-stored entries.  Everything is exact; there is no floating point anywhere
-in this package.
+linear-independence checks.  `Matrix` is a `SparseElement`: its terms map
+(row, column) to the nonzero entries over the space (rows, columns, zero
+entry), so sums, negation, immutability and pickling are the sparse
+core's, and its operations read only the stored entries.  Everything is
+exact; there is no floating point anywhere in this package.
 """
 
 from __future__ import annotations
 
 from .algebra import AlgebraError
 from .scalars import GR_ONE, S_ONE, S_ZERO, Scalar, _coerce_scalar
-from .sparse import accumulate, element_tag
+from .sparse import SparseElement, accumulate, element_tag
 
 
 class MatrixError(AlgebraError, ValueError):
@@ -33,18 +34,20 @@ def _ring(x):
         raise MatrixError("matrix entries must be scalars or algebra elements, got %r" % (x,)) from None
 
 
-class Matrix:
+class Matrix(SparseElement):
     """Immutable rectangular matrix over Scalars or over one algebra.
 
-    Plain numbers become Scalars.  Each row is stored as a map {column:
-    nonzero entry}, beside the column count and the zero of the entry ring;
-    no zero entry is ever stored, so equal matrices have equal maps.  `rows`
-    is a dense read-only view, built when read.  Products use the entries'
-    own `*`, so a matrix over an algebra multiplies with that algebra's
-    product, and every operation reads only the stored entries.
+    Plain numbers become Scalars.  The terms map (i, j) to the nonzero
+    entries, and the space is (rows, columns, the zero of the entry ring);
+    a matrix without rows has no columns either.  Equality and hashing
+    read the shape and the entries, not the entry ring, so zero matrices
+    of one shape are equal over every ring.  `rows` is a dense read-only
+    view, built when read.  Products use the entries' own `*`, so a matrix
+    over an algebra multiplies with that algebra's product; a number or an
+    element that is not a Matrix scales every entry.
     """
 
-    __slots__ = ("_rows", "_ncols", "_zero")
+    __slots__ = ()
 
     def __init__(self, rows):
         rr = [[_entry(x) for x in r] for r in rows]
@@ -54,29 +57,29 @@ class Matrix:
         if len(rings) > 1:
             raise MatrixError("mixed entry rings: %r" % (rings,))
         zero = rr[0][0] * 0 if rings else S_ZERO
-        _new(tuple({j: x for j, x in enumerate(r) if x} for r in rr), len(rr[0]) if rr else 0, zero, self)
+        terms = {(i, j): x for i, r in enumerate(rr) for j, x in enumerate(r)}
+        super().__init__((len(rr), len(rr[0]) if rr else 0, zero), terms)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Matrix is immutable")
-
-    def __reduce__(self):
-        # pickle and copy rebuild through _new, since __setattr__ refuses the slots
-        return _new, (self._rows, self._ncols, self._zero)
+    # the sparse core's coercion, not the module's `_ring`: the constructors
+    # check each entry, and a scale factor reaches the entries' own `*` as
+    # it is, since an ore entry takes no Scalar
+    _ring = staticmethod(lambda x: x)
+    _check_key = staticmethod(lambda space, key: key)
 
     @staticmethod
     def from_entries(shape, entries, zero=S_ZERO):
         """The matrix of this shape with entries {(i, j): x}, zero elsewhere."""
         (nrows, ncols), zero = shape, _entry(zero)
-        rows = tuple({} for _ in range(nrows))
+        ring, terms = _ring(zero), {}
         for (i, j), x in entries.items():
             if not (0 <= i < nrows and 0 <= j < ncols):
                 raise MatrixError("entry (%d, %d) outside shape %s" % (i, j, shape))
             x = _entry(x)
-            if _ring(x) != _ring(zero):
-                raise MatrixError("mixed entry rings: %r" % ({_ring(zero), _ring(x)},))
+            if _ring(x) != ring:
+                raise MatrixError("mixed entry rings: %r" % ({ring, _ring(x)},))
             if x:
-                rows[i][j] = x
-        return _new(rows, ncols, zero)
+                terms[i, j] = x
+        return Matrix.raw((nrows, ncols if nrows else 0, zero), terms)
 
     @staticmethod
     def identity(n, one=S_ONE):
@@ -84,79 +87,57 @@ class Matrix:
 
     @property
     def shape(self):
-        return (len(self._rows), self._ncols)
+        return self.space[:2]
 
     @property
     def rows(self):
         """The entries as a tuple of row tuples, zeros included."""
-        z, cols = self._zero, range(self._ncols)
-        return tuple(tuple(r.get(j, z) for j in cols) for r in self._rows)
+        (nrows, ncols, z), t = self.space, self.terms
+        return tuple(tuple(t.get((i, j), z) for j in range(ncols)) for i in range(nrows))
 
     def items(self):
         """The nonzero entries as ((i, j), entry), row by row."""
-        return (((i, j), x) for i, r in enumerate(self._rows) for j, x in r.items())
+        return sorted(self.terms.items(), key=lambda item: item[0][0])
 
     def __getitem__(self, rc):
-        i, j = rc
-        row, n = self._rows[i], self._ncols
-        if not -n <= j < n:
-            raise IndexError("matrix column index out of range")
-        return row.get(j + n if j < 0 else j, self._zero)
+        (i, j), (nrows, ncols, z) = rc, self.space
+        if not (-nrows <= i < nrows and -ncols <= j < ncols):
+            raise IndexError("matrix index out of range")
+        return self.terms.get((i % nrows, j % ncols), z)
 
-    def _check_ring(self, other):
-        if self._ncols and other._ncols and _ring(self._zero) != _ring(other._zero):
+    def _check_space(self, other, inner=False):
+        """Shapes that add, or with inner=True multiply, over one entry ring."""
+        (r1, c1, z1), (r2, c2, z2) = self.space, other.space
+        if c1 != r2 if inner else (r1, c1) != (r2, c2):
+            raise MatrixError("shape mismatch %s %s %s" % (self.shape, "x" if inner else "+", other.shape))
+        if c1 and c2 and _ring(z1) != _ring(z2):
             raise MatrixError("entry rings differ")
 
-    def __add__(self, other):
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        if self.shape != other.shape:
-            raise MatrixError("shape mismatch %s + %s" % (self.shape, other.shape))
-        self._check_ring(other)
-        out = tuple(dict(r) for r in self._rows)
-        for acc, r in zip(out, other._rows):
-            for j, b in r.items():
-                accumulate(acc, j, b)
-        return _new(out, self._ncols, self._zero)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return _new(tuple({j: -x for j, x in r.items()} for r in self._rows), self._ncols, self._zero)
-
     def scale(self, s):
-        out = tuple({} for _ in self._rows)
-        for acc, r in zip(out, self._rows):
-            for j, x in r.items():
-                accumulate(acc, j, x * s)
-        return _new(out, self._ncols, self._zero * s)
+        (nrows, ncols, z), terms = self.space, {}
+        for ij, x in self.terms.items():
+            accumulate(terms, ij, x * s)
+        return Matrix.raw((nrows, ncols, z * s), terms)
 
-    def __mul__(self, other):
-        if not isinstance(other, Matrix):
-            return self.scale(other)
-        if self._ncols != len(other._rows):
-            raise MatrixError("shape mismatch %s x %s" % (self.shape, other.shape))
-        self._check_ring(other)
-        # row by row (Gustavson): row i sums a * (row k of other) over its stored (k, a)
-        brows = other._rows
-        out = []
-        for row in self._rows:
-            acc = {}
-            for k, a in row.items():
-                for j, b in brows[k].items():
-                    accumulate(acc, j, a * b)
-            out.append(acc)
-        return _new(tuple(out), other._ncols, self._zero)
-
-    def __rmul__(self, other):
-        return self.scale(other)
+    def _product(self, other):
+        self._check_space(other, inner=True)
+        # row by row (Gustavson): row i sums a * (row k of other) over its
+        # stored (k, a), with other's stored entries grouped by row once
+        brows = {}
+        for (k, j), b in other.terms.items():
+            brows.setdefault(k, []).append((j, b))
+        out = {}
+        for (i, k), a in self.terms.items():
+            for j, b in brows.get(k, ()):
+                accumulate(out, (i, j), a * b)
+        nrows = self.space[0]
+        return Matrix.raw((nrows, other.space[1] if nrows else 0, self.space[2]), out)
 
     def __eq__(self, other):
-        return isinstance(other, Matrix) and self._ncols == other._ncols and self._rows == other._rows
+        return isinstance(other, Matrix) and self.shape == other.shape and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self._ncols, tuple(frozenset(r.items()) for r in self._rows)))
+        return hash((self.shape, frozenset(self.terms.items())))
 
     def __repr__(self):
         return "Matrix([%s])" % ", ".join(
@@ -170,16 +151,6 @@ class Matrix:
     def from_json(data):
         """Inverse of to_json for a matrix of Scalars."""
         return Matrix([[Scalar.from_json(x) for x in r] for r in data])
-
-
-def _new(rows, ncols, zero, m=None):
-    # rows: a tuple of {column: nonzero entry} maps over zero's ring; a matrix
-    # without rows has no columns either
-    m = object.__new__(Matrix) if m is None else m
-    object.__setattr__(m, "_rows", rows)
-    object.__setattr__(m, "_ncols", ncols if rows else 0)
-    object.__setattr__(m, "_zero", zero)
-    return m
 
 
 # -- sparse exact elimination --------------------------------------------------

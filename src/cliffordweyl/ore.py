@@ -37,7 +37,7 @@ from .scalars import i_power
 from .sparse import Checks, SparseElement, accumulate, pair_product
 from .sparse import anti_bracket as ore_anti_bracket, lie_bracket as ore_lie_bracket
 from .sparse import super_bracket as ore_super_bracket
-from .starprod import _LOWER_PAST_POWERS_CACHE, _LOWER_PAST_POWERS_STEPS, _cliff_pair
+from .starprod import _cliff_pair
 from .textform import element_to_text
 
 _tuple_new = tuple.__new__  # an OreMonomial without the NamedTuple's Python __new__
@@ -174,6 +174,16 @@ def ore_generators(n):
 
 
 # -- the product ------------------------------------------------------------------
+
+
+# An entry of `_lower_past_powers` holds the whole normal form of
+# E-^beta E+^gamma; the benchmark's deform workload needs about 21 of them,
+# the largest at (60, 60).  Its size grows with min(beta, gamma) squared, so
+# only pairs with min(beta, gamma) <= `_LOWER_PAST_POWERS_STEPS` are cached:
+# the largest such entry retains 0.2 MB (tracemalloc, at (64, 100000); 0.7 MB
+# at (120, 120)), so the cache holds at most about 52 MB.
+_LOWER_PAST_POWERS_CACHE = 256
+_LOWER_PAST_POWERS_STEPS = 64
 
 
 @lru_cache(maxsize=_LOWER_PAST_POWERS_CACHE)

@@ -4,6 +4,7 @@ An element is a canonical finite map key -> nonzero coefficient over a
 space: a CwElement maps CwMonomials over an AlgebraSignature, an OreElement
 maps OreMonomials over a rank, a GrassPolyVector maps carrier monomials over
 (ell, k), a TensorElement maps monomial pairs over a pair of factor spaces,
+a Matrix maps (row, column) to entries over (rows, columns, zero entry),
 and the cw family's coefficient ring Q(i)[L] maps L exponents over the
 one space None.  `SparseElement` holds the map and gives the vector-space
 operations, equality, hashing and immutability once.  A subclass supplies
@@ -30,7 +31,8 @@ squaring in the ring.  `graded_bracket` is the one graded bracket, one
 `pair_product` pass over a x b with the family's bracket kernel, and
 `lie_bracket`, `anti_bracket` and `super_bracket` its gradings for both
 families; `triple_bracket_law` is the one check of the orthosymplectic
-triple-bracket law over a basis and a form.
+triple-bracket law over a basis and a form, and `homomorphism_law` the one
+check that a transport maps products to products, and back by its inverse.
 
 `element_tag` names the algebra of an element, its family and space, for
 the cochains' argument checks and the matrices' entry rings.
@@ -189,6 +191,22 @@ def triple_bracket_law(basis, form, bracket):
                 cyz, cxz = form.get((ky, kz), 0), form.get((kx, kz), 0)
                 rhs = x.scale(cyz + cyz) - y.scale(cxz + cxz).scale(sign)
                 checks.check([lx, ly, lz], bracket(bxy, z), rhs)
+    return checks
+
+
+def homomorphism_law(checks, labels, pairs, forward, product, target_product, inverse=None):
+    """Check forward(product(x, y)) = target_product(forward(x), forward(y))
+    on each pair (x, y), in order, each followed by inverse(forward(x)) = x
+    when an inverse is given, into checks, labelled labels[0] and labels[-1].
+
+    The maps and products are arguments with no defaults, so the bindings
+    the caller reads when it calls are the ones that run.
+    """
+    for x, y in pairs:
+        fx, fy = forward(x), forward(y)
+        checks.check([labels[0], x, y], forward(product(x, y)), target_product(fx, fy))
+        if inverse is not None:
+            checks.check([labels[-1], x], inverse(fx), x)
     return checks
 
 

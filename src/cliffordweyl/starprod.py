@@ -83,21 +83,13 @@ def _shuffle_parity(left, right):
 # of its distinct monomial pairs: the benchmark's warm cw suites reuse 2,106
 # Bose and 173 Fermi pairs, and six cold products on cw:4,4, cw:2,6 and
 # cw:0,8 need 3,666 Bose pairs.  A combined Bose entry takes about 1 KB;
-# past a bound it is rebuilt from the one-mode kernel.  An entry of
-# `ore._lower_past_powers` holds the whole normal form of E-^beta E+^gamma;
-# the benchmark's deform workload needs about 21 of them, the largest at
-# (60, 60).  Its size grows with min(beta, gamma) squared, so only pairs with
-# min(beta, gamma) <= `_LOWER_PAST_POWERS_STEPS` are cached: the largest such
-# entry retains 0.2 MB (tracemalloc, at (64, 100000); 0.7 MB at (120, 120)),
-# so the cache holds at most about 52 MB.  `_mode_pair` and `_mode_words`
-# are keyed by one mode's exponents, so they grow with the largest
-# exponent in use.
+# past a bound it is rebuilt from the one-mode kernel.  `_mode_pair` and
+# `_mode_words` are keyed by one mode's exponents, so they grow with the
+# largest exponent in use.
 _WEYL_PAIR_CACHE = 4096
 _MODE_PAIR_CACHE = 4096
 _WEYL_WORD_CACHE = 4096
 _CLIFF_PAIR_CACHE = 4096
-_LOWER_PAST_POWERS_CACHE = 256
-_LOWER_PAST_POWERS_STEPS = 64
 
 
 @lru_cache(maxsize=_CLIFF_PAIR_CACHE)

@@ -78,7 +78,7 @@ from .periodicity import (
 )
 from .reps import rep_matrix, spin
 from .scalars import GaussianRational, gr_ratio, i_power
-from .sparse import Checks, accumulate
+from .sparse import Checks, accumulate, homomorphism_law
 from .starprod import anti_bracket, lie_bracket, star
 
 
@@ -168,6 +168,11 @@ def _rand_lam(rng):
             return g
 
 
+def _rand_pairs(count, draw, rng, *args, **kwargs):
+    """count pairs (x, y), drawn x then y as they are read."""
+    return ((draw(rng, *args, **kwargs), draw(rng, *args, **kwargs)) for _ in range(count))
+
+
 def _need_cw(algebra, default_sig):
     if algebra is None:
         return default_sig
@@ -243,19 +248,9 @@ def _suite_periodicity1(run, rng, algebra, maxdeg, cases, params):
     deg = 3 if maxdeg is None else maxdeg
     params.update({"grid": ["m=%d,n=%d,k=%d" % e for e in grid], "cases": pairs})
     for m, n, k in grid:
-        sig = AlgebraSignature(2 * m + n, k)
-        label = "m=%d,n=%d,k=%d" % (m, n, k)
-        for _ in range(pairs):
-            x = _rand_cw(rng, sig, maxdeg=deg)
-            y = _rand_cw(rng, sig, maxdeg=deg)
-            fx = periodicity1_forward(m, n, k, x)
-            fy = periodicity1_forward(m, n, k, y)
-            run.check(
-                [label, x, y],
-                periodicity1_forward(m, n, k, star(x, y)),
-                tensor_star(fx, fy),
-            )
-            run.check([label, x], periodicity1_inverse(m, n, k, fx), x)
+        draws = _rand_pairs(pairs, _rand_cw, rng, AlgebraSignature(2 * m + n, k), maxdeg=deg)
+        forward, inverse = partial(periodicity1_forward, m, n, k), partial(periodicity1_inverse, m, n, k)
+        homomorphism_law(run, ["m=%d,n=%d,k=%d" % (m, n, k)], draws, forward, star, tensor_star, inverse)
 
 
 def _suite_periodicity2(run, rng, algebra, maxdeg, cases, params):
@@ -264,14 +259,9 @@ def _suite_periodicity2(run, rng, algebra, maxdeg, cases, params):
     deg = 3 if maxdeg is None else maxdeg
     params.update({"ranks": ranks, "cases": pairs})
     for n in ranks:
-        label = "ore:%d" % n
-        for _ in range(pairs):
-            x = _rand_ore(rng, n, maxdeg=deg)
-            y = _rand_ore(rng, n, maxdeg=deg)
-            fx = periodicity2_forward(n, x)
-            fy = periodicity2_forward(n, y)
-            run.check([label, x, y], periodicity2_forward(n, ore_product(x, y)), fx * fy)
-            run.check([label, x], periodicity2_inverse(n, fx), x)
+        draws = _rand_pairs(pairs, _rand_ore, rng, n, maxdeg=deg)
+        forward, inverse = partial(periodicity2_forward, n), partial(periodicity2_inverse, n)
+        homomorphism_law(run, ["ore:%d" % n], draws, forward, ore_product, tensor_star, inverse)
 
 
 def _suite_odd_split(run, rng, algebra, maxdeg, cases, params):
@@ -286,17 +276,10 @@ def _suite_odd_split(run, rng, algebra, maxdeg, cases, params):
         run.check(["projections sum, n=%d" % n], zp + zm, one)
         run.check(["projections orthogonal, n=%d" % n], star(zp, zm), zero(sig))
         run.check(["projection idempotent, n=%d" % n], star(zp, zp), zp)
-        for _ in range(pairs):
-            x = _rand_cw(rng, sig, maxdeg=2 * n + 1)
-            y = _rand_cw(rng, sig, maxdeg=2 * n + 1)
-            xp, xm = odd_split(n, x)
-            yp, ym = odd_split(n, y)
-            run.check(
-                ["split product, n=%d" % n, x, y],
-                odd_split(n, star(x, y)),
-                (star(xp, yp), star(xm, ym)),
-            )
-            run.check(["join inverts split, n=%d" % n, x], odd_join(n, xp, xm), x)
+        draws = _rand_pairs(pairs, _rand_cw, rng, sig, maxdeg=2 * n + 1)
+        labels = ["split product, n=%d" % n, "join inverts split, n=%d" % n]
+        pair_star, join = (lambda a, b: tuple(map(star, a, b))), (lambda c: odd_join(n, *c))
+        homomorphism_law(run, labels, draws, partial(odd_split, n), star, pair_star, join)
 
 
 def _suite_spin_lemma(run, rng, algebra, maxdeg, cases, params):
@@ -351,14 +334,8 @@ def _suite_matrix_iso(run, rng, algebra, maxdeg, cases, params):
             one,
             Matrix.identity(dim, unit(bose_sig)),
         )
-        for _ in range(pairs):
-            x = _rand_cw(rng, sig, maxdeg=deg)
-            y = _rand_cw(rng, sig, maxdeg=deg)
-            run.check(
-                ["hom, " + label, x, y],
-                cw_to_matrix(n, k, star(x, y)),
-                matrix_star(cw_to_matrix(n, k, x), cw_to_matrix(n, k, y)),
-            )
+        draws = _rand_pairs(pairs, _rand_cw, rng, sig, maxdeg=deg)
+        homomorphism_law(run, ["hom, " + label], draws, partial(cw_to_matrix, n, k), star, matrix_star)
         # the unit, and p1 when there is a Bose pair
         bose_parts = [((0,) * k, (0,) * k)] + [((1,) + (0,) * (k - 1), (0,) * k)] * (k > 0)
         rows = []
@@ -372,9 +349,8 @@ def _suite_matrix_iso(run, rng, algebra, maxdeg, cases, params):
 def _osp_grid(algebra):
     if algebra is None:
         return [(1, 1), (2, 1), (3, 1), (1, 2)]
-    if algebra.kind != "cw":
-        raise SuiteUsageError("this suite needs a cw:<n>,<2k> algebra")
-    return [(algebra.signature.n_fermi, algebra.signature.n_bose)]
+    sig = _need_cw(algebra, None)
+    return [(sig.n_fermi, sig.n_bose)]
 
 
 def _suite_parastat(run, rng, algebra, maxdeg, cases, params):

@@ -75,6 +75,14 @@ def test_parse_errors():
         assert err.value.position == column - 1, text
 
 
+def test_empty_nodes_are_parse_errors():
+    ctx = CwContext(AlgebraSignature(1, 1))
+    with pytest.raises(ParseError):
+        evaluate((), ctx)
+    with pytest.raises(ParseError):
+        print_expr(())
+
+
 # -- printer round trip ---------------------------------------------------------------
 
 

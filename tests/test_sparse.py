@@ -1,12 +1,13 @@
 """The contract every sparse element type keeps (cliffordweyl.sparse).
 
 One parametrized set of checks over CwElement, OreElement, GrassPolyVector,
-TensorElement with cw and with deformed right factors, and the L-polynomial
-ring Scalar: canonical terms, additive inverses, hashing that agrees with
-equality, space guards (for every type with more than one space),
-immutability, round trips through pickle, copy and deepcopy (with the
-immutable `Matrix` and `AlgebraSignature` too), and (for the types with a
-unit only) numbers acting as constants.
+TensorElement with cw and with deformed right factors, the L-polynomial
+ring Scalar and Matrix, keyed by (row, column) over its shape: canonical
+terms, additive inverses, hashing that agrees with equality, space guards
+(for every type with more than one space), immutability, round trips
+through pickle, copy and deepcopy (with a Matrix over cw entries and the
+immutable `AlgebraSignature` too), and (for the types with a unit only)
+numbers acting as constants.
 """
 
 import copy
@@ -69,6 +70,12 @@ CASES = {
         False,
     ),
     "scalar": (Scalar, (1, 3), None, True),
+    "matrix": (
+        lambda t: Matrix.from_entries((2, 3), t),
+        ((0, 1), (1, 2)),
+        Matrix.from_entries((3, 2), {(0, 0): 1}),
+        False,
+    ),
 }
 
 
