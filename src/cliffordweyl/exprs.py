@@ -25,13 +25,17 @@ charge more than `MAX_PAIRS` monomial pairs, or in an ore algebra more than
 `MAX_LOWERING` units of E-^b E+^g lowering, in all is an AlgebraError.
 
 Syntax trees are plain tuples, so `parse(print_expr(t)) == t` is a cheap
-structural identity; `print_expr` re-inserts parentheses exactly where the
-precedence rules demand them.
+structural identity.  One table, `_NODES`, gives each node kind its
+precedence level, printed form and children; the parser and printer read
+precedence from it, and `evaluate` and `print_expr` check each node of a
+hand-built tree against it and the parser's bounds: a malformed node is a
+ParseError, an unknown kind an AlgebraError.
 """
 
+import re
 from bisect import bisect_right
 from itertools import accumulate
-from operator import mul
+from operator import add, mul, sub
 
 from .algebra import (
     AlgebraError,
@@ -43,8 +47,7 @@ from .algebra import (
     zero,
 )
 from .ore import (
-    OreElement,
-    OreMonomial,
+    ghost_theta,
     ore_e_minus,
     ore_e_plus,
     ore_fermi,
@@ -52,7 +55,7 @@ from .ore import (
     ore_scalar,
     ore_zero,
 )
-from .scalars import GaussianRational, i_power
+from .scalars import GaussianRational
 from .sparse import anti_bracket, lie_bracket, super_bracket
 
 
@@ -87,10 +90,74 @@ class ParseError(ValueError):
         self.position = position
 
 
+# -- the node table ----------------------------------------------------------------
+
+def _natural(v):
+    return type(v) is int and v >= 0
+
+
+def _exponent(v):
+    return _natural(v) and v <= MAX_EXPONENT
+
+
+def _generator(v):
+    """Whether v is a generator name: a name token other than the constants."""
+    return type(v) is str and v not in _CONSTANTS and _NAME.fullmatch(v) is not None
+
+
+def _divide(a, b):
+    c = b.terms.get(b.unit_key())
+    if c is None or len(b.terms) > 1:
+        raise AlgebraError("division only by invertible constants")
+    return a.scale(c.inverse())
+
+
+# kind -> (level, printed form, slots, operation).  Levels: 1 sums, 2
+# products, 3 negation, 4 powers, 5 atoms.  A child node's slot is the least
+# level it prints bare (for a right operand, also the least level the parser
+# reads there); a value's slot, always the last, is its check.  The
+# operation combines the two children of a sum, a product or a bracket.
+_NODES = {
+    "add": (1, "%s + %s", (1, 2), add),
+    "sub": (1, "%s - %s", (1, 2), sub),
+    "mul": (2, "%s*%s", (2, 3), mul),
+    "div": (2, "%s/%s", (2, 3), _divide),
+    "neg": (3, "-%s", (4,), None),
+    "pow": (4, "%s^%d", (5, _exponent), None),
+    "lie": (5, "[%s,%s]", (0, 0), lie_bracket),
+    "anti": (5, "[%s,%s]+", (0, 0), anti_bracket),
+    "super": (5, "{%s,%s}", (0, 0), super_bracket),
+    "num": (5, "%d", (_natural,), None),
+    "gen": (5, "%s", (_generator,), None),
+    "imag": (5, "i", (), None),
+    "lam": (5, "L", (), None),
+}
+
+# the constants, "i" -> "imag"
+_CONSTANTS = {form: kind for kind, (_, form, slots, _) in _NODES.items() if not slots}
+
+
+def _shape(node):
+    """The table entry of node, once its length and values fit it: ParseError
+    for a malformed node, AlgebraError for an unknown kind."""
+    if type(node) is not tuple or not node:
+        raise ParseError("malformed expression node %.40r" % (node,), 0)
+    try:
+        entry = _NODES[node[0]]
+    except (KeyError, TypeError):  # a kind that is not in the table, or not hashable
+        raise AlgebraError("unknown expression node %.40r" % (node[0],)) from None
+    slots = entry[2]
+    if len(node) != len(slots) + 1 or slots and callable(slots[-1]) and not slots[-1](node[-1]):
+        raise ParseError("malformed %s node" % node[0], 0)
+    return entry
+
+
 # -- tokenizer ---------------------------------------------------------------------
 
-_SIMPLE = set("+-*/^(),{}")
+_SIMPLE = set("+-*/^(),{}[]")
 _DIGITS = "0123456789"  # str.isdigit also accepts other scripts' digits and superscripts
+# a name token: a generator, or one of the constants i and L
+_NAME = re.compile(r"[wpq][0-9]+|E[+-]|[PiL]")
 
 
 def tokenize(text):
@@ -100,58 +167,38 @@ def tokenize(text):
     size = len(text)
     while i < size:
         ch = text[i]
+        j = i + 1
         if ch.isspace():
-            i += 1
-            continue
-        if ch in _DIGITS:
-            j = i
+            pass
+        elif ch in _SIMPLE:
+            if ch == "]" and text.startswith("+", j):  # "]+" is one token only without a space
+                j += 1
+            out.append(("op", text[i:j], i))
+        elif ch in _DIGITS:
             while j < size and text[j] in _DIGITS:
                 j += 1
             out.append(("num", int(text[i:j]), i))
-            i = j
-            continue
-        if ch in "wpq":
-            j = i + 1
-            while j < size and text[j] in _DIGITS:
-                j += 1
-            if j == i + 1:
+        elif ch in "wpqEPiL":
+            name = _NAME.match(text, i)
+            if name is None and ch == "E":
+                raise ParseError("'E' must be followed directly by '+' or '-'", i)
+            if name is None:
                 raise ParseError("generator '%s' needs an index" % ch, i)
-            out.append(("name", text[i:j], i))
-            i = j
-            continue
-        if ch == "E":
-            if i + 1 < size and text[i + 1] in "+-":
-                out.append(("name", text[i : i + 2], i))
-                i += 2
-                continue
-            raise ParseError("'E' must be followed directly by '+' or '-'", i)
-        if ch in ("i", "L", "P"):
-            out.append(("name", ch, i))
-            i += 1
-            continue
-        if ch == "]":
-            if i + 1 < size and text[i + 1] == "+":
-                out.append(("op", "]+", i))
-                i += 2
-            else:
-                out.append(("op", "]", i))
-                i += 1
-            continue
-        if ch == "[":
-            out.append(("op", "[", i))
-            i += 1
-            continue
-        if ch in _SIMPLE:
-            out.append(("op", ch, i))
-            i += 1
-            continue
-        raise ParseError("unexpected character %r" % ch, i)
+            j = name.end()
+            out.append(("name", name.group(), i))
+        else:
+            raise ParseError("unexpected character %r" % ch, i)
+        i = j
     return out
 
 
 # -- parser ------------------------------------------------------------------------
 
+_INFIX = {"+": "add", "-": "sub", "*": "mul", "/": "div"}
 _CLOSERS = {"]": "lie", "]+": "anti", "}": "super"}
+# the highest infix level; a right operand above it is read as a factor, with no
+# expr frame of its own, so each "(" costs the parser five frames at most
+_TOP = max(_NODES[kind][0] for kind in _INFIX.values())
 
 
 class _Parser:
@@ -174,38 +221,21 @@ class _Parser:
         tok = self._take()
         if tok[0] != "op" or tok[1] != value:
             raise ParseError("expected '%s'" % value, tok[2])
-        return tok
 
-    def expr(self):
-        node = self.term()
-        while True:
-            tok = self._peek()
-            if tok is not None and tok[0] == "op" and tok[1] in ("+", "-"):
-                self.pos += 1
-                rhs = self.term()
-                node = ("add" if tok[1] == "+" else "sub", node, rhs)
-            else:
-                return node
-
-    def _starts_factor(self, tok):
-        if tok is None:
-            return False
-        if tok[0] in ("num", "name"):
-            return True
-        return tok[0] == "op" and tok[1] in ("(", "[", "{")
-
-    def term(self):
+    def expr(self, floor=1):
+        """Factors joined by the infix operators of level `floor` or above."""
         node = self.factor()
         while True:
             tok = self._peek()
-            if tok is not None and tok[0] == "op" and tok[1] in ("*", "/"):
-                self.pos += 1
-                rhs = self.factor()
-                node = ("mul" if tok[1] == "*" else "div", node, rhs)
-            elif self._starts_factor(tok):
-                node = ("mul", node, self.factor())
-            else:
+            if tok is None or tok[0] == "op" and tok[1] not in _INFIX and tok[1] not in "([{":
                 return node
+            infix = tok[0] == "op" and tok[1] in _INFIX
+            kind = _INFIX[tok[1]] if infix else "mul"  # juxtaposition is a product
+            level, _, (_, right), _ = _NODES[kind]
+            if level < floor:
+                return node
+            self.pos += infix
+            node = (kind, node, self.expr(right) if right <= _TOP else self.factor())
 
     def factor(self):
         tok = self._peek()
@@ -234,11 +264,7 @@ class _Parser:
         if kind == "num":
             return ("num", value)
         if kind == "name":
-            if value == "i":
-                return ("imag",)
-            if value == "L":
-                return ("lam",)
-            return ("gen", value)
+            return (_CONSTANTS[value],) if value in _CONSTANTS else ("gen", value)
         if value == "(":
             inner = self.expr()
             self._expect_op(")")
@@ -267,56 +293,17 @@ def parse(text):
 
 # -- printer -----------------------------------------------------------------------
 
-_LEVEL = {
-    "add": 1,
-    "sub": 1,
-    "mul": 2,
-    "div": 2,
-    "neg": 3,
-    "pow": 4,
-}
 
-
-def _level(node):
-    return _LEVEL.get(node[0], 5)
-
-
-def _wrap(text, need):
-    return "(" + text + ")" if need else text
+def _print(node, floor):
+    """Text of node, in parentheses if its level is below floor."""
+    level, form, slots, _ = _shape(node)
+    text = form % tuple(child if callable(slot) else _print(child, slot) for slot, child in zip(slots, node[1:]))
+    return "(%s)" % text if level < floor else text
 
 
 def print_expr(node):
     """Canonical text form; parse(print_expr(t)) == t."""
-    if not node:
-        raise ParseError("empty expression node", 0)
-    head = node[0]
-    if head == "num":
-        return str(node[1])
-    if head == "imag":
-        return "i"
-    if head == "lam":
-        return "L"
-    if head == "gen":
-        return node[1]
-    if head in ("add", "sub"):
-        left = print_expr(node[1])
-        right = _wrap(print_expr(node[2]), _level(node[2]) <= 1)
-        return "%s %s %s" % (left, "+" if head == "add" else "-", right)
-    if head in ("mul", "div"):
-        left = _wrap(print_expr(node[1]), _level(node[1]) < 2)
-        right = _wrap(print_expr(node[2]), _level(node[2]) <= 2)
-        return "%s%s%s" % (left, "*" if head == "mul" else "/", right)
-    if head == "neg":
-        return "-" + _wrap(print_expr(node[1]), _level(node[1]) < 4)
-    if head == "pow":
-        return _wrap(print_expr(node[1]), _level(node[1]) < 5) + "^%d" % node[2]
-    if head == "lie":
-        return "[%s,%s]" % (print_expr(node[1]), print_expr(node[2]))
-    if head == "anti":
-        return "[%s,%s]+" % (print_expr(node[1]), print_expr(node[2]))
-    if head == "super":
-        return "{%s,%s}" % (print_expr(node[1]), print_expr(node[2]))
-    raise AlgebraError("unknown expression node %r" % (head,))
+    return _print(node, 0)
 
 
 # -- evaluation contexts -------------------------------------------------------------
@@ -331,7 +318,7 @@ class CwContext:
         self.signature = signature
 
     def describe(self):
-        return "cw:%d,%d" % (self.signature.n_fermi, 2 * self.signature.n_bose)
+        return cw_descriptor(self.signature)
 
     def scalar(self, g):
         return scalar_element(self.signature, g)
@@ -341,13 +328,13 @@ class CwContext:
 
     def generator(self, name):
         sig = self.signature
-        letter, index = name[0], name[1:]
-        if letter == "w" and index and 1 <= int(index) <= sig.n_fermi:
-            return fermi_gen(sig, int(index))
-        if letter == "p" and index and 1 <= int(index) <= sig.n_bose:
-            return bose_p(sig, int(index))
-        if letter == "q" and index and 1 <= int(index) <= sig.n_bose:
-            return bose_q(sig, int(index))
+        index = int(name[1:]) if _generator(name) and name[0] in "wpq" else 0
+        if 1 <= index <= sig.n_fermi and name[0] == "w":
+            return fermi_gen(sig, index)
+        if 1 <= index <= sig.n_bose and name[0] == "p":
+            return bose_p(sig, index)
+        if 1 <= index <= sig.n_bose and name[0] == "q":
+            return bose_q(sig, index)
         raise AlgebraError("unknown generator %r for %s" % (name, self.describe()))
 
     def zero(self):
@@ -378,14 +365,18 @@ class OreContext:
         if name == "E-":
             return ore_e_minus(n)
         if name == "P":
-            full = (1 << (2 * n + 1)) - 1
-            return OreElement(n, {OreMonomial(full, 0, 0, 0): i_power(n)})
-        if name[0] == "w" and name[1:] and 1 <= int(name[1:]) <= 2 * n + 1:
+            return ghost_theta(n).lam_coefficient(1)  # i^n w_1...w_{2n+1}
+        if _generator(name) and name[0] == "w" and 1 <= int(name[1:]) <= 2 * n + 1:
             return ore_fermi(n, int(name[1:]))
         raise AlgebraError("unknown generator %r for %s" % (name, self.describe()))
 
     def zero(self):
         return ore_zero(self.n)
+
+
+def cw_descriptor(sig):
+    """The descriptor cw:<n>,<2k> of a signature, as `parse_algebra` reads it."""
+    return "cw:%d,%d" % (sig.n_fermi, 2 * sig.n_bose)
 
 
 def parse_algebra(text):
@@ -415,13 +406,6 @@ def _check_size(text, *sizes):
         raise AlgebraError("algebra descriptor %r above the size bound of %d" % (text, MAX_ALGEBRA_SIZE))
 
 
-def _constant_inverse(x):
-    c = x.terms.get(x.unit_key())
-    if c is None or len(x.terms) > 1:
-        raise AlgebraError("division only by invertible constants")
-    return c.inverse()
-
-
 def _lowering(a, b):
     """The lowering charge of the ore product a * b, in O((|a| + |b|) log |b|)."""
     gammas = sorted({m.e_plus for m in b.terms})
@@ -432,10 +416,6 @@ def _lowering(a, b):
         # g <= beta charges g * (beta + 1); g > beta charges beta * (g + 1)
         cost += (beta + 1) * below[i] + beta * (below[-1] - below[i] + len(gammas) - i)
     return cost
-
-
-# the bracket nodes; each bracket serves both families
-_BRACKETS = {"lie": lie_bracket, "anti": anti_bracket, "super": super_bracket}
 
 
 def evaluate(node, ctx):
@@ -455,20 +435,15 @@ def evaluate(node, ctx):
         return op(a, b)
 
     def ev(node):
-        if not node:
-            raise ParseError("empty expression node", 0)
-        head = node[0]
-        if head == "num":
-            return ctx.scalar(GaussianRational(node[1]))
-        if head == "imag":
-            return ctx.scalar(GaussianRational(0, 1))
-        if head == "lam":
-            return ctx.lam()
-        if head == "gen":
-            return ctx.generator(node[1])
-        if head == "neg":
+        level, _, _, op = _shape(node)
+        if op is not None:  # a sum, a product or a bracket
+            a, b = ev(node[1]), ev(node[2])
+            if op is mul or level == 5:
+                return product(op, a, b, bracket=level == 5)
+            return op(a, b)
+        if level == 3:  # a negation
             return -ev(node[1])
-        if head == "pow":
+        if level == 4:  # a power
             x = ev(node[1])
             if x.terms.keys() <= {x.unit_key()}:
                 return x ** node[2]
@@ -476,16 +451,12 @@ def evaluate(node, ctx):
             for _ in range(node[2]):
                 out = product(mul, out, x)
             return out
-        if head not in ("add", "sub", "mul", "div", "lie", "anti", "super"):
-            raise AlgebraError("unknown expression node %r" % (head,))
-        a, b = ev(node[1]), ev(node[2])
-        if head == "mul":
-            return product(mul, a, b)
-        if head in _BRACKETS:
-            return product(_BRACKETS[head], a, b, bracket=True)
-        if head == "div":
-            return a.scale(_constant_inverse(b))
-        return a + b if head == "add" else a - b
+        kind = node[0]  # a leaf
+        if kind == "num":
+            return ctx.scalar(GaussianRational(node[1]))
+        if kind == "imag":
+            return ctx.scalar(GaussianRational(0, 1))
+        return ctx.lam() if kind == "lam" else ctx.generator(node[1])
 
     return ev(node)
 

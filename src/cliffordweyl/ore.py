@@ -31,7 +31,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from .algebra import AlgebraError, index_mask
+from .algebra import AlgebraError, _check_size, index_mask
 from .scalars import GR_ONE, GaussianRational, _coerce, from_numerators, gaussian
 from .scalars import i_power
 from .sparse import Checks, SparseElement, accumulate, pair_product
@@ -67,11 +67,15 @@ def _monomial_sort_key(m):
 class OreElement(SparseElement):
     """Finite Gaussian-rational combination of normal-form monomials.
 
-    The space is the rank n; the unit monomial is OreMonomial(0, 0, 0, 0).
+    The space is the rank n, a non-negative int (AlgebraError otherwise);
+    the unit monomial is OreMonomial(0, 0, 0, 0).
     """
 
     __slots__ = ()
     n = SparseElement.space  # the space slot under its family name
+
+    def __init__(self, n, terms=None):
+        super().__init__(_check_size("rank", n), terms)
 
     _ring = staticmethod(_coerce)
 
@@ -130,7 +134,7 @@ _ORE_ONE = OreMonomial(0, 0, 0, 0)
 
 
 def ore_zero(n):
-    return OreElement.raw(n, {})
+    return OreElement(n)
 
 
 def ore_unit(n):
@@ -161,16 +165,14 @@ def ore_lambda(n, power=1):
 
 def ghost_theta(n):
     """i^n w_1...w_{2n+1} L: anticommutes with E+/E-, squares to L^2."""
-    full = (1 << (2 * n + 1)) - 1
-    return OreElement(n, {OreMonomial(full, 0, 0, 1): i_power(n)})
+    full = (1 << (2 * _check_size("rank", n) + 1)) - 1
+    return OreElement.raw(n, {OreMonomial(full, 0, 0, 1): i_power(n)})
 
 
 def ore_generators(n):
     """[w_1, ..., w_{2n+1}, E+, E-] (the central L is not included)."""
-    return [ore_fermi(n, i) for i in range(1, 2 * n + 2)] + [
-        ore_e_plus(n),
-        ore_e_minus(n),
-    ]
+    bose = [ore_e_plus(n), ore_e_minus(n)]  # built first, so the rank is checked first
+    return [ore_fermi(n, i) for i in range(1, 2 * n + 2)] + bose
 
 
 # -- the product ------------------------------------------------------------------

@@ -42,7 +42,7 @@ from .deform import (
     periodicity2_inverse,
     verma_apply,
 )
-from .exprs import CwContext
+from .exprs import CwContext, cw_descriptor
 from .hochschild import (
     CochainEvaluator,
     coboundary,
@@ -147,13 +147,13 @@ def _rand_cw(rng, sig, nterms=3, maxdeg=4):
     return CwElement(sig, terms)
 
 
-def _rand_ore(rng, n, nterms=3, maxdeg=4, with_lam=True):
+def _rand_ore(rng, n, nterms=3, maxdeg=4):
     terms = {}
     for _ in range(nterms):
         while True:
             mask = rng.getrandbits(2 * n + 1)
             a, b = rng.randrange(3), rng.randrange(3)
-            r = rng.randrange(2) if with_lam else 0
+            r = rng.randrange(2)
             if mask.bit_count() + a + b + 2 * r <= maxdeg:
                 break
         accumulate(terms, OreMonomial(mask, a, b, r), _rand_coeff(rng))
@@ -194,16 +194,12 @@ def _no_algebra(algebra, name):
         raise SuiteUsageError("suite %r runs a fixed grid; omit --algebra" % name)
 
 
-def _cw_label(sig):
-    return "cw:%d,%d" % (sig.n_fermi, 2 * sig.n_bose)
-
-
 # -- individual suites ----------------------------------------------------------------
 
 
 def _suite_relations(run, rng, algebra, maxdeg, cases, params):
     sig = _need_cw(algebra, AlgebraSignature(1, 1))
-    params["algebra"] = _cw_label(sig)
+    params["algebra"] = cw_descriptor(sig)
     one, nul = unit(sig), zero(sig)
     ws = [fermi_gen(sig, i) for i in range(1, sig.n_fermi + 1)]
     ps = [bose_p(sig, j) for j in range(1, sig.n_bose + 1)]
@@ -325,7 +321,7 @@ def _suite_matrix_iso(run, rng, algebra, maxdeg, cases, params):
     params.update({"grid": ["n=%d,k=%d" % e for e in grid], "cases": pairs})
     for n, k in grid:
         sig = AlgebraSignature(2 * n, k)
-        label = _cw_label(sig)
+        label = cw_descriptor(sig)
         dim = 1 << n
         one = cw_to_matrix(n, k, unit(sig))
         bose_sig = AlgebraSignature(0, k)
@@ -355,13 +351,13 @@ def _osp_grid(algebra):
 
 def _suite_parastat(run, rng, algebra, maxdeg, cases, params):
     grid = _osp_grid(algebra)
-    params["grid"] = [_cw_label(AlgebraSignature(n, k)) for n, k in grid]
+    params["grid"] = [cw_descriptor(AlgebraSignature(n, k)) for n, k in grid]
     dims = {}
     for n, k in grid:
         ctx = OspContext(AlgebraSignature(n, k))
         run.merge(verify_ps(ctx))
         _basis, total, _parts = build_g(ctx)
-        label = _cw_label(ctx.signature)
+        label = cw_descriptor(ctx.signature)
         run.check(["dim g, " + label], total, expected_dimension(n, k))
         dims[label] = total
     return {"dims": dims}
@@ -369,7 +365,7 @@ def _suite_parastat(run, rng, algebra, maxdeg, cases, params):
 
 def _suite_twisted_adjoint(run, rng, algebra, maxdeg, cases, params):
     grid = _osp_grid(algebra)
-    params["grid"] = [_cw_label(AlgebraSignature(n, k)) for n, k in grid]
+    params["grid"] = [cw_descriptor(AlgebraSignature(n, k)) for n, k in grid]
     for n, k in grid:
         run.merge(verify_invariance(OspContext(AlgebraSignature(n, k))))
 
@@ -574,7 +570,7 @@ def _suite_hochschild(run, rng, algebra, maxdeg, cases, params):
     _no_algebra(algebra, "hochschild")
     count = cases or 100
     sig = cw_odd_signature(0)
-    params.update({"algebra": _cw_label(sig), "cases": count})
+    params.update({"algebra": cw_descriptor(sig), "cases": count})
     support = {}
     for mask in range(2):
         for wp in range(2):

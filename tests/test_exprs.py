@@ -1,11 +1,15 @@
 """Expression grammar: tokens, round trips, evaluation, error positions."""
 
+import sys
+import threading
+
 import pytest
 from fractions import Fraction
 from hypothesis import given, strategies as st
 
 from cliffordweyl.algebra import AlgebraError, AlgebraSignature, unit
 from cliffordweyl.exprs import (
+    MAX_EXPONENT,
     CwContext,
     OreContext,
     ParseError,
@@ -81,6 +85,93 @@ def test_empty_nodes_are_parse_errors():
         evaluate((), ctx)
     with pytest.raises(ParseError):
         print_expr(())
+
+
+_X = ("gen", "w1")
+
+# one well-formed node of each kind
+WELL_FORMED = [("num", 1), ("gen", "w1"), ("imag",), ("lam",), ("neg", _X), ("pow", _X, 2)] + [
+    (kind, _X, ("num", 2)) for kind in ("add", "sub", "mul", "div", "lie", "anti", "super")
+]
+
+# each kind with one child too few and one too many, wrong values, nodes
+# that are no tuples, and an exponent past the parser's bound
+MALFORMED = [
+    *(node[:-1] for node in WELL_FORMED if len(node) > 1),
+    *(node + (_X,) for node in WELL_FORMED),
+    ("gen", 3),
+    ("gen", ""),
+    ("gen", "w\u0663"),
+    ("num", "x"),
+    ("num", -1),
+    ("num", True),
+    ("pow", _X, "2"),
+    ("pow", _X, -1),
+    ("pow", _X, MAX_EXPONENT + 1),
+    ("add", _X, ("num",)),
+    None,
+    5,
+    "w1",
+    ["num", 1],
+]
+
+
+@pytest.mark.parametrize("node", MALFORMED, ids=repr)
+def test_malformed_trees_are_parse_errors(node):
+    ctx = OreContext(1)
+    with pytest.raises(ParseError):
+        evaluate(node, ctx)
+    with pytest.raises(ParseError):
+        print_expr(node)
+
+
+@pytest.mark.parametrize("node", [("cube", _X), (["num"], 1), ("add", _X, ("cube",))], ids=repr)
+def test_unknown_node_kinds_are_algebra_errors(node):
+    with pytest.raises(AlgebraError) as err:
+        evaluate(node, OreContext(1))
+    assert not isinstance(err.value, ParseError)
+    with pytest.raises(AlgebraError):
+        print_expr(node)
+
+
+@pytest.mark.parametrize("node", WELL_FORMED, ids=repr)
+def test_well_formed_nodes_evaluate_and_print(node):
+    assert parse(print_expr(node)) == node
+    assert evaluate(node, OreContext(1)) is not None
+
+
+def test_the_largest_exponent_is_a_tree_too():
+    node = ("pow", ("num", 1), MAX_EXPONENT)
+    assert parse(print_expr(node)) == node
+    assert evaluate(node, OreContext(0)) == ore_unit(0)
+
+
+@pytest.mark.parametrize(
+    "algebra, name",
+    [("cw:1,2", "wx"), ("cw:1,2", 3)] + [("ore:1", name) for name in ("", "w\u0663", "w", "i", 3)],
+    ids=repr,
+)
+def test_contexts_refuse_names_that_are_no_generators(algebra, name):
+    with pytest.raises(AlgebraError, match="unknown generator"):
+        parse_algebra(algebra).generator(name)
+
+
+@pytest.mark.parametrize("pattern", ["(1+1*%s)", "(1*%s+1)", "[1,1+%s]", "(1/1-%s)"])
+def test_mixed_nesting_costs_five_parser_frames_a_level(pattern):
+    # each level nests one "(" or "[" inside a sum and a product; the parser
+    # spends at most five frames on it (atom, expr, expr, factor, power), so a
+    # fifth of the recursion limit, less a margin, parses and evaluates.  A
+    # new thread starts with an empty stack.
+    depth = sys.getrecursionlimit() // 5 - 10
+    text = "1"
+    for _ in range(depth):
+        text = pattern % text
+    ctx = CwContext(AlgebraSignature(0, 0))
+    out = []
+    thread = threading.Thread(target=lambda: out.append(evaluate(parse(text), ctx)))
+    thread.start()
+    thread.join()
+    assert len(out) == 1
 
 
 # -- printer round trip ---------------------------------------------------------------

@@ -1,10 +1,10 @@
-"""Seven product-layer faults and the suites that catch them, with `cases=3`.
+"""Eight product-layer faults and the suites that catch them, with `cases=3`.
 
-Each fault replaces one kernel of the product layer, or the product loop,
-by a monkeypatch that rewrites the true one's result or its arguments;
-nothing in the package has a hook for it.  The kernel caches are emptied
-before and after each test, so the faulty run starts from no cached
-correct entry and no faulty entry is served to a later test.
+Each fault replaces one kernel of the product layer, the product loop or
+the matrix product by a monkeypatch that rewrites the true one's result or
+its arguments; nothing in the package has a hook for it.  The kernel caches
+are emptied before and after each test, so the faulty run starts from no
+cached correct entry and no faulty entry is served to a later test.
 
 A pin maps each suite that does not pass to (cases, failed cases), or to
 the message of the `AlgebraError` it raised; every other suite passes.
@@ -18,6 +18,7 @@ from kernel_format import lowering_terms
 
 from cliffordweyl import ore, periodicity, sparse, starprod
 from cliffordweyl.algebra import AlgebraError, AlgebraSignature, bose_p, bose_q, fermi_gen
+from cliffordweyl.linalg import Matrix
 from cliffordweyl.scalars import _make
 from cliffordweyl.suites import run_suite, suite_names
 
@@ -183,3 +184,28 @@ def test_suites_catch_a_wrong_sign_on_the_second_order_of_the_ore_bracket_kernel
     ep, em = ore.ore_e_plus(0), ore.ore_e_minus(0)
     assert ore.ore_lie_bracket(ep, em) == ep * em + em * ep
     assert _failing_suites() == ORE_BRACKET_FAULT_FAILURES
+
+
+# Each row of a matrix product leaves out the first stored entry of the
+# left factor's row, so one term of every row's sum is dropped.
+MATRIX_PRODUCT_FAULT_FAILURES = {
+    "matrix-iso": (10, 6),
+    "pi-h": (220, 60),
+}
+
+
+def test_suites_catch_a_dropped_term_in_the_matrix_product(empty_kernel_caches, monkeypatch):
+    real = Matrix._product
+
+    def wrong(a, b):
+        seen, rest = set(), {}
+        for (i, k), x in a.terms.items():
+            if i in seen:
+                rest[i, k] = x
+            seen.add(i)
+        return real(Matrix.raw(a.space, rest), b)
+
+    monkeypatch.setattr(Matrix, "_product", wrong)
+    # [[1, 2], [3, 4]] * I comes out [[0, 2], [0, 4]]
+    assert Matrix([[1, 2], [3, 4]]) * Matrix.identity(2) == Matrix([[0, 2], [0, 4]])
+    assert _failing_suites() == MATRIX_PRODUCT_FAULT_FAILURES

@@ -334,6 +334,15 @@ def test_rank_mismatch_raises():
         ore_product(ore_e_plus(0), ore_e_plus(1))
 
 
+@pytest.mark.parametrize("rank", [-1, "1", 1.5])
+@pytest.mark.parametrize(
+    "build", [ore_unit, ore_zero, ore_e_plus, ore_e_minus, ore_lambda, ore_generators, ghost_theta]
+)
+def test_bad_rank_raises(build, rank):
+    with pytest.raises(AlgebraError, match="rank must be a non-negative int"):
+        build(rank)
+
+
 def test_bad_generator_index_raises():
     with pytest.raises(AlgebraError):
         ore_fermi(0, 2)
