@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 from .scalars import S_ONE, S_ZERO, Scalar, _coerce_scalar
 from .sparse import AlgebraError, SignatureMismatch, SparseElement, accumulate
-from .textform import element_to_text
+from .textform import element_to_text, monomial_order
 
 
 # The largest Fermi count, Bose generator count (2k), ore rank or carrier size
@@ -171,7 +171,7 @@ class CwElement(SparseElement):
 
     def monomials(self):
         """Deterministically ordered list of (monomial, coefficient)."""
-        return [(m, self.terms[m]) for m in sorted(self.terms, key=_monomial_sort_key)]
+        return [(m, self.terms[m]) for m in monomial_order(self.space, self.terms)]
 
     def map_coefficients(self, fn):
         out = {}
@@ -219,10 +219,6 @@ def index_mask(indices):
     for i in indices:
         mask |= 1 << (i - 1)
     return mask
-
-
-def _monomial_sort_key(m):
-    return (m.z_degree(), m.cliff, m.wp, m.wq)
 
 
 def canonicalize(e):

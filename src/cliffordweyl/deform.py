@@ -39,7 +39,6 @@ from .linalg import Matrix, add_row, reduce_row, sparse_nullspace
 from .ore import (
     OreElement,
     OreMonomial,
-    _monomial_sort_key,
     ghost_theta,
     ore_anti_bracket,
     ore_e_minus,
@@ -60,6 +59,7 @@ from .periodicity import TensorElement, _realize_left, _times_volume
 from .scalars import GR_ONE, GaussianRational, format_coefficient, gaussian, gr_ratio, i_power
 from .sparse import Checks, accumulate, expect_element, triple_bracket_law
 from .starprod import _mode_words
+from .textform import monomial_order
 
 
 def cw_odd_signature(n):
@@ -413,8 +413,7 @@ def bounded_monomials(n, max_total_degree):
         raise AlgebraError(
             "rank %d to degree %d has more than %d monomials to probe" % (n, d, MAX_PROBE_MONOMIALS)
         )
-    out.sort(key=_monomial_sort_key)
-    return out
+    return monomial_order(n, out)
 
 
 def center_probe(n, max_total_degree):

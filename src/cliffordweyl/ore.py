@@ -38,7 +38,7 @@ from .sparse import Checks, SparseElement, accumulate, pair_product
 from .sparse import anti_bracket as ore_anti_bracket, lie_bracket as ore_lie_bracket
 from .sparse import super_bracket as ore_super_bracket
 from .starprod import _cliff_pair
-from .textform import element_to_text
+from .textform import element_to_text, monomial_order
 
 _tuple_new = tuple.__new__  # an OreMonomial without the NamedTuple's Python __new__
 
@@ -58,10 +58,6 @@ class OreMonomial(NamedTuple):
 
     def cliff_indices(self):
         return [i + 1 for i in range(self.cliff.bit_length()) if self.cliff >> i & 1]
-
-
-def _monomial_sort_key(m):
-    return (m.degree(), m.lam, m.cliff, m.e_plus, m.e_minus)
 
 
 class OreElement(SparseElement):
@@ -102,7 +98,7 @@ class OreElement(SparseElement):
         return OreElement.raw(self.n, out)
 
     def monomials(self):
-        return sorted(self.terms, key=_monomial_sort_key)
+        return monomial_order(self.n, self.terms)
 
     def __str__(self):
         return element_to_text(self)

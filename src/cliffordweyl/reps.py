@@ -25,8 +25,8 @@ import enum
 import math
 from collections import namedtuple
 
-from .algebra import AlgebraError, AlgebraSignature, CwElement, CwMonomial, _check_size, fermi_gen
-from .algebra import monomial_element, unit
+from .algebra import MAX_ALGEBRA_SIZE, AlgebraError, AlgebraSignature, CwElement, CwMonomial, _check_size
+from .algebra import fermi_gen, monomial_element, unit
 from .linalg import Matrix, MatrixError
 from .scalars import S_ONE, S_ZERO, Scalar, _coerce_scalar, gr_ratio, i_power
 from .sparse import SparseElement, accumulate, expect_element
@@ -50,13 +50,17 @@ _FINITE_KINDS = {RepKind.SPIN, RepKind.SPIN_PLUS, RepKind.SPIN_MINUS}
 
 
 class RepDescriptor(namedtuple("RepDescriptor", "kind ell k")):
-    """A representation: its kind, the Grassmann variables (ell) and the
-    polynomial variables (k) of its carrier, both non-negative ints."""
+    """A representation: its RepKind, the Grassmann variables (ell) and the
+    polynomial variables (k) of its carrier, both non-negative ints small
+    enough that `signature()` passes the size gate."""
 
     __slots__ = ()
 
     def __new__(cls, kind, ell, k):
-        return super().__new__(cls, kind, _check_size("ell", ell), _check_size("k", k))
+        if not isinstance(kind, RepKind):
+            raise AlgebraError("kind must be a RepKind, got %r" % (kind,))
+        ell = _check_size("ell", ell, (MAX_ALGEBRA_SIZE - (kind in _ODD_KINDS)) // 2)
+        return super().__new__(cls, kind, ell, _check_size("k", k, MAX_ALGEBRA_SIZE // 2))
 
     def signature(self):
         n = 2 * self.ell + (1 if self.kind in _ODD_KINDS else 0)

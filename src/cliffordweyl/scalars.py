@@ -8,8 +8,8 @@ in the library and the test suite means exact equality of these objects.
 A Gaussian rational is stored as three ints, (re_num + im_num*i) / den, kept
 reduced: den > 0 and gcd(re_num, im_num, den) = 1.  The form is unique, so
 equality compares the ints and zero is (0, 0, 1).  The `re` and `im`
-properties give the parts as `Fraction`s; arithmetic and printing work on the
-ints directly.
+properties give the parts as `Fraction`s; arithmetic and `format_coefficient`
+work on the ints directly.
 
 A polynomial in L is a `Scalar`, a `sparse.SparseElement` whose keys are L
 exponents: the sparse core gives it the ring operations, equality, hashing
@@ -174,20 +174,15 @@ class GaussianRational:
     # -- presentation --------------------------------------------------------
 
     def __repr__(self):
-        return "GaussianRational(%r, %r)" % (
-            _ratio_str(self._re, self._den),
-            _ratio_str(self._im, self._den),
-        )
+        return "GaussianRational(%r, %r)" % (str(self.re), str(self.im))
 
     def __str__(self):
-        re, im, den = self._re, self._im, self._den
+        re, im = self.re, self.im
         if im == 0:
-            return _ratio_str(re, den)
+            return str(re)
         if re == 0:
-            return "%s*i" % _ratio_str(im, den)
-        if im > 0:
-            return "(%s + %s*i)" % (_ratio_str(re, den), _ratio_str(im, den))
-        return "(%s - %s*i)" % (_ratio_str(re, den), _ratio_str(-im, den))
+            return "%s*i" % im
+        return "(%s %s %s*i)" % (re, "-" if im < 0 else "+", abs(im))
 
     def to_json(self):
         """[[re_num, re_den], [im_num, im_den]] with ints."""
@@ -254,17 +249,6 @@ def _fraction_hash(num, den):
 def _ratio_pair(num, den):
     g = gcd(num, den)
     return [num // g, den // g]
-
-
-def _ratio_str(num, den):
-    """Text of num/den as `str(Fraction(num, den))` gives it."""
-    if den != 1:
-        g = gcd(num, den)
-        if g != 1:
-            num, den = num // g, den // g
-        if den != 1:
-            return "%d/%d" % (num, den)
-    return str(num)
 
 
 def _coerce(x):
@@ -434,35 +418,27 @@ def _coerce_scalar(x):
 
 
 def format_coefficient(g, lam_power=0):
-    """Canonical text for one coefficient: (a/b + c/d*i) * L^r.
+    """Canonical text for one coefficient: (a/b + c/d*i) * L^r, from the ints of g.
 
-    The parenthesized complex form collapses to a bare rational when the
-    imaginary part vanishes, and the L factor is omitted when r = 0.  This is
-    exactly the coefficient grammar the expression parser accepts.
-    """
+    The complex form collapses to a bare rational when the imaginary part
+    vanishes, an imaginary part 1 is written i, and L^0 is omitted: the
+    coefficient grammar the expression parser accepts.  The triple is
+    reduced, so a lone part is in lowest terms; beside another, a part takes
+    one gcd."""
     re, im, den = g._re, g._im, g._den
-    if im == 0:
-        body = _ratio_str(re, den)
-    elif re == 0:
-        if im == den:
-            body = "i"
-        elif im == -den:
-            body = "-i"
-        else:
-            body = "%s*i" % _ratio_str(im, den)
+    if not im:
+        body = f"{re}" if den == 1 else f"{re}/{den}"
+    elif not re:
+        body = ("i" if im == 1 else "-i" if im == -1 else f"{im}*i") if den == 1 else f"{im}/{den}*i"
     else:
-        sign = "+" if im > 0 else "-"
-        mag = abs(im)
-        istr = "i" if mag == den else "%s*i" % _ratio_str(mag, den)
-        body = "(%s %s %s)" % (_ratio_str(re, den), sign, istr)
-    if lam_power == 0:
+        a, b, mag = gcd(re, den), gcd(im, den), abs(im)
+        real = f"{re // a}" if a == den else f"{re // a}/{den // a}"
+        imag = ("i" if mag == den else f"{mag // b}*i") if b == den else f"{mag // b}/{den // b}*i"
+        body = f"({real} {'-' if im < 0 else '+'} {imag})"
+    if not lam_power:
         return body
-    lpart = "L" if lam_power == 1 else "L^%d" % lam_power
-    if body == "1":
-        return lpart
-    if body == "-1":
-        return "-%s" % lpart
-    return "%s*%s" % (body, lpart)
+    lam = "L" if lam_power == 1 else f"L^{lam_power}"
+    return lam if body == "1" else "-" + lam if body == "-1" else f"{body}*{lam}"
 
 
 S_ZERO = Scalar()

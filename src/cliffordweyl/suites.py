@@ -97,6 +97,11 @@ MAX_CASES = 10_000
 # cw:6,10 at the default degree 4 needs 1,002.
 MAX_DRAWS = 1000
 
+# The most Fermi generators `matrix-iso` takes: it maps all 2^n_fermi Fermi
+# words to matrices of side 2^(n_fermi/2), so its cost grows about tenfold per
+# step of 2.  At --cases 1, cw:8,2 takes 0.2 s, cw:10,2 2.2 s, cw:12,2 19 s.
+MATRIX_ISO_MAX_FERMI = 10
+
 
 class SuiteUsageError(AlgebraError):
     """Bad suite name or parameters; the CLI maps this to exit code 2."""
@@ -322,6 +327,8 @@ def _matrix_rows(M):
 def _suite_matrix_iso(run, rng, grid, pairs, maxdeg, params):
     if any(sig.n_fermi % 2 for sig in grid):
         raise SuiteUsageError("matrix-iso needs an even Fermi count")
+    if any(sig.n_fermi > MATRIX_ISO_MAX_FERMI for sig in grid):
+        raise SuiteUsageError("matrix-iso takes at most %d Fermi generators" % MATRIX_ISO_MAX_FERMI)
     params.update({"grid": ["n=%d,k=%d" % (sig.n_fermi // 2, sig.n_bose) for sig in grid], "cases": pairs})
     for sig in grid:
         n, k = sig.n_fermi // 2, sig.n_bose

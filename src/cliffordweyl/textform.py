@@ -1,16 +1,18 @@
-"""Canonical plain-text rendering of algebra elements.
+"""Canonical plain-text rendering of algebra elements, and the term order.
 
 One cw term renders as `coeff * w1 w2 p1^2 q1` with the Clifford factors in
 ascending order followed by p then q powers; an ore term as `coeff * w1 E+^2
 E-` with its L power in the coefficient; a tensor term as `coeff * left (x)
-right`, each side written as a one-term element with coefficient 1.  The
-coefficient grammar is the one produced by scalars.format_coefficient, with
-multi-power coefficients parenthesized.  Terms are emitted in each family's
-deterministic monomial order and joined by " + " / " - " as they are written.
+right`, each side written as a one-term element with coefficient 1.
 
-Each call builds its own factor tables (Fermi mask, Bose exponents, (E+, E-))
-and drops them when it returns, so terms that share a factor write it once
-and no state outlives the call.
+`monomial_order` is each family's one term order, for the writer and for
+`monomials()`, so for `to_json`: cw terms by z-degree, ore terms by (degree,
+L power), each bucket then sorted natively as tuples; tensor terms as pairs.
+The writer is one loop per family.  A Python call costs about what writing a
+term does, so the only call per term is the one coefficient writer,
+scalars.format_coefficient (several L powers: the Scalar's text in
+parentheses); factor texts are lookups in tables that each call builds and
+drops, and separators and term texts go onto one list, joined once.
 
 This is a display and fixture format.  The CLI expression grammar (module
 exprs) is a different language: there, juxtaposition means the associative
@@ -20,11 +22,15 @@ that monomial.
 
 from __future__ import annotations
 
+from collections import defaultdict
+
 from .scalars import GR_ONE, format_coefficient
 
 
 class _Table(dict):
-    """Factor texts by key, each written on first use; one per call."""
+    """Factor texts by key, each written on first use; one per call.  Each
+    text starts with a space, so a monomial's text is its parts' texts
+    concatenated, without the first character."""
 
     __slots__ = ("write",)
 
@@ -36,73 +42,74 @@ class _Table(dict):
         return text
 
 
-# each factor text starts with a space, so a monomial's text is the
-# concatenation of its parts' texts without the first character
-
-
 def _fermi_text(mask):
     return "".join(" w%d" % (i + 1) for i in range(mask.bit_length()) if mask >> i & 1)
 
 
 def _powers(names):
-    """exps -> " x y^2" for names (x, y) and exps (1, 2); a zero exponent writes nothing."""
-    return lambda exps: "".join(" " + x if e == 1 else " %s^%d" % (x, e) for x, e in zip(names, exps) if e)
+    """A table: exps -> " x y^2" for names (x, y) and exps (1, 2); a zero exponent writes nothing."""
+    return _Table(lambda exps: "".join(" " + x if e == 1 else " %s^%d" % (x, e) for x, e in zip(names, exps) if e))
 
 
-def _cw_factors(sig):
-    """m -> "w1 w3 p1^2 q2" for a CwMonomial, "" for the unit."""
-    modes = range(1, sig.n_bose + 1)
-    fermi, p, q = _Table(_fermi_text), *(_Table(_powers([x + str(j) for j in modes])) for x in "pq")
-    return lambda m: (fermi[m.cliff] + p[m.wp] + q[m.wq])[1:]
+def _bose(sig):
+    """The p and q power tables of a cw signature."""
+    return [_powers([x + str(j) for j in range(1, sig.n_bose + 1)]) for x in "pq"]
 
 
-def _ore_factors():
-    """m -> "w1 E+^2 E-" for an OreMonomial, without its L power."""
-    fermi, ladder = _Table(_fermi_text), _Table(_powers(("E+", "E-")))
-    return lambda m: (fermi[m.cliff] + ladder[m.e_plus, m.e_minus])[1:]
+def monomial_order(space, keys):
+    """The monomials `keys` of a cw (space a signature) or ore (space a rank)
+    term map in canonical order; `keys` is iterated twice."""
+    if isinstance(space, int):
+        grades = [(c.bit_count() + a + b + 2 * r, r) for c, a, b, r in keys]
+    else:
+        grades = [c.bit_count() + sum(p) + sum(q) for c, p, q in keys]
+    buckets = defaultdict(list)
+    for d, m in zip(grades, keys):
+        buckets[d].append(m)
+    return [m for d in sorted(buckets) for m in sorted(buckets[d])]
 
 
 def _side(space):
-    """key -> the text of a tensor side's one-term element, "1" for the unit."""
+    """A table: key -> the text of a tensor side's one-term element, "1" for the unit."""
+    fermi = _Table(_fermi_text)
     if isinstance(space, int):
-        factors = _ore_factors()
-        return lambda m: _term(format_coefficient(GR_ONE, m.lam), factors(m))
-    factors = _cw_factors(space)
-    return lambda m: factors(m) or "1"
+        ladder = _powers(("E+", "E-"))
 
+        def write(m):
+            lam, body = format_coefficient(GR_ONE, m.lam), fermi[m.cliff] + ladder[m[1:3]]
+            return f"{lam} *{body}" if body and lam != "1" else body[1:] or lam
 
-def _scalar_text(s):
-    """A Scalar as one multiplicative prefix, a sum of L powers in parentheses."""
-    terms = s.terms
-    if len(terms) == 1:
-        ((power, g),) = terms.items()
-        return format_coefficient(g, power)
-    return "(%s)" % " + ".join(format_coefficient(terms[k], k) for k in sorted(terms))
-
-
-def _term(coeff, body):
-    """One term from its unsigned coefficient text and its factor text."""
-    return coeff if not body else body if coeff == "1" else coeff + " * " + body
+        return _Table(write)
+    p, q = _bose(space)
+    return _Table(lambda m: (fermi[m.cliff] + p[m.wp] + q[m.wq])[1:] or "1")
 
 
 def element_to_text(e):
     """The text of a cw, ore or tensor element; "0" if it has no terms."""
     space, terms = e.space, e.terms
-    if type(space) is tuple:  # a tensor: the pair of its factor spaces
-        left, right = _side(space[0]), _side(space[1])
-        pieces = ((_scalar_text(terms[k]), left(k[0]) + " (x) " + right(k[1])) for k in sorted(terms))
-    elif isinstance(space, int):  # the rank of a deformed algebra
-        factors = _ore_factors()
-        pieces = ((format_coefficient(terms[m], m.lam), factors(m)) for m in e.monomials())
+    out = []  # separator, term text, separator, ...
+    if isinstance(space, int):  # the rank of a deformed algebra
+        fermi, ladder = _Table(_fermi_text), _powers(("E+", "E-"))
+        for m in monomial_order(space, terms):
+            coeff, body = format_coefficient(terms[m], m[3]), fermi[m[0]] + ladder[m[1:3]]
+            sign, coeff = (" - ", coeff[1:]) if coeff[0] == "-" else (" + ", coeff)
+            out += sign, f"{coeff} *{body}" if body and coeff != "1" else body[1:] or coeff
     else:
-        factors = _cw_factors(space)
-        pieces = ((_scalar_text(c), factors(m)) for m, c in e.monomials())
-    out = []
-    for coeff, body in pieces:
-        if coeff[0] == "-":
-            out.append(" - " if out else "-")
-            coeff = coeff[1:]
-        elif out:
-            out.append(" + ")
-        out.append(_term(coeff, body))
+        tensor = type(space) is tuple  # the pair of its factor spaces
+        if tensor:
+            left, right = _side(space[0]), _side(space[1])
+        else:
+            fermi, (p, q) = _Table(_fermi_text), _bose(space)
+        for m in sorted(terms) if tensor else monomial_order(space, terms):
+            s = terms[m]
+            if len(s.terms) == 1:
+                [(power, g)] = s.terms.items()
+                coeff = format_coefficient(g, power)
+            else:
+                coeff = "(%s)" % s
+            body = f" {left[m[0]]} (x) {right[m[1]]}" if tensor else f"{fermi[m[0]]}{p[m[1]]}{q[m[2]]}"
+            sign, coeff = (" - ", coeff[1:]) if coeff[0] == "-" else (" + ", coeff)
+            out += sign, f"{coeff} *{body}" if body and coeff != "1" else body[1:] or coeff
+    if out:
+        out[0] = "-" if out[0] == " - " else ""
     return "".join(out) or "0"

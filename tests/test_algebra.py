@@ -299,3 +299,33 @@ def test_the_size_bound_is_inclusive():
     assert ore_e_plus(MAX_ALGEBRA_SIZE).n == 1000
     with pytest.raises(AlgebraError, match="n_bose above the size bound of 500"):
         AlgebraSignature(0, MAX_ALGEBRA_SIZE // 2 + 1)
+
+
+# a RepDescriptor's sizes, each just past what its signature() accepts:
+# (kind name, ell, k)
+DESCRIPTORS_PAST_THE_BOUND = [
+    ("METAPLECTIC", 0, 501),
+    ("METAPLECTIC", 0, 700),
+    ("SPIN", 501, 0),
+    ("SPIN_PLUS", 500, 0),
+    ("SPIN_METAPLECTIC_MINUS", 500, 1),
+    ("SPIN_METAPLECTIC", 1, 501),
+]
+
+
+@pytest.mark.parametrize("kind, ell, k", DESCRIPTORS_PAST_THE_BOUND)
+def test_rep_descriptor_refuses_what_its_signature_refuses(kind, ell, k):
+    # RepDescriptor(METAPLECTIC, 0, 700) used to be built and fail on first use
+    from cliffordweyl.reps import RepDescriptor, RepKind
+
+    _refused_within_a_second(lambda: RepDescriptor(RepKind[kind], ell, k))
+
+
+@pytest.mark.parametrize(
+    "kind, ell, k, signature",
+    [("METAPLECTIC", 0, 500, (0, 500)), ("SPIN", 500, 0, (1000, 0)), ("SPIN_PLUS", 499, 0, (999, 0))],
+)
+def test_rep_descriptor_bound_is_inclusive(kind, ell, k, signature):
+    from cliffordweyl.reps import RepDescriptor, RepKind
+
+    assert RepDescriptor(RepKind[kind], ell, k).signature() == AlgebraSignature(*signature)

@@ -490,6 +490,10 @@ def test_descriptor_rejects_bad_sizes():
     for kind, ell, k in [(RepKind.SPIN, -1, 0), (RepKind.METAPLECTIC, 0, -2), (RepKind.SPIN_PLUS, 0.5, 0)]:
         with pytest.raises(AlgebraError, match="must be a non-negative int"):
             RepDescriptor(kind, ell, k)
+    # a kind that is not a RepKind used to be built, and "spin+" to act as spin
+    for kind in ("spin+", [], None):
+        with pytest.raises(AlgebraError, match="kind must be a RepKind"):
+            RepDescriptor(kind, 1, 0)
     desc = RepDescriptor(RepKind.SPIN, 2, 0)
     assert desc == spin(2) == (RepKind.SPIN, 2, 0)
     assert repr(desc) == "RepDescriptor(kind=<RepKind.SPIN: 'spin'>, ell=2, k=0)"

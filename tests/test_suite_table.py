@@ -135,3 +135,21 @@ def test_a_higher_degree_admits_the_algebra():
     with pytest.raises(SuiteUsageError):
         run_suite("associativity", algebra=parse_algebra("cw:4,8"), maxdeg=2, cases=1)
     assert run_suite("associativity", algebra=parse_algebra("cw:4,8"), cases=1).passed
+
+
+# -- the matrix-iso size bound --------------------------------------------------------
+
+
+@pytest.mark.parametrize("algebra", ["cw:12,2", "cw:16,2", "cw:1000,2"])
+def test_matrix_iso_refuses_a_wide_fermi_count_before_any_work(algebra, capsys):
+    # its independence check maps all 2^n Fermi words: cw:16,2 used to run for minutes
+    start = time.perf_counter()
+    assert cli.main(["--suite", "matrix-iso", "--algebra", algebra, "--cases", "1"]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err.startswith(
+        "error: matrix-iso takes at most %d Fermi generators" % suites.MATRIX_ISO_MAX_FERMI
+    )
+
+
+def test_matrix_iso_bound_is_in_the_readme_row():
+    assert "at most %d Fermi generators" % suites.MATRIX_ISO_MAX_FERMI in _readme_rows()["matrix-iso"][0]

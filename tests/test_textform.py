@@ -6,16 +6,25 @@ joined the terms as it wrote them.  These seeded tests compare `str` with
 them on cw elements of every signature with n, k <= 3 (t = 1 and t = L),
 ore elements of ranks 0-2 and cw (x) cw and cw (x) ore tensors, with the
 coefficients that exercise each branch of the coefficient and sign rules.
+
+The large-element tests do the same on products with thousands of terms,
+where the writer's degree buckets are full, and check `monomials()` against
+the sort keys the families had before the buckets, kept here as the oracle,
+and `to_json` against its bytes from before the one-pass writer.
 """
 
+import hashlib
+import json
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import reference_textform as ref
 
 from cliffordweyl.algebra import AlgebraSignature, CwElement, CwMonomial, unit, zero
-from cliffordweyl.ore import OreElement, OreMonomial, ore_unit, ore_zero
-from cliffordweyl.periodicity import TensorElement
+from cliffordweyl.ore import OreElement, OreMonomial, ore_e_minus, ore_e_plus, ore_fermi, ore_lambda
+from cliffordweyl.ore import ore_unit, ore_zero
+from cliffordweyl.periodicity import TensorElement, tensor_of
 from cliffordweyl.scalars import GaussianRational, S_LAMBDA, Scalar
 
 # the Gaussian rationals every branch of format_coefficient meets
@@ -138,3 +147,72 @@ def test_fixtures_of_each_branch():
         sig, 0, {(one, OreMonomial(1, 0, 0, 1)): Scalar.of(-1), (w1, OreMonomial(0, 0, 0, 0)): S_LAMBDA}
     )
     assert str(t) == "-1 (x) L * w1 + L * w1 (x) 1"
+
+
+# -- large elements --------------------------------------------------------------------
+
+
+def _old_cw_key(m):
+    return (m.z_degree(), m.cliff, m.wp, m.wq)
+
+
+def _old_ore_key(m):
+    return (m.degree(), m.lam, m.cliff, m.e_plus, m.e_minus)
+
+
+def _wide_cw(rng, sig, size, maxdeg):
+    """A `size`-term element of degree <= maxdeg, coefficients of several L powers."""
+    terms = {}
+    while len(terms) < size:
+        m = _cw_monomial(rng, sig)
+        if m.z_degree() <= maxdeg:
+            terms[m] = _scalar(rng)
+    return CwElement(sig, terms)
+
+
+@lru_cache(maxsize=None)
+def _large_elements():
+    """(cw products, ore products, tensors), the same on every call."""
+    rng = random.Random(29)
+    cw = []
+    for n, k, maxdeg in ((4, 2, 5), (2, 3, 4), (0, 4, 4)):
+        for t in (Scalar.of(1), S_LAMBDA):
+            sig = AlgebraSignature(n, k, t)
+            cw.append(_wide_cw(rng, sig, rng.randint(20, 30), maxdeg) * _wide_cw(rng, sig, rng.randint(20, 30), maxdeg))
+    ore = []
+    for n, beta, gamma in ((0, 30, 24), (1, 16, 20), (2, 12, 12)):
+        ghostly = ore_unit(n) + ore_fermi(n, 1).scale(GAUSSIANS[6]) + ore_lambda(n).scale(Fraction(-2, 3))
+        ore.append(ore_e_minus(n) ** beta * ghostly * ore_e_plus(n) ** gamma)
+    left = _wide_cw(rng, AlgebraSignature(4, 2, S_LAMBDA), 25, 5)
+    tensors = [tensor_of(left, _wide_cw(rng, AlgebraSignature(1, 1), 12, 3)), tensor_of(left, ore[2])]
+    return cw, ore, tensors
+
+
+def test_str_matches_the_reference_writers_on_large_elements():
+    cw, ore, tensors = _large_elements()
+    assert min(len(e.terms) for e in cw) > 500
+    assert all(any(m.lam for m in e.terms) and any(m.cliff == (1 << 2 * e.n + 1) - 1 for m in e.terms) for e in ore)
+    for e in cw:
+        assert str(e) == ref.cw_text(e)
+    for e in ore:
+        assert str(e) == ref.ore_text(e)
+    for e in tensors:
+        assert str(e) == ref.tensor_text(e)
+
+
+def test_monomials_follow_the_old_sort_keys_on_large_elements():
+    cw, ore, _ = _large_elements()
+    for e in cw:
+        assert [m for m, _ in e.monomials()] == sorted(e.terms, key=_old_cw_key)
+    for e in ore:
+        assert e.monomials() == sorted(e.terms, key=_old_ore_key)
+
+
+# sha256 of the to_json of the large elements, written before the writer
+# ordered terms by degree buckets
+LARGE_JSON_SHA256 = "889b29ec33ed8ebe97b6f3eb0741e32fb94d8781ae96cc7ed4da94e80a756939"
+
+
+def test_to_json_is_unchanged_on_large_elements():
+    data = [e.to_json() for family in _large_elements() for e in family]
+    assert hashlib.sha256(json.dumps(data).encode()).hexdigest() == LARGE_JSON_SHA256
