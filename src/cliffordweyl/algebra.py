@@ -17,10 +17,11 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
+from operator import index
 from typing import NamedTuple
 
 from .scalars import S_ONE, S_ZERO, Scalar, _coerce_scalar
-from .sparse import AlgebraError, SignatureMismatch, SparseElement, accumulate
+from .sparse import AlgebraError, SignatureMismatch, SparseElement, json_reader, sum_terms
 from .textform import element_to_text, monomial_order
 
 
@@ -195,16 +196,15 @@ class CwElement(SparseElement):
 
     @staticmethod
     def key_from_json(rec):
-        return CwMonomial(index_mask(rec["cliff"]), tuple(rec["p"]), tuple(rec["q"]))
+        return CwMonomial(index_mask(rec["cliff"]), tuple(map(index, rec["p"])), tuple(map(index, rec["q"])))
 
     def to_json(self):
         return [{"coeff": c.to_json(), **self.key_json(m)} for m, c in self.monomials()]
 
     @staticmethod
+    @json_reader
     def from_json(signature, data):
-        terms = {}
-        for t in data:
-            accumulate(terms, CwElement.key_from_json(t), Scalar.from_json(t["coeff"]))
+        terms = sum_terms((CwElement.key_from_json(rec), Scalar.from_json(rec["coeff"])) for rec in data)
         return CwElement(signature, terms)
 
 
@@ -214,11 +214,10 @@ def _unit_monomial(n_bose):
 
 
 def index_mask(indices):
-    """Bitset of 1-based generator indices (bit i-1 for index i)."""
-    mask = 0
-    for i in indices:
-        mask |= 1 << (i - 1)
-    return mask
+    """Bitset of strictly increasing 1-based generator indices (bit i-1 for index i)."""
+    if list(indices) != sorted(set(indices)):
+        raise AlgebraError("generator indices must strictly increase, got %r" % (indices,))
+    return sum(1 << (i - 1) for i in indices)
 
 
 def canonicalize(e):

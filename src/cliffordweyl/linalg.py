@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from .algebra import AlgebraError
 from .scalars import GR_ONE, S_ONE, S_ZERO, Scalar, _coerce_scalar
-from .sparse import SparseElement, accumulate, element_tag
+from .sparse import SparseElement, accumulate, element_tag, json_reader
 
 
 class MatrixError(AlgebraError, ValueError):
@@ -148,6 +148,7 @@ class Matrix(SparseElement):
         return [[x.to_json() for x in r] for r in self.rows]
 
     @staticmethod
+    @json_reader
     def from_json(data):
         """Inverse of to_json for a matrix of Scalars."""
         return Matrix([[Scalar.from_json(x) for x in r] for r in data])

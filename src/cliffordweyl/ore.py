@@ -29,12 +29,13 @@ part of the monomial, not the coefficient.
 
 from fractions import Fraction
 from functools import lru_cache
+from operator import index
 from typing import NamedTuple
 
 from .algebra import AlgebraError, _check_index, _check_size, index_mask
 from .scalars import GR_ONE, GaussianRational, _coerce, from_numerators, gaussian
 from .scalars import i_power
-from .sparse import Checks, SparseElement, accumulate, pair_product
+from .sparse import Checks, SparseElement, accumulate, json_reader, pair_product, sum_terms
 from .sparse import anti_bracket as ore_anti_bracket, lie_bracket as ore_lie_bracket
 from .sparse import super_bracket as ore_super_bracket
 from .starprod import _cliff_pair
@@ -112,15 +113,16 @@ class OreElement(SparseElement):
 
     @staticmethod
     def key_from_json(rec):
-        return OreMonomial(index_mask(rec["cliff"]), rec["e+"], rec["e-"], rec["L"])
+        return OreMonomial(index_mask(rec["cliff"]), *map(index, (rec["e+"], rec["e-"], rec["L"])))
 
     def to_json(self):
         return [{"coeff": self.terms[m].to_json(), **self.key_json(m)} for m in self.monomials()]
 
     @staticmethod
+    @json_reader
     def from_json(n, data):
-        terms = {OreElement.key_from_json(rec): GaussianRational.from_json(rec["coeff"]) for rec in data}
-        return OreElement(n, terms)
+        pairs = ((OreElement.key_from_json(rec), GaussianRational.from_json(rec["coeff"])) for rec in data)
+        return OreElement(n, sum_terms(pairs))
 
 
 _ORE_ONE = OreMonomial(0, 0, 0, 0)

@@ -51,7 +51,7 @@ from .ore import OreElement
 from .reps import rep_matrix, spin
 from .scalars import GR_HALF, Scalar, _coerce_scalar, i_power
 from .scalars import join_numerators, split_powers
-from .sparse import SparseElement, accumulate, expect_element, pair_product
+from .sparse import SparseElement, accumulate, expect_element, json_reader, pair_product, sum_terms
 from .starprod import _cliff_pair
 from .textform import element_to_text
 
@@ -126,12 +126,13 @@ class TensorElement(SparseElement):
         ]
 
     @staticmethod
+    @json_reader
     def from_json(left_signature, right_signature, data):
         lf, rf = _factor(left_signature)[0], _factor(right_signature)[0]
-        terms = {
-            (lf.key_from_json(rec["left"]), rf.key_from_json(rec["right"])): Scalar.from_json(rec["coeff"])
+        terms = sum_terms(
+            ((lf.key_from_json(rec["left"]), rf.key_from_json(rec["right"])), Scalar.from_json(rec["coeff"]))
             for rec in data
-        }
+        )
         return TensorElement(left_signature, right_signature, terms)
 
 

@@ -46,13 +46,13 @@ class RepKind(enum.Enum):
 _ODD_KINDS = {RepKind.SPIN_PLUS, RepKind.SPIN_MINUS,
               RepKind.SPIN_METAPLECTIC_PLUS, RepKind.SPIN_METAPLECTIC_MINUS}
 _MINUS_KINDS = {RepKind.SPIN_MINUS, RepKind.SPIN_METAPLECTIC_MINUS}
-_FINITE_KINDS = {RepKind.SPIN, RepKind.SPIN_PLUS, RepKind.SPIN_MINUS}
 
 
 class RepDescriptor(namedtuple("RepDescriptor", "kind ell k")):
     """A representation: its RepKind, the Grassmann variables (ell) and the
     polynomial variables (k) of its carrier, both non-negative ints small
-    enough that `signature()` passes the size gate."""
+    enough that `signature()` passes the size gate.  The carrier is finite,
+    of dimension 2^ell, exactly when k = 0."""
 
     __slots__ = ()
 
@@ -67,8 +67,8 @@ class RepDescriptor(namedtuple("RepDescriptor", "kind ell k")):
         return AlgebraSignature(n, self.k)
 
     def finite_dimension(self):
-        if self.kind not in _FINITE_KINDS:
-            raise AlgebraError("carrier of %s is infinite-dimensional" % (self.kind,))
+        if self.k:
+            raise AlgebraError("carrier of %s with k = %d is infinite-dimensional" % (self.kind, self.k))
         return 1 << self.ell
 
 

@@ -23,7 +23,7 @@ import sys
 from fractions import Fraction
 from math import gcd
 
-from .sparse import AlgebraError, SparseElement
+from .sparse import AlgebraError, SparseElement, json_reader, sum_terms
 
 _HASH_MODULUS = sys.hash_info.modulus
 
@@ -177,18 +177,14 @@ class GaussianRational:
         return "GaussianRational(%r, %r)" % (str(self.re), str(self.im))
 
     def __str__(self):
-        re, im = self.re, self.im
-        if im == 0:
-            return str(re)
-        if re == 0:
-            return "%s*i" % im
-        return "(%s %s %s*i)" % (re, "-" if im < 0 else "+", abs(im))
+        return format_coefficient(self)
 
     def to_json(self):
         """[[re_num, re_den], [im_num, im_den]] with ints."""
         return [_ratio_pair(self._re, self._den), _ratio_pair(self._im, self._den)]
 
     @staticmethod
+    @json_reader
     def from_json(data):
         (rn, rd), (im_n, im_d) = data
         return GaussianRational(Fraction(rn, rd), Fraction(im_n, im_d))
@@ -368,8 +364,9 @@ class Scalar(SparseElement):
         return {str(k): self.terms[k].to_json() for k in sorted(self.terms)}
 
     @staticmethod
+    @json_reader
     def from_json(data):
-        return Scalar({int(k): GaussianRational.from_json(v) for k, v in data.items()})
+        return Scalar(sum_terms((int(k), GaussianRational.from_json(v)) for k, v in data.items()))
 
 
 def convolve(t1, t2):

@@ -35,7 +35,9 @@ triple-bracket law over a basis and a form, and `homomorphism_law` the one
 check that a transport maps products to products, and back by its inverse.
 
 `element_tag` names the algebra of an element, its family and space, for
-the cochains' argument checks and the matrices' entry rings.
+the cochains' argument checks and the matrices' entry rings.  `json_reader`
+wraps every `from_json`, so malformed data raises `AlgebraError`, and
+the readers sum the records of one key by `sum_terms`.
 
 `Checks` is the one recorder of verification cases: every report in the
 package, from the suites down to `ore`, `deform`, `osp` and `hochschild`,
@@ -44,6 +46,7 @@ counts its cases and writes its failure records through it.
 
 from __future__ import annotations
 
+from functools import wraps
 from math import lcm
 
 
@@ -110,6 +113,29 @@ def accumulate(out, key, c):
         out[key] = s
     else:
         out.pop(key, None)
+
+
+def json_reader(read):
+    """`read` with every Python error on malformed data raised as `AlgebraError`."""
+
+    @wraps(read)
+    def guarded(*args):
+        try:
+            return read(*args)
+        except AlgebraError:
+            raise
+        except (AttributeError, IndexError, KeyError, TypeError, ValueError, ZeroDivisionError) as e:
+            raise AlgebraError("malformed JSON for %s: %r" % (read.__qualname__, e)) from e
+
+    return guarded
+
+
+def sum_terms(pairs):
+    """The term map of (key, coefficient) pairs, the coefficients of one key summed."""
+    terms = {}
+    for key, c in pairs:
+        accumulate(terms, key, c)
+    return terms
 
 
 def pair_product(a, b, pair):

@@ -17,7 +17,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache, partial, reduce
 from itertools import accumulate as running_sums, product
 from math import comb
 
@@ -29,6 +29,7 @@ from .algebra import (
     bose_p,
     bose_q,
     fermi_gen,
+    generators,
     monomial_element,
     unit,
     zero,
@@ -180,33 +181,24 @@ def _check_draws(fermi, bose, lam, maxdeg):
         )
 
 
-def _rand_cw(rng, sig, nterms=3, maxdeg=4):
-    _check_draws(sig.n_fermi, 2 * sig.n_bose, 0, maxdeg)
-    terms = {}
-    k = sig.n_bose
-    for _ in range(nterms):
-        while True:
-            mask = rng.getrandbits(sig.n_fermi) if sig.n_fermi else 0
-            wp = tuple(rng.randrange(3) for _ in range(k))
-            wq = tuple(rng.randrange(3) for _ in range(k))
-            if mask.bit_count() + sum(wp) + sum(wq) <= maxdeg:
-                break
-        accumulate(terms, CwMonomial(mask, wp, wq), _rand_coeff(rng))
-    return CwElement(sig, terms)
-
-
-def _rand_ore(rng, n, nterms=3, maxdeg=4):
-    _check_draws(2 * n + 1, 2, 1, maxdeg)
+def _rand_element(rng, space, nterms=3, maxdeg=4):
+    """nterms random terms of degree at most maxdeg, in cw (space a signature)
+    or ore (space a rank), each drawn until its degree fits: a Fermi mask,
+    Bose slots in 0..2 and, in ore, an L slot in 0..1 that weighs 2."""
+    ore_rank = isinstance(space, int)
+    fermi, bose, lam = (2 * space + 1, 2, 1) if ore_rank else (space.n_fermi, 2 * space.n_bose, 0)
+    _check_draws(fermi, bose, lam, maxdeg)
+    slots, half = (3,) * bose + (2,) * lam, bose >> 1
     terms = {}
     for _ in range(nterms):
         while True:
-            mask = rng.getrandbits(2 * n + 1)
-            a, b = rng.randrange(3), rng.randrange(3)
-            r = rng.randrange(2)
-            if mask.bit_count() + a + b + 2 * r <= maxdeg:
+            mask = rng.getrandbits(fermi)
+            drawn = tuple(map(rng.randrange, slots))
+            if mask.bit_count() + sum(drawn) + sum(drawn[bose:]) <= maxdeg:  # L counted twice
                 break
-        accumulate(terms, OreMonomial(mask, a, b, r), _rand_coeff(rng))
-    return OreElement(n, terms)
+        key = OreMonomial(mask, *drawn) if ore_rank else CwMonomial(mask, drawn[:half], drawn[half:])
+        accumulate(terms, key, _rand_coeff(rng))
+    return OreElement(space, terms) if ore_rank else CwElement(space, terms)
 
 
 def _rand_lam(rng):
@@ -217,9 +209,10 @@ def _rand_lam(rng):
             return g
 
 
-def _rand_pairs(count, draw, rng, *args, **kwargs):
-    """count pairs (x, y), drawn x then y as they are read."""
-    return ((draw(rng, *args, **kwargs), draw(rng, *args, **kwargs)) for _ in range(count))
+def _rand_pairs(count, rng, space, maxdeg):
+    """count pairs (x, y) of random elements, drawn x then y as they are read."""
+    draw = partial(_rand_element, rng, space, maxdeg=maxdeg)
+    return ((draw(), draw()) for _ in range(count))
 
 
 # -- individual suites ----------------------------------------------------------------
@@ -241,12 +234,9 @@ def _suite_relations(run, rng, grid, cases, maxdeg, params):
             want = one if i == j else nul
             run.check(["[p%d,q%d]" % (i + 1, j + 1)], lie_bracket(pi, qj), want)
             run.check(["[q%d,p%d]" % (j + 1, i + 1)], lie_bracket(qj, pi), -want)
-    for i, xi in enumerate(ps):
-        for j, xj in enumerate(ps):
-            run.check(["[p%d,p%d]" % (i + 1, j + 1)], lie_bracket(xi, xj), nul)
-    for i, xi in enumerate(qs):
-        for j, xj in enumerate(qs):
-            run.check(["[q%d,q%d]" % (i + 1, j + 1)], lie_bracket(xi, xj), nul)
+    for name, xs in (("p", ps), ("q", qs)):
+        for (i, xi), (j, xj) in product(enumerate(xs), repeat=2):
+            run.check(["[%s%d,%s%d]" % (name, i + 1, name, j + 1)], lie_bracket(xi, xj), nul)
     for i, wi in enumerate(ws):
         for j, xj in enumerate(ps + qs):
             run.check(["{w%d, bose %d}" % (i + 1, j + 1)], anti_bracket(wi, xj), nul)
@@ -254,19 +244,17 @@ def _suite_relations(run, rng, grid, cases, maxdeg, params):
 
 def _suite_associativity(run, rng, grid, cases, maxdeg, params):
     (space,) = grid
-    ore_rank = isinstance(space, int)
-    draw = _rand_ore if ore_rank else _rand_cw
-    algebra = "ore:%d" % space if ore_rank else cw_descriptor(space)
+    algebra = "ore:%d" % space if isinstance(space, int) else cw_descriptor(space)
     params.update({"algebra": algebra, "cases": cases})
     for _ in range(cases):
-        a, b, c = (draw(rng, space, maxdeg=maxdeg) for _ in range(3))
+        a, b, c = (_rand_element(rng, space, maxdeg=maxdeg) for _ in range(3))
         run.check([a, b, c], (a * b) * c, a * (b * c))
 
 
 def _suite_periodicity1(run, rng, grid, pairs, maxdeg, params):
     params.update({"grid": ["m=%d,n=%d,k=%d" % e for e in grid], "cases": pairs})
     for m, n, k in grid:
-        draws = _rand_pairs(pairs, _rand_cw, rng, AlgebraSignature(2 * m + n, k), maxdeg=maxdeg)
+        draws = _rand_pairs(pairs, rng, AlgebraSignature(2 * m + n, k), maxdeg)
         forward, inverse = partial(periodicity1_forward, m, n, k), partial(periodicity1_inverse, m, n, k)
         homomorphism_law(run, ["m=%d,n=%d,k=%d" % (m, n, k)], draws, forward, star, tensor_star, inverse)
 
@@ -274,7 +262,7 @@ def _suite_periodicity1(run, rng, grid, pairs, maxdeg, params):
 def _suite_periodicity2(run, rng, ranks, pairs, maxdeg, params):
     params.update({"ranks": ranks, "cases": pairs})
     for n in ranks:
-        draws = _rand_pairs(pairs, _rand_ore, rng, n, maxdeg=maxdeg)
+        draws = _rand_pairs(pairs, rng, n, maxdeg)
         forward, inverse = partial(periodicity2_forward, n), partial(periodicity2_inverse, n)
         homomorphism_law(run, ["ore:%d" % n], draws, forward, ore_product, tensor_star, inverse)
 
@@ -288,7 +276,7 @@ def _suite_odd_split(run, rng, ranks, pairs, maxdeg, params):
         run.check(["projections sum, n=%d" % n], zp + zm, one)
         run.check(["projections orthogonal, n=%d" % n], star(zp, zm), zero(sig))
         run.check(["projection idempotent, n=%d" % n], star(zp, zp), zp)
-        draws = _rand_pairs(pairs, _rand_cw, rng, sig, maxdeg=2 * n + 1)
+        draws = _rand_pairs(pairs, rng, sig, 2 * n + 1)
         labels = ["split product, n=%d" % n, "join inverts split, n=%d" % n]
         pair_star, join = (lambda a, b: tuple(map(star, a, b))), (lambda c: odd_join(n, *c))
         homomorphism_law(run, labels, draws, partial(odd_split, n), star, pair_star, join)
@@ -298,25 +286,20 @@ def _suite_spin_lemma(run, rng, grid, cases, maxdeg, params):
     matrix_ranks, square_ranks = grid
     params.update({"matrix_ranks": matrix_ranks, "square_ranks": square_ranks})
     for n in matrix_ranks:
-        sig = AlgebraSignature(2 * n, 0)
-        vol = unit(sig)
-        for i in range(1, 2 * n + 1):
-            vol = star(vol, fermi_gen(sig, i))
         dim = 1 << n
         want = Matrix.from_entries(
             (dim, dim), {(g, g): i_power(n) * (-1) ** g.bit_count() for g in range(dim)}
         )
-        run.check(["volume word matrix, n=%d" % n], rep_matrix(spin(n), vol), want)
+        run.check(["volume word matrix, n=%d" % n], rep_matrix(spin(n), _volume_word(n)), want)
     for n in square_ranks:
-        sig = AlgebraSignature(2 * n, 0)
-        vol = unit(sig)
-        for i in range(1, 2 * n + 1):
-            vol = star(vol, fermi_gen(sig, i))
-        run.check(
-            ["volume word square, n=%d" % n],
-            star(vol, vol),
-            unit(sig).scale((-1) ** n),
-        )
+        vol = _volume_word(n)
+        run.check(["volume word square, n=%d" % n], star(vol, vol), unit(vol.signature).scale((-1) ** n))
+
+
+def _volume_word(n):
+    """w1 * ... * w_2n in cw:2n,0, multiplied left to right."""
+    sig = AlgebraSignature(2 * n, 0)
+    return reduce(star, generators(sig), unit(sig))
 
 
 def _matrix_rows(M):
@@ -334,14 +317,9 @@ def _suite_matrix_iso(run, rng, grid, pairs, maxdeg, params):
         n, k = sig.n_fermi // 2, sig.n_bose
         label = cw_descriptor(sig)
         dim = 1 << n
-        one = cw_to_matrix(n, k, unit(sig))
-        bose_sig = AlgebraSignature(0, k)
-        run.check(
-            ["unit to identity, " + label],
-            one,
-            Matrix.identity(dim, unit(bose_sig)),
-        )
-        draws = _rand_pairs(pairs, _rand_cw, rng, sig, maxdeg=maxdeg)
+        identity = Matrix.identity(dim, unit(AlgebraSignature(0, k)))
+        run.check(["unit to identity, " + label], cw_to_matrix(n, k, unit(sig)), identity)
+        draws = _rand_pairs(pairs, rng, sig, maxdeg)
         homomorphism_law(run, ["hom, " + label], draws, partial(cw_to_matrix, n, k), star, matrix_star)
         # the unit, and p1 when there is a Bose pair
         bose_parts = [((0,) * k, (0,) * k)] + [((1,) + (0,) * (k - 1), (0,) * k)] * (k > 0)
@@ -391,9 +369,7 @@ def _suite_a0_iso(run, rng, ranks, pairs, maxdeg, params):
     for n in ranks:
         sig = cw_odd_signature(n)
         label = "ore:%d" % n
-        for _ in range(pairs):
-            a = _rand_cw(rng, sig, maxdeg=maxdeg)
-            b = _rand_cw(rng, sig, maxdeg=maxdeg)
+        for a, b in _rand_pairs(pairs, rng, sig, maxdeg):
             fa, fb = iso_cw_to_a0(n, a), iso_cw_to_a0(n, b)
             run.check(
                 ["degree-zero part of the product, " + label, a, b],
@@ -401,7 +377,7 @@ def _suite_a0_iso(run, rng, ranks, pairs, maxdeg, params):
                 star(a, b),
             )
         for _ in range(25):
-            x = _rand_cw(rng, sig, maxdeg=maxdeg)
+            x = _rand_element(rng, sig, maxdeg=maxdeg)
             run.check(
                 ["round trip, " + label, x], iso_a0_to_cw(n, iso_cw_to_a0(n, x)), x
             )
@@ -415,14 +391,10 @@ def _suite_cocycle(run, rng, ranks, triples, maxdeg, params):
         run.merge(table)
         constants["ore:%d" % n] = str(table["constant"])
         sig = cw_odd_signature(n)
-
-        def c1(x, y, _n=n):
-            return deformation_cochain_c1(_n, x, y)
-
-        evaluator = CochainEvaluator(2, c1, element_tag(unit(sig)))
+        evaluator = CochainEvaluator(2, partial(deformation_cochain_c1, n), element_tag(unit(sig)))
         d = coboundary(evaluator)
         for _ in range(triples):
-            t = tuple(_rand_cw(rng, sig, nterms=2, maxdeg=2) for _ in range(3))
+            t = tuple(_rand_element(rng, sig, nterms=2, maxdeg=2) for _ in range(3))
             run.check(["cocycle law, ore:%d" % n] + list(t), d(*t), zero(sig))
     return {"constants": constants}
 
@@ -501,9 +473,7 @@ def _check_pi_relations(run, n, rep, label):
             run.check([label, "{w%d,w%d}" % (i + 1, j + 1)], wi * wj + wj * wi, want)
         run.check([label, "{E+,w%d}" % (i + 1)], ep * wi + wi * ep, nul)
         run.check([label, "{E-,w%d}" % (i + 1)], em * wi + wi * em, nul)
-    vol = ident
-    for wi in ws:
-        vol = vol * wi
+    vol = reduce(Matrix.__mul__, ws, ident)
     ghost_img = vol.scale(i_power(n)) * lam
     quarter = ident.scale(Fraction(-1, 4))
     run.check([label, "[E+,E-]"], ep * em - em * ep, quarter + ghost_img)
@@ -556,29 +526,17 @@ def _suite_osp22(run, rng, ranks, cases, maxdeg, params):
 def _suite_hochschild(run, rng, grid, count, maxdeg, params):
     (sig,) = grid
     params.update({"algebra": cw_descriptor(sig), "cases": count})
-    support = {}
-    for mask in range(2):
-        for wp in range(2):
-            for wq in range(2):
-                support[CwMonomial(mask, (wp,), (wq,))] = _rand_cw(rng, sig, maxdeg=3)
+    corners = product(range(2), repeat=3)  # (mask, wp, wq) in 0..1, wq fastest
+    support = {CwMonomial(mask, (wp,), (wq,)): _rand_element(rng, sig, maxdeg=3) for mask, wp, wq in corners}
 
     def sampled(x):
-        out = zero(sig)
-        for m, c in x.terms.items():
-            img = support.get(m)
-            if img is not None:
-                out = out + img.scale(c)
-        return out
+        return sum((support[m].scale(c) for m, c in x.terms.items() if m in support), zero(sig))
 
     tag = element_tag(unit(sig))
     one_cochain = CochainEvaluator(1, sampled, tag)
-    triples = [tuple(_rand_cw(rng, sig, maxdeg=2) for _ in range(3)) for _ in range(count)]
+    triples = [tuple(_rand_element(rng, sig, maxdeg=2) for _ in range(3)) for _ in range(count)]
     run.merge(d_squared_check(one_cochain, triples))
-
-    def c1(x, y):
-        return deformation_cochain_c1(0, x, y)
-
-    evaluator = CochainEvaluator(2, c1, tag)
+    evaluator = CochainEvaluator(2, partial(deformation_cochain_c1, 0), tag)
     sub = [unit(sig), fermi_gen(sig, 1)]
     samples = [fermi_gen(sig, 1), bose_p(sig, 1), bose_q(sig, 1)]
     run.merge(relative_normalized_check(evaluator, sub, samples))

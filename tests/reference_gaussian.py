@@ -2,8 +2,9 @@
 
 This is the library's earlier coefficient class, kept as an independent
 oracle for `cliffordweyl.scalars`, which stores the same values as reduced
-int triples.  Only `__hash__` differs from that earlier class: a real value
-hashes like the equal `Fraction`, as Python's numeric hash contract asks.
+int triples.  Two things differ from that earlier class: a real value
+hashes like the equal `Fraction`, as Python's numeric hash contract asks,
+and `__str__` writes the one coefficient grammar, `ref_format_coefficient`.
 """
 
 from fractions import Fraction
@@ -67,11 +68,7 @@ class RefGaussian:
         return self.re != 0 or self.im != 0
 
     def __str__(self):
-        if self.im == 0:
-            return str(self.re)
-        if self.re == 0:
-            return "%s*i" % self.im
-        return "(%s + %s*i)" % (self.re, self.im) if self.im > 0 else "(%s - %s*i)" % (self.re, -self.im)
+        return ref_format_coefficient(self)
 
     def to_json(self):
         return [

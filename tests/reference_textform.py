@@ -4,12 +4,16 @@ Each term is built on its own, as a list of factor texts and a coefficient
 text, and the terms are joined afterwards, rewriting a leading minus as
 " - ".  A tensor writes each side of each term by printing a one-term
 element of that side.  `textform.element_to_text` instead streams the terms
-and reads the factor texts from tables built once per call.
+and reads the factor texts from tables built once per call.  Coefficients
+are written by `reference_gaussian.ref_format_coefficient`, from their
+Fraction parts, so a fault in the library's coefficient writer shows here.
 """
+
+from reference_gaussian import ref_format_coefficient
 
 from cliffordweyl.algebra import CwElement
 from cliffordweyl.ore import OreElement
-from cliffordweyl.scalars import GR_ONE, S_ONE, format_coefficient
+from cliffordweyl.scalars import GR_ONE, S_ONE
 
 
 def monomial_factors_text(m):
@@ -34,8 +38,8 @@ def coefficient_text(s):
         return "0"
     if len(items) == 1:
         power, g = items[0]
-        return format_coefficient(g, power)
-    return "(%s)" % " + ".join(format_coefficient(g, k) for k, g in items)
+        return ref_format_coefficient(g, power)
+    return "(%s)" % " + ".join(ref_format_coefficient(g, k) for k, g in items)
 
 
 def signed_term(coeff, body):
@@ -75,7 +79,7 @@ def ore_text(e):
             factors.append("E+" if m.e_plus == 1 else "E+^%d" % m.e_plus)
         if m.e_minus:
             factors.append("E-" if m.e_minus == 1 else "E-^%d" % m.e_minus)
-        bits.append(signed_term(format_coefficient(e.terms[m], m.lam), " ".join(factors)))
+        bits.append(signed_term(ref_format_coefficient(e.terms[m], m.lam), " ".join(factors)))
     return join_signed(bits)
 
 

@@ -19,7 +19,7 @@ from cliffordweyl.algebra import AlgebraSignature, fermi_gen, unit, zero
 from cliffordweyl.linalg import Matrix, MatrixError
 from cliffordweyl.ore import ore_zero
 from cliffordweyl.scalars import GaussianRational, Scalar
-from cliffordweyl.suites import _rand_cw, _rand_ore
+from cliffordweyl.suites import _rand_element
 
 SIG = AlgebraSignature(2, 1)
 
@@ -33,13 +33,13 @@ def rand_cw(rng):
     # 1 +- w1 are zero divisors, (1 + w1)(1 - w1) = 0, so products of nonzero entries vanish
     if rng.random() < 0.5:
         return unit(SIG) + fermi_gen(SIG, 1).scale(rng.choice((1, -1)))
-    return _rand_cw(rng, SIG, nterms=2, maxdeg=3)
+    return _rand_element(rng, SIG, nterms=2, maxdeg=3)
 
 
 RINGS = {
     "scalar": (rand_scalar, Scalar()),
     "cw": (rand_cw, zero(SIG)),
-    "ore": (lambda rng: _rand_ore(rng, 0, nterms=2, maxdeg=3), ore_zero(0)),
+    "ore": (lambda rng: _rand_element(rng, 0, nterms=2, maxdeg=3), ore_zero(0)),
 }
 SHAPES = [(1, 1), (1, 4), (4, 1), (2, 3), (3, 3), (4, 2)]
 DENSITIES = [0, 0.2, 0.5, 1]

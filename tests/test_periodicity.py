@@ -44,7 +44,7 @@ from cliffordweyl.periodicity import (
 from cliffordweyl.reps import GrassPolyVector, act, metaplectic
 from cliffordweyl.scalars import S_I, S_LAMBDA, S_ONE, Scalar
 from cliffordweyl.starprod import star
-from cliffordweyl.suites import _rand_ore
+from cliffordweyl.suites import _rand_element
 
 SHIFT_CASES = [(1, 0, 1), (1, 1, 1), (2, 1, 1), (1, 2, 1)]
 
@@ -110,7 +110,7 @@ def test_tensor_star_matches_reference_with_l_powers():
 def test_tensor_star_matches_reference_on_deformed_images(n):
     rng = random.Random(7102 + n)
     for _ in range(4):
-        fx, fy = (periodicity2_forward(n, _rand_ore(rng, n, nterms=3)) for _ in range(2))
+        fx, fy = (periodicity2_forward(n, _rand_element(rng, n, nterms=3)) for _ in range(2))
         assert tensor_star(fx, fy) == ref_tensor_star(fx, fy), (fx, fy)
 
 

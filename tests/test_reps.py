@@ -512,3 +512,27 @@ def test_descriptor_kinds():
     assert spin_plus(1).signature() == AlgebraSignature(3, 0)
     assert spin_metaplectic(1, 2).signature() == AlgebraSignature(2, 2)
     assert metaplectic(2).kind is RepKind.METAPLECTIC
+
+
+@pytest.mark.parametrize(
+    "metaplectic_kind, spin_kind",
+    [
+        (spin_metaplectic, spin),
+        (spin_metaplectic_plus, spin_plus),
+        (spin_metaplectic_minus, spin_minus),
+    ],
+)
+def test_a_carrier_without_polynomial_variables_is_finite(metaplectic_kind, spin_kind):
+    # finiteness follows k, not the kind: with k = 0 the carrier is the
+    # Grassmann algebra of the spin representation, 2^ell dimensions
+    for ell in (0, 1, 2):
+        desc, same = metaplectic_kind(ell, 0), spin_kind(ell)
+        sig = desc.signature()
+        assert sig == same.signature()
+        assert desc.finite_dimension() == same.finite_dimension() == 1 << ell
+        for i in range(1, sig.n_fermi + 1):
+            assert rep_matrix(desc, fermi_gen(sig, i)) == rep_matrix(same, fermi_gen(sig, i))
+        with pytest.raises(AlgebraError, match="infinite-dimensional"):
+            metaplectic_kind(ell, 1).finite_dimension()
+    assert metaplectic(0).finite_dimension() == 1
+    assert rep_matrix(metaplectic(0), unit(AlgebraSignature(0, 0))) == Matrix.identity(1)

@@ -34,7 +34,7 @@ from cliffordweyl.starprod import (
     star,
     wedge,
 )
-from cliffordweyl.suites import _rand_cw, run_suite, suite_names
+from cliffordweyl.suites import _rand_element as suite_element, run_suite, suite_names
 
 # the reference kernel enumerates every (r, s) pair, prod over modes of
 # (min(A, D) + 1)(min(B, C) + 1); cases above this are redrawn to keep it quick
@@ -236,7 +236,7 @@ def test_kernel_caches_stay_bounded():
     v = GrassPolyVector.basis(2, 4, 0b11, (3, 1, 4, 1))
     rng = random.Random(6064)
     for _ in range(4):
-        a, b = (_rand_cw(rng, sig, nterms=20, maxdeg=10) for _ in range(2))
+        a, b = (suite_element(rng, sig, nterms=20, maxdeg=10) for _ in range(2))
         star(a, b)
         act(desc, a + b, v)
     ore.ore_product(ore.ore_e_minus(0) ** 6, ore.ore_e_plus(0) ** 9)
