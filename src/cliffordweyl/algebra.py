@@ -134,15 +134,20 @@ def element_bidegree(e):
 class CwElement(SparseElement):
     """Element of the algebra: canonical sparse sum of CwMonomial terms.
 
-    The space is the AlgebraSignature and the coefficients are Scalars.
-    `a * b` is the star product of the signature (with its t_param); use
-    starprod.wedge for the t=0 exterior product.
+    The space is the AlgebraSignature (AlgebraError otherwise) and the
+    coefficients are Scalars.  `a * b` is the star product of the signature
+    (with its t_param); use starprod.wedge for the t=0 exterior product.
     """
 
     __slots__ = ()
     signature = SparseElement.space  # the space slot under its family name
 
     _ring = staticmethod(_coerce_scalar)
+
+    def __init__(self, signature, terms=None):
+        if not isinstance(signature, AlgebraSignature):
+            raise AlgebraError("expected an AlgebraSignature, got %r" % (signature,))
+        super().__init__(signature, terms)
 
     @staticmethod
     def _check_key(sig, m):

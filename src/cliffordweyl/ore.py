@@ -299,7 +299,7 @@ def pair_kernel(n):
             (num, _tuple_new(OreMonomial, (mask, e_plus + a, b + e_minus, lam + extra)))
             for num, a, b, extra in plain
         ]
-        groups = [(-1 if neg else 1, 0, keys)]
+        groups = [(-1 if neg else 1, 0, None, keys)]
         if ghost:
             # ghost = i^n w_full L anticommutes with each E+ on its way to the
             # front, then pairs into the Fermi word: only (-1)^a varies
@@ -309,7 +309,7 @@ def pair_kernel(n):
                 (-u if a & 1 else u, _tuple_new(OreMonomial, (gmask, e_plus + a, b + e_minus, lam + extra + 1)))
                 for u, a, b, extra in ghost
             ]
-            groups.append((0, g, keys) if ghost_i else (g, 0, keys))
+            groups.append((0, g, None, keys) if ghost_i else (g, 0, None, keys))
         return den, groups
 
     return pair
@@ -324,14 +324,14 @@ def bracket_kernel(n, odd):
         (d1, g1), (d2, g2) = plain(m1, m2), plain(m2, m1)
         den = max(d1, d2)  # their lcm: both are powers of 4
         f1, f2 = den // d1, den // d2 if odd(m1, m2) else -den // d2
-        return den, [(fr * f1, fi * f1, t) for fr, fi, t in g1] + [(fr * f2, fi * f2, t) for fr, fi, t in g2]
+        return den, [(fr * f, fi * f, None, t) for f, g in ((f1, g1), (f2, g2)) for fr, fi, _, t in g]
 
     return pair
 
 
 def _product(x, y, pair):
     x._check_space(y)
-    return OreElement.raw(x.n, from_numerators(pair_product(x.terms.items(), y.terms.items(), pair)))
+    return OreElement.raw(x.n, from_numerators(pair_product(x.terms.items(), y.terms.items(), pair)[None]))
 
 
 def ore_product(x, y):

@@ -63,16 +63,16 @@ def _ore_pairs(n):
 
     def with_powers(k1, k2):
         den, groups = pair(k1[0], k2[0])
-        return den, [(fr, fi, [(u, (m, k1[1] + k2[1])) for u, m in terms]) for fr, fi, terms in groups]
+        return den, [(fr, fi, (None, k1[1] + k2[1]), terms) for fr, fi, _, terms in groups]
 
     return with_powers
 
 
-# the algebra a factor space names: its element class and its pair kernel on
-# (monomial, L power)
+# the algebra a factor space names: its element class, and its pair kernel on
+# (monomial, L power) with the monomial of a bucket head and a subkey
 _FACTORS = {
-    AlgebraSignature: (CwElement, lambda sig: starprod.pair_kernel(sig.t_param)),
-    int: (OreElement, _ore_pairs),
+    AlgebraSignature: (CwElement, lambda sig: (starprod.pair_kernel(sig.t_param), starprod._monomial)),
+    int: (OreElement, lambda n: (_ore_pairs(n), lambda _, m: m)),
 }
 
 
@@ -148,23 +148,23 @@ def tensor_star(x, y):
     The kernel of a pair of terms is the product of the two slots' kernels,
     a group for each pair of theirs, the left slot carrying the pair's L
     power; `sparse.pair_product` sums it with the coefficients split into L
-    powers.
+    powers, and each key is built once, from the slots' buckets and subkeys.
     """
     x._check_space(y)
-    left, right = (_factor(space)[1](space) for space in x.space)
+    (left, lkey), (right, rkey) = (_factor(space)[1](space) for space in x.space)
 
     def pair(k1, k2):
         ((al, ar), l1), ((bl, br), l2) = k1, k2
         (dl, gl), (dr, gr) = left((al, l1 + l2), (bl, 0)), right((ar, 0), (br, 0))
         groups = []
-        for fl, il, tl in gl:
-            for fr, ir, tr in gr:
-                terms = [(ul * ur, ((ml, mr), jl + jr)) for ul, (ml, jl) in tl for ur, (mr, jr) in tr]
-                groups.append((fl * fr - il * ir, fl * ir + il * fr, terms))
+        for fl, il, (hl, jl), tl in gl:
+            for fr, ir, (hr, jr), tr in gr:
+                terms = [(ul * ur, (sl, sr)) for ul, sl in tl for ur, sr in tr]
+                groups.append((fl * fr - il * ir, fl * ir + il * fr, ((hl, hr), jl + jr), terms))
         return dl * dr, groups
 
     terms = pair_product(split_powers(x.terms), split_powers(y.terms), pair)
-    return TensorElement.raw(x.space, join_numerators(terms))
+    return TensorElement.raw(x.space, join_numerators(terms, lambda h, sk: (lkey(h[0], sk[0]), rkey(h[1], sk[1]))))
 
 
 # -- the even-factor volume involution -------------------------------------------

@@ -217,7 +217,7 @@ def gr_ratio(num, den, im=0):
 
 def from_numerators(values):
     """The term map {key: (re + im*i) / den} of the nonzero [re, im, den] of
-    `sparse.pair_product`, each coefficient reduced by one gcd."""
+    a `sparse.pair_product` bucket, each coefficient reduced by one gcd."""
     out = {}
     for key, (re, im, den) in values.items():
         if re or im:
@@ -391,16 +391,24 @@ def split_powers(terms):
     return [((k, l), g) for k, s in terms.items() for l, g in s.terms.items()]
 
 
-def join_numerators(values):
-    """`from_numerators` on (key, L power) keys, joined into the map key -> Scalar."""
+def join_numerators(values, key):
+    """The `sparse.pair_product` buckets (head, l) as key -> Scalar: subkey sk gives key(head, sk) its L^l."""
     out = {}
-    get, raw = out.get, Scalar.raw
-    for (k, l), g in from_numerators(values).items():
-        s = get(k)
-        if s is None:
-            out[k] = raw(None, {l: g})
-        else:
-            s.terms[l] = g  # built just above, so its map is still ours to fill
+    get = out.get
+    for (head, l), sub in values.items():
+        for sk, (re, im, den) in sub.items():
+            if re or im:
+                g = gcd(re, im, den)
+                c = _new(GaussianRational)  # _make, inlined
+                c._re, c._im, c._den = re // g, im // g, den // g
+                k = key(head, sk)
+                s = get(k)
+                if s is None:
+                    out[k] = s = _new(Scalar)  # Scalar.raw, inlined
+                    _set_space(s, None)
+                    _set_terms(s, {l: c})
+                else:
+                    s.terms[l] = c  # built in this loop, so its map is still ours to fill
     return out
 
 
@@ -443,3 +451,4 @@ S_ONE = Scalar.of(1)
 S_I = Scalar.of(0, 1)
 S_HALF = Scalar.of(Fraction(1, 2))
 S_LAMBDA = Scalar.lam(1)
+_set_space, _set_terms = Scalar.space.__set__, Scalar.terms.__set__  # the slots' setters, past __setattr__

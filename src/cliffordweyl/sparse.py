@@ -21,11 +21,12 @@ only what differs:
 
 `accumulate` is the one "add, drop the zero" step for building term maps.
 `pair_product` is the one loop that accumulates products: `star` at every
-t, `wedge`, `poisson`, `ore_product` and `tensor_star` run it with their
-families' pair kernels.  It works in ints, on each coefficient's
-numerators and denominator, and `scalars.from_numerators` reduces each
-output coefficient once, by one gcd: `scalars` imports this module for
-`SparseElement`, so this one cannot import `scalars` at module level.
+t, `wedge`, `poisson`, brackets, `ore_product` and `tensor_star` run it
+with their families' pair kernels, in ints, into {bucket: {subkey: value}},
+so the cw kernels pass the cached Bose terms as they are, in the bucket
+(Fermi mask, L power); `scalars.join_numerators` or `from_numerators`
+builds each key once and reduces it by one gcd.  `scalars` imports this
+module for `SparseElement`, so this one cannot import `scalars` at module level.
 A constant raised to a power is the power of its coefficient, taken by
 squaring in the ring.  `graded_bracket` is the one graded bracket, one
 `pair_product` pass over a x b with the family's bracket kernel, and
@@ -46,6 +47,7 @@ counts its cases and writes its failure records through it.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from functools import wraps
 from math import lcm
 
@@ -143,14 +145,13 @@ def pair_product(a, b, pair):
 
     a and b are (key, coefficient) pairs, each coefficient a nonzero
     Gaussian rational read as its ints (re + im*i) / den.  pair(k1, k2) ->
-    (den, groups), a group (fr, fi, ((num, key), ...)) meaning (fr + fi*i) *
-    num / den * key.  A pair's terms are over den times the denominators of
-    c1 and c2, and D is the running lcm of those.  It returns {key: [re, im,
-    D]}, keys in the order of their first contribution: the coefficient is
-    (re + im*i) / D, D as it was when the key was last touched.
+    (den, groups), a group (fr, fi, bucket, ((num, subkey), ...)) meaning
+    (fr + fi*i) * num / den times the key the family makes of bucket and
+    subkey, over den times c1's and c2's denominators; D is their running
+    lcm.  It returns the defaultdict {bucket: {subkey: [re, im, D]}} in the
+    order of first contribution: (re + im*i) / D, D as of the last touch.
     """
-    out = {}
-    get = out.get
+    out = defaultdict(dict)
     D = 1
     for k1, c1 in a:
         x1, y1, d1 = c1._re, c1._im, c1._den
@@ -162,12 +163,13 @@ def pair_product(a, b, pair):
             f = D // den
             x2, y2 = c2._re, c2._im
             x, y = (x1 * x2 - y1 * y2) * f, (x1 * y2 + y1 * x2) * f
-            for fr, fi, terms in groups:
+            for fr, fi, bucket, terms in groups:
                 re, im = x * fr - y * fi, x * fi + y * fr
+                sub = out[bucket]
                 for num, key in terms:
-                    s = get(key)
+                    s = sub.get(key)
                     if s is None:
-                        out[key] = [re * num, im * num, D]
+                        sub[key] = [re * num, im * num, D]
                     elif s[2] == D:
                         s[0] += re * num
                         s[1] += im * num

@@ -29,8 +29,9 @@ B_0 is the super-exterior product and B_1 half the Poisson bracket.  So
 the pair kernel at t is the one at t = 1 with each term m scaled by t^e,
 e = |I & J| + |r| + |s|; `star` at every t runs `sparse.pair_product` with
 it, and `wedge` and `poisson` with its e = 0 terms and its e = 1 terms,
-doubled.  Its keys are (CwMonomial, L power), and it gives integers over
-one denominator per pair, the format of `sparse.pair_product`.
+doubled.  At t = 1 a pair gives one `sparse.pair_product` group: the cached
+Bose kernel's own terms (num, (P, Q)), all or some orders', in the bucket
+(Fermi mask, L power); `_monomial` builds each output CwMonomial once.
 
 Swapping the factors signs the terms: for m1 = w^I p^A q^B and m2 = w^J
 p^C q^D, a term of m2 * m1 is the one of m1 * m2 times rho (-1)^r, r its
@@ -82,8 +83,9 @@ def _shuffle_parity(left, right):
 # Bounds of the kernel caches, in entries.  A run's working set is the set
 # of its distinct monomial pairs: the benchmark's warm cw suites reuse 2,106
 # Bose and 173 Fermi pairs, and six cold products on cw:4,4, cw:2,6 and
-# cw:0,8 need 3,666 Bose pairs.  A combined Bose entry takes about 1 KB;
-# past a bound it is rebuilt from the one-mode kernel.  `_mode_pair` and
+# cw:0,8 need 3,666 Bose pairs, 4.69 MB by tracemalloc (3.88 MB with the
+# earlier (order, num, P, Q) terms), about 1.3 KB an entry; past a bound an
+# entry is rebuilt from the one-mode kernel.  `_mode_pair` and
 # `_mode_words` are keyed by one mode's exponents, so they grow with the
 # largest exponent in use.
 _WEYL_PAIR_CACHE = 4096
@@ -124,39 +126,45 @@ def _mode_pair(a, b, c, d):
 
 @lru_cache(maxsize=_WEYL_PAIR_CACHE)
 def _weyl_pair(A, B, C, D):
-    """Bose kernel at t = 1 as (den, ((order, num, P, Q), ...)): the product
-    over modes of `_mode_pair`.  den and a term's numerator are the products
+    """Bose kernel at t = 1 as (den, ((num, (P, Q)), ...), (order, ...)), terms
+    (num/den) p^P q^Q scaling by t^order, the product over modes of
+    `_mode_pair`.  den and a term's numerator are the products
     of the modes', its order the sum, and its exponents theirs side by side;
     the one-mode orders fix the exponents, so no two terms share a monomial.
     """
     if not A:
-        return 1, ((0, 1, (), ()),)
+        return 1, ((1, ((), ())),), (0,)
     dens, modes = zip(*map(_mode_pair, A, B, C, D))
-    out = []
-    for terms in iproduct(*modes):
-        orders, nums, P, Q = zip(*terms)
-        out.append((sum(orders), math.prod(nums), P, Q))
-    return math.prod(dens), tuple(out)
+    terms, orders = [], []
+    for mode_terms in iproduct(*modes):
+        order, nums, P, Q = zip(*mode_terms)
+        terms.append((math.prod(nums), (P, Q)))
+        orders.append(sum(order))
+    return math.prod(dens), tuple(terms), tuple(orders)
 
 
 _tuple_new = tuple.__new__  # a CwMonomial without the NamedTuple's Python __new__
 
 
+def _monomial(mask, PQ):
+    """The CwMonomial of the subkey (P, Q) in a bucket with Fermi mask `mask`."""
+    return _tuple_new(CwMonomial, (mask, *PQ))
+
+
 def _order_kernel(order, weight):
-    """The pair kernel at t = 1 on (CwMonomial, L power) keys, times weight:
-    every term, or with `order` only those with e = order.  A pair gives
-    one group, signed by the Fermi kernel and the Bose-Fermi crossing."""
+    """The pair kernel at t = 1 times weight: the `_weyl_pair` entry's terms,
+    or with `order` those with e = order, as one group in the bucket (Fermi
+    mask, L power), signed by the Fermi kernel and the Bose-Fermi crossing."""
 
     def pair(k1, k2):
         (m1, l1), (m2, l2) = k1, k2
         par, cmask = _cliff_pair(m1.cliff, m2.cliff)
-        den, terms = _weyl_pair(m1.wp, m1.wq, m2.wp, m2.wq)
+        den, terms, orders = _weyl_pair(m1.wp, m1.wq, m2.wp, m2.wq)
         if order is not None:
             bose = order - (m1.cliff & m2.cliff).bit_count()
-            terms = [term for term in terms if term[0] == bose]
+            terms = [term for term, r in zip(terms, orders) if r == bose]
         s = -weight if par ^ (m2.cliff.bit_count() & 1 and m1.bose_degree() & 1) else weight
-        l = l1 + l2
-        return den, ((s, 0, [(num, (_tuple_new(CwMonomial, (cmask, P, Q)), l)) for _, num, P, Q in terms]),)
+        return den, ((s, 0, (cmask, l1 + l2), terms),)
 
     return pair
 
@@ -172,13 +180,13 @@ def _bracket_kernel(odd):
         (m1, l1), (m2, l2) = k1, k2
         (I, J), bi = (m1.cliff, m2.cliff), m1.bose_degree()
         par, cmask = _cliff_pair(I, J)
-        den, terms = _weyl_pair(m1.wp, m1.wq, m2.wp, m2.wq)
+        den, terms, orders = _weyl_pair(m1.wp, m1.wq, m2.wp, m2.wq)
         # the kept r is rho's exponent + 1 + [sigma = -1], mod 2
         rho = J.bit_count() * bi + I.bit_count() * (m2.bose_degree() + J.bit_count()) + (I & J).bit_count()
         keep = (rho if odd(m1, m2) else rho + 1) & 1
         s = -2 if par ^ (J.bit_count() & bi & 1) else 2
-        kept = [(num, (_tuple_new(CwMonomial, (cmask, P, Q)), l1 + l2)) for r, num, P, Q in terms if r & 1 == keep]
-        return den, ((s, 0, kept),)
+        kept = [term for term, r in zip(terms, orders) if r & 1 == keep]
+        return den, ((s, 0, (cmask, l1 + l2), kept),)
 
     return pair
 
@@ -194,15 +202,15 @@ def pair_kernel(t, at_one=_at_one):
     powers = [S_ONE]  # T^e
 
     def pair(k1, k2):
-        den, ((s, _, terms),) = at_one(k1, k2)
+        den, ((s, _, (mask, l), terms),) = at_one(k1, k2)
         top = (k1[0].z_degree() + k2[0].z_degree()) >> 1
         while len(powers) <= top:
             powers.append(powers[-1] * t.scale(dt))
-        groups = []
-        for num, (m, l) in terms:
-            h = m.z_degree() >> 1
+        groups, fermi = [], mask.bit_count()
+        for term in terms:
+            h = (fermi + sum(term[1][0]) + sum(term[1][1])) >> 1
             for j, g in powers[top - h].terms.items():
-                groups.append((s * g._re * dt**h, s * g._im * dt**h, ((num, (m, l + j)),)))
+                groups.append((s * g._re * dt**h, s * g._im * dt**h, (mask, l + j), (term,)))
         return den * dt**top, groups
 
     return pair
@@ -211,7 +219,7 @@ def pair_kernel(t, at_one=_at_one):
 def _product(a, b, pair):
     a._check_space(b)
     terms = pair_product(split_powers(a.terms), split_powers(b.terms), pair)
-    return CwElement.raw(a.signature, join_numerators(terms))
+    return CwElement.raw(a.signature, join_numerators(terms, _monomial))
 
 
 def star(a, b):

@@ -173,12 +173,13 @@ def _draws_per_term(fermi, bose, lam, maxdeg):
     return Fraction(2**fermi * 3**bose * 2**lam, kept)
 
 
+class _DrawBound(SuiteUsageError):
+    """Too many draws per term; `run_suite` adds the flags that lower them."""
+
+
 def _check_draws(fermi, bose, lam, maxdeg):
     if _draws_per_term(fermi, bose, lam, maxdeg) > MAX_DRAWS:
-        raise SuiteUsageError(
-            "a random term would take more than %d draws at maxdeg %d; raise --maxdeg or shrink --algebra"
-            % (MAX_DRAWS, maxdeg)
-        )
+        raise _DrawBound("a random term would take more than %d draws at degree %d" % (MAX_DRAWS, maxdeg))
 
 
 def _rand_element(rng, space, nterms=3, maxdeg=4):
@@ -602,7 +603,11 @@ def run_suite(name, seed=0, algebra=None, maxdeg=None, cases=None):
     run = Checks()
     rng = random.Random(seed)
     start = time.perf_counter()
-    details = fn(run, rng, grid, cases, maxdeg, params)
+    try:
+        details = fn(run, rng, grid, cases, maxdeg, params)
+    except _DrawBound as e:
+        advice = " or ".join(("raise --maxdeg",) * (default_maxdeg is not None) + ("shrink --algebra",) * bool(kinds))
+        raise SuiteUsageError("%s; %s" % (e, advice) if advice else str(e)) from None
     elapsed = time.perf_counter() - start
     return SuiteResult(
         suite=name,

@@ -1,6 +1,6 @@
 """The integer kernels read back as Gaussian-rational terms.
 
-`starprod._weyl_pair` gives (den, ((order, num, P, Q), ...)) and
+`starprod._weyl_pair` gives (den, ((num, (P, Q)), ...), (order, ...)) and
 `ore._lower_past_powers` gives (den, plain, ghost) with integer numerators
 over one denominator.  The oracles in `reference_weyl_kernel.py` and
 `reference_ore_kernel.py` give each term's coefficient as a reduced
@@ -13,10 +13,10 @@ from cliffordweyl.scalars import gr_ratio
 
 
 def weyl_terms(kernel):
-    """(den, ((order, num, P, Q), ...)) as ((order, num/den, P, Q), ...)."""
-    den, terms = kernel
-    assert den > 0 and all(num for _, num, _, _ in terms), kernel
-    return tuple((order, gr_ratio(num, den), P, Q) for order, num, P, Q in terms)
+    """(den, ((num, (P, Q)), ...), (order, ...)) as ((order, num/den, P, Q), ...)."""
+    den, terms, orders = kernel
+    assert den > 0 and len(orders) == len(terms) and all(num for num, _ in terms), kernel
+    return tuple((order, gr_ratio(num, den), P, Q) for order, (num, (P, Q)) in zip(orders, terms))
 
 
 def lowering_terms(kernel):

@@ -101,6 +101,15 @@ def test_signature_mismatch_raises():
         fermi_gen(AlgebraSignature(2, 1), 1) + fermi_gen(AlgebraSignature(3, 1), 1)
 
 
+@pytest.mark.parametrize("space", [None, (1, 1, S_ONE), 2])
+def test_an_element_refuses_a_space_that_is_not_a_signature(space):
+    # CwElement(None) used to be built, and its `+ 1` end in AttributeError
+    with pytest.raises(AlgebraError, match="expected an AlgebraSignature"):
+        CwElement(space)
+    with pytest.raises(AlgebraError, match="expected an AlgebraSignature"):
+        CwElement.from_json(space, [])
+
+
 def test_monomial_validation():
     with pytest.raises(AlgebraError):
         CwElement(SIG, {CwMonomial(1 << 3, (0, 0), (0, 0)): S_ONE})  # w4 not in C(3,4)

@@ -137,6 +137,46 @@ def test_a_higher_degree_admits_the_algebra():
     assert run_suite("associativity", algebra=parse_algebra("cw:4,8"), cases=1).passed
 
 
+# a suite whose draws a flag can refuse: (an algebra and --maxdeg it refuses,
+# a larger --maxdeg, a smaller algebra); None where the suite reads no
+# --maxdeg.  periodicity1 draws on a fixed grid that every --maxdeg admits,
+# and odd-split and hochschild at fixed algebras and degrees.
+REFUSED_DRAWS = {
+    "a0-iso": ("ore:9", 3, 5, "ore:1"),
+    "associativity": ("cw:6,10", 4, 5, "cw:2,2"),
+    "cocycle": ("ore:7", None, None, "ore:1"),
+    "matrix-iso": ("cw:2,10", 0, 3, "cw:2,2"),
+    "periodicity2": ("ore:4", 0, 4, "ore:1"),
+}
+
+
+@pytest.mark.parametrize("suite", sorted(REFUSED_DRAWS))
+def test_a_draw_refusal_names_only_flags_the_suite_reads_and_taking_one_helps(suite):
+    algebra, maxdeg, higher, smaller = REFUSED_DRAWS[suite]
+    _, kinds, _, _, default_maxdeg = suites._SUITES[suite]
+    with pytest.raises(SuiteUsageError) as refused:
+        run_suite(suite, algebra=parse_algebra(algebra), maxdeg=maxdeg, cases=1)
+    message = str(refused.value)
+    assert message.startswith("a random term would take more than %d draws" % MAX_DRAWS)
+    advice = message.split("; ")[1].split(" or ")
+    assert advice == ["raise --maxdeg"] * (default_maxdeg is not None) + ["shrink --algebra"] * bool(kinds)
+    taken = {"raise --maxdeg": (algebra, higher), "shrink --algebra": (smaller, maxdeg)}
+    for flag in advice:
+        alg, deg = taken[flag]
+        try:
+            assert run_suite(suite, algebra=parse_algebra(alg), maxdeg=deg, cases=1).passed
+        except SuiteUsageError as e:
+            assert str(e) != message
+
+
+def test_cocycle_refusal_names_no_maxdeg(capsys):
+    # cocycle draws at a fixed degree 2 and ignores --maxdeg
+    assert cli.main(["--suite", "cocycle", "--algebra", "ore:12", "--maxdeg", "30"]) == 2
+    assert capsys.readouterr().err == (
+        "error: a random term would take more than %d draws at degree 2; shrink --algebra\n" % MAX_DRAWS
+    )
+
+
 # -- the matrix-iso size bound --------------------------------------------------------
 
 

@@ -146,12 +146,51 @@ def test_wedge_and_poisson_kernels_keep_only_their_orders():
     for k in (0, 1, 2, 3):
         for a, b in _product_cases(rng, AlgebraSignature(3, k), 4):
             for (k1, _), (k2, _) in iproduct(split_powers(a.terms), split_powers(b.terms)):
-                den, ((s, _, terms),) = starprod._at_one(k1, k2)
+                den, ((s, _, bucket, terms),) = starprod._at_one(k1, k2)
                 d = k1[0].z_degree() + k2[0].z_degree()
                 for e, weight in ((0, 1), (1, 2)):
-                    got_den, ((got_s, fi, kept),) = starprod._order_kernel(e, weight)(k1, k2)
-                    assert (got_den, got_s, fi) == (den, s * weight, 0)
-                    assert kept == [(u, key) for u, key in terms if key[0].z_degree() == d - 2 * e]
+                    got_den, ((got_s, fi, got_bucket, kept),) = starprod._order_kernel(e, weight)(k1, k2)
+                    assert (got_den, got_s, fi, got_bucket) == (den, s * weight, 0, bucket)
+                    degree = d - 2 * e
+                    assert kept == [(u, PQ) for u, PQ in terms if CwMonomial(bucket[0], *PQ).z_degree() == degree]
+
+
+def test_cw_kernels_hand_the_loop_the_cached_bose_terms(monkeypatch):
+    # once `_weyl_pair` holds a pair, the t = 1 kernel gives its term tuple
+    # itself, and the order and bracket kernels select terms of it: no term
+    # or CwMonomial is built per pair, only one CwMonomial per output (key, L
+    # power), when the buckets are joined
+    rng = random.Random(6068)
+    for k in (0, 1, 2, 3):
+        for a, b in _product_cases(rng, AlgebraSignature(3, k), 4):
+            for (k1, _), (k2, _) in iproduct(split_powers(a.terms), split_powers(b.terms)):
+                (m1, l1), (m2, l2) = k1, k2
+                starprod._at_one(k1, k2)
+                den, terms, orders = _weyl_pair(m1.wp, m1.wq, m2.wp, m2.wq)
+                monkeypatch.setattr(starprod, "_monomial", None)
+                got_den, ((_, _, bucket, got),) = starprod._at_one(k1, k2)
+                assert got is terms and got_den == den and bucket == (m1.cliff ^ m2.cliff, l1 + l2)
+                common = (m1.cliff & m2.cliff).bit_count()
+                for e in (0, 1, 2):
+                    (_, ((_, _, _, kept),)) = starprod._order_kernel(e, 1)(k1, k2)
+                    assert kept == [t for t, r in zip(terms, orders) if r + common == e]
+                    assert all(any(t is u for u in terms) for t in kept)
+                for odd in (lambda m1, m2: False, lambda m1, m2: True):
+                    (_, ((_, _, _, kept),)) = starprod._bracket_kernel(odd)(k1, k2)
+                    assert all(any(t is u for u in terms) for t in kept)
+                monkeypatch.undo()
+    built, real_key = [], starprod._monomial
+
+    def key(mask, PQ):
+        built.append(mask)
+        return real_key(mask, PQ)
+
+    monkeypatch.setattr(starprod, "_monomial", key)
+    for a, b in _product_cases(rng, AlgebraSignature(3, 2), 10):
+        built.clear()
+        out = star(a, b)
+        assert out == ref.star(a, b)
+        assert len(built) == sum(len(c.terms) for c in out.terms.values())
 
 
 def test_cliff_pair_is_the_inversion_count():
