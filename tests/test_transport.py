@@ -9,10 +9,10 @@ themselves must fail the suites that use them.
 """
 
 import random
-import sys
 from fractions import Fraction
 
 import pytest
+from faults import FAULTS, inject, refuse
 from reference_transport import (
     ore_tensor,
     ref_clifford_op_to_symbol,
@@ -34,6 +34,7 @@ from cliffordweyl.algebra import (
     CwElement,
     CwMonomial,
     SignatureMismatch,
+    fermi_gen,
     monomial_element,
     unit,
 )
@@ -55,8 +56,7 @@ from cliffordweyl.periodicity import (
     tensor_of,
 )
 from cliffordweyl.reps import clifford_op_to_symbol
-from cliffordweyl.scalars import GaussianRational, Scalar, gr_ratio, i_power
-from cliffordweyl.suites import run_suite
+from cliffordweyl.scalars import GaussianRational, Scalar
 
 SHIFT_GRID = [(1, 0, 1), (1, 1, 1), (2, 1, 1), (1, 2, 1), (2, 0, 2), (1, 3, 0), (3, 1, 1)]
 
@@ -199,17 +199,9 @@ def test_transports_call_no_product(monkeypatch):
         ]
     want = [ref(*args) for _, ref, args in cases]
 
-    def refuse(*args):
-        raise AssertionError("a transport called a product")
-
-    products = (starprod.star, sparse.pair_product, starprod.pair_kernel)
-    for name, mod in list(sys.modules.items()):
-        if mod is not None and name.partition(".")[0] == "cliffordweyl":
-            for key, value in list(vars(mod).items()):
-                if any(value is f for f in products):
-                    monkeypatch.setattr(mod, key, refuse)
+    refuse(monkeypatch, starprod.star, sparse.pair_product, starprod.pair_kernel)
     one = unit(AlgebraSignature(1, 0))
-    with pytest.raises(AssertionError, match="called a product"):
+    with pytest.raises(AssertionError, match="refused star"):
         one * one
     assert [f(*args) for f, _, args in cases] == want
     assert "star" not in vars(deform) and "star" not in vars(periodicity)
@@ -263,43 +255,22 @@ def test_maps_reject_other_families_and_spaces(name):
             call(x)
 
 
-@pytest.fixture
-def volume_without_phase(monkeypatch):
-    """Both bindings of `_times_volume` drop the i^m of the volume word.
-
-    Not a whole-factor sign flip: z -> -z is another valid isomorphism.
-    """
-    times_volume = periodicity._times_volume
-
-    def wrong(mask, width, m):
-        g, out = times_volume(mask, width, m)
-        return g * i_power(-m), out
-
-    monkeypatch.setattr(periodicity, "_times_volume", wrong)
-    monkeypatch.setattr(deform, "_times_volume", wrong)
-
-
 @pytest.mark.parametrize("name", ["periodicity1", "periodicity2", "pi-h", "matrix-iso", "odd-split"])
-def test_suites_catch_a_fault_in_the_transports(name, volume_without_phase):
+def test_suites_catch_a_fault_in_the_transports(name, monkeypatch):
     # the suites' products never reach the closed-form maps, so a fault in
     # the products leaves these checks untried; this one sits in the maps
-    assert not run_suite(name).passed
-
-
-@pytest.fixture
-def iso_without_order_sign(monkeypatch):
-    """`iso_a0_to_cw` drops the (-1)^s of q^a * p^b's odd orders.
-
-    Its numerators are the only negative ratios `deform` builds, so taking
-    the sign off every ratio there takes off exactly that one.
-    """
-    monkeypatch.setattr(deform, "gr_ratio", lambda num, den: gr_ratio(abs(num), den))
-    x = ore_e_plus(0) * ore_e_minus(0)
-    assert iso_a0_to_cw(0, x) != ref_iso_a0_to_cw(0, x)
+    w3 = fermi_gen(AlgebraSignature(3, 0), 3)  # its image carries the volume word
+    want = odd_split(1, w3)
+    inject(monkeypatch, "volume-phase")
+    assert odd_split(1, w3) != want
+    assert name in FAULTS["volume-phase"].pin
 
 
 @pytest.mark.parametrize("name", ["a0-iso", "cocycle"])
-def test_suites_catch_a_wrong_sign_in_the_iso(name, iso_without_order_sign):
+def test_suites_catch_a_wrong_sign_in_the_iso(name, monkeypatch):
     # the added unit of the product fault now passes these suites: the iso
     # maps the unit to the unit, and the cocycle reads the L^1 coefficient
-    assert not run_suite(name).passed
+    inject(monkeypatch, "iso-order-sign")
+    x = ore_e_plus(0) * ore_e_minus(0)
+    assert iso_a0_to_cw(0, x) != ref_iso_a0_to_cw(0, x)
+    assert name in FAULTS["iso-order-sign"].pin

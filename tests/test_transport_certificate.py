@@ -26,7 +26,7 @@ from collections import namedtuple
 from itertools import product
 
 import pytest
-from test_transport import iso_without_order_sign, volume_without_phase  # noqa: F401
+from faults import inject
 
 from cliffordweyl.algebra import (
     AlgebraSignature,
@@ -234,7 +234,8 @@ def test_the_law_holds_on_the_truncation(name):
     assert checks.cases == pairs * (1 if t.inverse is None else 2)
 
 
-def test_the_certificate_catches_the_volume_phase_fault(volume_without_phase):  # noqa: F811
+def test_the_certificate_catches_the_volume_phase_fault(monkeypatch):
+    inject(monkeypatch, "volume-phase")
     # every map that reads the volume word fails the law, but at n = 2 the
     # fault only takes i^2 = -1 off z, and z -> -z is another isomorphism:
     # there the generator images see it
@@ -243,7 +244,8 @@ def test_the_certificate_catches_the_volume_phase_fault(volume_without_phase):  
     assert [str(x) for x, want in t.images if t.forward(x) != want] == ["p1", "q1"]
 
 
-def test_the_round_trip_catches_the_order_sign_fault(iso_without_order_sign):  # noqa: F811
+def test_the_round_trip_catches_the_order_sign_fault(monkeypatch):
+    inject(monkeypatch, "iso-order-sign")
     assert failing_points() == ["iso-n0", "iso-n1"]
     # the forward map keeps its signs, so only round trips fail: at n = 0,
     # those of the listed monomials with both p and q

