@@ -232,6 +232,8 @@ def canonicalize(e):
     re-runs the normalization so externally assembled term maps can be
     sanitized.
     """
+    if not isinstance(e, CwElement):
+        raise AlgebraError("canonicalize needs a CwElement, got %s" % type(e).__name__)
     return CwElement(e.signature, e.terms)
 
 

@@ -30,7 +30,7 @@ from .algebra import (
     CwElement,
     CwMonomial,
     _check_size,
-    fermi_gen,
+    generators,
     index_mask,
     monomial_element,
     zero,
@@ -77,7 +77,7 @@ def iso_a0_to_cw(n, a):
     central parameter is an error because the target is the specialization
     at 0.
     """
-    expect_element(a, OreElement, n, AlgebraError)
+    expect_element(a, OreElement, n)
     out = {}
     for m, c in a.terms.items():
         if m.lam:
@@ -100,7 +100,7 @@ def iso_cw_to_a0(n, x):
     the zeroth power after rewriting); a coefficient that involves the
     central parameter is an error.
     """
-    expect_element(x, CwElement, cw_odd_signature(n), AlgebraError)
+    expect_element(x, CwElement, cw_odd_signature(n))
     out = {}
     for m, c in x.terms.items():
         g, a, b = c.constant(), m.wp[0], m.wq[0]
@@ -123,7 +123,7 @@ def _ore_tensor_space(n):
 
 def periodicity2_forward(n, x):
     """Factor a rank-n element through C(2n) tensor A_L, one term per monomial."""
-    expect_element(x, OreElement, n, AlgebraError)
+    expect_element(x, OreElement, n)
     low = (1 << (2 * n)) - 1
     # w^I E+^a E-^b L^r -> w^(I & low) (i^n w_low)^[2n+1 in I] (x) P^(|I| mod 2) E+^a E-^b L^r:
     # every w_j brings one P = w_1 of rank 0, P^2 = 1, the tensor has no crossing
@@ -132,7 +132,7 @@ def periodicity2_forward(n, x):
     for m, c in x.terms.items():
         mask = m.cliff & low
         if m.cliff >> (2 * n):
-            g, mask = _times_volume(mask, 2 * n, n)
+            g, mask = _times_volume(mask, 2 * n)
             c = c * g
         rest = OreMonomial(m.cliff.bit_count() & 1, m.e_plus, m.e_minus, m.lam)
         terms[CwMonomial(mask, (), ()), rest] = ring(c)
@@ -143,7 +143,7 @@ def periodicity2_inverse(n, x):
     """Rebuild the rank-n element: the rank-0 involution returns as the
     full volume word i^n w_1...w_{2n+1}.  Its L lives in the monomials, so
     a coefficient that involves L is an error."""
-    expect_element(x, TensorElement, _ore_tensor_space(n), AlgebraError)
+    expect_element(x, TensorElement, _ore_tensor_space(n))
     # w^X (x) P^eps E+^a E-^b L^r -> w^X vol^[|X| + eps odd] E+^a E-^b L^r:
     # w_j (x) 1 comes from w_j vol and 1 (x) P from vol, vol^2 = 1, and vol
     # commutes with every w_j
@@ -151,7 +151,7 @@ def periodicity2_inverse(n, x):
     for (ml, m), c in x.terms.items():
         mask, g = ml.cliff, c.constant()
         if (mask.bit_count() + m.cliff) & 1:
-            v, mask = _times_volume(mask, 2 * n + 1, n)
+            v, mask = _times_volume(mask, 2 * n + 1)
             g = g * v
         out[OreMonomial(mask, m.e_plus, m.e_minus, m.lam)] = g
     return OreElement.raw(n, out)
@@ -191,12 +191,8 @@ def compare_cocycle(n):
     multiple of the volume word; the two symplectic slots then fail.
     """
     sig = cw_odd_signature(n)
-    ws = [fermi_gen(sig, j) for j in range(1, 2 * n + 2)]
-    from .algebra import bose_p, bose_q
-
-    p1, q1 = bose_p(sig, 1), bose_q(sig, 1)
-    gens = [("w%d" % (j + 1), w) for j, w in enumerate(ws)]
-    gens += [("p1", p1), ("q1", q1)]
+    names = ["w%d" % j for j in range(1, 2 * n + 2)] + ["p1", "q1"]
+    gens = list(zip(names, generators(sig)))
     table = {}
     for na, a in gens:
         for nb, b in gens:
@@ -305,8 +301,9 @@ def verma_apply(lam, a, f):
     the lam-action, one image per (monomial, polynomial term) pair: E+
     lowers with the factor above, E- multiplies by -z/2, P is the parity
     flip and L is lam."""
-    if a.n != 0:
+    if isinstance(a, OreElement) and a.n != 0:
         raise AlgebraError("rank-%d element: use the matrix transport instead" % a.n)
+    expect_element(a, OreElement, 0)
     lam = gaussian(lam)
     poly = []
     for m, c in f.items():
@@ -379,9 +376,9 @@ def pi_h_matrix(n, h, sign, x):
 def finite_irrep_pi_h(n, h, sign):
     """Generator matrices of the finite quotient, keyed by generator name
     (the central parameter maps to its specialization times the identity)."""
-    gens = {"w%d" % i: ore_fermi(n, i) for i in range(1, 2 * _check_size("rank", n) + 2)}
-    gens["E+"], gens["E-"] = ore_e_plus(n), ore_e_minus(n)
-    out = {name: pi_h_matrix(n, h, sign, x) for name, x in gens.items()}
+    gens = ore_generators(n)
+    names = ["w%d" % i for i in range(1, 2 * n + 2)] + ["E+", "E-"]
+    out = {name: pi_h_matrix(n, h, sign, x) for name, x in zip(names, gens)}
     out["L"] = Matrix.identity(out["E+"].shape[0]).scale(pi_h_lambda(h, sign))
     return out
 
@@ -518,10 +515,8 @@ def commutant_probe(rep):
 
 
 def osp22_k_element(n):
-    """K = -1/4 i^n w_1...w_{2n+1} + L."""
-    full = (1 << (2 * _check_size("rank", n) + 1)) - 1
-    quarter = i_power(n) * GaussianRational(Fraction(-1, 4))
-    return OreElement(n, {OreMonomial(full, 0, 0, 0): quarter}) + ore_lambda(n)
+    """K = -1/4 P + L, P = i^n w_1...w_{2n+1} the ghost's L coefficient."""
+    return ghost_theta(n).lam_coefficient(1).scale(Fraction(-1, 4)) + ore_lambda(n)
 
 
 def osp22_check(n):

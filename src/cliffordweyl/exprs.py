@@ -18,6 +18,9 @@ closer) means the "+" directly follows "]" — "[a,b] + c" with a space is a
 sum.  Rational literals are just division: "1/2" parses as 1 divided by 2,
 and division is only defined by invertible constants.
 
+`parse_algebra` reads a descriptor cw:<n>,<2k> or ore:<n>, and `descriptor`
+writes the one of either family's space.
+
 Work is bounded: an exponent above `MAX_EXPONENT` is a ParseError at its
 column and a descriptor whose n or 2k is above `MAX_ALGEBRA_SIZE` an
 AlgebraError, both before any arithmetic; an expression whose products
@@ -33,8 +36,6 @@ ParseError, an unknown kind an AlgebraError.
 """
 
 import re
-from bisect import bisect_right
-from itertools import accumulate
 from operator import add, mul, sub
 
 from .algebra import (
@@ -317,7 +318,7 @@ class CwContext:
         self.signature = signature
 
     def describe(self):
-        return cw_descriptor(self.signature)
+        return descriptor(self.signature)
 
     def scalar(self, g):
         return scalar_element(self.signature, g)
@@ -349,7 +350,7 @@ class OreContext:
         self.n = n
 
     def describe(self):
-        return "ore:%d" % self.n
+        return descriptor(self.n)
 
     def scalar(self, g):
         return ore_scalar(self.n, g)
@@ -373,9 +374,10 @@ class OreContext:
         return ore_zero(self.n)
 
 
-def cw_descriptor(sig):
-    """The descriptor cw:<n>,<2k> of a signature, as `parse_algebra` reads it."""
-    return "cw:%d,%d" % (sig.n_fermi, 2 * sig.n_bose)
+def descriptor(space):
+    """The descriptor of an algebra, as `parse_algebra` reads it: ore:<n> of
+    a rank n, cw:<n>,<2k> of a signature."""
+    return "ore:%d" % space if isinstance(space, int) else "cw:%d,%d" % (space.n_fermi, 2 * space.n_bose)
 
 
 def parse_algebra(text):
@@ -401,15 +403,10 @@ def parse_algebra(text):
 
 
 def _lowering(a, b):
-    """The lowering charge of the ore product a * b, in O((|a| + |b|) log |b|)."""
-    gammas = sorted({m.e_plus for m in b.terms})
-    below = [0, *accumulate(gammas)]  # below[i] = sum(gammas[:i])
-    cost = 0
-    for beta in {m.e_minus for m in a.terms}:
-        i = bisect_right(gammas, beta)
-        # g <= beta charges g * (beta + 1); g > beta charges beta * (g + 1)
-        cost += (beta + 1) * below[i] + beta * (below[-1] - below[i] + len(gammas) - i)
-    return cost
+    """The lowering charge of the ore product a * b, as `MAX_LOWERING` states
+    it; the pair budget charged first bounds its exponent pairs by |a| * |b|."""
+    gammas = {m.e_plus for m in b.terms}
+    return sum(min(beta, g) * (max(beta, g) + 1) for beta in {m.e_minus for m in a.terms} for g in gammas)
 
 
 def evaluate(node, ctx):

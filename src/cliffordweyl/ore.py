@@ -343,6 +343,8 @@ def ore_product(x, y):
 
 def specialize(x, lam_value):
     """Substitute the central parameter by a Gaussian rational."""
+    if not isinstance(x, OreElement):
+        raise AlgebraError("specialize needs an OreElement, got %s" % type(x).__name__)
     lam_value = gaussian(lam_value)
     out = {}
     for m, c in x.terms.items():
@@ -362,8 +364,7 @@ def specialized_product(x, y, lam_value):
 
 def ore_relations_report(n):
     """Exact check of the defining relations on the rank-n generators."""
-    ws = [ore_fermi(n, i) for i in range(1, 2 * _check_size("rank", n) + 2)]
-    ep, em = ore_e_plus(n), ore_e_minus(n)
+    *ws, ep, em = ore_generators(n)
     lam = ore_lambda(n)
     checks = Checks()
     two = ore_scalar(n, 2)

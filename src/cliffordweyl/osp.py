@@ -17,10 +17,8 @@ from itertools import combinations, combinations_with_replacement
 from .algebra import (
     AlgebraError,
     bidegree,
-    bose_p,
-    bose_q,
     element_bidegree,
-    fermi_gen,
+    generators,
     unit,
     z_degree,
     zero,
@@ -38,9 +36,8 @@ class OspContext:
     __slots__ = ("signature", "v0_basis", "v1_basis", "form_table")
 
     def __init__(self, signature):
-        n, k = signature.n_fermi, signature.n_bose
-        v0 = [fermi_gen(signature, i) for i in range(1, n + 1)]
-        v1 = [gen(signature, j) for gen in (bose_p, bose_q) for j in range(1, k + 1)]
+        gens, n = generators(signature), signature.n_fermi
+        v0, v1 = gens[:n], gens[n:]
         for name, value in (("signature", signature), ("v0_basis", v0), ("v1_basis", v1)):
             object.__setattr__(self, name, value)
         # (X|Y) is the value at 0 of {X,Y} on a pair of generators, each one

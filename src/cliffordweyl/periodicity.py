@@ -26,7 +26,9 @@ Each direction sends a basis monomial to one term, in closed form: z^2 = 1,
 z~ commutes with the shifted generators, and every star word of p^A q^B has
 length |A| + |B| mod 2, so the image carries the volume word exactly when
 the monomial has an odd number of right-factor generators.  `_times_volume`
-is that one Fermi product, shared with the rank reduction in `deform`.
+is that one Fermi product, shared with the rank reduction in `deform`; it
+takes the phase i^m of a volume word on 2m or 2m + 1 generators from the
+word's width.
 
 The odd split reads it too: w^I w_{2n+1}^e goes to (w^I v^e, (-1)^e w^I v^e),
 v = i^n w_1...w_{2n}, and its join is (c+ + c-)/2 + (c+ - c-) u/2, u the
@@ -150,7 +152,7 @@ def tensor_star(x, y):
     power; `sparse.pair_product` sums it with the coefficients split into L
     powers, and each key is built once, from the slots' buckets and subkeys.
     """
-    x._check_space(y)
+    expect_element(y, TensorElement, x.space)
     (left, lkey), (right, rkey) = (_factor(space)[1](space) for space in x.space)
 
     def pair(k1, k2):
@@ -179,10 +181,10 @@ def volume_involution(signature, m):
     return monomial_element(signature, mono, i_power(m))
 
 
-def _times_volume(mask, width, m):
-    """w^mask * i^m w_1...w_width at t = 1, as (Gaussian rational, mask)."""
+def _times_volume(mask, width):
+    """w^mask * i^(width // 2) w_1...w_width at t = 1, as (Gaussian rational, mask)."""
     par, out = _cliff_pair(mask, (1 << width) - 1)
-    return i_power(m + 2 * par), out
+    return i_power(width // 2 + 2 * par), out
 
 
 # -- dimension shift: split 2m even generators off the front ---------------------
@@ -200,7 +202,7 @@ def periodicity1_forward(m, n, k, x):
     for mono, c in x.terms.items():
         mask, rest = mono.cliff & low, mono.cliff >> (2 * m)
         if (rest.bit_count() + mono.bose_degree()) & 1:
-            g, mask = _times_volume(mask, 2 * m, m)
+            g, mask = _times_volume(mask, 2 * m)
             c = c * g
         terms[CwMonomial(mask, (), ()), CwMonomial(rest, mono.wp, mono.wq)] = c
     return TensorElement.raw((left, right), terms)
@@ -216,7 +218,7 @@ def periodicity1_inverse(m, n, k, X):
     for (ml, mr), c in X.terms.items():
         mask = ml.cliff
         if (mr.cliff.bit_count() + mr.bose_degree()) & 1:
-            g, mask = _times_volume(mask, 2 * m, m)
+            g, mask = _times_volume(mask, 2 * m)
             c = c * g
         terms[CwMonomial(mask | mr.cliff << (2 * m), mr.wp, mr.wq)] = c
     return CwElement.raw(AlgebraSignature(2 * m + n, k), terms)
@@ -247,7 +249,7 @@ def odd_split(n, x):
     for mono, c in x.terms.items():
         mask, last = mono.cliff & low, mono.cliff >> (2 * n)
         if last:
-            g, mask = _times_volume(mask, 2 * n, n)
+            g, mask = _times_volume(mask, 2 * n)
             c = c * g
         key = CwMonomial(mask, (), ())
         accumulate(plus, key, c)
@@ -265,7 +267,7 @@ def odd_join(n, c_plus, c_minus):
     # x = (c+ + c-)/2 + (c+ - c-) u/2, and only the second part's words hold w_{2n+1}
     out = dict((c_plus + c_minus).scale(GR_HALF).terms)
     for mono, c in (c_plus - c_minus).terms.items():
-        g, mask = _times_volume(mono.cliff, 2 * n + 1, n)
+        g, mask = _times_volume(mono.cliff, 2 * n + 1)
         out[CwMonomial(mask, (), ())] = c * (g * GR_HALF)
     return CwElement.raw(AlgebraSignature(2 * n + 1, 0), out)
 

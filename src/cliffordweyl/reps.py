@@ -153,8 +153,8 @@ def act(desc, a, v):
     first.  The factor is i^quarter * num / 2^shift, with the signs counted
     as two quarters.
     """
-    expect_element(a, CwElement, desc.signature(), AlgebraError)
-    expect_element(v, GrassPolyVector, (desc.ell, desc.k), AlgebraError)
+    expect_element(a, CwElement, desc.signature())
+    expect_element(v, GrassPolyVector, (desc.ell, desc.k))
     odd = 2 * desc.ell + 1 if desc.kind in _ODD_KINDS else 0
     flip = desc.kind in _MINUS_KINDS
     out = {}

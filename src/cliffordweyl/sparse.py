@@ -35,6 +35,8 @@ families; `triple_bracket_law` is the one check of the orthosymplectic
 triple-bracket law over a basis and a form, and `homomorphism_law` the one
 check that a transport maps products to products, and back by its inverse.
 
+`expect_element` is the one argument check of an element's family and
+space: a wrong one is a `SignatureMismatch`, which is an `AlgebraError`.
 `element_tag` names the algebra of an element, its family and space, for
 the cochains' argument checks and the matrices' entry rings.  `json_reader`
 wraps every `from_json`, so malformed data raises `AlgebraError`, and
@@ -60,11 +62,11 @@ class SignatureMismatch(AlgebraError):
     """Raised when elements of different algebras are combined."""
 
 
-def expect_element(x, cls, space, error=SignatureMismatch):
-    """Raise `error` unless x is a `cls` over `space`."""
+def expect_element(x, cls, space):
+    """Raise `SignatureMismatch` unless x is a `cls` over `space`."""
     if not isinstance(x, cls) or x.space != space:
         got = "%s over %r" % (type(x).__name__, getattr(x, "space", None))
-        raise error("expected %s over %r, got %s" % (cls.__name__, space, got))
+        raise SignatureMismatch("expected %s over %r, got %s" % (cls.__name__, space, got))
 
 
 def element_tag(x):

@@ -245,17 +245,16 @@ def bracket(a, b, odd):
 
 def supertrace_weyl(a):
     """Supertrace of a purely bosonic element: its value at 0."""
-    if a.signature.n_fermi != 0:
-        raise AlgebraError("supertrace_weyl needs a signature with no Fermi generators")
+    if not isinstance(a, CwElement) or a.signature.n_fermi != 0:
+        raise AlgebraError("supertrace_weyl needs a CwElement with no Fermi generators")
     return a.constant_term()
 
 
 def trace_clifford(a):
     """Normalized trace on a purely fermionic algebra with 2m generators."""
-    sig = a.signature
-    if sig.n_bose != 0 or sig.n_fermi % 2 != 0:
-        raise AlgebraError("trace_clifford needs a Bose-free signature with evenly many Fermi generators")
-    return a.constant_term() * 2 ** (sig.n_fermi // 2)
+    if not isinstance(a, CwElement) or a.signature.n_bose != 0 or a.signature.n_fermi % 2 != 0:
+        raise AlgebraError("trace_clifford needs a CwElement with no Bose and evenly many Fermi generators")
+    return a.constant_term() * 2 ** (a.signature.n_fermi // 2)
 
 
 # -- one mode's normal ordering -----------------------------------------------

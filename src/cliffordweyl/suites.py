@@ -18,7 +18,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial, reduce
-from itertools import accumulate as running_sums, product
+from itertools import accumulate as running_sums, chain, product
 from math import comb
 
 from .algebra import (
@@ -26,9 +26,6 @@ from .algebra import (
     AlgebraSignature,
     CwElement,
     CwMonomial,
-    bose_p,
-    bose_q,
-    fermi_gen,
     generators,
     monomial_element,
     unit,
@@ -49,7 +46,7 @@ from .deform import (
     periodicity2_inverse,
     verma_apply,
 )
-from .exprs import cw_descriptor
+from .exprs import descriptor
 from .hochschild import (
     CochainEvaluator,
     coboundary,
@@ -61,9 +58,7 @@ from .linalg import Matrix, sparse_rank
 from .ore import (
     OreElement,
     OreMonomial,
-    ore_e_minus,
     ore_e_plus,
-    ore_fermi,
     ore_generators,
     ore_lambda,
     ore_product,
@@ -85,7 +80,7 @@ from .periodicity import (
 )
 from .reps import rep_matrix, spin
 from .scalars import GaussianRational, gr_ratio, i_power
-from .sparse import Checks, accumulate, homomorphism_law
+from .sparse import Checks, accumulate, homomorphism_law, sum_terms
 from .starprod import anti_bracket, lie_bracket, star
 
 
@@ -221,11 +216,10 @@ def _rand_pairs(count, rng, space, maxdeg):
 
 def _suite_relations(run, rng, grid, cases, maxdeg, params):
     (sig,) = grid
-    params["algebra"] = cw_descriptor(sig)
+    params["algebra"] = descriptor(sig)
     one, nul = unit(sig), zero(sig)
-    ws = [fermi_gen(sig, i) for i in range(1, sig.n_fermi + 1)]
-    ps = [bose_p(sig, j) for j in range(1, sig.n_bose + 1)]
-    qs = [bose_q(sig, j) for j in range(1, sig.n_bose + 1)]
+    gens, n, k = generators(sig), sig.n_fermi, sig.n_bose
+    ws, ps, qs = gens[:n], gens[n : n + k], gens[n + k :]
     for i, wi in enumerate(ws):
         for j, wj in enumerate(ws):
             want = one.scale(2) if i == j else nul
@@ -245,8 +239,7 @@ def _suite_relations(run, rng, grid, cases, maxdeg, params):
 
 def _suite_associativity(run, rng, grid, cases, maxdeg, params):
     (space,) = grid
-    algebra = "ore:%d" % space if isinstance(space, int) else cw_descriptor(space)
-    params.update({"algebra": algebra, "cases": cases})
+    params.update({"algebra": descriptor(space), "cases": cases})
     for _ in range(cases):
         a, b, c = (_rand_element(rng, space, maxdeg=maxdeg) for _ in range(3))
         run.check([a, b, c], (a * b) * c, a * (b * c))
@@ -265,7 +258,7 @@ def _suite_periodicity2(run, rng, ranks, pairs, maxdeg, params):
     for n in ranks:
         draws = _rand_pairs(pairs, rng, n, maxdeg)
         forward, inverse = partial(periodicity2_forward, n), partial(periodicity2_inverse, n)
-        homomorphism_law(run, ["ore:%d" % n], draws, forward, ore_product, tensor_star, inverse)
+        homomorphism_law(run, [descriptor(n)], draws, forward, ore_product, tensor_star, inverse)
 
 
 def _suite_odd_split(run, rng, ranks, pairs, maxdeg, params):
@@ -316,7 +309,7 @@ def _suite_matrix_iso(run, rng, grid, pairs, maxdeg, params):
     params.update({"grid": ["n=%d,k=%d" % (sig.n_fermi // 2, sig.n_bose) for sig in grid], "cases": pairs})
     for sig in grid:
         n, k = sig.n_fermi // 2, sig.n_bose
-        label = cw_descriptor(sig)
+        label = descriptor(sig)
         dim = 1 << n
         identity = Matrix.identity(dim, unit(AlgebraSignature(0, k)))
         run.check(["unit to identity, " + label], cw_to_matrix(n, k, unit(sig)), identity)
@@ -333,20 +326,20 @@ def _suite_matrix_iso(run, rng, grid, pairs, maxdeg, params):
 
 
 def _suite_parastat(run, rng, grid, cases, maxdeg, params):
-    params["grid"] = [cw_descriptor(sig) for sig in grid]
+    params["grid"] = [descriptor(sig) for sig in grid]
     dims = {}
     for sig in grid:
         ctx = OspContext(sig)
         run.merge(verify_ps(ctx))
         _basis, total, _parts = build_g(ctx)
-        label = cw_descriptor(sig)
+        label = descriptor(sig)
         run.check(["dim g, " + label], total, expected_dimension(sig.n_fermi, sig.n_bose))
         dims[label] = total
     return {"dims": dims}
 
 
 def _suite_twisted_adjoint(run, rng, grid, cases, maxdeg, params):
-    params["grid"] = [cw_descriptor(sig) for sig in grid]
+    params["grid"] = [descriptor(sig) for sig in grid]
     for sig in grid:
         run.merge(verify_invariance(OspContext(sig)))
 
@@ -369,7 +362,7 @@ def _suite_a0_iso(run, rng, ranks, pairs, maxdeg, params):
     params.update({"ranks": ranks, "cases": pairs})
     for n in ranks:
         sig = cw_odd_signature(n)
-        label = "ore:%d" % n
+        label = descriptor(n)
         for a, b in _rand_pairs(pairs, rng, sig, maxdeg):
             fa, fb = iso_cw_to_a0(n, a), iso_cw_to_a0(n, b)
             run.check(
@@ -390,13 +383,13 @@ def _suite_cocycle(run, rng, ranks, triples, maxdeg, params):
     for n in ranks:
         table = compare_cocycle(n)
         run.merge(table)
-        constants["ore:%d" % n] = str(table["constant"])
+        constants[descriptor(n)] = str(table["constant"])
         sig = cw_odd_signature(n)
         evaluator = CochainEvaluator(2, partial(deformation_cochain_c1, n), element_tag(unit(sig)))
         d = coboundary(evaluator)
         for _ in range(triples):
             t = tuple(_rand_element(rng, sig, nterms=2, maxdeg=2) for _ in range(3))
-            run.check(["cocycle law, ore:%d" % n] + list(t), d(*t), zero(sig))
+            run.check(["cocycle law, " + descriptor(n)] + list(t), d(*t), zero(sig))
     return {"constants": constants}
 
 
@@ -418,17 +411,17 @@ def _suite_verma(run, rng, weights, count, maxdeg, params):
             verma_apply(lam, ore_e_plus(0), {top: GaussianRational(1)}),
             {},
         )
-    ep, em, p = ore_e_plus(0), ore_e_minus(0), ore_fermi(0, 1)
+    p, ep, em = ore_generators(0)
     quarter = ore_scalar(0, Fraction(1, 4))
     # each left side acts one generator at a time, so no product normal-orders
     # it before verma_apply sees every factor
     relations = [
-        ("{E+,P}", lambda act, f: _poly_sum(act(ep, act(p, f)), act(p, act(ep, f))), ore_zero(0)),
-        ("{E-,P}", lambda act, f: _poly_sum(act(em, act(p, f)), act(p, act(em, f))), ore_zero(0)),
-        ("P^2", lambda act, f: act(p, act(p, f)), ore_unit(0)),
+        ("{E+,P}", lambda act, f: [act(ep, act(p, f)), act(p, act(ep, f))], ore_zero(0)),
+        ("{E-,P}", lambda act, f: [act(em, act(p, f)), act(p, act(em, f))], ore_zero(0)),
+        ("P^2", lambda act, f: [act(p, act(p, f))], ore_unit(0)),
         (
             "[E+,E-] + 1/4",
-            lambda act, f: _poly_sum(act(ep, act(em, f)), act(-em, act(ep, f)), act(quarter, f)),
+            lambda act, f: [act(ep, act(em, f)), act(-em, act(ep, f)), act(quarter, f)],
             ore_product(ore_lambda(0), p),
         ),
     ]
@@ -438,16 +431,8 @@ def _suite_verma(run, rng, weights, count, maxdeg, params):
         for m in range(51):
             f = {m: GaussianRational(1)}
             for name, lhs, rhs in relations:
-                run.check([name, "lambda=%s" % lam, "z^%d" % m], lhs(act, f), act(rhs, f))
-
-
-def _poly_sum(*polys):
-    """The sum of polynomials {exponent: coefficient}."""
-    out = {}
-    for poly in polys:
-        for m, c in poly.items():
-            accumulate(out, m, c)
-    return out
+                lhs_sum = sum_terms(chain.from_iterable(poly.items() for poly in lhs(act, f)))
+                run.check([name, "lambda=%s" % lam, "z^%d" % m], lhs_sum, act(rhs, f))
 
 
 _PI_H_GRID = tuple(
@@ -495,12 +480,12 @@ def _suite_center(run, rng, ranks, cases, degree, params):
     basis = {}
     for n in ranks:
         candidates = center_probe(n, degree)
-        basis["ore:%d" % n] = [str(x) for x in candidates]
+        basis[descriptor(n)] = [str(x) for x in candidates]
         gens = ore_generators(n) + [ore_lambda(n)]
         for x in candidates:
             for g in gens:
                 run.check(
-                    ["central, ore:%d" % n, x, g],
+                    ["central, " + descriptor(n), x, g],
                     ore_product(x, g),
                     ore_product(g, x),
                 )
@@ -526,7 +511,7 @@ def _suite_osp22(run, rng, ranks, cases, maxdeg, params):
 
 def _suite_hochschild(run, rng, grid, count, maxdeg, params):
     (sig,) = grid
-    params.update({"algebra": cw_descriptor(sig), "cases": count})
+    params.update({"algebra": descriptor(sig), "cases": count})
     corners = product(range(2), repeat=3)  # (mask, wp, wq) in 0..1, wq fastest
     support = {CwMonomial(mask, (wp,), (wq,)): _rand_element(rng, sig, maxdeg=3) for mask, wp, wq in corners}
 
@@ -538,9 +523,8 @@ def _suite_hochschild(run, rng, grid, count, maxdeg, params):
     triples = [tuple(_rand_element(rng, sig, maxdeg=2) for _ in range(3)) for _ in range(count)]
     run.merge(d_squared_check(one_cochain, triples))
     evaluator = CochainEvaluator(2, partial(deformation_cochain_c1, 0), tag)
-    sub = [unit(sig), fermi_gen(sig, 1)]
-    samples = [fermi_gen(sig, 1), bose_p(sig, 1), bose_q(sig, 1)]
-    run.merge(relative_normalized_check(evaluator, sub, samples))
+    samples = generators(sig)  # w1, p1, q1
+    run.merge(relative_normalized_check(evaluator, [unit(sig), samples[0]], samples))
 
 
 _OSP_GRID = tuple(AlgebraSignature(n, k) for n, k in ((1, 1), (2, 1), (3, 1), (1, 2)))

@@ -273,12 +273,12 @@ FAULTS = {
         "brackets", "ore.bracket_kernel", lambda real: lambda n, odd: real(n, lambda m1, m2: not odd(m1, m2)),
         CASES_3, {"ghost": (45, 33), "ore-relations": (119, 71), "osp22": (54, 34)},
     ),
-    # Both bindings of `_times_volume` drop the i^m of the volume word (not a
-    # whole-factor sign flip: z -> -z is another valid isomorphism).  The
-    # suites' products never reach the closed-form maps, so a fault in the
-    # products leaves these checks untried.
+    # Both bindings of `_times_volume` drop the i^(width // 2) of the volume
+    # word (not a whole-factor sign flip: z -> -z is another valid
+    # isomorphism).  The suites' products never reach the closed-form maps,
+    # so a fault in the products leaves these checks untried.
     "volume-phase": Fault(
-        "transports", "periodicity._times_volume", _on_result(lambda out, mask, w, m: (out[0] * i_power(-m), out[1])),
+        "transports", "periodicity._times_volume", _on_result(lambda out, mask, w: (out[0] * i_power(-(w // 2)), out[1])),
         DEFAULTS, {
             "matrix-iso": (24, 6), "odd-split": (69, 16), "periodicity1": (80, 49), "periodicity2": (40, 15),
             "pi-h": (220, 20),

@@ -32,26 +32,17 @@ def ref_lower_past_powers(beta, gamma):
     if beta == 0:
         return ((GR_ONE, gamma, 0, 0, 0),)
     acc = {}
-
-    def add(key, q):
-        s = acc.get(key)
-        s = q if s is None else s + q
-        if s:
-            acc[key] = s
-        else:
-            acc.pop(key, None)
-
     for q, a, eps, b, extra in ref_lower_past_powers(beta - 1, gamma):
         # E- E+^a = E+^a E- + (a/4) E+^{a-1} - [a odd] E+^{a-1} ghost,
         # then E- ghost = -ghost E- and ghost^2 = L^2
-        add((a, eps, b + 1, extra), -q if eps else q)
+        accumulate(acc, (a, eps, b + 1, extra), -q if eps else q)
         if a:
-            add((a - 1, eps, b, extra), q * gr_ratio(a, 4))
+            accumulate(acc, (a - 1, eps, b, extra), q * gr_ratio(a, 4))
             if a & 1:
                 if eps:
-                    add((a - 1, 0, b, extra + 2), -q)
+                    accumulate(acc, (a - 1, 0, b, extra + 2), -q)
                 else:
-                    add((a - 1, 1, b, extra), -q)
+                    accumulate(acc, (a - 1, 1, b, extra), -q)
     return tuple((q, a, e, b, x) for (a, e, b, x), q in sorted(acc.items()))
 
 

@@ -12,7 +12,9 @@ import sys
 import time
 from fractions import Fraction
 
-from cliffordweyl.algebra import AlgebraSignature, CwElement, CwMonomial
+from sampling import rand_element
+
+from cliffordweyl.algebra import AlgebraSignature, CwMonomial
 from cliffordweyl.deform import periodicity2_forward, periodicity2_inverse
 from cliffordweyl.exprs import parse, parse_algebra, print_expr
 from cliffordweyl.ore import OreMonomial
@@ -47,22 +49,6 @@ def _cw(n, two_k):
 
 def _ore(n):
     return parse_algebra("ore:%d" % n)
-
-
-def _rand_element(rng, sig, nterms=3, maxdeg=4):
-    terms = {}
-    for _ in range(rng.randint(1, nterms)):
-        while True:
-            cliff = rng.getrandbits(sig.n_fermi) if sig.n_fermi else 0
-            wp = tuple(rng.randint(0, 2) for _ in range(sig.n_bose))
-            wq = tuple(rng.randint(0, 2) for _ in range(sig.n_bose))
-            m = CwMonomial(cliff, wp, wq)
-            if m.z_degree() <= maxdeg:
-                break
-        terms[m] = Scalar.of(
-            Fraction(rng.randint(-4, 4), rng.randint(1, 3)), rng.randint(-2, 2)
-        )
-    return CwElement(sig, terms)
 
 
 def test_criterion_01_presentations():
@@ -113,8 +99,8 @@ def test_criterion_03_representation_oracle():
         rng = random.Random("acceptance:" + desc.kind.value)
         sig = desc.signature()
         for _ in range(300):
-            a = _rand_element(rng, sig)
-            b = _rand_element(rng, sig)
+            a = rand_element(rng, sig)
+            b = rand_element(rng, sig)
             terms = {}
             for _ in range(rng.randint(1, 2)):
                 g = rng.getrandbits(desc.ell) if desc.ell else 0
@@ -140,7 +126,7 @@ def test_criterion_04_periodicity():
         left = AlgebraSignature(2 * m, 0)
         right = AlgebraSignature(n, k)
         for _ in range(20):
-            X = tensor_of(_rand_element(rng, left), _rand_element(rng, right))
+            X = tensor_of(rand_element(rng, left), rand_element(rng, right))
             ok = ok and periodicity1_forward(m, n, k, periodicity1_inverse(m, n, k, X)) == X
     ok = ok and run_suite("periodicity2", seed=4, cases=10).passed
     for n in (1, 2):

@@ -16,6 +16,7 @@ import reference_verma
 from faults import FAULTS, inject, refuse
 from reference_commutant import reference_commutant_dimension
 from reference_transport import ore_tensor
+from sampling import rand_ore
 
 from cliffordweyl import deform, ore, periodicity, sparse
 from cliffordweyl.algebra import (
@@ -88,23 +89,6 @@ def rep_direct_sum(rep_a, rep_b):
     if set(rep_a) != set(rep_b):
         raise AlgebraError("generator sets differ")
     return {k: matrix_direct_sum(rep_a[k], rep_b[k]) for k in rep_a}
-
-
-def rand_ore(n, rng, nterms=3, maxdeg=4, with_lam=True):
-    terms = {}
-    for _ in range(nterms):
-        while True:
-            cliff = rng.getrandbits(2 * n + 1)
-            a = rng.randrange(maxdeg + 1)
-            b = rng.randrange(maxdeg + 1)
-            r = rng.randrange(2) if with_lam else 0
-            if cliff.bit_count() + a + b + 2 * r <= maxdeg:
-                break
-        terms[OreMonomial(cliff, a, b, r)] = GR(
-            Fraction(rng.randrange(-4, 5), rng.randrange(1, 4)),
-            Fraction(rng.randrange(-3, 4), rng.randrange(1, 3)),
-        )
-    return OreElement(n, terms)
 
 
 def rand_cw(n, rng, nterms=3, maxdeg=4):

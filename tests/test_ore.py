@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 from kernel_format import lowering_terms
 from reference_ore_kernel import ref_lower_past_powers, ref_ore_product
+from sampling import rand_ore
 
 from cliffordweyl.algebra import AlgebraError
 from cliffordweyl.deform import verma_apply
@@ -41,24 +42,6 @@ from cliffordweyl.scalars import GaussianRational, Scalar
 GR = GaussianRational
 
 
-def rand_element(n, rng, nterms=3, maxdeg=4, with_lam=True):
-    terms = {}
-    for _ in range(nterms):
-        while True:
-            cliff = rng.getrandbits(2 * n + 1)
-            a = rng.randrange(maxdeg + 1)
-            b = rng.randrange(maxdeg + 1)
-            r = rng.randrange(2) if with_lam else 0
-            if cliff.bit_count() + a + b + 2 * r <= maxdeg:
-                break
-        c = GR(
-            Fraction(rng.randrange(-4, 5), rng.randrange(1, 4)),
-            Fraction(rng.randrange(-3, 4), rng.randrange(1, 3)),
-        )
-        terms[OreMonomial(cliff, a, b, r)] = c
-    return OreElement(n, terms)
-
-
 # -- defining relations -------------------------------------------------------------
 
 
@@ -84,7 +67,7 @@ def test_central_parameter_commutes(n):
     for g in ore_generators(n):
         assert ore_product(lam, g) == ore_product(g, lam)
     for _ in range(10):
-        x = rand_element(n, rng)
+        x = rand_ore(n, rng)
         assert ore_product(lam, x) == ore_product(x, lam)
 
 
@@ -111,8 +94,8 @@ def test_monomial_product_renormalizes_idempotently():
     rng = random.Random("nf")
     for n in (0, 1):
         for _ in range(40):
-            x = rand_element(n, rng)
-            y = rand_element(n, rng)
+            x = rand_ore(n, rng)
+            y = rand_ore(n, rng)
             p = ore_product(x, y)
             assert OreElement(n, dict(p.terms)) == p
             assert OreElement.from_json(n, p.to_json()) == p
@@ -133,16 +116,16 @@ def test_basis_monomial_expansion_unique():
 def test_associativity_random(n):
     rng = random.Random("assoc:%d" % n)
     for _ in range(200):
-        x = rand_element(n, rng)
-        y = rand_element(n, rng)
-        z = rand_element(n, rng)
+        x = rand_ore(n, rng)
+        y = rand_ore(n, rng)
+        z = rand_ore(n, rng)
         assert ore_product(ore_product(x, y), z) == ore_product(x, ore_product(y, z))
 
 
 def test_unit_and_zero():
     n = 1
     rng = random.Random("unit")
-    x = rand_element(n, rng)
+    x = rand_ore(n, rng)
     assert ore_product(ore_unit(n), x) == x == ore_product(x, ore_unit(n))
     assert not ore_product(ore_zero(n), x)
     assert x + ore_zero(n) == x
@@ -241,7 +224,7 @@ def test_long_lowering_acts_as_its_factors(beta, gamma):
 def test_product_matches_reference_loop(n):
     rng = random.Random(7070 + n)
     for _ in range(30):
-        x, y = (rand_element(n, rng, nterms=4, maxdeg=6) for _ in range(2))
+        x, y = (rand_ore(n, rng, nterms=4, maxdeg=6) for _ in range(2))
         assert ore_product(x, y) == ref_ore_product(x, y), (x, y)
 
 
@@ -304,8 +287,8 @@ def test_specialize_is_multiplicative(n):
     rng = random.Random("specialize:%d" % n)
     lam = GR(Fraction(2, 3), Fraction(-1, 2))
     for _ in range(100):
-        x = rand_element(n, rng)
-        y = rand_element(n, rng)
+        x = rand_ore(n, rng)
+        y = rand_ore(n, rng)
         lhs = specialize(ore_product(x, y), lam)
         rhs = specialized_product(specialize(x, lam), specialize(y, lam), lam)
         assert lhs == rhs
@@ -321,7 +304,7 @@ def test_specialize_rejects_a_non_number():
 def test_specialize_additive_and_idempotent():
     rng = random.Random("specialize-add")
     lam = GR(Fraction(5, 7))
-    x, y = rand_element(1, rng), rand_element(1, rng)
+    x, y = rand_ore(1, rng), rand_ore(1, rng)
     assert specialize(x + y, lam) == specialize(x, lam) + specialize(y, lam)
     assert specialize(specialize(x, lam), lam) == specialize(x, lam)
 

@@ -6,16 +6,15 @@ relations z^2 = 1, z w_j = -w_j z.
 """
 
 import random
-from fractions import Fraction
 
 import pytest
 from reference_tensor import ref_tensor_star
 from reference_transport import tensor_unit, tensor_zero
+from sampling import rand_element
 
 from cliffordweyl.algebra import (
     AlgebraError,
     AlgebraSignature,
-    CwElement,
     CwMonomial,
     SignatureMismatch,
     bose_p,
@@ -42,25 +41,11 @@ from cliffordweyl.periodicity import (
     volume_involution,
 )
 from cliffordweyl.reps import GrassPolyVector, act, metaplectic
-from cliffordweyl.scalars import S_I, S_LAMBDA, S_ONE, Scalar
+from cliffordweyl.scalars import S_I, S_LAMBDA, S_ONE
 from cliffordweyl.starprod import star
 from cliffordweyl.suites import _rand_element
 
 SHIFT_CASES = [(1, 0, 1), (1, 1, 1), (2, 1, 1), (1, 2, 1)]
-
-
-def rand_element(rng, sig, nterms=3, maxdeg=4):
-    terms = {}
-    for _ in range(rng.randint(1, nterms)):
-        while True:
-            cliff = rng.getrandbits(sig.n_fermi) if sig.n_fermi else 0
-            wp = tuple(rng.randint(0, 2) for _ in range(sig.n_bose))
-            wq = tuple(rng.randint(0, 2) for _ in range(sig.n_bose))
-            m = CwMonomial(cliff, wp, wq)
-            if m.z_degree() <= maxdeg:
-                break
-        terms[m] = Scalar.of(Fraction(rng.randint(-4, 4), rng.randint(1, 3)), rng.randint(-2, 2))
-    return CwElement(sig, terms)
 
 
 # -- tensor elements -----------------------------------------------------------

@@ -18,6 +18,7 @@ import pytest
 import reference_act
 from faults import refuse
 from reference_transport import ladder_lower, ladder_raise
+from sampling import rand_element
 from cliffordweyl import scalars, sparse, starprod
 from cliffordweyl.algebra import (
     AlgebraError,
@@ -51,20 +52,6 @@ from cliffordweyl.scalars import S_I, S_ONE, Scalar, i_power
 from cliffordweyl.starprod import star
 
 Z = Scalar()
-
-
-def rand_element(rng, sig, nterms=3, maxdeg=4):
-    terms = {}
-    for _ in range(rng.randint(1, nterms)):
-        while True:
-            cliff = rng.getrandbits(sig.n_fermi) if sig.n_fermi else 0
-            wp = tuple(rng.randint(0, 2) for _ in range(sig.n_bose))
-            wq = tuple(rng.randint(0, 2) for _ in range(sig.n_bose))
-            m = CwMonomial(cliff, wp, wq)
-            if m.z_degree() <= maxdeg:
-                break
-        terms[m] = Scalar.of(Fraction(rng.randint(-4, 4), rng.randint(1, 3)), rng.randint(-2, 2))
-    return CwElement(sig, terms)
 
 
 def rand_vector(rng, desc, maxexp=3):

@@ -12,6 +12,7 @@ import pytest
 
 import reference_weyl_kernel as ref
 from reference_bracket import homogeneous_parts
+from sampling import rand_element
 from cliffordweyl import starprod
 from cliffordweyl.algebra import (
     AlgebraSignature,
@@ -43,20 +44,6 @@ SIG = AlgebraSignature(3, 2)
 W = [fermi_gen(SIG, i) for i in (1, 2, 3)]
 P = [bose_p(SIG, i) for i in (1, 2)]
 Q = [bose_q(SIG, i) for i in (1, 2)]
-
-
-def rand_element(rng, sig, nterms=3, maxdeg=4):
-    terms = {}
-    for _ in range(rng.randint(1, nterms)):
-        while True:
-            cliff = rng.getrandbits(sig.n_fermi) if sig.n_fermi else 0
-            wp = tuple(rng.randint(0, 2) for _ in range(sig.n_bose))
-            wq = tuple(rng.randint(0, 2) for _ in range(sig.n_bose))
-            m = CwMonomial(cliff, wp, wq)
-            if m.z_degree() <= maxdeg:
-                break
-        terms[m] = Scalar.of(Fraction(rng.randint(-4, 4), rng.randint(1, 3)), rng.randint(-2, 2))
-    return CwElement(sig, terms)
 
 
 # -- frozen examples ---------------------------------------------------------

@@ -9,6 +9,7 @@ themselves must fail the suites that use them.
 """
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -34,6 +35,7 @@ from cliffordweyl.algebra import (
     CwElement,
     CwMonomial,
     SignatureMismatch,
+    canonicalize,
     fermi_gen,
     monomial_element,
     unit,
@@ -46,7 +48,7 @@ from cliffordweyl.deform import (
     periodicity2_inverse,
 )
 from cliffordweyl.linalg import Matrix
-from cliffordweyl.ore import OreElement, OreMonomial, ore_e_minus, ore_e_plus, ore_unit
+from cliffordweyl.ore import OreElement, OreMonomial, ore_e_minus, ore_e_plus, ore_unit, specialize
 from cliffordweyl.periodicity import (
     cw_to_matrix,
     odd_join,
@@ -218,10 +220,10 @@ def test_iso_cw_to_a0_rejects_the_parameter():
 MAPS = {
     "periodicity1_forward": (lambda x: periodicity1_forward(1, 0, 1, x), SignatureMismatch),
     "periodicity1_inverse": (lambda x: periodicity1_inverse(1, 0, 1, x), SignatureMismatch),
-    "periodicity2_forward": (lambda x: periodicity2_forward(0, x), AlgebraError),
+    "periodicity2_forward": (lambda x: periodicity2_forward(0, x), SignatureMismatch),
     "periodicity2_inverse": (lambda x: periodicity2_inverse(0, x), AlgebraError),
-    "iso_a0_to_cw": (lambda x: iso_a0_to_cw(0, x), AlgebraError),
-    "iso_cw_to_a0": (lambda x: iso_cw_to_a0(0, x), AlgebraError),
+    "iso_a0_to_cw": (lambda x: iso_a0_to_cw(0, x), SignatureMismatch),
+    "iso_cw_to_a0": (lambda x: iso_cw_to_a0(0, x), SignatureMismatch),
     "odd_split": (lambda x: odd_split(0, x), SignatureMismatch),
     "odd_join": (lambda x: odd_join(0, unit(AlgebraSignature(0, 0)), x), SignatureMismatch),
     "cw_to_matrix": (lambda x: cw_to_matrix(1, 0, x), SignatureMismatch),
@@ -253,6 +255,28 @@ def test_maps_reject_other_families_and_spaces(name):
     for x in WRONG_INPUTS[name]:
         with pytest.raises(error, match="expected"):
             call(x)
+
+
+# an entry point given the other family's element names the family it takes
+_CW = unit(AlgebraSignature(2, 0))
+OTHER_FAMILY = {
+    "verma_apply": (lambda: deform.verma_apply(1, _CW, {0: 1}), "expected OreElement"),
+    "verma_apply, rank 1": (lambda: deform.verma_apply(1, ore_unit(1), {0: 1}), "use the matrix transport instead"),
+    "specialize": (lambda: specialize(_CW, 1), "needs an OreElement"),
+    "supertrace_weyl": (lambda: starprod.supertrace_weyl(ore_unit(0)), "needs a CwElement"),
+    "trace_clifford": (lambda: starprod.trace_clifford(ore_unit(0)), "needs a CwElement"),
+    "canonicalize": (lambda: canonicalize(ore_unit(0)), "needs a CwElement"),
+    "tensor_star": (lambda: periodicity.tensor_star(_CW, _CW), "expected TensorElement"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OTHER_FAMILY))
+def test_entry_points_refuse_the_other_family(name):
+    call, message = OTHER_FAMILY[name]
+    start = time.perf_counter()
+    with pytest.raises(AlgebraError, match=message):
+        call()
+    assert time.perf_counter() - start < 1
 
 
 @pytest.mark.parametrize("name", ["periodicity1", "periodicity2", "pi-h", "matrix-iso", "odd-split"])
