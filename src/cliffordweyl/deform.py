@@ -15,13 +15,15 @@ Everything here sits on top of the normal-form arithmetic in `ore`:
 * the polynomial (one-variable) representation and its finite-dimensional
   quotients, in closed form: a monomial w^I E+^a E-^b L^r sends z^m to one
   multiple of z^(m+b-a), so neither acts generator by generator; pi_h reads
-  each entry of `ore_to_matrix` through that rank-0 quotient,
+  each entry of `ore_to_matrix` through that rank-0 quotient, one cached
+  diagonal per monomial, and refuses a dimension above MAX_QUOTIENT_DIMENSION,
 * exact center and commutant probes; the center probe refuses a degree
   bound with more than MAX_PROBE_MONOMIALS monomials,
 * the three-element orthosymplectic check around K = -1/4 w_odd + L.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain, combinations, islice
 
 from .algebra import (
@@ -344,31 +346,49 @@ def pi_h_lambda(h, sign):
     return GaussianRational(_parse_sign(sign) * (h + Fraction(1, 4)))
 
 
+# An entry of `_diagonal` holds at most d values, products of at most d
+# lowering factors, and no power of L, so diagonals are cached only up to
+# d = `_DIAGONAL_WIDTH`: the largest such entry retains 7.9 KB (tracemalloc,
+# over every E+^a E-^b at d = 64), so the cache holds at most about 2 MB.  A
+# larger quotient keeps its own table for the call.
+_DIAGONAL_CACHE = 256
+_DIAGONAL_WIDTH = 64
+
+
+@lru_cache(maxsize=_DIAGONAL_CACHE)
+def _diagonal(lam, twist, d, cliff, e_plus, e_minus):
+    """The shifted diagonal of w^I E+^a E-^b on z^0..z^(d-1) at weight lam,
+    P negated when twist is -1, as ((row, col, value), ...)."""
+    mono, runs, g = OreMonomial(cliff, e_plus, e_minus, 0), {}, twist**cliff
+    images = ((col, _weight_image(lam, col, mono, runs)) for col in range(d - e_minus))
+    return tuple((image[0], col, image[1] * g) for col, image in images if image is not None)
+
+
 def pi_h_matrix(n, h, sign, x):
     """Evaluate any rank-n element in the dimension-2^n(4h+1) quotient:
     entry (i, j) of ore_to_matrix(n, x) fills block (i, j) through the
-    rank-0 quotient.
+    rank-0 quotient; AlgebraError above MAX_QUOTIENT_DIMENSION.
 
-    There w^I E+^a E-^b L^r is one shifted diagonal, built once per call:
-    its action on z^0..z^{4h} at lam = h + 1/4, where E+ kills z^{4h+1},
-    has the entries (m + b - a, m) for m + b <= 4h, since the quotient
-    kills z^(m+b) before any lowering.  The minus sign negates P and L.
+    There w^I E+^a E-^b L^r is (+/-lam)^r times one shifted diagonal, read
+    from the kernel `_diagonal`: the action of w^I E+^a E-^b on z^0..z^{4h}
+    at lam = h + 1/4, where E+ kills z^{4h+1}, has the entries (m + b - a, m)
+    for m + b <= 4h, since the quotient kills z^(m+b) before any lowering.
+    The minus sign negates P and L.
     """
     h = _check_half_integer(h)
     twist = _parse_sign(sign)
+    expect_element(x, OreElement, n)  # a valid rank, before d << n
     lam = GaussianRational(h + Fraction(1, 4))
     d = int(4 * h) + 1
-    runs, diagonals, entries = {}, {}, {}
+    if d << n > MAX_QUOTIENT_DIMENSION:
+        raise AlgebraError("quotient dimension %d above the bound of %d" % (d << n, MAX_QUOTIENT_DIMENSION))
+    diagonal = _diagonal if d <= _DIAGONAL_WIDTH else lru_cache(maxsize=None)(_diagonal.__wrapped__)
+    entries = {}
     for (i, j), a in ore_to_matrix(n, x).items():
-        for m, c in a.terms.items():
-            if m not in diagonals:
-                g = GaussianRational(twist ** (m.cliff + m.lam))
-                diagonals[m] = []
-                for col in range(d - m.e_minus):
-                    image = _weight_image(lam, col, m, runs)
-                    if image is not None:
-                        diagonals[m].append((image[0], col, image[1] * g))
-            for row, col, v in diagonals[m]:
+        for (cliff, e_plus, e_minus, r), c in a.terms.items():
+            if r:
+                c = c * (lam * twist) ** r
+            for row, col, v in diagonal(lam, twist, d, cliff, e_plus, e_minus):
                 accumulate(entries, (i * d + row, j * d + col), c * v)
     return Matrix.from_entries((d << n, d << n), entries)
 
@@ -390,6 +410,10 @@ def finite_irrep_pi_h(n, h, sign):
 # 4 sets up 2,310 of them in about a second, and 12,341 at ore:0, degree 40
 # take about 6 s
 MAX_PROBE_MONOMIALS = 5_000
+
+# The largest quotient dimension 2^n(4h+1) pi_h_matrix builds: finite_irrep_pi_h
+# at ore:0, h = 2047/2 (dimension 4,095) takes about 0.1 s
+MAX_QUOTIENT_DIMENSION = 4_096
 
 
 def bounded_monomials(n, max_total_degree):

@@ -35,8 +35,11 @@ v = i^n w_1...w_{2n}, and its join is (c+ + c-)/2 + (c+ - c-) u/2, u the
 central volume word i^n w_1...w_{2n+1} upstairs.  No map here calls `star`.
 
 `_realize_left` is the one spin realization of both families, read by
-`cw_to_matrix` and `deform.ore_to_matrix`.
+`cw_to_matrix` and `deform.ore_to_matrix`; it reads each word's spin
+matrix from the bounded cache `_spin_word`.
 """
+
+from functools import lru_cache
 
 from . import ore, starprod
 from .algebra import (
@@ -306,18 +309,29 @@ def module_transport(action, r):
 # -- full even reduction to a matrix algebra --------------------------------------
 
 
+# An entry of `_spin_word` holds a word's 2^n matrix entries (tracemalloc: 9.6 KB
+# at n = 5), so words are cached only up to 2^n = `_SPIN_WORD_DIM`, at most about
+# 2.5 MB in all; a larger realization keeps its own table for the call.
+_SPIN_WORD_CACHE = 256
+_SPIN_WORD_DIM = 32
+
+
+@lru_cache(maxsize=_SPIN_WORD_CACHE)
+def _spin_word(n, mask):
+    """The stored entries of rep_matrix(spin(n), w^mask), row by row."""
+    desc = spin(n)
+    return tuple(rep_matrix(desc, monomial_element(desc.signature(), CwMonomial(mask, (), ()))).items())
+
+
 def _realize_left(n, X, entry, zero):
     """The 2^n-square matrix over B of X in C(2n) (x) B: each left word w^I
-    becomes rep_matrix(spin(n), w^I), built once per call, and each stored
-    entry s of it, times the term's coefficient c, adds entry(right key,
-    c * s) at the same place."""
-    desc = spin(n)
-    sig, spins, entries = desc.signature(), {}, {}
+    becomes rep_matrix(spin(n), w^I), read from the kernel `_spin_word`, and
+    each stored entry s of it, times the term's coefficient c, adds
+    entry(right key, c * s) at the same place."""
+    word = _spin_word if 1 << n <= _SPIN_WORD_DIM else lru_cache(maxsize=None)(_spin_word.__wrapped__)
+    entries = {}
     for (ml, mr), c in X.terms.items():
-        M = spins.get(ml)
-        if M is None:
-            M = spins[ml] = rep_matrix(desc, monomial_element(sig, ml))
-        for ij, s in M.items():
+        for ij, s in word(n, ml.cliff):
             accumulate(entries, ij, entry(mr, c * s))
     return Matrix.from_entries((1 << n, 1 << n), entries, zero)
 

@@ -18,7 +18,7 @@ from functools import partial, reduce
 from typing import Callable, NamedTuple
 
 import cliffordweyl
-from cliffordweyl import ore, starprod
+from cliffordweyl import algebra, deform, ore, periodicity, starprod, suites
 from cliffordweyl.algebra import AlgebraError, CwElement, unit
 from cliffordweyl.linalg import Matrix, add_row, reduce_row
 from cliffordweyl.reps import GrassPolyVector
@@ -29,7 +29,17 @@ from cliffordweyl.suites import run_suite, suite_names
 for _module in pkgutil.iter_modules(cliffordweyl.__path__):
     importlib.import_module("cliffordweyl." + _module.name)
 
-KERNEL_CACHES = (starprod._cliff_pair, starprod._mode_pair, starprod._weyl_pair, ore._lower_past_powers)
+KERNEL_CACHES = (
+    starprod._cliff_pair,
+    starprod._mode_pair,
+    starprod._weyl_pair,
+    ore._lower_past_powers,
+    periodicity._spin_word,
+    deform._diagonal,
+)
+# the caches that no fault can feed: a unit monomial and a sampler's expected
+# draws read no fault target
+UNFAULTED_CACHES = (algebra._unit_monomial, suites._draws_per_term)
 
 
 def empty_kernel_caches():
@@ -49,10 +59,19 @@ class _EmptiedOnUndo(dict):
 _UNDO = _EmptiedOnUndo()
 
 
+def _package_modules():
+    return [m for name, m in sorted(sys.modules.items()) if name.partition(".")[0] == "cliffordweyl"]
+
+
 def bindings(value):
     """(module, name) of every binding of `value` in a loaded cliffordweyl module."""
-    modules = [m for name, m in sorted(sys.modules.items()) if name.partition(".")[0] == "cliffordweyl"]
-    return [(module, key) for module in modules for key, bound in list(vars(module).items()) if bound is value]
+    return [(module, key) for module in _package_modules() for key, bound in list(vars(module).items()) if bound is value]
+
+
+def package_caches():
+    """Every functools LRU cache bound in a loaded cliffordweyl module, once each."""
+    found = {id(v): v for m in _package_modules() for v in vars(m).values() if hasattr(v, "cache_info")}
+    return list(found.values())
 
 
 def rebind(monkeypatch, real, fake):

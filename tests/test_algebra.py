@@ -310,6 +310,26 @@ def test_the_size_bound_is_inclusive():
         AlgebraSignature(0, MAX_ALGEBRA_SIZE // 2 + 1)
 
 
+@pytest.mark.parametrize("n, h", [(0, 10**7), (1, 10**7), (0, 1024)], ids=["ore:0", "ore:1", "just past the bound"])
+def test_quotient_dimension_passes_one_bound(n, h):
+    # pi_h_matrix(0, 5000, "+", E+) used to take 0.3 s and h = 10**7 minutes
+    from cliffordweyl.deform import finite_irrep_pi_h, pi_h_matrix
+    from cliffordweyl.ore import ore_e_plus
+
+    _refused_within_a_second(lambda: pi_h_matrix(n, h, "+", ore_e_plus(n)))
+    _refused_within_a_second(lambda: finite_irrep_pi_h(n, h, "-"))
+
+
+def test_the_largest_quotient_below_the_bound_is_built():
+    from fractions import Fraction
+
+    from cliffordweyl.deform import MAX_QUOTIENT_DIMENSION, pi_h_matrix
+    from cliffordweyl.ore import ore_e_plus
+
+    assert MAX_QUOTIENT_DIMENSION < 4097
+    assert pi_h_matrix(0, Fraction(2047, 2), "+", ore_e_plus(0)).shape == (4095, 4095)
+
+
 # a RepDescriptor's sizes, each just past what its signature() accepts:
 # (kind name, ell, k)
 DESCRIPTORS_PAST_THE_BOUND = [

@@ -1,12 +1,13 @@
 """The fault matrix (under each fault of `faults.FAULTS` the suites that do not
 pass are exactly its pin), the registry's self-check, which a renamed target
-fails loudly, and a guard that keeps every fault and refusal on its finder."""
+fails loudly, a guard that keeps every fault and refusal on its finder, and
+one that keeps every LRU cache of the package where `inject` empties it."""
 
 import ast
 from pathlib import Path
 
 import pytest
-from faults import FAULTS, bindings, failing_suites, inject, resolve
+from faults import FAULTS, KERNEL_CACHES, UNFAULTED_CACHES, bindings, failing_suites, inject, package_caches, resolve
 
 from cliffordweyl.suites import suite_names
 
@@ -30,6 +31,15 @@ def test_every_target_resolves_and_is_replaced(name, monkeypatch):
         assert getattr(*resolve(target)) is not real
         # a function target keeps no binding of the real function
         assert ":" in target or not bindings(real)
+
+
+def test_every_cache_is_emptied_around_a_fault():
+    # a cache that `inject` does not empty serves a correct entry under a
+    # fault, or a faulty one after it
+    def names(caches):
+        return sorted("%s.%s" % (cache.__module__, cache.__qualname__) for cache in caches)
+
+    assert names(package_caches()) == names(KERNEL_CACHES + UNFAULTED_CACHES)
 
 
 def test_every_layer_has_a_fault():

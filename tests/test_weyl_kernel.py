@@ -7,7 +7,9 @@ kernel per mode, keeps the star words only as one mode's closed form
 (`_mode_words`), and gets every t from the product at t = 1 by the degree
 grading; these seeded property tests compare the two on random
 exponent tuples with k <= 4 modes and exponents <= 6, and check that the
-kernel caches, and the one-mode words that `reps.act` reads, stay bounded.
+kernel caches, and the one-mode words that `reps.act` reads, stay bounded;
+so do the transports' spin-word and diagonal caches, which cache nothing
+past their size limits and change no result.
 The Fermi kernel is checked against the reference's bubble sort on every
 pair of masks below 2^7, and a wrong sign in it against the suites.
 """
@@ -20,10 +22,11 @@ from itertools import product as iproduct
 import pytest
 
 import reference_weyl_kernel as ref
-from faults import inject
+from faults import empty_kernel_caches, inject
 from kernel_format import weyl_terms
-from cliffordweyl import ore, periodicity, starprod
-from cliffordweyl.algebra import AlgebraSignature, CwElement, CwMonomial
+from sampling import rand_element, rand_ore
+from cliffordweyl import deform, ore, periodicity, starprod
+from cliffordweyl.algebra import AlgebraSignature, CwElement, CwMonomial, fermi_gen
 from cliffordweyl.reps import GrassPolyVector, act, spin_metaplectic
 from cliffordweyl.scalars import GR_ONE, GR_ZERO, GaussianRational, S_HALF, S_LAMBDA, S_ONE, Scalar, split_powers
 from cliffordweyl.starprod import (
@@ -237,7 +240,7 @@ def test_star_words_match_whole_tuple_reference(t):
 
 
 def test_kernel_caches_stay_bounded():
-    kernels = (_weyl_pair, _mode_pair, _cliff_pair, ore._lower_past_powers)
+    kernels = (_weyl_pair, _mode_pair, _cliff_pair, ore._lower_past_powers, periodicity._spin_word, deform._diagonal)
     for kernel in kernels:
         assert kernel.cache_info().maxsize is not None
     _weyl_pair.cache_clear()
@@ -251,10 +254,19 @@ def test_kernel_caches_stay_bounded():
         star(a, b)
         act(desc, a + b, v)
     ore.ore_product(ore.ore_e_minus(0) ** 6, ore.ore_e_plus(0) ** 9)
+    # more spin words (all of C(8) and C(2)) and more diagonals (every E+^a
+    # E-^b and P E+^a E-^b with a, b <= 16) than their caches hold
+    for n in (4, 1):
+        every_word = {CwMonomial(mask, (0,), (0,)): S_ONE for mask in range(1 << 2 * n)}
+        periodicity.cw_to_matrix(n, 1, CwElement(AlgebraSignature(2 * n, 1), every_word))
+    every_diagonal = {ore.OreMonomial(p, a, b, 0): GR_ONE for p in (0, 1) for a in range(17) for b in range(17)}
+    deform.pi_h_matrix(0, 2, "+", ore.OreElement(0, every_diagonal))
     assert _weyl_pair.cache_info().misses > 0
     for kernel in kernels:
         info = kernel.cache_info()
         assert info.currsize <= info.maxsize
+    for kernel in kernels[-2:]:
+        assert kernel.cache_info().misses > kernel.cache_info().maxsize
     assert starprod._weyl_word_cache
     for key in starprod._weyl_word_cache:
         assert len(key) == 2 and all(isinstance(e, int) for e in key)
@@ -265,3 +277,31 @@ def test_kernel_caches_stay_bounded():
     assert list(starprod._weyl_word_cache) == keys[-starprod._WEYL_WORD_CACHE :]
     assert starprod._mode_words(*keys[0]) == words[0]
     starprod._weyl_word_cache.clear()
+
+
+def test_transport_kernels_cache_nothing_past_their_size_limits():
+    assert 1 << 6 > periodicity._SPIN_WORD_DIM and 4 * 16 + 1 > deform._DIAGONAL_WIDTH
+    words = periodicity._spin_word.cache_info()
+    periodicity.cw_to_matrix(6, 0, fermi_gen(AlgebraSignature(12, 0), 1) + fermi_gen(AlgebraSignature(12, 0), 12))
+    assert periodicity._spin_word.cache_info() == words
+    diagonals = deform._diagonal.cache_info()
+    deform.pi_h_matrix(0, 16, "-", ore.ore_e_plus(0) ** 3 + ore.ore_fermi(0, 1))
+    assert deform._diagonal.cache_info() == diagonals
+
+
+def test_transports_agree_with_warm_and_cleared_caches():
+    rng = random.Random(6065)
+    cws = [rand_element(rng, AlgebraSignature(4, 1), nterms=6) for _ in range(3)]
+    ores = [rand_ore(1, rng, nterms=6) for _ in range(3)]
+
+    def transports():
+        return (
+            [periodicity.cw_to_matrix(2, 1, x) for x in cws],
+            [deform.ore_to_matrix(1, x) for x in ores],
+            [deform.pi_h_matrix(1, h, sign, x) for x in ores for h, sign in ((Fraction(1, 2), "+"), (1, "-"))],
+        )
+
+    empty_kernel_caches()
+    cold = transports()
+    assert deform._diagonal.cache_info().currsize and periodicity._spin_word.cache_info().currsize
+    assert transports() == cold
