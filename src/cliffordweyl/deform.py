@@ -57,7 +57,7 @@ from .ore import (
     specialize,
     specialized_product,
 )
-from .periodicity import TensorElement, _realize_left, _times_volume
+from .periodicity import TensorElement, _check_dimension, _realize_left, _times_volume
 from .scalars import GR_ONE, GaussianRational, format_coefficient, gaussian, gr_ratio, i_power
 from .sparse import Checks, accumulate, expect_element, triple_bracket_law
 from .starprod import _mode_words
@@ -160,8 +160,9 @@ def periodicity2_inverse(n, x):
 
 
 def ore_to_matrix(n, x):
-    """The size-2^n realization over A_L through the tensor algebra; an
-    entry term c * s is never zero, since Q(i)[L] has no zero divisors."""
+    """The size-2^n realization over A_L, 2^n at most MAX_QUOTIENT_DIMENSION;
+    an entry term c * s is never zero, since Q(i)[L] has no zero divisors."""
+    _check_dimension("realization", 1 << _check_size("rank", n))
     X = periodicity2_forward(n, x)
     return _realize_left(n, X, lambda m, c: OreElement.raw(0, {m: c.constant()}), ore_zero(0))
 
@@ -380,8 +381,7 @@ def pi_h_matrix(n, h, sign, x):
     expect_element(x, OreElement, n)  # a valid rank, before d << n
     lam = GaussianRational(h + Fraction(1, 4))
     d = int(4 * h) + 1
-    if d << n > MAX_QUOTIENT_DIMENSION:
-        raise AlgebraError("quotient dimension %d above the bound of %d" % (d << n, MAX_QUOTIENT_DIMENSION))
+    _check_dimension("quotient", d << n)
     diagonal = _diagonal if d <= _DIAGONAL_WIDTH else lru_cache(maxsize=None)(_diagonal.__wrapped__)
     entries = {}
     for (i, j), a in ore_to_matrix(n, x).items():
@@ -410,10 +410,6 @@ def finite_irrep_pi_h(n, h, sign):
 # 4 sets up 2,310 of them in about a second, and 12,341 at ore:0, degree 40
 # take about 6 s
 MAX_PROBE_MONOMIALS = 5_000
-
-# The largest quotient dimension 2^n(4h+1) pi_h_matrix builds: finite_irrep_pi_h
-# at ore:0, h = 2047/2 (dimension 4,095) takes about 0.1 s
-MAX_QUOTIENT_DIMENSION = 4_096
 
 
 def bounded_monomials(n, max_total_degree):

@@ -35,11 +35,9 @@ v = i^n w_1...w_{2n}, and its join is (c+ + c-)/2 + (c+ - c-) u/2, u the
 central volume word i^n w_1...w_{2n+1} upstairs.  No map here calls `star`.
 
 `_realize_left` is the one spin realization of both families, read by
-`cw_to_matrix` and `deform.ore_to_matrix`; it reads each word's spin
-matrix from the bounded cache `_spin_word`.
+`cw_to_matrix` and `deform.ore_to_matrix`; it writes each word's spin
+matrix from `reps._ladder`, the ladder rule of `reps.act`.
 """
-
-from functools import lru_cache
 
 from . import ore, starprod
 from .algebra import (
@@ -53,7 +51,7 @@ from .algebra import (
 )
 from .linalg import Matrix
 from .ore import OreElement
-from .reps import rep_matrix, spin
+from .reps import _ladder
 from .scalars import GR_HALF, Scalar, _coerce_scalar, i_power
 from .scalars import join_numerators, split_powers
 from .sparse import SparseElement, accumulate, expect_element, json_reader, pair_product, sum_terms
@@ -309,40 +307,39 @@ def module_transport(action, r):
 # -- full even reduction to a matrix algebra --------------------------------------
 
 
-# An entry of `_spin_word` holds a word's 2^n matrix entries (tracemalloc: 9.6 KB
-# at n = 5), so words are cached only up to 2^n = `_SPIN_WORD_DIM`, at most about
-# 2.5 MB in all; a larger realization keeps its own table for the call.
-_SPIN_WORD_CACHE = 256
-_SPIN_WORD_DIM = 32
+# The largest dimension of a realization (2^n) or a quotient (2^n(4h+1)): each of
+# cw_to_matrix(12, 0, unit) and finite_irrep_pi_h(0, 2047/2, "+") takes 0.1 s
+MAX_QUOTIENT_DIMENSION = 4_096
 
 
-@lru_cache(maxsize=_SPIN_WORD_CACHE)
-def _spin_word(n, mask):
-    """The stored entries of rep_matrix(spin(n), w^mask), row by row."""
-    desc = spin(n)
-    return tuple(rep_matrix(desc, monomial_element(desc.signature(), CwMonomial(mask, (), ()))).items())
+def _check_dimension(what, dim):
+    if dim > MAX_QUOTIENT_DIMENSION:
+        raise AlgebraError("%s dimension %d above the bound of %d" % (what, dim, MAX_QUOTIENT_DIMENSION))
 
 
 def _realize_left(n, X, entry, zero):
-    """The 2^n-square matrix over B of X in C(2n) (x) B: each left word w^I
-    becomes rep_matrix(spin(n), w^I), read from the kernel `_spin_word`, and
-    each stored entry s of it, times the term's coefficient c, adds
-    entry(right key, c * s) at the same place."""
-    word = _spin_word if 1 << n <= _SPIN_WORD_DIM else lru_cache(maxsize=None)(_spin_word.__wrapped__)
+    """The 2^n-square matrix over B of X in C(2n) (x) B: the spin action of a
+    left word w^I sends xi^col to i^quarter xi^row, both from `reps._ladder`,
+    so a term c w^I (x) m adds entry(m, c i^quarter) at (row, col), row by
+    row."""
     entries = {}
     for (ml, mr), c in X.terms.items():
-        for ij, s in word(n, ml.cliff):
-            accumulate(entries, ij, entry(mr, c * s))
+        fermi = ml.cliff_indices()[::-1]
+        flips = _ladder(fermi, 0)[0]
+        for row in range(1 << n):
+            col = row ^ flips
+            accumulate(entries, (row, col), entry(mr, c * i_power(_ladder(fermi, col)[1])))
     return Matrix.from_entries((1 << n, 1 << n), entries, zero)
 
 
 def cw_to_matrix(n, k, x):
     """Matrix of size 2^n over the pure Bose algebra realizing x.
 
-    Splits all 2n Fermi generators off the front in one dimension-shift step,
-    then replaces the Fermi factor by its matrix in the even carrier.
+    Refuses 2^n above MAX_QUOTIENT_DIMENSION, then splits all 2n Fermi
+    generators off the front and replaces that factor by its spin matrix.
     """
     expect_element(x, CwElement, AlgebraSignature(2 * n, k))
+    _check_dimension("realization", 1 << n)
     X = periodicity1_forward(n, 0, k, x)
     right = X.right_signature
     return _realize_left(n, X, lambda m, c: CwElement.raw(right, {m: c}), zero(right))

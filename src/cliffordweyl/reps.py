@@ -141,6 +141,25 @@ class GrassPolyVector(SparseElement):
         return "<vec %s>" % " + ".join(bits)
 
 
+def _ladder(fermi, h, odd=0, extra=0):
+    """The Fermi word with indices `fermi`, last index first, on xi^h: the
+    image bits and the factor's power of i.  Ladder pair j sends w_{2j+1} to
+    Q_j + P_j and w_{2j+2} to i (Q_j - P_j), with the sign (-1)^(bits of h
+    below j); the generator `odd` is +-(-1)^(total degree), extra being its
+    degree in the polynomial variables plus 1 for the minus sign."""
+    quarter = 0
+    for i in fermi:
+        if i == odd:
+            quarter += 2 * (h.bit_count() + extra)
+            continue
+        j = (i - 1) >> 1
+        quarter += 2 * _parity_below(h, j)
+        if not i & 1:
+            quarter += 3 if h >> j & 1 else 1
+        h ^= 1 << j
+    return h, quarter
+
+
 def act(desc, a, v):
     """Apply the element a to the vector v through the representation.
 
@@ -149,9 +168,9 @@ def act(desc, a, v):
     p^a q^b is the sum over r of 2^-r C(b, r) perm(a, r) q^(b-r) * p^(a-r)
     (`starprod._mode_words`), so x^e goes to x^(e-a+b) times the sum over r
     of 2^-r C(b, r) perm(a, r) perm(e, a-r).  The Bose generators passing
-    xi^G give (-1)^(|G| (|A| + |B|)), and then the w_i act, last index
-    first.  The factor is i^quarter * num / 2^shift, with the signs counted
-    as two quarters.
+    xi^G give (-1)^(|G| (|A| + |B|)), and then the w_i act by the ladder
+    rule `_ladder`.  The factor is i^quarter * num / 2^shift, with the signs
+    counted as two quarters.
     """
     expect_element(a, CwElement, desc.signature())
     expect_element(v, GrassPolyVector, (desc.ell, desc.k))
@@ -172,18 +191,8 @@ def act(desc, a, v):
                 _, _, qb, pa = words[0]
                 image.append(x - pa + qb)
             else:
-                quarter, h = 2 * m.bose_degree() * g.bit_count(), g
-                for i in fermi:
-                    if i == odd:  # +-(-1)^(total degree)
-                        quarter += 2 * (h.bit_count() + sum(image) + flip)
-                        continue
-                    # ladder pair j: w_i is Q_j + P_j, or i (Q_j - P_j) for even i
-                    j = (i - 1) >> 1
-                    quarter += 2 * _parity_below(h, j)
-                    if not i & 1:
-                        quarter += 3 if h >> j & 1 else 1
-                    h ^= 1 << j
-                factor = i_power(quarter) * gr_ratio(num, 1 << shift)
+                h, quarter = _ladder(fermi, g, odd, sum(image) + flip)
+                factor = i_power(quarter + 2 * m.bose_degree() * g.bit_count()) * gr_ratio(num, 1 << shift)
                 accumulate(out, (h, tuple(image)), (cm * cv).scale(factor))
     return GrassPolyVector.raw(v.space, out)
 

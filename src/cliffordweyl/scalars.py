@@ -267,11 +267,12 @@ GR_ZERO = GaussianRational(0)
 GR_ONE = GaussianRational(1)
 GR_I = GaussianRational(0, 1)
 GR_HALF = GaussianRational(Fraction(1, 2))
+_I_POWERS = (GR_ONE, GR_I, -GR_ONE, -GR_I)
 
 
 def i_power(n):
     """i**n as a GaussianRational (n any integer)."""
-    return (GR_I ** (n % 4)) if n >= 0 else (GaussianRational(0, -1) ** ((-n) % 4))
+    return _I_POWERS[n % 4]
 
 
 class CentralParameterError(AlgebraError, ValueError):

@@ -46,7 +46,7 @@ from .deform import (
     periodicity2_inverse,
     verma_apply,
 )
-from .exprs import descriptor
+from .exprs import CwContext, OreContext, descriptor
 from .hochschild import (
     CochainEvaluator,
     coboundary,
@@ -567,6 +567,11 @@ def run_suite(name, seed=0, algebra=None, maxdeg=None, cases=None):
         raise SuiteUsageError(
             "unknown suite %r (choose from: %s)" % (name, ", ".join(suite_names()))
         )
+    for arg, value in (("cases", cases), ("maxdeg", maxdeg)):
+        if value is not None and not isinstance(value, int):
+            raise SuiteUsageError("%s must be an int, got %r" % (arg, value))
+    if algebra is not None and not isinstance(algebra, (CwContext, OreContext)):
+        raise SuiteUsageError("algebra must be a context from parse_algebra, got %r" % (algebra,))
     if cases is not None and cases < 1:
         raise SuiteUsageError("cases must be positive")
     if cases is not None and cases > MAX_CASES:

@@ -18,7 +18,7 @@ from functools import partial, reduce
 from typing import Callable, NamedTuple
 
 import cliffordweyl
-from cliffordweyl import algebra, deform, ore, periodicity, starprod, suites
+from cliffordweyl import ore, starprod
 from cliffordweyl.algebra import AlgebraError, CwElement, unit
 from cliffordweyl.linalg import Matrix, add_row, reduce_row
 from cliffordweyl.reps import GrassPolyVector
@@ -29,22 +29,11 @@ from cliffordweyl.suites import run_suite, suite_names
 for _module in pkgutil.iter_modules(cliffordweyl.__path__):
     importlib.import_module("cliffordweyl." + _module.name)
 
-KERNEL_CACHES = (
-    starprod._cliff_pair,
-    starprod._mode_pair,
-    starprod._weyl_pair,
-    ore._lower_past_powers,
-    periodicity._spin_word,
-    deform._diagonal,
-)
-# the caches that no fault can feed: a unit monomial and a sampler's expected
-# draws read no fault target
-UNFAULTED_CACHES = (algebra._unit_monomial, suites._draws_per_term)
-
-
 def empty_kernel_caches():
-    for cached in KERNEL_CACHES:
+    """Empty every package cache, and `starprod`'s one-mode word dict."""
+    for cached in package_caches():
         cached.cache_clear()
+    starprod._weyl_word_cache.clear()
 
 
 class _EmptiedOnUndo(dict):
@@ -309,6 +298,15 @@ FAULTS = {
     "iso-order-sign": Fault(
         "transports", "deform:gr_ratio", lambda real: lambda num, den: real(abs(num), den),
         DEFAULTS, {"a0-iso": (250, 224), "cocycle": (134, 15)},
+    ),
+    # The Fermi ladder reads i (Q_j - P_j) with the other sign, i^3 for i^1
+    # and back, for each even-index generator: the automorphism w_{2j+2} ->
+    # -w_{2j+2}, which every homomorphism law accepts, so only the spin
+    # lemma's fixed values see it.
+    "ladder-quarter": Fault(
+        "transports", "reps._ladder",
+        _on_result(lambda out, fermi, *_: (out[0], out[1] + 2 * sum(not i & 1 for i in fermi))), CASES_3,
+        {"spin-lemma": (7, 2)},
     ),
     # `act` negates each (monomial, carrier term) pair whose Bose degree times
     # Grassmann degree is odd: a coverage gap of the suites, see

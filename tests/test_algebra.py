@@ -323,11 +323,30 @@ def test_quotient_dimension_passes_one_bound(n, h):
 def test_the_largest_quotient_below_the_bound_is_built():
     from fractions import Fraction
 
-    from cliffordweyl.deform import MAX_QUOTIENT_DIMENSION, pi_h_matrix
-    from cliffordweyl.ore import ore_e_plus
+    from cliffordweyl.deform import ore_to_matrix, pi_h_matrix
+    from cliffordweyl.ore import ore_e_plus, ore_unit
+    from cliffordweyl.periodicity import MAX_QUOTIENT_DIMENSION, cw_to_matrix
 
     assert MAX_QUOTIENT_DIMENSION < 4097
     assert pi_h_matrix(0, Fraction(2047, 2), "+", ore_e_plus(0)).shape == (4095, 4095)
+    # and the largest matrix realizations, 2^12-square
+    assert cw_to_matrix(12, 0, unit(AlgebraSignature(24, 0))).shape == (4096, 4096)
+    assert ore_to_matrix(12, ore_unit(12)).shape == (4096, 4096)
+
+
+@pytest.mark.parametrize("n", [13, 20])
+def test_realization_dimension_passes_the_same_bound(n, monkeypatch):
+    # cw_to_matrix(n, 0, unit) took 0.45 s at n = 14, four times longer per step;
+    # the bound is checked before either factorization
+    from faults import refuse
+
+    from cliffordweyl.deform import ore_to_matrix, periodicity2_forward
+    from cliffordweyl.ore import ore_unit
+    from cliffordweyl.periodicity import cw_to_matrix, periodicity1_forward
+
+    refuse(monkeypatch, periodicity1_forward, periodicity2_forward)
+    _refused_within_a_second(lambda: cw_to_matrix(n, 0, unit(AlgebraSignature(2 * n, 0))))
+    _refused_within_a_second(lambda: ore_to_matrix(n, ore_unit(n)))
 
 
 # a RepDescriptor's sizes, each just past what its signature() accepts:

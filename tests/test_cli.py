@@ -206,6 +206,10 @@ def test_invalid_suite_params():
         run_suite("center", maxdeg=-1)
     with pytest.raises(SuiteUsageError):
         run_suite("matrix-iso", algebra=parse_algebra("cw:1,2"))
+    # each used to end in AttributeError or TypeError
+    for arg, value in (("algebra", "cw:2,2"), ("algebra", 3), ("cases", "3"), ("cases", 2.5), ("maxdeg", 1.5)):
+        with pytest.raises(SuiteUsageError, match="^%s must be " % arg):
+            run_suite("associativity", **{arg: value})
 
 
 # -- individual suite content ----------------------------------------------------------

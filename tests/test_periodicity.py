@@ -8,10 +8,12 @@ relations z^2 = 1, z w_j = -w_j z.
 import random
 
 import pytest
+from faults import inject, refuse
 from reference_tensor import ref_tensor_star
 from reference_transport import tensor_unit, tensor_zero
 from sampling import rand_element
 
+from cliffordweyl import reps
 from cliffordweyl.algebra import (
     AlgebraError,
     AlgebraSignature,
@@ -342,3 +344,46 @@ def test_cw_to_matrix_basis_independent(nk):
                             row[(i, j, mono, power)] = g
             rows.append(row)
     assert sparse_rank(rows) == len(rows)
+
+
+# -- the spin words against Jordan-Wigner matrices ---------------------------------
+#
+# Jordan & Wigner, Z. Phys. 47 (1928): on the basis xi^g of the 2^n Grassmann
+# monomials, w_{2j+1} is X on bit j and w_{2j+2} is Y on bit j (xi^0 -> i xi^1,
+# xi^1 -> -i xi^0), each with Z on every bit below j, in plain complex ints.
+
+SPIN_WORDS = [(n, mask) for n in range(5) for mask in range(1 << 2 * n)]
+
+
+def _jordan_wigner_word(n, mask):
+    """w^mask, the product in increasing index order, as [((row, col), entry)] row by row."""
+    word = {col: (col, 1) for col in range(1 << n)}  # col -> (row, entry)
+    for i in reversed([i for i in range(1, 2 * n + 1) if mask >> (i - 1) & 1]):  # the last factor acts first
+        j = (i - 1) // 2
+        for col, (row, v) in word.items():
+            z = (-1) ** (row & (1 << j) - 1).bit_count()
+            y = 1 if i % 2 else -1j if row >> j & 1 else 1j
+            word[col] = (row ^ 1 << j, v * z * y)
+    return sorted(((row, col), v) for col, (row, v) in word.items())
+
+
+def _words_off_the_oracle():
+    """The (n, mask) of each spin word whose entries, or their order, differ from the oracle's."""
+    off = []
+    for n, mask in SPIN_WORDS:
+        M = cw_to_matrix(n, 0, monomial_element(AlgebraSignature(2 * n, 0), CwMonomial(mask, (), ())))
+        entries = [(rc, x.constant_term().constant()) for rc, x in M.terms.items()]
+        if [(rc, complex(g.re, g.im)) for rc, g in entries] != _jordan_wigner_word(n, mask):
+            off.append((n, mask))
+    return off
+
+
+def test_spin_words_match_jordan_wigner_without_act(monkeypatch):
+    assert len(SPIN_WORDS) == 341
+    refuse(monkeypatch, reps.act, reps.rep_matrix)
+    assert _words_off_the_oracle() == []
+
+
+def test_the_oracle_catches_the_ladder_fault(monkeypatch):
+    inject(monkeypatch, "ladder-quarter")
+    assert len(_words_off_the_oracle()) > 100

@@ -8,8 +8,8 @@ kernel per mode, keeps the star words only as one mode's closed form
 grading; these seeded property tests compare the two on random
 exponent tuples with k <= 4 modes and exponents <= 6, and check that the
 kernel caches, and the one-mode words that `reps.act` reads, stay bounded;
-so do the transports' spin-word and diagonal caches, which cache nothing
-past their size limits and change no result.
+so does the transports' diagonal cache, which caches nothing past its size
+limit and changes no result.
 The Fermi kernel is checked against the reference's bubble sort on every
 pair of masks below 2^7, and a wrong sign in it against the suites.
 """
@@ -22,11 +22,11 @@ from itertools import product as iproduct
 import pytest
 
 import reference_weyl_kernel as ref
-from faults import empty_kernel_caches, inject
+from faults import empty_kernel_caches, inject, package_caches
 from kernel_format import weyl_terms
 from sampling import rand_element, rand_ore
-from cliffordweyl import deform, ore, periodicity, starprod
-from cliffordweyl.algebra import AlgebraSignature, CwElement, CwMonomial, fermi_gen
+from cliffordweyl import algebra, deform, ore, periodicity, starprod
+from cliffordweyl.algebra import AlgebraSignature, CwElement, CwMonomial
 from cliffordweyl.reps import GrassPolyVector, act, spin_metaplectic
 from cliffordweyl.scalars import GR_ONE, GR_ZERO, GaussianRational, S_HALF, S_LAMBDA, S_ONE, Scalar, split_powers
 from cliffordweyl.starprod import (
@@ -240,7 +240,9 @@ def test_star_words_match_whole_tuple_reference(t):
 
 
 def test_kernel_caches_stay_bounded():
-    kernels = (_weyl_pair, _mode_pair, _cliff_pair, ore._lower_past_powers, periodicity._spin_word, deform._diagonal)
+    # `_unit_monomial` is keyed by a Bose count, which the size gate bounds
+    kernels = [cache for cache in package_caches() if cache is not algebra._unit_monomial]
+    assert {_weyl_pair, _mode_pair, _cliff_pair, ore._lower_past_powers, deform._diagonal} <= set(kernels)
     for kernel in kernels:
         assert kernel.cache_info().maxsize is not None
     _weyl_pair.cache_clear()
@@ -254,19 +256,15 @@ def test_kernel_caches_stay_bounded():
         star(a, b)
         act(desc, a + b, v)
     ore.ore_product(ore.ore_e_minus(0) ** 6, ore.ore_e_plus(0) ** 9)
-    # more spin words (all of C(8) and C(2)) and more diagonals (every E+^a
-    # E-^b and P E+^a E-^b with a, b <= 16) than their caches hold
-    for n in (4, 1):
-        every_word = {CwMonomial(mask, (0,), (0,)): S_ONE for mask in range(1 << 2 * n)}
-        periodicity.cw_to_matrix(n, 1, CwElement(AlgebraSignature(2 * n, 1), every_word))
+    # more diagonals (every E+^a E-^b and P E+^a E-^b with a, b <= 16) than
+    # its cache holds
     every_diagonal = {ore.OreMonomial(p, a, b, 0): GR_ONE for p in (0, 1) for a in range(17) for b in range(17)}
     deform.pi_h_matrix(0, 2, "+", ore.OreElement(0, every_diagonal))
     assert _weyl_pair.cache_info().misses > 0
     for kernel in kernels:
         info = kernel.cache_info()
         assert info.currsize <= info.maxsize
-    for kernel in kernels[-2:]:
-        assert kernel.cache_info().misses > kernel.cache_info().maxsize
+    assert deform._diagonal.cache_info().misses > deform._diagonal.cache_info().maxsize
     assert starprod._weyl_word_cache
     for key in starprod._weyl_word_cache:
         assert len(key) == 2 and all(isinstance(e, int) for e in key)
@@ -280,10 +278,7 @@ def test_kernel_caches_stay_bounded():
 
 
 def test_transport_kernels_cache_nothing_past_their_size_limits():
-    assert 1 << 6 > periodicity._SPIN_WORD_DIM and 4 * 16 + 1 > deform._DIAGONAL_WIDTH
-    words = periodicity._spin_word.cache_info()
-    periodicity.cw_to_matrix(6, 0, fermi_gen(AlgebraSignature(12, 0), 1) + fermi_gen(AlgebraSignature(12, 0), 12))
-    assert periodicity._spin_word.cache_info() == words
+    assert 4 * 16 + 1 > deform._DIAGONAL_WIDTH
     diagonals = deform._diagonal.cache_info()
     deform.pi_h_matrix(0, 16, "-", ore.ore_e_plus(0) ** 3 + ore.ore_fermi(0, 1))
     assert deform._diagonal.cache_info() == diagonals
@@ -303,5 +298,5 @@ def test_transports_agree_with_warm_and_cleared_caches():
 
     empty_kernel_caches()
     cold = transports()
-    assert deform._diagonal.cache_info().currsize and periodicity._spin_word.cache_info().currsize
+    assert deform._diagonal.cache_info().currsize
     assert transports() == cold
