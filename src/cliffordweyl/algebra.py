@@ -16,12 +16,11 @@ transposition count against this order.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import lru_cache
 from operator import index
 from typing import NamedTuple
 
 from .scalars import S_ONE, S_ZERO, Scalar, _coerce_scalar
-from .sparse import AlgebraError, SignatureMismatch, SparseElement, json_reader, sum_terms
+from .sparse import AlgebraError, SignatureMismatch, SparseElement, json_reader, kernel, sum_terms
 from .textform import element_to_text, monomial_order
 
 
@@ -213,7 +212,7 @@ class CwElement(SparseElement):
         return CwElement(signature, terms)
 
 
-@lru_cache(maxsize=None)
+@kernel(None)
 def _unit_monomial(n_bose):
     return CwMonomial(0, (0,) * n_bose, (0,) * n_bose)
 

@@ -23,7 +23,6 @@ Everything here sits on top of the normal-form arithmetic in `ore`:
 """
 
 from fractions import Fraction
-from functools import lru_cache
 from itertools import chain, combinations, islice
 
 from .algebra import (
@@ -59,7 +58,7 @@ from .ore import (
 )
 from .periodicity import TensorElement, _check_dimension, _realize_left, _times_volume
 from .scalars import GR_ONE, GaussianRational, format_coefficient, gaussian, gr_ratio, i_power
-from .sparse import Checks, accumulate, expect_element, triple_bracket_law
+from .sparse import Checks, accumulate, expect_element, kernel, triple_bracket_law
 from .starprod import _mode_words
 from .textform import monomial_order
 
@@ -349,14 +348,10 @@ def pi_h_lambda(h, sign):
 
 # An entry of `_diagonal` holds at most d values, products of at most d
 # lowering factors, and no power of L, so diagonals are cached only up to
-# d = `_DIAGONAL_WIDTH`: the largest such entry retains 7.9 KB (tracemalloc,
-# over every E+^a E-^b at d = 64), so the cache holds at most about 2 MB.  A
-# larger quotient keeps its own table for the call.
-_DIAGONAL_CACHE = 256
-_DIAGONAL_WIDTH = 64
-
-
-@lru_cache(maxsize=_DIAGONAL_CACHE)
+# d = 64: the largest such entry retains 7.9 KB (tracemalloc, over every
+# E+^a E-^b at d = 64), so the cache holds at most about 2 MB.  `pi_h_matrix`
+# reads each distinct diagonal once a call, past d = 64 too.
+@kernel(256, fits=lambda lam, twist, d, *monomial: d <= 64)
 def _diagonal(lam, twist, d, cliff, e_plus, e_minus):
     """The shifted diagonal of w^I E+^a E-^b on z^0..z^(d-1) at weight lam,
     P negated when twist is -1, as ((row, col, value), ...)."""
@@ -382,13 +377,14 @@ def pi_h_matrix(n, h, sign, x):
     lam = GaussianRational(h + Fraction(1, 4))
     d = int(4 * h) + 1
     _check_dimension("quotient", d << n)
-    diagonal = _diagonal if d <= _DIAGONAL_WIDTH else lru_cache(maxsize=None)(_diagonal.__wrapped__)
-    entries = {}
+    entries, diagonals = {}, {}
     for (i, j), a in ore_to_matrix(n, x).items():
         for (cliff, e_plus, e_minus, r), c in a.terms.items():
             if r:
                 c = c * (lam * twist) ** r
-            for row, col, v in diagonal(lam, twist, d, cliff, e_plus, e_minus):
+            if (cliff, e_plus, e_minus) not in diagonals:
+                diagonals[cliff, e_plus, e_minus] = _diagonal(lam, twist, d, cliff, e_plus, e_minus)
+            for row, col, v in diagonals[cliff, e_plus, e_minus]:
                 accumulate(entries, (i * d + row, j * d + col), c * v)
     return Matrix.from_entries((d << n, d << n), entries)
 

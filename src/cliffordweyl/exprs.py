@@ -283,6 +283,8 @@ class _Parser:
 
 
 def parse(text):
+    if not isinstance(text, str):
+        raise ParseError("expression must be text, got %s" % type(text).__name__, 0)
     parser = _Parser(tokenize(text), len(text))
     node = parser.expr()
     tail = parser._peek()
@@ -382,7 +384,7 @@ def descriptor(space):
 
 def parse_algebra(text):
     """Context from a descriptor: cw:<n>,<2k> (even Bose count) or ore:<n>."""
-    head, _, rest = text.partition(":")
+    head, _, rest = text.partition(":") if isinstance(text, str) else (None, None, None)
     try:
         if head == "cw":
             a, _, b = rest.partition(",")
@@ -399,7 +401,7 @@ def parse_algebra(text):
             return OreContext(n)
     except ValueError:
         pass
-    raise AlgebraError("bad algebra descriptor %r (want cw:<n>,<2k> or ore:<n>)" % text)
+    raise AlgebraError("bad algebra descriptor %r (want cw:<n>,<2k> or ore:<n>)" % (text,))
 
 
 def _lowering(a, b):
@@ -412,6 +414,8 @@ def _lowering(a, b):
 def evaluate(node, ctx):
     """Exact element of the context's algebra, within the `MAX_PAIRS` and
     `MAX_LOWERING` budgets."""
+    if not isinstance(ctx, (CwContext, OreContext)):
+        raise AlgebraError("context must be a context from parse_algebra, got %r" % (ctx,))
     spent = lowered = 0
 
     def product(op, a, b, bracket=False):

@@ -28,14 +28,13 @@ part of the monomial, not the coefficient.
 """
 
 from fractions import Fraction
-from functools import lru_cache
 from operator import index
 from typing import NamedTuple
 
-from .algebra import AlgebraError, _check_index, _check_size, index_mask
+from .algebra import AlgebraError, CwMonomial, _check_index, _check_size, index_mask
 from .scalars import GR_ONE, GaussianRational, _coerce, from_numerators, gaussian
 from .scalars import i_power
-from .sparse import Checks, SparseElement, accumulate, json_reader, pair_product, sum_terms
+from .sparse import Checks, SparseElement, accumulate, json_reader, kernel, pair_product, sum_terms
 from .sparse import anti_bracket as ore_anti_bracket, lie_bracket as ore_lie_bracket
 from .sparse import super_bracket as ore_super_bracket
 from .starprod import _cliff_pair
@@ -57,8 +56,7 @@ class OreMonomial(NamedTuple):
     def bose_parity(self):
         return (self.e_plus + self.e_minus) & 1
 
-    def cliff_indices(self):
-        return [i + 1 for i in range(self.cliff.bit_length()) if self.cliff >> i & 1]
+    cliff_indices = CwMonomial.cliff_indices
 
 
 class OreElement(SparseElement):
@@ -178,14 +176,10 @@ def ore_generators(n):
 # An entry of `_lower_past_powers` holds the whole normal form of
 # E-^beta E+^gamma; the benchmark's deform workload needs about 21 of them,
 # the largest at (60, 60).  Its size grows with min(beta, gamma) squared, so
-# only pairs with min(beta, gamma) <= `_LOWER_PAST_POWERS_STEPS` are cached:
-# the largest such entry retains 0.2 MB (tracemalloc, at (64, 100000); 0.7 MB
-# at (120, 120)), so the cache holds at most about 52 MB.
-_LOWER_PAST_POWERS_CACHE = 256
-_LOWER_PAST_POWERS_STEPS = 64
-
-
-@lru_cache(maxsize=_LOWER_PAST_POWERS_CACHE)
+# only pairs with min(beta, gamma) <= 64 are cached: the largest such entry
+# retains 0.2 MB (tracemalloc, at (64, 100000); 0.7 MB at (120, 120)), so the
+# cache holds at most about 52 MB.
+@kernel(256, fits=lambda beta, gamma: min(beta, gamma) <= 64)
 def _lower_past_powers(beta, gamma):
     """Normal form of E-^beta E+^gamma as (den, plain, ghost), den =
     4^min(beta, gamma): (num, a, b, extra) in plain is (num/den) E+^a E-^b
@@ -278,9 +272,6 @@ def _lower_past_powers(beta, gamma):
     return 1 << (2 * steps), tuple(plain), tuple(ghost)
 
 
-_lower_uncached = _lower_past_powers.__wrapped__
-
-
 def pair_kernel(n):
     """The rank-n pair kernel of `sparse.pair_product`: (m1, m2) -> (den,
     groups), one group without the ghost and one with it and its i^n."""
@@ -292,9 +283,7 @@ def pair_kernel(n):
         par, mask = _cliff_pair(m1.cliff, m2.cliff)
         neg = par ^ ((m1.e_plus + m1.e_minus) & m2.cliff.bit_count() & 1)
         e_plus, e_minus, lam = m1.e_plus, m2.e_minus, m1.lam + m2.lam
-        beta, gamma = m1.e_minus, m2.e_plus
-        lower = _lower_past_powers if min(beta, gamma) <= _LOWER_PAST_POWERS_STEPS else _lower_uncached
-        den, plain, ghost = lower(beta, gamma)
+        den, plain, ghost = _lower_past_powers(m1.e_minus, m2.e_plus)
         keys = [
             (num, _tuple_new(OreMonomial, (mask, e_plus + a, b + e_minus, lam + extra)))
             for num, a, b, extra in plain

@@ -35,6 +35,11 @@ families; `triple_bracket_law` is the one check of the orthosymplectic
 triple-bracket law over a basis and a form, and `homomorphism_law` the one
 check that a transport maps products to products, and back by its inverse.
 
+`kernel(maxsize, fits)` is the one declaration of a cache: a per-monomial
+kernel is a bounded `lru_cache`, registered in `KERNELS` under "module.name"
+with the underscore dropped (`starprod.cliff_pair`, the benchmark's metric
+name), and with `fits` a call past the kernel's size limit is not cached.
+
 `expect_element` is the one argument check of an element's family and
 space: a wrong one is a `SignatureMismatch`, which is an `AlgebraError`.
 `element_tag` names the algebra of an element, its family and space, for
@@ -50,7 +55,7 @@ counts its cases and writes its failure records through it.
 from __future__ import annotations
 
 from collections import defaultdict
-from functools import wraps
+from functools import lru_cache, wraps
 from math import lcm
 
 
@@ -132,6 +137,24 @@ def json_reader(read):
             raise AlgebraError("malformed JSON for %s: %r" % (read.__qualname__, e)) from e
 
     return guarded
+
+
+KERNELS = {}
+
+
+def kernel(maxsize, fits=None):
+    """Declare a kernel in `KERNELS`: the bare `lru_cache` of at most `maxsize`
+    entries or, with `fits`, a callable that computes calls failing `fits` uncached."""
+
+    def declare(fn):
+        cache = declared = lru_cache(maxsize=maxsize)(fn)
+        if fits is not None:
+            declared = wraps(fn)(lambda *args: cache(*args) if fits(*args) else fn(*args))
+            declared.cache_info, declared.cache_clear = cache.cache_info, cache.cache_clear
+        KERNELS["%s.%s" % (fn.__module__.rpartition(".")[2], fn.__name__.lstrip("_"))] = declared
+        return declared
+
+    return declare
 
 
 def sum_terms(pairs):

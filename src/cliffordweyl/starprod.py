@@ -56,12 +56,11 @@ off it one mode at a time.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from itertools import product as iproduct
 
 from .algebra import AlgebraError, CwElement, CwMonomial
 from .scalars import S_ONE, join_numerators, split_powers
-from .sparse import anti_bracket, lie_bracket, pair_product, super_bracket
+from .sparse import anti_bracket, kernel, lie_bracket, pair_product, super_bracket
 
 
 def _parity_below(mask, i):
@@ -80,27 +79,24 @@ def _shuffle_parity(left, right):
     return par
 
 
-# Bounds of the kernel caches, in entries.  A run's working set is the set
-# of its distinct monomial pairs: the benchmark's warm cw suites reuse 2,106
-# Bose and 173 Fermi pairs, and six cold products on cw:4,4, cw:2,6 and
-# cw:0,8 need 3,666 Bose pairs, 4.69 MB by tracemalloc (3.88 MB with the
-# earlier (order, num, P, Q) terms), about 1.3 KB an entry; past a bound an
-# entry is rebuilt from the one-mode kernel.  `_mode_pair` and
-# `_mode_words` are keyed by one mode's exponents, so they grow with the
-# largest exponent in use.
-_WEYL_PAIR_CACHE = 4096
-_MODE_PAIR_CACHE = 4096
+# The kernel caches, and `_mode_words`' dict, hold 4,096 entries each.  A
+# run's working set is the set of its distinct monomial pairs: the
+# benchmark's warm cw suites reuse 2,106 Bose and 173 Fermi pairs, and six
+# cold products on cw:4,4, cw:2,6 and cw:0,8 need 3,666 Bose pairs, 4.69 MB
+# by tracemalloc (3.88 MB with the earlier (order, num, P, Q) terms), about
+# 1.3 KB an entry; past a bound an entry is rebuilt from the one-mode
+# kernel.  `_mode_pair` and `_mode_words` are keyed by one mode's
+# exponents, so they grow with the largest exponent in use.
 _WEYL_WORD_CACHE = 4096
-_CLIFF_PAIR_CACHE = 4096
 
 
-@lru_cache(maxsize=_CLIFF_PAIR_CACHE)
+@kernel(4096)
 def _cliff_pair(I, J):
     """Fermi kernel at t = 1: w^I * w^J = (-1)^parity w^mask, as (parity, mask)."""
     return _shuffle_parity(I, J), I ^ J
 
 
-@lru_cache(maxsize=_MODE_PAIR_CACHE)
+@kernel(4096)
 def _mode_pair(a, b, c, d):
     """One-mode Bose kernel p^a q^b * p^c q^d at t = 1 as (den, ((order, num,
     P, Q), ...)): the terms (num/den) p^P q^Q, which scale by t^order.
@@ -124,7 +120,7 @@ def _mode_pair(a, b, c, d):
     return den, tuple(out)
 
 
-@lru_cache(maxsize=_WEYL_PAIR_CACHE)
+@kernel(4096)
 def _weyl_pair(A, B, C, D):
     """Bose kernel at t = 1 as (den, ((num, (P, Q)), ...), (order, ...)), terms
     (num/den) p^P q^Q scaling by t^order, the product over modes of
@@ -260,7 +256,8 @@ def trace_clifford(a):
 # -- one mode's normal ordering -----------------------------------------------
 #
 # The closed form of p^a q^b as q-before-p products, which `reps.act` and
-# `deform.iso_cw_to_a0` read term by term.
+# `deform.iso_cw_to_a0` read term by term; its dict is not a `sparse.kernel`
+# because the benchmark reads and empties `_weyl_word_cache` by name.
 
 _weyl_word_cache = {}
 

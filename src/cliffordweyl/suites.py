@@ -17,7 +17,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache, partial, reduce
+from functools import partial, reduce
 from itertools import accumulate as running_sums, chain, product
 from math import comb
 
@@ -80,7 +80,7 @@ from .periodicity import (
 )
 from .reps import rep_matrix, spin
 from .scalars import GaussianRational, gr_ratio, i_power
-from .sparse import Checks, accumulate, homomorphism_law, sum_terms
+from .sparse import Checks, accumulate, homomorphism_law, kernel, sum_terms
 from .starprod import anti_bracket, lie_bracket, star
 
 
@@ -145,7 +145,7 @@ def _rand_coeff(rng):
     return gr_ratio(re, den, rng.randrange(-3, 4) * den)
 
 
-@lru_cache(maxsize=256)
+@kernel(256)
 def _draws_per_term(fermi, bose, lam, maxdeg):
     """Expected draws per term of a rejection sampler: all slot choices over
     those of degree at most maxdeg.
@@ -563,12 +563,14 @@ def suite_names():
 
 def run_suite(name, seed=0, algebra=None, maxdeg=None, cases=None):
     """Execute one named suite; deterministic given (name, params, seed)."""
-    if name not in _SUITES:
+    if not isinstance(name, str) or name not in _SUITES:
         raise SuiteUsageError(
             "unknown suite %r (choose from: %s)" % (name, ", ".join(suite_names()))
         )
+    if type(seed) is not int or not 0 <= seed < 1 << 64:
+        raise SuiteUsageError("seed must be an int in 0..2^64-1, got %r" % (seed,))
     for arg, value in (("cases", cases), ("maxdeg", maxdeg)):
-        if value is not None and not isinstance(value, int):
+        if value is not None and type(value) is not int:
             raise SuiteUsageError("%s must be an int, got %r" % (arg, value))
     if algebra is not None and not isinstance(algebra, (CwContext, OreContext)):
         raise SuiteUsageError("algebra must be a context from parse_algebra, got %r" % (algebra,))

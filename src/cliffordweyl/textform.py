@@ -71,22 +71,19 @@ def monomial_order(space, keys):
 
 def _side(space):
     """A table: key -> the text of a tensor side's one-term element, "1" for the unit."""
-    fermi = _Table(_fermi_text)
     if isinstance(space, int):
-        ladder = _powers(("E+", "E-"))
-
-        def write(m):
-            lam, body = format_coefficient(GR_ONE, m.lam), fermi[m.cliff] + ladder[m[1:3]]
-            return f"{lam} *{body}" if body and lam != "1" else body[1:] or lam
-
-        return _Table(write)
-    p, q = _bose(space)
+        return _Table(lambda m: _text(space, {m: GR_ONE}))
+    fermi, (p, q) = _Table(_fermi_text), _bose(space)
     return _Table(lambda m: (fermi[m.cliff] + p[m.wp] + q[m.wq])[1:] or "1")
 
 
 def element_to_text(e):
     """The text of a cw, ore or tensor element; "0" if it has no terms."""
-    space, terms = e.space, e.terms
+    return _text(e.space, e.terms)
+
+
+def _text(space, terms):
+    """The text of the term map `terms` over `space`."""
     out = []  # separator, term text, separator, ...
     if isinstance(space, int):  # the rank of a deformed algebra
         fermi, ladder = _Table(_fermi_text), _powers(("E+", "E-"))

@@ -23,6 +23,7 @@ from cliffordweyl.algebra import AlgebraError, CwElement, unit
 from cliffordweyl.linalg import Matrix, add_row, reduce_row
 from cliffordweyl.reps import GrassPolyVector
 from cliffordweyl.scalars import GaussianRational, _make, i_power
+from cliffordweyl.sparse import KERNELS
 from cliffordweyl.suites import run_suite, suite_names
 
 # every submodule, so that the binding finder sees every binding
@@ -30,8 +31,8 @@ for _module in pkgutil.iter_modules(cliffordweyl.__path__):
     importlib.import_module("cliffordweyl." + _module.name)
 
 def empty_kernel_caches():
-    """Empty every package cache, and `starprod`'s one-mode word dict."""
-    for cached in package_caches():
+    """Empty every declared kernel, and `starprod`'s one-mode word dict."""
+    for cached in KERNELS.values():
         cached.cache_clear()
     starprod._weyl_word_cache.clear()
 
@@ -55,12 +56,6 @@ def _package_modules():
 def bindings(value):
     """(module, name) of every binding of `value` in a loaded cliffordweyl module."""
     return [(module, key) for module in _package_modules() for key, bound in list(vars(module).items()) if bound is value]
-
-
-def package_caches():
-    """Every functools LRU cache bound in a loaded cliffordweyl module, once each."""
-    found = {id(v): v for m in _package_modules() for v in vars(m).values() if hasattr(v, "cache_info")}
-    return list(found.values())
 
 
 def rebind(monkeypatch, real, fake):

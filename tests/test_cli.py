@@ -207,9 +207,20 @@ def test_invalid_suite_params():
     with pytest.raises(SuiteUsageError):
         run_suite("matrix-iso", algebra=parse_algebra("cw:1,2"))
     # each used to end in AttributeError or TypeError
-    for arg, value in (("algebra", "cw:2,2"), ("algebra", 3), ("cases", "3"), ("cases", 2.5), ("maxdeg", 1.5)):
+    bad = [("algebra", "cw:2,2"), ("algebra", 3), ("cases", "3"), ("cases", 2.5), ("maxdeg", 1.5)]
+    # a bool is no count: it used to run and be recorded as `true`
+    for arg, value in bad + [("cases", True), ("maxdeg", False)]:
         with pytest.raises(SuiteUsageError, match="^%s must be " % arg):
             run_suite("associativity", **{arg: value})
+    # a name that is no str, and a seed outside the CLI's 0..2^64-1, used to
+    # end in TypeError or run and be recorded
+    for name in (["relations"], 3, None):
+        with pytest.raises(SuiteUsageError, match="^unknown suite "):
+            run_suite(name)
+    for seed in ([1], 1.5, True, -1, 1 << 64, 2**70, "1"):
+        with pytest.raises(SuiteUsageError, match="^seed must be "):
+            run_suite("relations", seed=seed)
+    assert run_suite("relations", seed=(1 << 64) - 1).seed == (1 << 64) - 1
 
 
 # -- individual suite content ----------------------------------------------------------

@@ -79,6 +79,25 @@ def test_parse_errors():
         assert err.value.position == column - 1, text
 
 
+@pytest.mark.parametrize("text", [None, 3, b"w1", ["w1"]], ids=["none", "int", "bytes", "list"])
+def test_text_that_is_not_a_str_is_a_parse_error(text):
+    # these used to end in TypeError or AttributeError
+    with pytest.raises(ParseError, match=r"^expression must be text, got \w+ \(column 1\)$") as err:
+        parse(text)
+    assert err.value.position == 0
+    with pytest.raises(ParseError):
+        evaluate_text(text, parse_algebra("cw:1,2"))
+
+
+@pytest.mark.parametrize("ctx", [None, "cw:1,2", AlgebraSignature(1, 1), 2], ids=["none", "descriptor", "signature", "rank"])
+def test_a_context_that_is_not_one_is_an_algebra_error(ctx):
+    # each used to end in AttributeError
+    with pytest.raises(AlgebraError, match="^context must be a context from parse_algebra, got "):
+        evaluate_text("w1", ctx)
+    with pytest.raises(AlgebraError, match="^context must be "):
+        evaluate(parse("w1 + 1"), ctx)
+
+
 def test_empty_nodes_are_parse_errors():
     ctx = CwContext(AlgebraSignature(1, 1))
     with pytest.raises(ParseError):
@@ -289,6 +308,10 @@ def test_algebra_descriptors():
     assert parse_algebra("ore:2").describe() == "ore:2"
     for bad in ["cw:1,3", "cw:1", "cw:-1,2", "ore:-1", "ore:x", "weyl:1", "cw:1,2,3"]:
         with pytest.raises(AlgebraError):
+            parse_algebra(bad)
+    # not text: these used to end in AttributeError
+    for bad in [None, b"cw:1,2", 3, ("cw", 1, 2)]:
+        with pytest.raises(AlgebraError, match=r"^bad algebra descriptor "):
             parse_algebra(bad)
 
 

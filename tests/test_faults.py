@@ -7,9 +7,10 @@ import ast
 from pathlib import Path
 
 import pytest
-from faults import FAULTS, bindings, failing_suites, inject, package_caches, resolve
+from faults import FAULTS, bindings, failing_suites, inject, resolve
 
 from cliffordweyl import starprod
+from cliffordweyl.sparse import KERNELS
 from cliffordweyl.suites import suite_names
 
 LAYERS = {"products", "brackets", "transports", "writer", "weight module", "linear algebra"}
@@ -38,7 +39,7 @@ def test_every_cache_is_emptied_around_a_fault():
     # a cache that `inject` does not empty serves a correct entry under a
     # fault, or a faulty one after it.  `cliff-parity` rebinds a cached
     # kernel, so its real cache is bound only outside the fault.
-    caches = package_caches()
+    caches = list(KERNELS.values())
 
     def sizes():
         return [cache.cache_info().currsize for cache in caches] + [len(starprod._weyl_word_cache)]

@@ -18,7 +18,9 @@ exports that name from it, and every module-level function is exported or
 read, directly or through other such functions, by exported code or by
 module-level code outside a function.  The text writer keeps no state
 between calls: `textform` binds no dict, list or set at module level and
-caches no function.  Only the modules that hold cw coefficients name
+caches no function.  Every cache in the package is a kernel declared by
+`sparse.kernel` and registered in `sparse.KERNELS`: no other code imports or
+reads a functools cache.  Only the modules that hold cw coefficients name
 `Scalar`, its constants or its coercion.
 """
 
@@ -28,6 +30,7 @@ import importlib
 import json
 import os
 import pathlib
+import pkgutil
 import re
 import subprocess
 import sys
@@ -36,6 +39,7 @@ import pytest
 
 import cliffordweyl
 from cliffordweyl import cli
+from cliffordweyl.sparse import KERNELS
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -184,27 +188,61 @@ def _container_bindings(tree):
     return found
 
 
-def _cached_functions(tree):
-    """Functions of `tree` decorated with `lru_cache` or `cache`."""
-    return [
-        node.name
-        for node in ast.walk(tree)
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        and any(_reads(d) & {"lru_cache", "cache"} for d in node.decorator_list)
-    ]
-
-
 def test_text_writer_keeps_no_state_between_calls():
     tree = ast.parse((pathlib.Path(cliffordweyl.__file__).parent / "textform.py").read_text())
     assert _container_bindings(tree) == []
-    assert _cached_functions(tree) == []
-    # the checks see what they look for
-    probe = ast.parse(
-        "class T(dict): pass\nA = {}\nB: list = []\nC = set()\nD = T(f)\n"
-        "@functools.lru_cache(None)\ndef f(): pass\n@cache\ndef g(): pass\n"
-    )
+    # it declares no kernel, and `test_every_cache_is_a_declared_kernel`
+    # finds any other cache
+    importlib.import_module("cliffordweyl.textform")
+    assert [name for name in KERNELS if name.startswith("textform.")] == []
+    # the check sees what it looks for
+    probe = ast.parse("class T(dict): pass\nA = {}\nB: list = []\nC = set()\nD = T(f)\n")
     assert len(_container_bindings(probe)) == 4
-    assert _cached_functions(probe) == ["f", "g"]
+
+
+# the functools caches; `cache` is a common local name, so it is matched
+# only as an import or as `functools.cache`
+_CACHES = {"lru_cache", "cache", "cached_property"}
+
+
+def _cache_sites(tree, keeper=None):
+    """Lines where `tree` imports or reads a functools cache, other than the
+    `lru_cache` that the module-level function `keeper` is given and reads."""
+    kept = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == keeper]
+    inside = {id(sub) for node in kept for sub in ast.walk(node)}
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            found = {alias.name for alias in node.names} & _CACHES - ({"lru_cache"} if kept else set())
+        elif isinstance(node, ast.Attribute):
+            found = node.attr in _CACHES - {"cache"} or node.attr == "cache" and ast.unparse(node.value) == "functools"
+        else:
+            found = isinstance(node, ast.Name) and node.id in _CACHES - {"cache"} and id(node) not in inside
+        if found:
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_every_cache_is_a_declared_kernel():
+    sites = {}
+    for path in pathlib.Path(cliffordweyl.__file__).parent.glob("*.py"):
+        keeper = "kernel" if path.stem == "sparse" else None
+        sites[path.stem] = _cache_sites(ast.parse(path.read_text()), keeper)
+    assert {module: lines for module, lines in sites.items() if lines} == {}
+    # every module is loaded before the registry is read
+    modules = [importlib.import_module("cliffordweyl." + info.name) for info in pkgutil.iter_modules(cliffordweyl.__path__)]
+    kernels = {id(kernel) for kernel in KERNELS.values()}
+    for module in modules:
+        undeclared = [name for name, v in vars(module).items() if hasattr(v, "cache_info") and id(v) not in kernels]
+        assert undeclared == [], module.__name__
+    # the scan sees what it looks for
+    probe = ast.parse(
+        "from functools import lru_cache, cache, wraps\nimport functools\n@lru_cache(None)\ndef f(): pass\n"
+        "@functools.cache\ndef g(): pass\nclass C:\n    @functools.cached_property\n    def h(self): pass\n"
+        "import functools as ft\nk = ft.lru_cache(8)(len)\ncache = {}\nx = cache.get(1)\n"
+    )
+    assert _cache_sites(probe) == [1, 3, 5, 8, 11]
+    assert _cache_sites(probe, "f") == [1, 5, 8, 11]
 
 
 # the modules that hold cw coefficients as polynomials in L; every other

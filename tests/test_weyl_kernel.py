@@ -8,8 +8,9 @@ kernel per mode, keeps the star words only as one mode's closed form
 grading; these seeded property tests compare the two on random
 exponent tuples with k <= 4 modes and exponents <= 6, and check that the
 kernel caches, and the one-mode words that `reps.act` reads, stay bounded;
-so does the transports' diagonal cache, which caches nothing past its size
-limit and changes no result.
+every kernel in `sparse.KERNELS` declared with a size limit caches nothing
+past it and computes there what its cache would, and the transports'
+diagonal cache changes no result.
 The Fermi kernel is checked against the reference's bubble sort on every
 pair of masks below 2^7, and a wrong sign in it against the suites.
 """
@@ -18,17 +19,19 @@ import math
 import random
 from fractions import Fraction
 from itertools import product as iproduct
+from types import FunctionType
 
 import pytest
 
 import reference_weyl_kernel as ref
-from faults import empty_kernel_caches, inject, package_caches
+from faults import empty_kernel_caches, inject
 from kernel_format import weyl_terms
 from sampling import rand_element, rand_ore
-from cliffordweyl import algebra, deform, ore, periodicity, starprod
+from cliffordweyl import deform, ore, periodicity, starprod
 from cliffordweyl.algebra import AlgebraSignature, CwElement, CwMonomial
 from cliffordweyl.reps import GrassPolyVector, act, spin_metaplectic
 from cliffordweyl.scalars import GR_ONE, GR_ZERO, GaussianRational, S_HALF, S_LAMBDA, S_ONE, Scalar, split_powers
+from cliffordweyl.sparse import KERNELS
 from cliffordweyl.starprod import (
     _cliff_pair,
     _mode_pair,
@@ -241,7 +244,7 @@ def test_star_words_match_whole_tuple_reference(t):
 
 def test_kernel_caches_stay_bounded():
     # `_unit_monomial` is keyed by a Bose count, which the size gate bounds
-    kernels = [cache for cache in package_caches() if cache is not algebra._unit_monomial]
+    kernels = [cache for name, cache in KERNELS.items() if name != "algebra.unit_monomial"]
     assert {_weyl_pair, _mode_pair, _cliff_pair, ore._lower_past_powers, deform._diagonal} <= set(kernels)
     for kernel in kernels:
         assert kernel.cache_info().maxsize is not None
@@ -277,8 +280,29 @@ def test_kernel_caches_stay_bounded():
     starprod._weyl_word_cache.clear()
 
 
+# arguments of each kernel declared with a size limit: within it, and past it
+# (the quotients at h = 15 and h = 16, d = 61 and d = 65)
+WITHIN_AND_PAST_THE_LIMIT = {
+    "ore.lower_past_powers": ((64, 70), (65, 70)),
+    "deform.diagonal": (
+        (GaussianRational(Fraction(61, 4)), -1, 61, 1, 3, 0),
+        (GaussianRational(Fraction(65, 4)), -1, 65, 1, 3, 0),
+    ),
+}
+
+
 def test_transport_kernels_cache_nothing_past_their_size_limits():
-    assert 4 * 16 + 1 > deform._DIAGONAL_WIDTH
+    # a kernel declared with `fits` is a plain function around its cache
+    limited = {name for name, kernel in KERNELS.items() if isinstance(kernel, FunctionType)}
+    assert limited == set(WITHIN_AND_PAST_THE_LIMIT)
+    for name, (within, past) in WITHIN_AND_PAST_THE_LIMIT.items():
+        kernel = KERNELS[name]
+        kernel.cache_clear()
+        assert kernel(*within) == kernel.__wrapped__(*within) and kernel.cache_info().currsize == 1
+        info = kernel.cache_info()
+        assert kernel(*past) == kernel.__wrapped__(*past) and kernel.cache_info() == info
+        kernel.cache_clear()
+    # h = 16: d = 65, past the limit
     diagonals = deform._diagonal.cache_info()
     deform.pi_h_matrix(0, 16, "-", ore.ore_e_plus(0) ** 3 + ore.ore_fermi(0, 1))
     assert deform._diagonal.cache_info() == diagonals
